@@ -11,6 +11,7 @@ package k20power
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/sensor"
@@ -191,17 +192,13 @@ func halfGap(samples []sensor.Sample, i int) float64 {
 	return 0
 }
 
-// nthSmallest returns the n-th smallest power (0-based).
+// nthSmallest returns the n-th smallest power (0-based), clamping n to the
+// largest.
 func nthSmallest(samples []sensor.Sample, n int) float64 {
-	ws := make([]float64, len(samples))
-	for i, s := range samples {
-		ws[i] = s.W
+	if n >= len(samples) {
+		n = len(samples) - 1
 	}
-	sort.Float64s(ws)
-	if n >= len(ws) {
-		n = len(ws) - 1
-	}
-	return ws[n]
+	return orderStat(samples, n)
 }
 
 // medianInterval returns the median inter-sample time gap, or 0 for fewer
@@ -228,17 +225,94 @@ func percentile(samples []sensor.Sample, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	ws := make([]float64, len(samples))
-	for i, s := range samples {
-		ws[i] = s.W
-	}
-	sort.Float64s(ws)
-	idx := int(p * float64(len(ws)-1))
+	idx := int(p * float64(len(samples)-1))
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(ws) {
-		idx = len(ws) - 1
+	if idx >= len(samples) {
+		idx = len(samples) - 1
 	}
-	return ws[idx]
+	return orderStat(samples, idx)
+}
+
+// orderStat returns the power at 0-based position rank of the log sorted by
+// sort.Float64s (NaN first, then ascending); among powers that compare equal
+// but differ in bits (±0, NaN payloads) it picks the one a stable sort would
+// place there. Both callers want a rank near one end of the log (the idle
+// rank is 0 or 1, the 0.999 percentile sits within ceil(n/1000)+1 of the
+// top), so instead of sorting it keeps the k powers nearest that end in a
+// bounded heap: O(n log k) time and O(k) space.
+func orderStat(samples []sensor.Sample, rank int) float64 {
+	n := len(samples)
+	h := powerHeap{top: n-rank < rank+1}
+	k := rank + 1
+	if h.top {
+		k = n - rank
+	}
+	h.xs = make([]rankedPower, k)
+	for i := range h.xs {
+		h.xs[i] = rankedPower{samples[i].W, i}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	for i := k; i < n; i++ {
+		if x := (rankedPower{samples[i].W, i}); h.above(h.xs[0], x) {
+			h.xs[0] = x
+			h.siftDown(0)
+		}
+	}
+	return h.xs[0].w
+}
+
+// rankedPower is a sample power tagged with its log position, the tie-break
+// that makes the sort order total and stable.
+type rankedPower struct {
+	w float64
+	i int
+}
+
+// before reports whether a sorts before b: NaN first, then ascending power,
+// then log position.
+func before(a, b rankedPower) bool {
+	if an, bn := math.IsNaN(a.w), math.IsNaN(b.w); an != bn {
+		return an
+	} else if !an && a.w != b.w {
+		return a.w < b.w
+	}
+	return a.i < b.i
+}
+
+// powerHeap holds the k powers nearest one end of the sorted log, with the
+// one nearest the middle at the root: a max-heap for the bottom k, a
+// min-heap for the top k.
+type powerHeap struct {
+	xs  []rankedPower
+	top bool
+}
+
+// above reports whether a belongs nearer the root than b.
+func (h *powerHeap) above(a, b rankedPower) bool {
+	if h.top {
+		return before(a, b)
+	}
+	return before(b, a)
+}
+
+// siftDown restores the heap property below position i.
+func (h *powerHeap) siftDown(i int) {
+	for {
+		s := i
+		if l := 2*i + 1; l < len(h.xs) && h.above(h.xs[l], h.xs[s]) {
+			s = l
+		}
+		if r := 2*i + 2; r < len(h.xs) && h.above(h.xs[r], h.xs[s]) {
+			s = r
+		}
+		if s == i {
+			return
+		}
+		h.xs[i], h.xs[s] = h.xs[s], h.xs[i]
+		i = s
+	}
 }

@@ -3,6 +3,8 @@ package k20power
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/power"
@@ -316,5 +318,85 @@ func TestPercentileEmptyLog(t *testing.T) {
 	}
 	if got := percentile([]sensor.Sample{}, 0); got != 0 {
 		t.Errorf("percentile(empty) = %v, want 0", got)
+	}
+}
+
+// sortedPowers is the sort-based reference for orderStat: the sample powers
+// in sort.Float64s order, with ties kept in log order (a stable sort), which
+// fixes which of two equal-comparing bit patterns (±0, NaN payloads) sits at
+// each rank.
+func sortedPowers(samples []sensor.Sample) []float64 {
+	ws := make([]float64, len(samples))
+	for i, s := range samples {
+		ws[i] = s.W
+	}
+	sort.SliceStable(ws, func(i, j int) bool {
+		return ws[i] < ws[j] || (math.IsNaN(ws[i]) && !math.IsNaN(ws[j]))
+	})
+	return ws
+}
+
+// randomPowerLog draws n powers from a small pool rich in the cases that
+// break naive selection: duplicates, +0 and -0, NaNs with distinct payloads
+// and infinities, mixed with continuous values.
+func randomPowerLog(rng *rand.Rand, n int) []sensor.Sample {
+	pool := []float64{0, math.Copysign(0, -1), 25, 25, 90.5, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002)}
+	s := make([]sensor.Sample, n)
+	for i := range s {
+		s[i].T = float64(i) / 10
+		if rng.Intn(2) == 0 {
+			s[i].W = pool[rng.Intn(len(pool))]
+		} else {
+			s[i].W = rng.Float64() * 200
+		}
+	}
+	return s
+}
+
+// TestOrderStatMatchesSort: the bounded selection returns the bits the
+// stable sort reference holds at every rank, and the value sort.Float64s
+// itself holds there, on random logs with NaN, duplicates and ±0.
+func TestOrderStatMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%50 == 0 {
+			n = 2000 + rng.Intn(3000)
+		}
+		samples := randomPowerLog(rng, n)
+		ref := sortedPowers(samples)
+		unstable := append([]float64(nil), ref...)
+		sort.Float64s(unstable)
+		ranks := []int{0, 1, n / 2, n - 2, n - 1, int(0.999 * float64(n-1))}
+		if n <= 40 {
+			ranks = ranks[:0]
+			for r := 0; r < n; r++ {
+				ranks = append(ranks, r)
+			}
+		}
+		for _, r := range ranks {
+			if r < 0 || r >= n {
+				continue
+			}
+			got := orderStat(samples, r)
+			if math.Float64bits(got) != math.Float64bits(ref[r]) {
+				t.Fatalf("trial %d n=%d rank %d: got %v (%#x), stable sort has %v (%#x)",
+					trial, n, r, got, math.Float64bits(got), ref[r], math.Float64bits(ref[r]))
+			}
+			if u := unstable[r]; !(got == u || math.IsNaN(got) && math.IsNaN(u)) {
+				t.Fatalf("trial %d n=%d rank %d: got %v, sort.Float64s has %v", trial, n, r, got, u)
+			}
+		}
+		idxP := int(0.999 * float64(n-1))
+		if got := percentile(samples, 0.999); math.Float64bits(got) != math.Float64bits(ref[idxP]) {
+			t.Fatalf("trial %d n=%d: percentile(0.999) = %v, reference %v", trial, n, got, ref[idxP])
+		}
+		for _, k := range []int{0, 1, n + 3} {
+			want := ref[min(k, n-1)]
+			if got := nthSmallest(samples, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d n=%d: nthSmallest(%d) = %v, reference %v", trial, n, k, got, want)
+			}
+		}
 	}
 }

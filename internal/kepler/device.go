@@ -217,6 +217,7 @@ var (
 	loadOnce   sync.Once
 	registry   map[string]*Device // lower-cased name -> device
 	allDevices []*Device          // K20c first, then the rest by name
+	k20c       *Device            // registry entry of the canonical device
 )
 
 // ParseDevice decodes and validates one device description. It is the
@@ -479,7 +480,8 @@ func loadDevices() {
 			registry[key] = d
 			allDevices = append(allDevices, d)
 		}
-		if registry[strings.ToLower(k20cName)] == nil {
+		k20c = registry[strings.ToLower(k20cName)]
+		if k20c == nil {
 			panic("kepler: embedded device files are missing the K20c")
 		}
 		sort.Slice(allDevices, func(i, j int) bool {
@@ -491,10 +493,12 @@ func loadDevices() {
 	})
 }
 
-// K20cDevice returns the canonical device: the paper's Tesla K20c.
+// K20cDevice returns the canonical device: the paper's Tesla K20c. The
+// zero-value Clocks resolve their device through it on every timing-model
+// call, so it returns the pointer loadDevices resolved once.
 func K20cDevice() *Device {
 	loadDevices()
-	return registry[strings.ToLower(k20cName)]
+	return k20c
 }
 
 // DeviceByName resolves a device by (case-insensitive) name. The empty name

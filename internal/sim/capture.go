@@ -45,6 +45,10 @@ const (
 // shape, occupancy, merged statistics, per-block issue cycles indexed by
 // block id, and the surrogate scale in force when it was issued. Everything
 // kernelTime needs, nothing the clocks influence.
+//
+// The block schedule derived from BlockCycles rides along unexported: it is
+// not serialized (BlockCycles stays the wire format's source of truth) and
+// DecodeTrace re-derives it.
 type CapturedLaunch struct {
 	Spec LaunchSpec
 	Occ  kepler.Occupancy
@@ -55,6 +59,8 @@ type CapturedLaunch struct {
 	BlockCycles []float64
 	// Scale is the device's surrogate time scale at launch time.
 	Scale float64
+
+	sched launchSchedule
 }
 
 // captureEvent is one entry of the captured timeline, in issue order.
@@ -155,7 +161,7 @@ func (d *Device) EndCapture() *LaunchTrace {
 // trace clock-sensitive: their block permutation mixes the clock
 // configuration (launchSeed), so the program's Go-side data evolution is
 // config-dependent by design and must be re-simulated per configuration.
-func (t *LaunchTrace) recordLaunch(spec LaunchSpec, occ kepler.Occupancy, stats *trace.KernelStats, blockCycles []float64, scale float64) {
+func (t *LaunchTrace) recordLaunch(spec LaunchSpec, occ kepler.Occupancy, stats *trace.KernelStats, blockCycles []float64, sched launchSchedule, scale float64) {
 	if spec.Ordered {
 		t.markSensitive(fmt.Sprintf("ordered launch %q", spec.Name))
 	}
@@ -168,6 +174,7 @@ func (t *LaunchTrace) recordLaunch(spec LaunchSpec, occ kepler.Occupancy, stats 
 		Stats:       *stats,
 		BlockCycles: append([]float64(nil), blockCycles...),
 		Scale:       scale,
+		sched:       sched,
 	}
 	t.events = append(t.events, captureEvent{kind: evLaunch, launch: cl})
 	t.bytes += int64(len(cl.BlockCycles))*8 + capturedLaunchOverhead
@@ -197,15 +204,17 @@ func (t *LaunchTrace) recordRepeat(index, n int) {
 }
 
 // Replay prices a captured timeline at a different clock configuration: it
-// re-runs only the timing model (kernelTime) and timeline assembly against
-// the recorded launches, pauses and repeats, producing a device whose
-// timeline state — Launches, Gaps and Now() — is bit-identical to a fresh
-// simulation of the same program at clk. The simulation itself (thread
-// functions, statistics merging) does not run again.
+// re-runs only the priced half of the timing model (kernelTime) and timeline
+// assembly against the recorded launches, pauses and repeats, producing a
+// device whose timeline state — Launches, Gaps and Now() — is bit-identical
+// to a fresh simulation of the same program at clk. The simulation itself
+// (thread functions, statistics merging) does not run again, and neither
+// does the block schedule: each launch costs O(1), a replay O(launches).
 //
 // Bit-identity holds because Replay performs the exact float operations of
 // the original launch path in the exact order: the same kernelTime call on
-// the same inputs (stats and per-block cycles are clock-independent), the
+// the same inputs (stats and the block schedule are clock-independent; the
+// schedule is the very value the launch path computed once and priced), the
 // same scale multiplications, and the same running-clock additions. It
 // fails on a clock-sensitive trace, whose Go-side evolution the timing
 // model alone cannot reproduce.
@@ -258,7 +267,7 @@ func replayLaunch(d *Device, cl *CapturedLaunch) {
 		Repeat:         1,
 		Scale:          cl.Scale,
 	}
-	l.Duration, l.TCore, l.TMem = kernelTime(d.Clocks, cl.Occ, &cl.Stats, cl.BlockCycles)
+	l.Duration, l.TCore, l.TMem = kernelTime(d.Clocks, cl.Occ, &cl.Stats, cl.sched)
 	l.Duration *= cl.Scale
 	l.TCore *= cl.Scale
 	l.TMem *= cl.Scale

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"repro/internal/kepler"
 )
 
 // Launch-trace wire codec. A trace captured on one worker can replay on any
@@ -15,7 +17,9 @@ import (
 // replays bit-identically to the original. Tombstones (clock-sensitive
 // traces) serialize as their sensitivity verdict alone, mirroring
 // markSensitive dropping the events in memory; the device tag travels with
-// the trace, so cross-device replay refusal carries over unchanged.
+// the trace, so cross-device replay refusal carries over unchanged. Each
+// launch's block schedule is not on the wire: the decoder re-derives it
+// from the validated block cycles and the SM count of the tagged device.
 
 // traceWireVersion guards the wire format; DecodeTrace rejects documents
 // from a different format generation instead of misreading them.
@@ -77,6 +81,8 @@ func EncodeTrace(t *LaunchTrace) ([]byte, error) {
 // carry NaN/Inf, but a hand-crafted document should still fail cleanly).
 // The footprint accounting (Bytes) is recomputed with the capture-side
 // formulas, so a decoded trace reports the same footprint the original did.
+// A trace tagged with a device this build does not know is rejected: it
+// could never replay.
 func DecodeTrace(data []byte) (*LaunchTrace, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -89,6 +95,10 @@ func DecodeTrace(data []byte) (*LaunchTrace, error) {
 	}
 	if wt.Device == "" {
 		return nil, fmt.Errorf("sim: trace without device tag")
+	}
+	desc, err := kepler.DeviceByName(wt.Device)
+	if err != nil {
+		return nil, fmt.Errorf("sim: decode trace: %w", err)
 	}
 	t := &LaunchTrace{device: wt.Device, sensitive: wt.Sensitive, reason: wt.Reason}
 	if t.sensitive {
@@ -124,6 +134,10 @@ func DecodeTrace(data []byte) (*LaunchTrace, error) {
 			if math.IsNaN(cl.Scale) || math.IsInf(cl.Scale, 0) {
 				return nil, fmt.Errorf("sim: event %d: non-finite scale in launch %q", i, cl.Spec.Name)
 			}
+			if cl.Occ.BlocksPerSM < 1 {
+				return nil, fmt.Errorf("sim: event %d: launch %q with %d resident blocks per SM", i, cl.Spec.Name, cl.Occ.BlocksPerSM)
+			}
+			cl.sched = blockSchedule(desc.SMs, cl.Occ, cl.BlockCycles)
 			t.events = append(t.events, captureEvent{kind: evLaunch, launch: cl})
 			t.bytes += int64(len(cl.BlockCycles))*8 + capturedLaunchOverhead
 			launches++

@@ -148,10 +148,19 @@ func TestTraceCodecRejectsMalformed(t *testing.T) {
 		{"ordered in insensitive", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128,"Ordered":true},"BlockCycles":[1],"Scale":1}}]}`},
 		{"repeat of future launch", `{"version":1,"device":"K20c","events":[{"kind":"repeat","index":0,"n":3}]}`},
 		{"negative repeat", `{"version":1,"device":"K20c","events":[{"kind":"pause","pause":1},{"kind":"repeat","index":0,"n":-1}]}`},
+		{"no resident blocks", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
+		{"unknown device", `{"version":1,"device":"RivaTNT","events":[{"kind":"pause","pause":1}]}`},
+		{"unknown device tombstone", `{"version":1,"device":"RivaTNT","sensitive":true,"reason":"ordered launch"}`},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeTrace([]byte(tc.doc)); err == nil {
 			t.Errorf("%s: decoder accepted %s", tc.name, tc.doc)
 		}
+	}
+
+	// An unknown device is reported with the devices this build knows.
+	_, err := DecodeTrace([]byte(`{"version":1,"device":"RivaTNT"}`))
+	if err == nil || !strings.Contains(err.Error(), "RivaTNT") || !strings.Contains(err.Error(), "K20c") {
+		t.Errorf("unknown-device refusal %v does not name the device and the known list", err)
 	}
 }

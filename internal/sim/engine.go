@@ -97,8 +97,11 @@ func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
 		d.now += d.interLaunchGap
 	}
 
+	// The block schedule is clock-independent: derive it once and hand the
+	// same value to the capture and the pricing.
+	sched := blockSchedule(d.desc.SMs, occ, blockCycles)
 	if d.capture != nil {
-		d.capture.recordLaunch(spec, occ, &stats, blockCycles, d.timeScale)
+		d.capture.recordLaunch(spec, occ, &stats, blockCycles, sched, d.timeScale)
 	}
 
 	l := &Launch{
@@ -113,7 +116,7 @@ func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
 		Repeat:         1,
 		Scale:          d.timeScale,
 	}
-	l.Duration, l.TCore, l.TMem = kernelTime(d.Clocks, occ, &stats, blockCycles)
+	l.Duration, l.TCore, l.TMem = kernelTime(d.Clocks, occ, &stats, sched)
 	l.Duration *= d.timeScale
 	l.TCore *= d.timeScale
 	l.TMem *= d.timeScale

@@ -24,14 +24,43 @@ func issueCycles(d *kepler.Device, s *trace.KernelStats) float64 {
 	return cyc
 }
 
+// launchSchedule is the clock-independent half of the compute-side timing
+// model: how a launch's blocks pack onto the device's block slots. It depends
+// only on the SM count, the occupancy and the per-block issue cycles, so the
+// launch path derives it once and a captured launch keeps it for every replay.
+type launchSchedule struct {
+	// bps is the actual number of resident blocks per SM: a grid smaller
+	// than the device's capacity leaves slots empty.
+	bps int
+	// makespan is the listSchedule makespan over SMs*bps slots, in
+	// per-block exclusive cycles.
+	makespan float64
+	// sumCycles is the sum of the per-block issue cycles, in block order.
+	sumCycles float64
+}
+
+// blockSchedule list-schedules the per-block issue cycles onto sms*bps
+// concurrent block slots. Irregular kernels with imbalanced blocks therefore
+// show a real makespan tail.
+func blockSchedule(sms int, occ kepler.Occupancy, blockCycles []float64) launchSchedule {
+	bps := occ.BlocksPerSM
+	if g := (len(blockCycles) + sms - 1) / sms; g < bps && g > 0 {
+		bps = g
+	}
+	s := launchSchedule{bps: bps, makespan: listSchedule(blockCycles, sms*bps)}
+	for _, c := range blockCycles {
+		s.sumCycles += c
+	}
+	return s
+}
+
 // kernelTime computes the duration of one kernel execution from its merged
-// statistics and per-block issue cycles. The model is a roofline with
-// occupancy-dependent compute/memory overlap:
+// statistics and its block schedule (blockSchedule over the same device's SM
+// count). The model is a roofline with occupancy-dependent compute/memory
+// overlap:
 //
-//   - The compute side list-schedules the per-block issue cycles onto
-//     SMs*BlocksPerSM concurrent block slots, each issuing at the SM rate
-//     shared among resident blocks. Irregular kernels with imbalanced blocks
-//     therefore show a real makespan tail.
+//   - The compute side takes the schedule's makespan, each slot issuing at
+//     the SM rate shared among resident blocks.
 //   - The memory side is the larger of the bandwidth time (transactions *
 //     128 B over the configuration's bandwidth) and the latency-concurrency
 //     time (Little's law over the resident warps' outstanding requests).
@@ -39,17 +68,12 @@ func issueCycles(d *kepler.Device, s *trace.KernelStats) float64 {
 //     because each isolated transaction drags its ECC word along.
 //   - Atomics are serviced at a device-wide rate in the core-clock domain,
 //     with same-address conflicts serialized.
-func kernelTime(clk kepler.Clocks, occ kepler.Occupancy, s *trace.KernelStats, blockCycles []float64) (total, tCore, tMem float64) {
+func kernelTime(clk kepler.Clocks, occ kepler.Occupancy, s *trace.KernelStats, sched launchSchedule) (total, tCore, tMem float64) {
 	desc := clk.Device()
 	coreHz := clk.CoreHz()
 	sms := clk.SMCount()
 
-	// Actual residency: a grid smaller than the device's capacity leaves
-	// slots empty, so the per-slot issue share rises accordingly.
-	bps := occ.BlocksPerSM
-	if g := (len(blockCycles) + sms - 1) / sms; g < bps && g > 0 {
-		bps = g
-	}
+	bps := sched.bps
 	warpsPerBlock := occ.WarpsPerSM / occ.BlocksPerSM
 	if warpsPerBlock < 1 {
 		warpsPerBlock = 1
@@ -67,18 +91,12 @@ func kernelTime(clk kepler.Clocks, occ kepler.Occupancy, s *trace.KernelStats, b
 	if issueEff < 0.08 {
 		issueEff = 0.08
 	}
-	slots := sms * bps
-	makespanCycles := listSchedule(blockCycles, slots)
 	// A slot issues at the SM rate divided among resident blocks; the
-	// listSchedule result is in per-block exclusive cycles, so scale by the
-	// sharing factor.
-	tCore = makespanCycles * float64(bps) / (coreHz * issueEff)
+	// makespan is in per-block exclusive cycles, so scale by the sharing
+	// factor.
+	tCore = sched.makespan * float64(bps) / (coreHz * issueEff)
 	// Guard: aggregate throughput bound (whole-device issue).
-	var sumCycles float64
-	for _, c := range blockCycles {
-		sumCycles += c
-	}
-	aggregate := sumCycles / (float64(sms) * coreHz * issueEff)
+	aggregate := sched.sumCycles / (float64(sms) * coreHz * issueEff)
 	if aggregate > tCore {
 		tCore = aggregate
 	}
