@@ -370,59 +370,86 @@ func (r *Runner) MeasureList(ctx context.Context, combos []Combo) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	jobs := combos
 	m := r.metricsHandles()
-	m.sweepJobsTotal.Add(int64(len(jobs)))
-	// Each in-flight job holds one slot of the shared worker pool; the
-	// launches inside it borrow any remaining slots for block sharding
-	// (sim.WorkerPool). Total simulation goroutines therefore stay at the
-	// worker budget whether the sweep is wide (many jobs, no spare slots)
-	// or narrow (one job sharding its launches across the whole budget).
+	m.sweepJobsTotal.Add(int64(len(combos)))
+	// One dispatcher per worker slot pulls jobs in queue order. Each holds
+	// one slot of the shared pool while it measures; the launches inside a
+	// job borrow any remaining slots for block sharding (sim.WorkerPool).
+	// Total simulation goroutines therefore stay at the worker budget
+	// whether the sweep is wide (many jobs, no spare slots) or narrow (one
+	// job sharding its launches across the whole budget).
 	pool := r.workerPool()
-	errs := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
+	queue := capturesFirst(combos)
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		failures []error
+		canceled atomic.Bool
+		wg       sync.WaitGroup
+	)
+	for w := min(pool.Budget(), len(queue)); w > 0; w-- {
 		wg.Add(1)
-		go func(j Combo) {
+		go func() {
 			defer wg.Done()
-			if err := pool.Acquire(ctx); err != nil {
-				m.sweepJobsCanceled.Inc()
-				errs <- err
-				return
+			for i := next.Add(1) - 1; i < int64(len(queue)); i = next.Add(1) - 1 {
+				switch err := r.sweepJob(ctx, pool, queue[i]); {
+				case err == nil || isInsufficient(err):
+					m.sweepJobsDone.Inc()
+				case isCtxErr(err):
+					// Once ctx fires, every remaining queue entry lands here
+					// at Acquire without measuring anything.
+					m.sweepJobsCanceled.Inc()
+					canceled.Store(true)
+				default:
+					mu.Lock()
+					failures = append(failures, err)
+					mu.Unlock()
+				}
 			}
-			defer pool.Release(1)
-			_, err := r.Measure(ctx, j.Program, j.Input, j.Clocks)
-			switch {
-			case err == nil || isInsufficient(err):
-				m.sweepJobsDone.Inc()
-			case isCtxErr(err):
-				m.sweepJobsCanceled.Inc()
-				errs <- err
-			default:
-				errs <- err
-			}
-		}(j)
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	var all []error
-	canceled := false
-	for err := range errs {
-		if isCtxErr(err) {
-			canceled = true
-			continue
-		}
-		all = append(all, err)
-	}
-	if canceled {
+	if canceled.Load() {
 		// Report the cancellation once instead of once per affected job.
 		if err := ctx.Err(); err != nil {
-			all = append(all, err)
+			failures = append(failures, err)
 		} else {
-			all = append(all, context.Canceled)
+			failures = append(failures, context.Canceled)
 		}
 	}
-	return errors.Join(all...)
+	return errors.Join(failures...)
+}
+
+// sweepJob measures one combination while holding a worker slot.
+func (r *Runner) sweepJob(ctx context.Context, pool *sim.WorkerPool, j Combo) error {
+	if err := pool.Acquire(ctx); err != nil {
+		return err
+	}
+	defer pool.Release(1)
+	_, err := r.Measure(ctx, j.Program, j.Input, j.Clocks)
+	return err
+}
+
+// capturesFirst orders a sweep's jobs for its dispatchers: the first
+// combination of each (program, input, device) trace key — the one that
+// captures the launch trace — comes first, then every other combination,
+// each part in its original order. The dispatchers thus capture distinct
+// programs side by side instead of one waiting on another's in-flight
+// capture, and the replays (or, for clock-sensitive programs, the parallel
+// re-simulations) follow once the traces exist.
+func capturesFirst(combos []Combo) []Combo {
+	queue := make([]Combo, 0, len(combos))
+	var rest []Combo
+	seen := make(map[string]bool)
+	for _, c := range combos {
+		if k := traceKey(c.Program, c.Input, c.Clocks); !seen[k] {
+			seen[k] = true
+			queue = append(queue, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	return append(queue, rest...)
 }
 
 func isInsufficient(err error) bool {

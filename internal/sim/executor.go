@@ -60,7 +60,7 @@ func (e *blockExecutor) runBlock(spec LaunchSpec, fn ThreadFunc, block int) trac
 var executorPool = sync.Pool{New: func() any { return newBlockExecutor() }}
 
 // maxPooledOpsPerLane caps the op-buffer capacity a pooled lane log may
-// retain (~24 B/op x 32 lanes ≈ 3 MiB per executor at the cap). Buffers
+// retain (16 B/op x 32 lanes = 2 MiB per executor at the cap). Buffers
 // grown beyond it by an outsized kernel are dropped on return and
 // reallocated lazily by the next big launch.
 const maxPooledOpsPerLane = 4096

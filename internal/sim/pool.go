@@ -83,6 +83,11 @@ func (p *WorkerPool) Acquire(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		// Already canceled: fail without arming a wake-up, which for a done
+		// context would spawn a goroutine per call.
+		return err
+	}
 	if ctx.Done() != nil {
 		// Wake the condition variable when the context fires; holding the
 		// lock around Broadcast guarantees the waiter below cannot miss the

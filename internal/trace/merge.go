@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // KernelStats aggregates the warp-level cost of a kernel (or of one thread
 // block of a kernel). All instruction counts are warp-instruction issue slots
@@ -205,116 +209,191 @@ func (s *KernelStats) CheckAccounting() error {
 //   - memory coalescing, bank-conflict and atomic-contention analysis runs
 //     within each group, since only its lanes access memory together.
 func MergeWarp(lanes []*LaneLog, stats *KernelStats) {
-	maxLen := 0
-	active := 0
+	// act lists the op logs of the lanes still active, in lane order; the
+	// lanes that end at slot end-1 leave it after that slot, so the slot
+	// loop below touches only lanes that have an operation there.
+	var act [32][]op
+	n, end := 0, math.MaxInt
 	for _, l := range lanes {
-		if l == nil || len(l.ops) == 0 {
-			continue
-		}
-		active++
-		if len(l.ops) > maxLen {
-			maxLen = len(l.ops)
+		if l != nil && len(l.ops) > 0 {
+			act[n] = l.ops
+			n++
+			end = min(end, len(l.ops))
 		}
 	}
-	if active == 0 {
+	if n == 0 {
 		return
 	}
 	stats.Warps++
 
-	var addrs [32]uint64
-	var gKind [32]Kind
-	var gSize [32]uint32
-	// Per-slot lane cache: one pass over the lane logs copies the slot's
-	// operations into stack arrays, so the grouping and per-group gather
-	// below never chase lane-log pointers a second time. Lane order is
-	// preserved, so every downstream array (addrs in particular) sees the
-	// lanes in exactly the order the two-pass version produced.
-	var cKind [32]Kind
-	var cSize [32]uint32
-	var cRep [32]uint32
-	var cAddr [32]uint64
-	nLanes := len(lanes)
-	for slot := 0; slot < maxLen; slot++ {
-		nGroups := 0
-		laneCount := 0
-		for i := 0; i < nLanes; i++ {
-			l := lanes[i]
-			if l == nil || slot >= len(l.ops) {
-				continue
+	// Per-slot lane cache, in lane order, so every group's address list
+	// sees its lanes in exactly that order.
+	var cKs, cRep [32]uint32
+	var cAddr, addrs [32]uint64
+	for slot := 0; n > 0; slot++ {
+		// One pass copies the slot, marks the lanes in lane 0's group and
+		// gathers that group's repeat count.
+		ks := act[0][slot].ks
+		var same uint32
+		var maxRep uint32
+		lanesHere := n
+		for i := 0; i < lanesHere; i++ {
+			o := &act[i][slot]
+			cKs[i], cRep[i], cAddr[i] = o.ks, o.rep, o.addr
+			if o.ks == ks {
+				same |= 1 << i
 			}
-			o := &l.ops[slot]
-			cKind[laneCount] = o.kind
-			cSize[laneCount] = o.size
-			cRep[laneCount] = o.rep
-			cAddr[laneCount] = o.addr
-			laneCount++
-			found := false
-			for g := 0; g < nGroups; g++ {
-				if gKind[g] == o.kind && gSize[g] == o.size {
-					found = true
-					break
+			if o.rep > maxRep {
+				maxRep = o.rep
+			}
+		}
+		if slot+1 == end {
+			// Retire the lanes that end here.
+			n, end = 0, math.MaxInt
+			for _, ops := range act[:lanesHere] {
+				if len(ops) > slot+1 {
+					act[n] = ops
+					n++
+					end = min(end, len(ops))
 				}
-			}
-			if !found {
-				gKind[nGroups] = o.kind
-				gSize[nGroups] = o.size
-				nGroups++
 			}
 		}
 		stats.Slots++
-		stats.Paths += int64(nGroups)
-		stats.LaneSlots += int64(laneCount)
+		stats.LaneSlots += int64(lanesHere)
+		all := uint32(1<<lanesHere - 1)
+		if same == all {
+			// Convergent slot: one group, already gathered.
+			stats.Paths++
+			mergeGroup(stats, ks, int64(maxRep), cAddr[:lanesHere])
+			continue
+		}
 
-		for g := 0; g < nGroups; g++ {
-			kind, size := gKind[g], gSize[g]
-			// Gather this group's lanes: max repeat and addresses.
-			var maxRep int64
-			n := 0
-			for i := 0; i < laneCount; i++ {
-				if cKind[i] != kind || cSize[i] != size {
+		// Divergent slot: peel the groups off in order of their first lane.
+		for rest := all; rest != 0; {
+			k := cKs[bits.TrailingZeros32(rest)]
+			var groupRep uint32
+			m := 0
+			for r := rest; r != 0; r &= r - 1 {
+				i := bits.TrailingZeros32(r)
+				if cKs[i] != k {
 					continue
 				}
-				if int64(cRep[i]) > maxRep {
-					maxRep = int64(cRep[i])
+				rest &^= 1 << i
+				if cRep[i] > groupRep {
+					groupRep = cRep[i]
 				}
-				addrs[n] = cAddr[i]
-				n++
+				addrs[m] = cAddr[i]
+				m++
 			}
-			switch kind {
-			case KindInt:
-				stats.IntInsts += maxRep
-			case KindFP32:
-				stats.FP32Insts += maxRep
-			case KindFP64:
-				stats.FP64Insts += maxRep
-			case KindSFU:
-				stats.SFUInsts += maxRep
-			case KindSync:
-				stats.Syncs += maxRep
-			case KindLoad, KindStore:
-				txns := int64(segmentCount(addrs[:n], int(size)))
-				stats.GlobalTxns += txns * maxRep
-				// Useful bytes are counted over DISTINCT addresses: lanes
-				// broadcasting from one location consume one fetch.
-				useful := int64(size) * int64(distinctCount(addrs[:n]))
-				if cap := txns * 128; useful > cap {
-					useful = cap
-				}
-				stats.GlobalBytes += useful * maxRep
-				if kind == KindLoad {
-					stats.LoadSlots += maxRep
-				} else {
-					stats.StoreSlots += maxRep
-				}
-			case KindShared:
-				stats.SharedSlots += maxRep
-				stats.SharedCycles += int64(bankConflictCycles(addrs[:n])) * maxRep
-			case KindAtomic:
-				stats.Atomics += int64(n) * maxRep
-				stats.AtomicConflicts += int64(sameAddrExtra(addrs[:n])) * maxRep
-			}
+			stats.Paths++
+			mergeGroup(stats, k, int64(groupRep), addrs[:m])
 		}
 	}
+}
+
+// mergeGroup accounts one SIMD group of a slot: the lanes whose operation
+// has the packed kind/size word ks, their maximum repeat count and their
+// addresses in lane order.
+func mergeGroup(stats *KernelStats, ks uint32, maxRep int64, addrs []uint64) {
+	o := op{ks: ks}
+	switch o.kind() {
+	case KindInt:
+		stats.IntInsts += maxRep
+	case KindFP32:
+		stats.FP32Insts += maxRep
+	case KindFP64:
+		stats.FP64Insts += maxRep
+	case KindSFU:
+		stats.SFUInsts += maxRep
+	case KindSync:
+		stats.Syncs += maxRep
+	case KindLoad, KindStore:
+		size := int64(o.size())
+		segs, distinct := coalesce(addrs, int(size))
+		txns := int64(segs)
+		stats.GlobalTxns += txns * maxRep
+		// Useful bytes are counted over DISTINCT addresses: lanes
+		// broadcasting from one location consume one fetch.
+		useful := size * int64(distinct)
+		if cap := txns * 128; useful > cap {
+			useful = cap
+		}
+		stats.GlobalBytes += useful * maxRep
+		if o.kind() == KindLoad {
+			stats.LoadSlots += maxRep
+		} else {
+			stats.StoreSlots += maxRep
+		}
+	case KindShared:
+		stats.SharedSlots += maxRep
+		stats.SharedCycles += int64(bankConflictCycles(addrs)) * maxRep
+	case KindAtomic:
+		stats.Atomics += int64(len(addrs)) * maxRep
+		stats.AtomicConflicts += int64(sameAddrExtra(addrs)) * maxRep
+	}
+}
+
+// coalesce returns segmentCount(addrs, size) and distinctCount(addrs). The
+// lane-ordered shapes — ascending strides and broadcasts, whose segment
+// sequence never decreases — are answered in one pass; anything else goes
+// to coalesceScattered.
+func coalesce(addrs []uint64, size int) (segments, distinct int) {
+	if size <= 0 {
+		size = 4
+	}
+	sz := uint64(size)
+	a0 := addrs[0]
+	var prev uint64 // last segment touched so far
+	ascending, uniform := true, true
+	for i, a := range addrs {
+		first, last := a>>7, (a+sz-1)>>7
+		switch {
+		case last < first || (i > 0 && first < prev):
+			// A falling segment (or an access wrapping the address space):
+			// not the lane-ordered shape.
+			return coalesceScattered(addrs, size)
+		case i == 0 || first > prev:
+			segments++
+		}
+		segments += int(last - first)
+		prev = last
+		if i > 0 && a <= addrs[i-1] {
+			ascending = false
+		}
+		if a != a0 {
+			uniform = false
+		}
+	}
+	switch {
+	case ascending:
+		return segments, len(addrs)
+	case uniform:
+		return segments, 1
+	}
+	return segments, distinctCount(addrs)
+}
+
+// coalesceScattered is coalesce for the shapes whose segment sequence
+// falls. When every access lies inside one segment, the distinct segment
+// numbers are exactly segmentCount's answer (a warp's at most 32 segments
+// never overflow its tracked set), the addresses are neither ascending nor
+// uniform (either would have kept the segments from falling), and accesses
+// that all land in distinct segments are distinct without counting
+// addresses. Anything else falls back to the two counters.
+func coalesceScattered(addrs []uint64, size int) (segments, distinct int) {
+	var segs [32]uint64
+	for i, a := range addrs {
+		first := a >> 7
+		if (a+uint64(size)-1)>>7 != first {
+			return segmentCount(addrs, size), distinctCount(addrs)
+		}
+		segs[i] = first
+	}
+	segments = distinctSet(segs[:len(addrs)])
+	if segments == len(addrs) {
+		return segments, len(addrs)
+	}
+	return segments, distinctSet(addrs)
 }
 
 // segmentCount returns the number of distinct aligned 128-byte segments
@@ -473,9 +552,13 @@ func distinctCount(addrs []uint64) int {
 	if uniform {
 		return 1
 	}
-	// Scattered case: a warp has at most 32 addresses, so a 64-slot
-	// open-addressed hash (occupancy bitmap, no clearing) counts the
-	// distinct set in O(n).
+	return distinctSet(addrs)
+}
+
+// distinctSet counts the distinct values of a scattered set. A warp has at
+// most 32 addresses, so a 64-slot open-addressed hash (occupancy bitmap, no
+// clearing) counts the distinct set in O(n).
+func distinctSet(addrs []uint64) int {
 	var table [64]uint64
 	var occ uint64
 	distinct := 0

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -348,5 +352,367 @@ func TestCheckAccountingCatalog(t *testing.T) {
 	}
 	if err := new(KernelStats).CheckAccounting(); err != nil {
 		t.Errorf("zero stats rejected: %v", err)
+	}
+}
+
+// mergeWarpRef is the two-level merge MergeWarp replaced, kept verbatim
+// apart from reading the packed op through its accessors. The differential
+// tests below hold MergeWarp to it bit for bit.
+func mergeWarpRef(lanes []*LaneLog, stats *KernelStats) {
+	maxLen := 0
+	active := 0
+	for _, l := range lanes {
+		if l == nil || len(l.ops) == 0 {
+			continue
+		}
+		active++
+		if len(l.ops) > maxLen {
+			maxLen = len(l.ops)
+		}
+	}
+	if active == 0 {
+		return
+	}
+	stats.Warps++
+
+	var addrs [32]uint64
+	var gKind [32]Kind
+	var gSize [32]uint32
+	// Per-slot lane cache: one pass over the lane logs copies the slot's
+	// operations into stack arrays, so the grouping and per-group gather
+	// below never chase lane-log pointers a second time. Lane order is
+	// preserved, so every downstream array (addrs in particular) sees the
+	// lanes in exactly the order the two-pass version produced.
+	var cKind [32]Kind
+	var cSize [32]uint32
+	var cRep [32]uint32
+	var cAddr [32]uint64
+	nLanes := len(lanes)
+	for slot := 0; slot < maxLen; slot++ {
+		nGroups := 0
+		laneCount := 0
+		for i := 0; i < nLanes; i++ {
+			l := lanes[i]
+			if l == nil || slot >= len(l.ops) {
+				continue
+			}
+			o := &l.ops[slot]
+			cKind[laneCount] = o.kind()
+			cSize[laneCount] = o.size()
+			cRep[laneCount] = o.rep
+			cAddr[laneCount] = o.addr
+			laneCount++
+			found := false
+			for g := 0; g < nGroups; g++ {
+				if gKind[g] == o.kind() && gSize[g] == o.size() {
+					found = true
+					break
+				}
+			}
+			if !found {
+				gKind[nGroups] = o.kind()
+				gSize[nGroups] = o.size()
+				nGroups++
+			}
+		}
+		stats.Slots++
+		stats.Paths += int64(nGroups)
+		stats.LaneSlots += int64(laneCount)
+
+		for g := 0; g < nGroups; g++ {
+			kind, size := gKind[g], gSize[g]
+			// Gather this group's lanes: max repeat and addresses.
+			var maxRep int64
+			n := 0
+			for i := 0; i < laneCount; i++ {
+				if cKind[i] != kind || cSize[i] != size {
+					continue
+				}
+				if int64(cRep[i]) > maxRep {
+					maxRep = int64(cRep[i])
+				}
+				addrs[n] = cAddr[i]
+				n++
+			}
+			switch kind {
+			case KindInt:
+				stats.IntInsts += maxRep
+			case KindFP32:
+				stats.FP32Insts += maxRep
+			case KindFP64:
+				stats.FP64Insts += maxRep
+			case KindSFU:
+				stats.SFUInsts += maxRep
+			case KindSync:
+				stats.Syncs += maxRep
+			case KindLoad, KindStore:
+				txns := int64(segmentCount(addrs[:n], int(size)))
+				stats.GlobalTxns += txns * maxRep
+				// Useful bytes are counted over DISTINCT addresses: lanes
+				// broadcasting from one location consume one fetch.
+				useful := int64(size) * int64(distinctCount(addrs[:n]))
+				if cap := txns * 128; useful > cap {
+					useful = cap
+				}
+				stats.GlobalBytes += useful * maxRep
+				if kind == KindLoad {
+					stats.LoadSlots += maxRep
+				} else {
+					stats.StoreSlots += maxRep
+				}
+			case KindShared:
+				stats.SharedSlots += maxRep
+				stats.SharedCycles += int64(bankConflictCycles(addrs[:n])) * maxRep
+			case KindAtomic:
+				stats.Atomics += int64(n) * maxRep
+				stats.AtomicConflicts += int64(sameAddrExtra(addrs[:n])) * maxRep
+			}
+		}
+	}
+}
+
+// Warp shapes the differential test cycles through; every generated warp
+// also mixes in the others at random.
+const (
+	shapeConvergent = iota
+	shapeDivergent
+	shapeMaskedTail
+	shapeNilLanes
+	shapeBroadcast
+	shapeScattered
+	shapeWide
+	numShapes
+)
+
+// randomWarp fills lanes (reset first) with one random warp biased towards
+// the given shape. Lanes set to nil stay nil; the caller restores them.
+func randomWarp(r *rand.Rand, lanes []*LaneLog, shape int) {
+	sizes := []int{1, 4, 8, 48, 200}
+	slots := 1 + r.Intn(10)
+	type tmpl struct {
+		kind      Kind
+		size, rep int
+		base      uint64
+		stride    uint64
+	}
+	for _, l := range lanes {
+		l.Reset()
+	}
+	for s := 0; s < slots; s++ {
+		// Up to three alternative operations per slot; divergent lanes pick
+		// among them, convergent ones all take the first.
+		var alt [3]tmpl
+		for i := range alt {
+			t := tmpl{kind: Kind(r.Intn(9)), size: 4, rep: 1 + r.Intn(4)}
+			if shape == shapeWide || r.Intn(4) == 0 {
+				t.size = sizes[r.Intn(len(sizes))]
+			}
+			t.base = uint64(r.Intn(1 << 12))
+			switch {
+			case shape == shapeBroadcast || r.Intn(6) == 0:
+				t.stride = 0
+			case shape == shapeWide:
+				t.stride = uint64(t.size)
+			default:
+				t.stride = uint64([]int{4, 8, 128, t.size}[r.Intn(4)])
+			}
+			alt[i] = t
+		}
+		nAlt := 1
+		if shape == shapeDivergent || r.Intn(5) == 0 {
+			nAlt = 2 + r.Intn(2)
+		}
+		scattered := shape == shapeScattered || r.Intn(5) == 0
+		for ln, l := range lanes {
+			t := alt[0]
+			if nAlt > 1 {
+				t = alt[r.Intn(nAlt)]
+			}
+			addr := t.base + uint64(ln)*t.stride
+			if scattered {
+				addr = uint64(r.Intn(1 << uint(4+r.Intn(12))))
+			}
+			switch t.kind {
+			case KindLoad, KindStore:
+				l.GlobalRep(t.kind, addr, t.size, t.rep)
+			case KindShared:
+				l.SharedRep(addr, t.rep)
+			case KindAtomic:
+				l.Atomic(addr)
+			case KindSync:
+				l.Sync()
+			default:
+				l.Compute(t.kind, t.rep)
+			}
+		}
+	}
+	if shape == shapeMaskedTail || r.Intn(4) == 0 {
+		for _, l := range lanes {
+			l.ops = l.ops[:r.Intn(len(l.ops)+1)]
+		}
+	}
+	if shape == shapeNilLanes || r.Intn(4) == 0 {
+		for i := range lanes {
+			switch r.Intn(4) {
+			case 0:
+				lanes[i] = nil
+			case 1:
+				lanes[i].Reset()
+			}
+		}
+	}
+}
+
+// TestMergeWarpMatchesReference holds the single-pass merge to the
+// reference on 100k seeded random warps covering every shape.
+func TestMergeWarpMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	logs := make([]*LaneLog, 32)
+	for i := range logs {
+		logs[i] = &LaneLog{}
+	}
+	lanes := make([]*LaneLog, 32)
+	for w := 0; w < 100_000; w++ {
+		copy(lanes, logs)
+		randomWarp(r, lanes, w%numShapes)
+		var got, want KernelStats
+		MergeWarp(lanes, &got)
+		mergeWarpRef(lanes, &want)
+		if got != want {
+			t.Fatalf("warp %d (shape %d): MergeWarp %+v, reference %+v", w, w%numShapes, got, want)
+		}
+	}
+}
+
+// warpFromBytes decodes a fuzz input into a warp: per lane a length byte
+// (7 = nil lane), then per op a kind/size byte, a repeat byte and two
+// address bytes. Addresses are lane-ordered, broadcast, scattered or at the
+// top of the address space, so the coalescing fast paths and their
+// fallbacks all see fuzzed input.
+func warpFromBytes(data []byte) []*LaneLog {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	sizes := [8]int{0, 1, 4, 8, 16, 48, 200, 4}
+	lanes := make([]*LaneLog, 32)
+	for ln := range lanes {
+		if len(data) == 0 {
+			break
+		}
+		n := int(next() % 8)
+		if n == 7 {
+			continue
+		}
+		l := &LaneLog{}
+		for i := 0; i < n; i++ {
+			ks, rep, a, mode := next(), next(), uint64(next()), next()
+			var addr uint64
+			switch mode % 4 {
+			case 0:
+				addr = a*4 + uint64(ln)*uint64(sizes[ks>>5])
+			case 1:
+				addr = a << 4
+			case 2:
+				addr = a<<8 | uint64(mode)
+			default:
+				addr = ^uint64(0) - a
+			}
+			l.record(Kind(ks%10), sizes[ks>>5], uint32(rep%5), addr)
+		}
+		lanes[ln] = l
+	}
+	return lanes
+}
+
+func FuzzMergeWarp(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, 32*(1+4*4))
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lanes := warpFromBytes(data)
+		var got, want KernelStats
+		MergeWarp(lanes, &got)
+		mergeWarpRef(lanes, &want)
+		if got != want {
+			t.Fatalf("MergeWarp %+v, reference %+v", got, want)
+		}
+	})
+}
+
+// TestRecordRejectsOversizedAccess: a size the packed 24-bit field cannot
+// hold must panic, naming the size, instead of aliasing a smaller one.
+func TestRecordRejectsOversizedAccess(t *testing.T) {
+	var l LaneLog
+	l.Global(KindLoad, 0, maxOpSize) // the largest size still fits
+	if got := l.ops[0].size(); got != maxOpSize || l.ops[0].kind() != KindLoad {
+		t.Fatalf("packed op = kind %v size %d, want load %d", l.ops[0].kind(), got, maxOpSize)
+	}
+	for _, size := range []int{maxOpSize + 1, 1 << 32} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, strconv.Itoa(size)) {
+					t.Errorf("size %d: panic %q does not name the size", size, msg)
+				}
+			}()
+			l.Global(KindStore, 0, size)
+			t.Errorf("size %d recorded without a panic", size)
+		}()
+	}
+}
+
+var benchStats KernelStats
+
+// BenchmarkMergeWarp times one warp merge for three shapes: a convergent
+// coalesced tile loop, a scattered gather, and an MST-like divergent warp
+// (per-lane loops of varying length with interleaved atomics).
+func BenchmarkMergeWarp(b *testing.B) {
+	shapes := []struct {
+		name  string
+		build func(lane int, l *LaneLog)
+	}{
+		{"convergent", func(lane int, l *LaneLog) {
+			for i := 0; i < 16; i++ {
+				l.Global(KindLoad, uint64(i*4096+lane*4), 4)
+				l.Compute(KindFP32, 8)
+				l.Shared(uint64(lane * 4))
+			}
+		}},
+		{"scattered", func(lane int, l *LaneLog) {
+			x := uint64(lane)*0x9e3779b97f4a7c15 + 1
+			for i := 0; i < 16; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				l.Global(KindLoad, x%(1<<24)&^3, 4)
+				l.Compute(KindInt, 2)
+			}
+		}},
+		{"divergent", func(lane int, l *LaneLog) {
+			for i := 0; i < 4+lane%7*3; i++ {
+				l.Global(KindLoad, uint64(lane*64+i*8), 8)
+				l.Compute(KindInt, 3)
+				if (lane+i)%3 == 0 {
+					l.Atomic(uint64(i % 4 * 4))
+				}
+			}
+		}},
+	}
+	for _, s := range shapes {
+		lanes := uniformWarp(s.build)
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MergeWarp(lanes, &benchStats)
+			}
+		})
 	}
 }

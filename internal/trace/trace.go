@@ -12,6 +12,8 @@
 // identically.
 package trace
 
+import "fmt"
+
 // Kind identifies the class of a recorded operation.
 type Kind uint8
 
@@ -39,13 +41,19 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// op is one recorded operation of one lane.
+// op is one recorded operation of one lane, packed into 16 bytes: the kind
+// and the access size share one word, so the merge compares both at once.
 type op struct {
-	kind Kind
-	size uint32 // access size in bytes (memory kinds)
+	ks   uint32 // kind<<24 | access size in bytes (memory kinds)
 	rep  uint32 // repeat count
 	addr uint64 // virtual address (memory kinds)
 }
+
+// maxOpSize is the largest access size the packed kind/size word holds.
+const maxOpSize = 1<<24 - 1
+
+func (o *op) kind() Kind   { return Kind(o.ks >> 24) }
+func (o *op) size() uint32 { return o.ks & maxOpSize }
 
 // LaneLog accumulates the operations of a single thread (lane).
 type LaneLog struct {
@@ -72,8 +80,21 @@ func (l *LaneLog) Trim(max int) {
 	}
 }
 
-func (l *LaneLog) record(k Kind, size, rep uint32, addr uint64) {
-	l.ops = append(l.ops, op{kind: k, size: size, rep: rep, addr: addr})
+// record appends one operation. An access size the packed word cannot hold
+// panics rather than silently aliasing a smaller size.
+func (l *LaneLog) record(k Kind, size int, rep uint32, addr uint64) {
+	if uint(size) > maxOpSize {
+		panic(opSizeError(size))
+	}
+	l.ops = append(l.ops, op{ks: uint32(k)<<24 | uint32(size), rep: rep, addr: addr})
+}
+
+// opSizeError is record's panic value: a conversion rather than a call, so
+// record stays small enough to inline into the recording methods.
+type opSizeError int
+
+func (e opSizeError) Error() string {
+	return fmt.Sprintf("trace: access size %d bytes does not fit the %d-byte maximum", int(e), maxOpSize)
 }
 
 // Compute records n back-to-back compute operations of the given kind.
@@ -99,7 +120,7 @@ func (l *LaneLog) GlobalRep(k Kind, addr uint64, size, rep int) {
 	if size <= 0 {
 		size = 4
 	}
-	l.record(k, uint32(size), uint32(rep), addr)
+	l.record(k, size, uint32(rep), addr)
 }
 
 // Shared records a shared-memory access at the given byte offset.
