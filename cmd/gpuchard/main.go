@@ -15,26 +15,32 @@
 //	gpuchard -role worker -peers http://coord:8080       # simulate; share launch traces via the coordinator
 //	gpuchard -role coordinator -peers http://w0:8080,http://w1:8080,http://w2:8080
 //
-// A coordinator never simulates: it consistent-hashes sweep combinations
+// Every role is the same server; only where the work runs differs. A
+// coordinator never simulates: it consistent-hashes sweep combinations
 // across the ready workers, dispatches them as /v1/shard sub-jobs,
-// re-dispatches the shards of a worker that dies mid-sweep, and merges the
-// results in deterministic store order — byte-identical to the same sweep on
-// one standalone process. Workers are standalone servers that additionally
-// accept shards and (when -peers names the coordinator) fetch and publish
-// launch traces through it, so the fleet captures each (device, program,
-// input) exactly once.
+// re-dispatches the shards of a worker that dies or drains mid-sweep, and
+// merges the results in deterministic store order — byte-identical to the
+// same sweep on one standalone process. Measures, frontiers and
+// attributions run on the ring owner and are relayed verbatim. Workers are
+// standalone servers that additionally accept shards and (when -peers names
+// the coordinator) fetch and publish launch traces through it, so the fleet
+// captures each (device, program, input) exactly once.
 //
-// Endpoints (all roles speak the same public API):
+// Endpoints (every role speaks the same public API):
 //
-//	POST /v1/measure   {"program":"NB","input":"...","config":"614"}
-//	POST /v1/sweep     {"programs":[...],"configs":[...],"allInputs":false}
-//	POST /v1/frontier  {"program":"NB","spec":{...optional DVFS grid...}}
-//	GET  /v1/jobs/{id} sweep/frontier progress (coordinator views include shards)
-//	GET  /v1/results   every cached measurement and exclusion
-//	GET  /metrics      Prometheus text exposition (coordinator: federated, per-worker label)
-//	GET  /metrics.json observability registry snapshot (legacy JSON)
-//	GET  /healthz      liveness + cache occupancy
-//	GET  /readyz       readiness; flips to 503 the moment a drain starts
+//	POST /v1/measure     {"program":"NB","input":"...","config":"614"}
+//	POST /v1/sweep       {"programs":[...],"configs":[...],"allInputs":false}
+//	POST /v1/frontier    {"program":"NB","spec":{...optional DVFS grid...}}
+//	POST /v1/attrib      {"programs":[...],"configs":[...]}
+//	GET  /v1/jobs/{id}   job progress and result (coordinator sweeps list their shards)
+//	GET  /v1/results     every cached measurement and exclusion
+//	GET  /metrics        Prometheus text exposition (coordinator: federated, per-worker label)
+//	GET  /healthz        liveness + cache occupancy
+//	GET  /readyz         readiness; flips to 503 the moment a drain starts
+//
+// plus, per role, POST /v1/shard (standalone and worker: a coordinator's
+// sub-job) and GET/PUT /v1/traces/{device}/{program}/{input} (coordinator:
+// the fleet's launch-trace store).
 //
 // SIGINT/SIGTERM drain gracefully: /readyz goes 503 (so a coordinator stops
 // routing to the worker), the listener closes, in-flight requests get -drain
@@ -90,47 +96,34 @@ func main() {
 	runner.Workers = *workers
 	runner.NoReplay = *noreplay
 
-	// The fabric server: a Server for standalone/worker, a Coordinator for
-	// coordinator. Both expose the same Serve(ctx, ln) contract.
-	var srv interface {
-		Serve(ctx context.Context, ln net.Listener) error
+	cfg := serve.Config{
+		Runner:         runner,
+		Programs:       suites.All(),
+		StorePath:      *store,
+		SnapshotEvery:  *snapshot,
+		RequestTimeout: *timeout,
+		DrainTimeout:   *drain,
+		Log:            logger,
+		HealthEvery:    *health,
 	}
-	var err error
+	build := serve.New
 	switch *role {
-	case "standalone", "worker":
-		if *role == "worker" && len(peerList) > 0 {
+	case "standalone":
+	case "worker":
+		if len(peerList) > 0 {
 			// The worker's first peer is its coordinator: launch traces
 			// captured here are published there, and captures made anywhere
 			// in the fleet are adopted here instead of re-simulating.
 			runner.Broker = serve.NewHTTPTraceBroker(peerList[0], runner.Metrics())
 			logger.Printf("worker: brokering launch traces via %s", peerList[0])
 		}
-		srv, err = serve.New(serve.Config{
-			Runner:         runner,
-			Programs:       suites.All(),
-			StorePath:      *store,
-			SnapshotEvery:  *snapshot,
-			RequestTimeout: *timeout,
-			DrainTimeout:   *drain,
-			Log:            logger,
-		})
 	case "coordinator":
-		if len(peerList) == 0 {
-			logger.Fatal("coordinator: -peers must list at least one worker URL")
-		}
-		srv, err = serve.NewCoordinator(serve.CoordinatorConfig{
-			Runner:        runner,
-			Programs:      suites.All(),
-			Peers:         peerList,
-			StorePath:     *store,
-			SnapshotEvery: *snapshot,
-			DrainTimeout:  *drain,
-			HealthEvery:   *health,
-			Log:           logger,
-		})
+		cfg.Peers = peerList
+		build = serve.NewCoordinator
 	default:
 		logger.Fatalf("unknown -role %q (want standalone, worker or coordinator)", *role)
 	}
+	srv, err := build(cfg)
 	if err != nil {
 		logger.Fatal(err)
 	}

@@ -51,9 +51,10 @@ var promHelp = map[string]string{
 	"frontier_replays":             "Frontier grid configurations priced by trace replay.",
 	"fabric_workers_ready":         "Workers currently passing the coordinator's readiness probe.",
 	"fabric_shards_dispatched":     "Sweep shards dispatched to workers.",
-	"fabric_shard_redispatches":    "Shards re-dispatched after a worker failed mid-sweep.",
+	"fabric_shard_redispatches":    "Shards, measures and remote jobs moved to another worker after one could not answer.",
 	"fabric_sweep_fanouts":         "Sweep requests fanned out across the fleet.",
 	"fabric_frontier_proxied":      "Frontier jobs proxied to a worker.",
+	"fabric_attrib_proxied":        "Attribution jobs proxied to a worker.",
 	"fabric_measure_proxied":       "Measure requests proxied to a worker.",
 	"trace_store_traces":           "Launch traces held by the coordinator's broker store.",
 	"trace_store_bytes":            "Bytes held by the coordinator's broker store.",

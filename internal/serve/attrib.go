@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/power"
+	"repro/internal/kepler"
 )
 
 // attribRequest is the POST /v1/attrib body. Attribution walks each
@@ -29,11 +27,18 @@ type attribSummary struct {
 	Rows   []core.ProgramAttribution `json:"rows"`
 }
 
+// attribWork is a validated attribution request: the canonical request
+// (every selection spelled out by name) and what it resolved to.
+type attribWork struct {
+	req      attribRequest
+	programs []core.Program
+	dev      *kepler.Device
+	configs  []kepler.Clocks
+}
+
 // handleAttrib starts an asynchronous instruction-level energy-attribution
-// job over the selected (program, config) matrix. Attribution is a
-// post-processing pass over the launch-trace cache: on a warm store every
-// clock-insensitive combination replays instead of simulating, so the job
-// costs zero simulations beyond what the cache is missing.
+// job over the selected (program, config) matrix; the completed job's view
+// carries the attribution rows.
 func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 	var req attribRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -47,30 +52,12 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	var done atomic.Int64
-	j := s.jobs.start(s.baseCtx, jobSpec{
-		combos:   len(programs) * len(configs),
-		progress: func() (int64, int64) { return done.Load(), 0 },
-		run: func(ctx context.Context, _ string) (any, error) {
-			sum := &attribSummary{Device: dev.Name}
-			for _, p := range programs {
-				for _, clk := range configs {
-					d, err := s.runner.SimulatedDevice(ctx, p, p.DefaultInput(), clk)
-					if err != nil {
-						return nil, err
-					}
-					sum.Rows = append(sum.Rows, core.ProgramAttribution{
-						Program:     p.Name(),
-						Input:       p.DefaultInput(),
-						Attribution: power.Attribute(d),
-					})
-					done.Add(1)
-				}
-			}
-			sum.Combos = len(sum.Rows)
-			return sum, nil
-		},
-	})
-	writeJSON(w, http.StatusAccepted, j.view())
+	aw := attribWork{req: attribRequest{Device: dev.Name}, programs: programs, dev: dev, configs: configs}
+	for _, p := range programs {
+		aw.req.Programs = append(aw.req.Programs, p.Name())
+	}
+	for _, clk := range configs {
+		aw.req.Configs = append(aw.req.Configs, clk.Name)
+	}
+	s.startJob(w, s.exec.attrib(aw))
 }

@@ -7,11 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
-	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,55 +22,21 @@ import (
 	"repro/internal/sim"
 )
 
-// CoordinatorConfig configures a Coordinator.
-type CoordinatorConfig struct {
-	// Runner holds the coordinator's merged result cache (and the metrics
-	// registry). The coordinator never simulates — its runner only imports
-	// worker results and serves /v1/results. Required.
-	Runner *core.Runner
-	// Programs is the served program set; must match the workers'. Required.
-	Programs []core.Program
-	// Configs is the served clock-configuration set. Defaults to
-	// kepler.Configs; must match the workers'.
-	Configs []kepler.Clocks
-	// Peers lists the worker base URLs (e.g. "http://w0:8080"). Membership
-	// is the subset currently answering 200 on GET /readyz.
-	Peers []string
-	// StorePath persists the merged result cache across restarts; a warm
-	// coordinator answers repeat sweeps without dispatching any shards.
-	StorePath string
-	// SnapshotEvery is the periodic snapshot interval; 0 disables the timer.
-	SnapshotEvery time.Duration
-	// DrainTimeout bounds the graceful drain on shutdown.
-	DrainTimeout time.Duration
-	// HealthEvery bounds membership staleness: a member set older than this
-	// is re-probed before the next placement decision. Defaults to 5s.
-	HealthEvery time.Duration
-	// Log receives operational messages. Defaults to log.Default().
-	Log *log.Logger
-}
-
-// Coordinator is the fabric's front door: it speaks the same public API as
-// a standalone Server but executes nothing itself. Sweeps are consistent-
+// fleet is the coordinator's executor: it speaks the same public API as a
+// standalone Server but simulates nothing itself. Sweeps are consistent-
 // hashed into per-worker shards over the internal /v1/shard API and merged
-// in deterministic store order; measures and frontiers proxy to the owning
-// worker; launch traces are brokered through an in-memory store so the
-// fleet captures each (device, program, input) exactly once; and /metrics
-// federates every worker's exposition under a "worker" label.
-type Coordinator struct {
-	cfg     CoordinatorConfig
-	res     *resolver
-	runner  *core.Runner
-	jobs    *jobRegistry
-	handler http.Handler
-
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-	ready      atomic.Bool
-	saveMu     sync.Mutex
-
-	m  serviceMetrics
-	fm fabricMetrics
+// in deterministic store order; measures proxy to the combination's owning
+// worker, frontier and attribution jobs run as jobs on their owner; launch
+// traces are brokered through an in-memory store so the fleet captures each
+// (device, program, input) exactly once; and /metrics federates every
+// worker's exposition under a "worker" label. The Server's Runner holds the
+// merged results.
+type fleet struct {
+	runner      *core.Runner
+	peers       []string
+	healthEvery time.Duration
+	log         *log.Logger
+	m           fabricMetrics
 
 	// client runs shard dispatches and other calls that last as long as the
 	// work they carry — no timeout; cancellation comes from the job context.
@@ -81,7 +46,6 @@ type Coordinator struct {
 
 	memberMu    sync.Mutex
 	members     []string
-	ring        *ring
 	lastRefresh time.Time
 
 	traceMu sync.Mutex
@@ -90,170 +54,68 @@ type Coordinator struct {
 
 // fabricMetrics are the coordinator-only handles in the registry.
 type fabricMetrics struct {
-	workersReady       *obs.Gauge
-	sweepFanouts       *obs.Counter
-	shardsDispatched   *obs.Counter
-	shardRedispatches  *obs.Counter
-	frontierProxied    *obs.Counter
-	measureProxied     *obs.Counter
-	traceStoreTraces   *obs.Gauge
-	traceStoreBytes    *obs.Gauge
-	traceStoreGets     *obs.Counter
-	traceStoreHits     *obs.Counter
-	traceStorePuts     *obs.Counter
+	workersReady      *obs.Gauge
+	sweepFanouts      *obs.Counter
+	shardsDispatched  *obs.Counter
+	shardRedispatches *obs.Counter
+	frontierProxied   *obs.Counter
+	attribProxied     *obs.Counter
+	measureProxied    *obs.Counter
+	traceStoreTraces  *obs.Gauge
+	traceStoreBytes   *obs.Gauge
+	traceStoreGets    *obs.Counter
+	traceStoreHits    *obs.Counter
+	traceStorePuts    *obs.Counter
 }
 
-func newFabricMetrics(reg *obs.Registry) fabricMetrics {
-	return fabricMetrics{
-		workersReady:      reg.Gauge("fabric_workers_ready"),
-		sweepFanouts:      reg.Counter("fabric_sweep_fanouts"),
-		shardsDispatched:  reg.Counter("fabric_shards_dispatched"),
-		shardRedispatches: reg.Counter("fabric_shard_redispatches"),
-		frontierProxied:   reg.Counter("fabric_frontier_proxied"),
-		measureProxied:    reg.Counter("fabric_measure_proxied"),
-		traceStoreTraces:  reg.Gauge("trace_store_traces"),
-		traceStoreBytes:   reg.Gauge("trace_store_bytes"),
-		traceStoreGets:    reg.Counter("trace_store_gets"),
-		traceStoreHits:    reg.Counter("trace_store_hits"),
-		traceStorePuts:    reg.Counter("trace_store_puts"),
-	}
-}
-
-// coordinatorRoutes lists the coordinator's instrumented endpoint names.
-var coordinatorRoutes = []string{"measure", "sweep", "frontier", "jobs", "results", "metrics", "healthz", "readyz", "traces"}
-
-// NewCoordinator builds the coordinator and warm-starts its merged cache
-// from StorePath (same cold/warm/incompatible handling as New).
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Runner == nil {
-		return nil, errors.New("serve: CoordinatorConfig.Runner is required")
-	}
-	if len(cfg.Programs) == 0 {
-		return nil, errors.New("serve: CoordinatorConfig.Programs is required")
-	}
-	if cfg.Log == nil {
-		cfg.Log = log.Default()
-	}
-	if cfg.HealthEvery <= 0 {
-		cfg.HealthEvery = 5 * time.Second
-	}
-	res, err := newResolver(cfg.Programs, cfg.Configs)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{
-		cfg:         cfg,
-		res:         res,
+func newFleet(cfg Config) *fleet {
+	reg := cfg.Runner.Metrics()
+	f := &fleet{
 		runner:      cfg.Runner,
+		peers:       cfg.Peers,
+		healthEvery: cfg.HealthEvery,
+		log:         cfg.Log,
+		m: fabricMetrics{
+			workersReady:      reg.Gauge("fabric_workers_ready"),
+			sweepFanouts:      reg.Counter("fabric_sweep_fanouts"),
+			shardsDispatched:  reg.Counter("fabric_shards_dispatched"),
+			shardRedispatches: reg.Counter("fabric_shard_redispatches"),
+			frontierProxied:   reg.Counter("fabric_frontier_proxied"),
+			attribProxied:     reg.Counter("fabric_attrib_proxied"),
+			measureProxied:    reg.Counter("fabric_measure_proxied"),
+			traceStoreTraces:  reg.Gauge("trace_store_traces"),
+			traceStoreBytes:   reg.Gauge("trace_store_bytes"),
+			traceStoreGets:    reg.Counter("trace_store_gets"),
+			traceStoreHits:    reg.Counter("trace_store_hits"),
+			traceStorePuts:    reg.Counter("trace_store_puts"),
+		},
 		client:      &http.Client{},
 		probeClient: &http.Client{Timeout: 2 * time.Second},
 		traces:      make(map[string][]byte),
 	}
-	c.baseCtx, c.cancelBase = context.WithCancel(context.Background())
-
-	reg := c.runner.Metrics()
-	c.m = newServiceMetrics(reg, coordinatorRoutes)
-	c.fm = newFabricMetrics(reg)
-	c.jobs = newJobRegistry(reg)
-
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/measure", c.m.instrument("measure", c.handleMeasure))
-	mux.Handle("POST /v1/sweep", c.m.instrument("sweep", c.handleSweep))
-	mux.Handle("POST /v1/frontier", c.m.instrument("frontier", c.handleFrontier))
-	mux.Handle("GET /v1/jobs/{id...}", c.m.instrument("jobs", c.handleJob))
-	mux.Handle("DELETE /v1/jobs/{id...}", c.m.instrument("jobs", c.handleJobCancel))
-	mux.Handle("GET /v1/results", c.m.instrument("results", c.handleResults))
-	mux.Handle("GET /v1/traces/{key...}", c.m.instrument("traces", c.handleTraceGet))
-	mux.Handle("PUT /v1/traces/{key...}", c.m.instrument("traces", c.handleTracePut))
-	mux.Handle("GET /metrics", c.m.instrument("metrics", c.handleMetrics))
-	mux.Handle("GET /metrics.json", c.m.instrument("metrics", c.handleMetricsJSON))
-	mux.Handle("GET /healthz", c.m.instrument("healthz", c.handleHealthz))
-	mux.Handle("GET /readyz", c.m.instrument("readyz", c.handleReadyz))
-	c.handler = mux
-
-	if cfg.StorePath != "" {
-		switch err := c.runner.LoadStore(cfg.StorePath); {
-		case err == nil:
-			resolved, _ := c.runner.CacheCounts()
-			cfg.Log.Printf("serve: coordinator warm start: %d cached measurements from %s", resolved, cfg.StorePath)
-		case errors.Is(err, fs.ErrNotExist):
-			cfg.Log.Printf("serve: coordinator cold start: no store at %s", cfg.StorePath)
-		default:
-			cfg.Log.Printf("serve: coordinator ignoring store %s: %v", cfg.StorePath, err)
-		}
+	if f.healthEvery <= 0 {
+		f.healthEvery = 5 * time.Second
 	}
-	c.ready.Store(true)
-	return c, nil
-}
-
-// Handler returns the coordinator's HTTP handler (for tests and embedding).
-func (c *Coordinator) Handler() http.Handler { return c.handler }
-
-// Serve runs the coordinator on ln until ctx cancels, then drains exactly
-// like Server.Serve (readiness flips first, then the listener closes,
-// in-flight fan-outs abort via the base context, final store snapshot).
-func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
-	stopSnapshots := make(chan struct{})
-	var snapWG sync.WaitGroup
-	if c.cfg.StorePath != "" && c.cfg.SnapshotEvery > 0 {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			snapshotLoop(c.cfg.SnapshotEvery, stopSnapshots, c.saveStore, c.cfg.Log)
-		}()
-	}
-
-	err := serveHTTP(ctx, ln, serveHTTPConfig{
-		handler:      c.handler,
-		baseCtx:      c.baseCtx,
-		cancelBase:   c.cancelBase,
-		drainTimeout: c.cfg.DrainTimeout,
-		log:          c.cfg.Log,
-		onDrain:      func() { c.ready.Store(false) },
-	})
-
-	close(stopSnapshots)
-	snapWG.Wait()
-	if c.cfg.StorePath != "" {
-		if serr := c.saveStore(); serr != nil {
-			c.cfg.Log.Printf("serve: coordinator final store snapshot: %v", serr)
-			if err == nil {
-				err = serr
-			}
-		}
-	}
-	return err
-}
-
-func (c *Coordinator) saveStore() error {
-	c.saveMu.Lock()
-	defer c.saveMu.Unlock()
-	err := c.runner.SaveStore(c.cfg.StorePath)
-	if err != nil {
-		c.m.snapshotFails.Inc()
-		return err
-	}
-	c.m.snapshots.Inc()
-	return nil
+	return f
 }
 
 // --- membership ---
 
-// refreshMembers probes every peer's /readyz concurrently and rebuilds the
-// ring from the subset that answered 200. The member list is sorted so the
-// ring is identical no matter which probe finished first.
-func (c *Coordinator) refreshMembers(ctx context.Context) []string {
+// refreshMembers probes every peer's /readyz concurrently and keeps the
+// subset that answered 200. The member list is sorted so the ring is
+// identical no matter which probe finished first.
+func (f *fleet) refreshMembers(ctx context.Context) []string {
 	type verdict struct {
 		peer  string
 		ready bool
 	}
-	verdicts := make(chan verdict, len(c.cfg.Peers))
-	for _, peer := range c.cfg.Peers {
+	verdicts := make(chan verdict, len(f.peers))
+	for _, peer := range f.peers {
 		go func(peer string) {
 			ok := false
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
 			if err == nil {
-				resp, err := c.probeClient.Do(req)
+				resp, err := f.probeClient.Do(req)
 				if err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -263,8 +125,8 @@ func (c *Coordinator) refreshMembers(ctx context.Context) []string {
 			verdicts <- verdict{peer, ok}
 		}(peer)
 	}
-	members := make([]string, 0, len(c.cfg.Peers))
-	for range c.cfg.Peers {
+	members := make([]string, 0, len(f.peers))
+	for range f.peers {
 		v := <-verdicts
 		if v.ready {
 			members = append(members, v.peer)
@@ -272,27 +134,140 @@ func (c *Coordinator) refreshMembers(ctx context.Context) []string {
 	}
 	sort.Strings(members)
 
-	c.memberMu.Lock()
-	c.members = members
-	c.ring = newRing(members)
-	c.lastRefresh = time.Now()
-	c.memberMu.Unlock()
-	c.fm.workersReady.Set(int64(len(members)))
+	f.memberMu.Lock()
+	f.members = members
+	f.lastRefresh = time.Now()
+	f.memberMu.Unlock()
+	f.m.workersReady.Set(int64(len(members)))
 	return members
 }
 
 // currentMembers returns the ready-worker set, re-probing when the cached
 // set is stale or empty. Handler-triggered refresh (rather than a Serve
 // goroutine) keeps httptest-embedded coordinators fully functional.
-func (c *Coordinator) currentMembers(ctx context.Context) []string {
-	c.memberMu.Lock()
-	members := c.members
-	fresh := time.Since(c.lastRefresh) < c.cfg.HealthEvery && len(members) > 0
-	c.memberMu.Unlock()
+func (f *fleet) currentMembers(ctx context.Context) []string {
+	f.memberMu.Lock()
+	members := f.members
+	fresh := time.Since(f.lastRefresh) < f.healthEvery && len(members) > 0
+	f.memberMu.Unlock()
 	if fresh {
 		return members
 	}
-	return c.refreshMembers(ctx)
+	return f.refreshMembers(ctx)
+}
+
+// workers counts the ready members for /readyz.
+func (f *fleet) workers(ctx context.Context) int { return len(f.currentMembers(ctx)) }
+
+// --- placement and retry ---
+
+const (
+	// ringMaxRounds bounds how many times a placement walks the full
+	// (refreshed) member set before giving up.
+	ringMaxRounds = 3
+	// ringRetryDelay separates the rounds, giving crashed workers a moment
+	// to restart or the membership probe a moment to notice replacements.
+	ringRetryDelay = 250 * time.Millisecond
+)
+
+// errNoWorkers is the failure of a placement that found no ready worker.
+var errNoWorkers = errors.New("no ready workers")
+
+// retryErr marks a failure another worker may not repeat: the worker was
+// unreachable, or answered 503 because it is draining.
+type retryErr struct{ err error }
+
+func (e retryErr) Error() string { return e.err.Error() }
+func (e retryErr) Unwrap() error { return e.err }
+
+// onRing runs try on the key's ring owner. A retryable failure moves on to
+// the next untried candidate along the ring; once a round has tried every
+// member, the membership is re-probed and the walk starts over, up to
+// ringMaxRounds. Success, cancellation and any other failure (a verdict
+// that re-running cannot change) end the walk at once.
+func (f *fleet) onRing(ctx context.Context, key string, try func(worker string) error) error {
+	members := f.currentMembers(ctx)
+	lastErr := errNoWorkers
+	for round := 1; ; round++ {
+		tried := make(map[string]bool, len(members))
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			worker := pickWorker(key, members, tried)
+			if worker == "" {
+				break // round exhausted
+			}
+			tried[worker] = true
+			err := try(worker)
+			if err == nil || ctx.Err() != nil || !errors.As(err, new(retryErr)) {
+				return err
+			}
+			lastErr = err
+			f.m.shardRedispatches.Inc()
+		}
+		if round == ringMaxRounds {
+			return fmt.Errorf("no worker completed it after %d rounds: %w", ringMaxRounds, lastErr)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(ringRetryDelay):
+		}
+		members = f.refreshMembers(ctx)
+	}
+}
+
+// pickWorker chooses the untried member owning the key — the ring over the
+// remaining candidates, so the fallback order is deterministic too.
+func pickWorker(key string, members []string, tried map[string]bool) string {
+	avail := make([]string, 0, len(members))
+	for _, m := range members {
+		if !tried[m] {
+			avail = append(avail, m)
+		}
+	}
+	if len(avail) == 0 {
+		return ""
+	}
+	return newRing(avail).owner(key)
+}
+
+// post sends a JSON body to a worker. A transport failure or a 503 is a
+// retryErr; any other answer returns its status and body.
+func (f *fleet) post(ctx context.Context, url string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := f.client.Do(req)
+	if err != nil {
+		return 0, nil, retryErr{err}
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, retryErr{err}
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return 0, nil, retryErr{fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(data))}
+	}
+	return resp.StatusCode, data, nil
+}
+
+// cancelRemoteJob best-effort cancels a job on a worker.
+func (f *fleet) cancelRemoteJob(worker, id string) {
+	req, err := http.NewRequest(http.MethodDelete, worker+"/v1/jobs/"+id, nil)
+	if err != nil {
+		return
+	}
+	resp, err := f.probeClient.Do(req)
+	if err != nil {
+		return
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 // --- sweep fan-out ---
@@ -356,7 +331,7 @@ func (st *shardState) bumpRedispatch() {
 
 // progress reports the shard's completed-combination count, polling the
 // owning worker's job view (throttled) while the shard runs.
-func (st *shardState) progress(c *Coordinator) int64 {
+func (st *shardState) progress(f *fleet) int64 {
 	st.mu.Lock()
 	status, worker, id := st.status, st.worker, st.id
 	done, last := st.lastDone, st.lastPoll
@@ -368,8 +343,8 @@ func (st *shardState) progress(c *Coordinator) int64 {
 		if worker == "" || time.Since(last) < 200*time.Millisecond {
 			return done
 		}
-		if d, ok := c.pollShardDone(worker, id); ok {
-			done = d
+		if v, err := f.pollJob(worker, id); err == nil {
+			done = v.Done
 		}
 		st.mu.Lock()
 		st.lastDone = done
@@ -399,133 +374,109 @@ func (st *shardState) view() shardView {
 	}
 }
 
-// pollShardDone asks worker for the shard job's Done count.
-func (c *Coordinator) pollShardDone(worker, id string) (int64, bool) {
-	resp, err := c.probeClient.Get(worker + "/v1/jobs/" + id)
+// remoteJobView decodes a worker's job view. Result stays raw so a proxied
+// job result re-serves byte-identically.
+type remoteJobView struct {
+	ID     string          `json:"id"`
+	Status jobStatus       `json:"status"`
+	Done   int64           `json:"done"`
+	Error  string          `json:"error"`
+	Result json.RawMessage `json:"result"`
+}
+
+// pollJob reads a job view from a worker.
+func (f *fleet) pollJob(worker, id string) (remoteJobView, error) {
+	var v remoteJobView
+	resp, err := f.probeClient.Get(worker + "/v1/jobs/" + id)
 	if err != nil {
-		return 0, false
+		return v, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return 0, false
+		return v, fmt.Errorf("job %s: poll status %s", id, resp.Status)
 	}
-	var v remoteJobView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&v); err != nil {
-		return 0, false
-	}
-	return v.Done, true
+	err = json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&v)
+	return v, err
 }
 
-// remoteJobView decodes a worker's job view. Result stays raw so a proxied
-// frontier summary re-serves byte-identically.
-type remoteJobView struct {
-	ID           string          `json:"id"`
-	Status       jobStatus       `json:"status"`
-	Combinations int64           `json:"combinations"`
-	Done         int64           `json:"done"`
-	Canceled     int64           `json:"canceled"`
-	Error        string          `json:"error"`
-	Result       json.RawMessage `json:"result"`
-}
-
-// handleSweep fans a sweep out across the fleet: combinations already in
-// the merged cache are skipped (a warm coordinator answers repeat sweeps
+// sweep fans a sweep out across the fleet: combinations already in the
+// merged cache are skipped (a warm coordinator answers repeat sweeps
 // without touching a worker), the rest are grouped by ring owner into
 // shards and dispatched in parallel, each shard re-dispatching to the next
 // ring candidate if its worker dies mid-run.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	programs, dev, configs, err := c.res.sweepSet(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	combos := core.EnumerateCombos(programs, configs, req.AllInputs)
-
+func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Combo) (jobSpec, error) {
 	// Split resolved from pending. The pending groups keep EnumerateCombos
-	// order inside each shard; shard identity comes from the ring.
+	// order inside each shard; shard identity comes from the ring, and a
+	// shard's own ring key is that of its first combo.
 	var preResolved int64
-	byWorker := make(map[string][]shardCombo)
-	var workerOrder []string
-	members := c.currentMembers(r.Context())
-	ringNow := newRing(members)
+	byWorker := make(map[string]*shardState)
+	ringNow := newRing(f.currentMembers(ctx))
 	for _, cb := range combos {
-		if _, ok := c.runner.Lookup(cb.Program.Name(), cb.Input, cb.Clocks.Name, dev.Name); ok {
+		if _, ok := f.runner.Lookup(cb.Program.Name(), cb.Input, cb.Clocks.Name, dev.Name); ok {
 			preResolved++
 			continue
 		}
-		owner := ringNow.owner(comboKey(dev.Name, cb.Program.Name(), cb.Input, cb.Clocks.Name))
+		key := comboKey(dev.Name, cb.Program.Name(), cb.Input, cb.Clocks.Name)
+		owner := ringNow.owner(key)
 		if owner == "" {
-			writeError(w, http.StatusServiceUnavailable, "no ready workers")
-			return
+			return jobSpec{}, errNoWorkers
 		}
-		if _, seen := byWorker[owner]; !seen {
-			workerOrder = append(workerOrder, owner)
+		st := byWorker[owner]
+		if st == nil {
+			st = &shardState{device: dev.Name, key: key, status: jobQueued}
+			byWorker[owner] = st
 		}
-		byWorker[owner] = append(byWorker[owner], shardCombo{Program: cb.Program.Name(), Input: cb.Input, Config: cb.Clocks.Name})
+		st.combos = append(st.combos, shardCombo{Program: cb.Program.Name(), Input: cb.Input, Config: cb.Clocks.Name})
+	}
+	workerOrder := make([]string, 0, len(byWorker))
+	for worker := range byWorker {
+		workerOrder = append(workerOrder, worker)
 	}
 	sort.Strings(workerOrder)
 
-	c.fm.sweepFanouts.Inc()
-	// Shard ids embed the parent job id, which register assigns — so build
-	// the shard table against the auto-assigned id by registering first and
-	// naming the shards inside run (run receives the final id). The table
+	f.m.sweepFanouts.Inc()
+	// Shard ids embed the parent job id, which the registry assigns — so the
+	// shards are named inside run (run receives the final id). The table
 	// itself is immutable after this block; only shardState fields mutate,
 	// under their own mutex, so views and dispatch never race.
 	shards := make([]*shardState, 0, len(workerOrder))
 	for _, worker := range workerOrder {
-		st := &shardState{
-			device: dev.Name,
-			combos: byWorker[worker],
-			status: jobQueued,
-		}
-		first := st.combos[0]
-		st.key = comboKey(dev.Name, first.Program, first.Input, first.Config)
-		shards = append(shards, st)
+		shards = append(shards, byWorker[worker])
 	}
-	// The parent's progress is clamped to a high-water mark: re-dispatching
-	// a dead worker's shard resets that shard's counter to zero (the new
-	// worker genuinely restarts it), and without the clamp the parent job's
-	// done count would step backward mid-run.
-	progress := monotoneProgress(func() int64 {
-		done := preResolved
-		for _, st := range shards {
-			done += st.progress(c)
-		}
-		return done
-	})
-	decorate := func(v *jobView) {
-		views := make([]shardView, 0, len(shards))
-		for _, st := range shards {
-			views = append(views, st.view())
-		}
-		v.Shards = views
-	}
-	j := c.jobs.start(c.baseCtx, jobSpec{
+	return jobSpec{
 		combos:   len(combos),
-		progress: progress,
 		absolute: true,
-		decorate: decorate,
-		run: func(ctx context.Context, id string) (any, error) {
-			for i, st := range shards {
-				st.mu.Lock()
-				st.id = fmt.Sprintf("%s/shard-%d", id, i)
-				st.mu.Unlock()
+		// The parent's progress is clamped to a high-water mark:
+		// re-dispatching a dead worker's shard resets that shard's counter
+		// to zero (the new worker genuinely restarts it), and without the
+		// clamp the parent job's done count would step backward mid-run.
+		progress: monotoneProgress(func() int64 {
+			done := preResolved
+			for _, st := range shards {
+				done += st.progress(f)
 			}
+			return done
+		}),
+		decorate: func(v *jobView) {
+			v.Shards = make([]shardView, 0, len(shards))
+			for _, st := range shards {
+				v.Shards = append(v.Shards, st.view())
+			}
+		},
+		run: func(ctx context.Context, id string) (any, error) {
 			var wg sync.WaitGroup
 			errs := make([]error, len(shards))
 			merged := make([][]core.ResultEntry, len(shards))
 			for i, st := range shards {
+				st.mu.Lock()
+				st.id = fmt.Sprintf("%s/shard-%d", id, i)
+				st.mu.Unlock()
 				wg.Add(1)
-				go func(i int, st *shardState) {
+				go func() {
 					defer wg.Done()
-					merged[i], errs[i] = c.runShard(ctx, st)
-				}(i, st)
+					merged[i], errs[i] = f.runShard(ctx, st)
+				}()
 			}
 			wg.Wait()
 			// Import whatever completed even when some shards failed: a
@@ -535,231 +486,108 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 				all = append(all, part...)
 			}
 			core.SortResults(all)
-			c.runner.ImportResults(all)
+			f.runner.ImportResults(all)
 			return nil, errors.Join(errs...)
 		},
-	})
-	writeJSON(w, http.StatusAccepted, j.view())
+	}, nil
 }
 
-const (
-	// shardMaxRounds bounds how many times a shard walks the full (refreshed)
-	// member set before giving up.
-	shardMaxRounds = 3
-	// shardRetryDelay separates the rounds, giving crashed workers a moment
-	// to restart or the membership probe a moment to notice replacements.
-	shardRetryDelay = 250 * time.Millisecond
-)
-
-// runShard dispatches one shard, re-dispatching along the ring when the
-// assigned worker fails. Dispatch is synchronous — a worker dying mid-shard
-// surfaces as the POST's transport error, which is the re-dispatch signal.
-func (c *Coordinator) runShard(ctx context.Context, st *shardState) ([]core.ResultEntry, error) {
-	var lastErr error
-	for round := 0; round < shardMaxRounds; round++ {
-		members := c.currentMembers(ctx)
-		tried := make(map[string]bool, len(members))
-		for {
-			if err := ctx.Err(); err != nil {
-				st.setStatus(jobCanceled)
-				return nil, err
-			}
-			worker := pickWorker(st.key, members, tried)
-			if worker == "" {
-				break // round exhausted
-			}
-			tried[worker] = true
-			st.setWorker(worker)
-			c.fm.shardsDispatched.Inc()
-			results, err := c.postShard(ctx, worker, st)
-			if err == nil {
-				st.setStatus(jobDone)
-				return results, nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				// The parent was canceled (or the coordinator is draining):
-				// tell the worker to stop the shard job too. The POST
-				// teardown already cancels it; the DELETE just makes the
-				// worker-side job view terminal immediately.
-				c.cancelRemoteJob(worker, st.id)
-				st.setStatus(jobCanceled)
-				return nil, err
-			}
-			c.fm.shardRedispatches.Inc()
-			st.bumpRedispatch()
-		}
-		select {
-		case <-ctx.Done():
-			st.setStatus(jobCanceled)
-			return nil, ctx.Err()
-		case <-time.After(shardRetryDelay):
-		}
-		c.refreshMembers(ctx)
-	}
-	st.setStatus(jobFailed)
-	return nil, fmt.Errorf("shard %s: no worker completed it after %d rounds: %w", st.id, shardMaxRounds, lastErr)
-}
-
-// pickWorker chooses the untried member owning the key — the ring over the
-// remaining candidates, so a shard's fallback order is deterministic too.
-func pickWorker(key string, members []string, tried map[string]bool) string {
-	avail := make([]string, 0, len(members))
-	for _, m := range members {
-		if !tried[m] {
-			avail = append(avail, m)
-		}
-	}
-	if len(avail) == 0 {
-		return ""
-	}
-	return newRing(avail).owner(key)
-}
-
-// postShard runs one dispatch attempt against worker.
-func (c *Coordinator) postShard(ctx context.Context, worker string, st *shardState) ([]core.ResultEntry, error) {
+// runShard dispatches one shard along the ring. Dispatch is synchronous — a
+// worker dying mid-shard surfaces as the POST's transport error, which is
+// the re-dispatch signal.
+func (f *fleet) runShard(ctx context.Context, st *shardState) ([]core.ResultEntry, error) {
 	body, err := json.Marshal(shardRequest{ID: st.id, Device: st.device, Combos: st.combos})
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/shard", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	var results []core.ResultEntry
+	err = f.onRing(ctx, st.key, func(worker string) error {
+		st.setWorker(worker)
+		f.m.shardsDispatched.Inc()
+		status, data, err := f.post(ctx, worker+"/v1/shard", body)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			// The parent was canceled (or the coordinator is draining):
+			// the POST teardown already cancels the worker's shard job;
+			// the DELETE just makes its view terminal immediately.
+			f.cancelRemoteJob(worker, st.id)
+			return err
+		case err != nil:
+			if errors.As(err, new(retryErr)) {
+				st.bumpRedispatch()
+			}
+			return err
+		case status != http.StatusOK:
+			return fmt.Errorf("worker %s: status %d: %s", worker, status, bytes.TrimSpace(data))
+		}
+		var sr shardResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			return fmt.Errorf("worker %s: decoding response: %w", worker, err)
+		}
+		results = sr.Results
+		return nil
+	})
+	switch {
+	case err == nil:
+		st.setStatus(jobDone)
+		return results, nil
+	case ctx.Err() != nil:
+		st.setStatus(jobCanceled)
+	default:
+		st.setStatus(jobFailed)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("worker %s: shard %s: %s: %s", worker, st.id, resp.Status, bytes.TrimSpace(data))
-	}
-	var sr shardResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return nil, fmt.Errorf("worker %s: shard %s: decoding response: %w", worker, st.id, err)
-	}
-	return sr.Results, nil
-}
-
-// cancelRemoteJob best-effort cancels a job on a worker.
-func (c *Coordinator) cancelRemoteJob(worker, id string) {
-	req, err := http.NewRequest(http.MethodDelete, worker+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.probeClient.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	return nil, fmt.Errorf("shard %s: %w", st.id, err)
 }
 
 // --- measure proxy ---
 
-// handleMeasure answers from the merged cache when it can, otherwise
-// proxies the canonicalized request to the combination's ring owner and
-// imports the result. The response is relayed byte-for-byte, so a client
-// cannot tell a coordinator from a worker.
-func (c *Coordinator) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	var req measureRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+// measure answers from the merged cache when it can, otherwise proxies the
+// canonical request to the combination's ring owner and imports the result.
+// A proxied response is relayed byte-for-byte, so a client cannot tell a
+// coordinator from a worker.
+func (f *fleet) measure(ctx context.Context, w http.ResponseWriter, cb core.Combo) {
+	if f.runner.Cached(cb.Program, cb.Input, cb.Clocks) {
+		writeMeasure(ctx, w, f.runner, cb)
 		return
 	}
-	p, clk, input, err := c.res.resolve(req.Program, req.Input, req.Config, req.Device)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	dev := clk.Device()
-
-	if re, ok := c.runner.Lookup(p.Name(), input, clk.Name, dev.Name); ok {
-		writeMeasureEntry(w, re, dev.Name)
-		return
-	}
-
-	canonical, err := json.Marshal(measureRequest{Program: p.Name(), Input: input, Config: clk.Name, Device: dev.Name})
+	program, input, config, board := cb.Program.Name(), cb.Input, cb.Clocks.Name, cb.Clocks.Device().Name
+	body, err := json.Marshal(measureRequest{Program: program, Input: input, Config: config, Device: board})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	key := comboKey(dev.Name, p.Name(), input, clk.Name)
-	members := c.currentMembers(r.Context())
-	tried := make(map[string]bool, len(members))
-	for {
-		worker := pickWorker(key, members, tried)
-		if worker == "" {
-			writeError(w, http.StatusServiceUnavailable, "no ready workers")
-			return
-		}
-		tried[worker] = true
-		preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, worker+"/v1/measure", bytes.NewReader(canonical))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		preq.Header.Set("Content-Type", "application/json")
-		resp, err := c.client.Do(preq)
-		if err != nil {
-			if r.Context().Err() != nil {
-				writeError(w, http.StatusServiceUnavailable, err.Error())
-				return
-			}
-			continue // worker died: try the next candidate
-		}
-		c.fm.measureProxied.Inc()
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			continue
-		}
-		c.importMeasure(p.Name(), input, clk.Name, dev.Name, resp.StatusCode, body)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return
-	}
-}
-
-// writeMeasureEntry renders a cached ResultEntry as the measure response —
-// the same shape a worker would produce for the same entry.
-func writeMeasureEntry(w http.ResponseWriter, re core.ResultEntry, board string) {
-	if re.Insufficient {
-		err := fmt.Sprintf("%s/%s@%s: insufficient power samples for analysis (cached)", re.Program, re.Input, re.Config)
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err, Insufficient: true})
-		return
-	}
-	res := re.Result
-	writeJSON(w, http.StatusOK, measureResponse{
-		Program:        res.Program,
-		Input:          res.Input,
-		Config:         res.Config,
-		Board:          board,
-		ActiveTime:     res.ActiveTime,
-		Energy:         res.Energy,
-		AvgPower:       res.AvgPower,
-		TrueActiveTime: res.TrueActiveTime,
-		TrueEnergy:     res.TrueEnergy,
-		Reps:           res.Reps,
+	var status int
+	var data []byte
+	err = f.onRing(ctx, comboKey(board, program, input, config), func(worker string) error {
+		var err error
+		status, data, err = f.post(ctx, worker+"/v1/measure", body)
+		return err
 	})
+	switch {
+	case ctx.Err() != nil:
+		writeMeasureError(w, ctx.Err())
+		return
+	case err != nil:
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	f.m.measureProxied.Inc()
+	f.importMeasure(program, input, config, board, status, data)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(data)
 }
 
 // importMeasure folds a proxied measure response into the merged cache: a
 // 200 carries the full result, a 422 insufficient carries the exclusion.
-func (c *Coordinator) importMeasure(program, input, config, board string, status int, body []byte) {
+func (f *fleet) importMeasure(program, input, config, board string, status int, body []byte) {
 	switch status {
 	case http.StatusOK:
 		var mr measureResponse
 		if err := json.Unmarshal(body, &mr); err != nil {
 			return
 		}
-		c.runner.ImportResults([]core.ResultEntry{{
+		f.runner.ImportResults([]core.ResultEntry{{
 			Program: program, Input: input, Config: config, Board: board,
 			Result: &core.Result{
 				Program: mr.Program, Input: mr.Input, Config: mr.Config,
@@ -773,157 +601,88 @@ func (c *Coordinator) importMeasure(program, input, config, board string, status
 		if err := json.Unmarshal(body, &er); err != nil || !er.Insufficient {
 			return
 		}
-		c.runner.ImportResults([]core.ResultEntry{{
+		f.runner.ImportResults([]core.ResultEntry{{
 			Program: program, Input: input, Config: config, Board: board, Insufficient: true,
 		}})
 	}
 }
 
-// --- frontier proxy ---
+// --- remote jobs: frontier and attribution ---
 
-// handleFrontier validates the request locally (so 400/422 verdicts match a
-// worker byte-for-byte), then runs an asynchronous job that dispatches the
-// frontier to the (device, program, input) ring owner and polls its job to
-// completion, re-dispatching if the worker dies.
-func (c *Coordinator) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	var req frontierRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	p, ok := c.res.programs[req.Program]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown program %q", req.Program))
-		return
-	}
-	input := req.Input
-	if input == "" {
-		input = p.DefaultInput()
-	} else if _, _, _, err := c.res.resolve(req.Program, input, "", req.Device); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	dev, err := c.res.resolveDevice(req.Device)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	spec := dev.DefaultGrid()
-	if req.Spec != nil {
-		spec = *req.Spec
-	}
-	grid, err := dev.Grid(spec)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
+// frontier runs the frontier as a job on the (device, program, input) ring
+// owner.
+func (f *fleet) frontier(fw frontierWork) jobSpec {
+	key := comboKey(fw.dev.Name, fw.p.Name(), fw.req.Input, "")
+	return f.remoteJob("/v1/frontier", key, fw.req, fw.size, f.m.frontierProxied)
+}
 
-	canonical, err := json.Marshal(frontierRequest{Program: p.Name(), Input: input, Spec: req.Spec, Device: dev.Name})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	key := comboKey(dev.Name, p.Name(), input, "")
-	var remoteDone atomic.Int64
-	j := c.jobs.start(c.baseCtx, jobSpec{
-		combos:   len(grid),
+// attrib runs the attribution matrix as a job on the ring owner of its
+// (device, programs) selection.
+func (f *fleet) attrib(aw attribWork) jobSpec {
+	key := comboKey(aw.dev.Name, strings.Join(aw.req.Programs, ","), "", "")
+	return f.remoteJob("/v1/attrib", key, aw.req, len(aw.programs)*len(aw.configs), f.m.attribProxied)
+}
+
+// remoteJobPollEvery paces the remote job polls.
+const remoteJobPollEvery = 150 * time.Millisecond
+
+// remoteJob returns the job that starts req as an asynchronous job at path
+// on the key's ring owner and polls it to a terminal state; the finished
+// job's result is the worker's, byte for byte.
+func (f *fleet) remoteJob(path, key string, req any, size int, proxied *obs.Counter) jobSpec {
+	var done atomic.Int64
+	return jobSpec{
+		combos:   size,
 		absolute: true,
-		progress: func() (int64, int64) { return remoteDone.Load(), 0 },
-		run: func(ctx context.Context, id string) (any, error) {
-			c.fm.frontierProxied.Inc()
-			return c.runRemoteFrontier(ctx, key, canonical, &remoteDone)
+		progress: func() (int64, int64) { return done.Load(), 0 },
+		run: func(ctx context.Context, _ string) (any, error) {
+			proxied.Inc()
+			body, err := json.Marshal(req)
+			if err != nil {
+				return nil, err
+			}
+			var result json.RawMessage
+			err = f.onRing(ctx, key, func(worker string) error {
+				var err error
+				result, err = f.dispatchJob(ctx, worker, path, body, &done)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			return result, nil
 		},
-	})
-	writeJSON(w, http.StatusAccepted, j.view())
+	}
 }
 
-// frontierPollEvery paces the remote frontier job polls.
-const frontierPollEvery = 150 * time.Millisecond
-
-// runRemoteFrontier drives one frontier to completion on the fleet.
-func (c *Coordinator) runRemoteFrontier(ctx context.Context, key string, canonical []byte, done *atomic.Int64) (any, error) {
-	var lastErr error
-	for round := 0; round < shardMaxRounds; round++ {
-		members := c.currentMembers(ctx)
-		tried := make(map[string]bool, len(members))
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			worker := pickWorker(key, members, tried)
-			if worker == "" {
-				break
-			}
-			tried[worker] = true
-			result, err, fatal := c.dispatchFrontier(ctx, worker, canonical, done)
-			if err == nil {
-				return result, nil
-			}
-			if fatal || ctx.Err() != nil {
-				return nil, err
-			}
-			lastErr = err
-			c.fm.shardRedispatches.Inc()
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(shardRetryDelay):
-		}
-		c.refreshMembers(ctx)
-	}
-	return nil, fmt.Errorf("frontier: no worker completed it after %d rounds: %w", shardMaxRounds, lastErr)
-}
-
-// dispatchFrontier starts the frontier on worker and polls its job view to a
-// terminal state. fatal marks verdicts that re-dispatching cannot change (the
-// worker computed the frontier and it failed).
-func (c *Coordinator) dispatchFrontier(ctx context.Context, worker string, canonical []byte, done *atomic.Int64) (any, error, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/frontier", bytes.NewReader(canonical))
+// dispatchJob starts the job on worker and polls its view to a terminal
+// state. A remote cancellation (the worker is draining) or a worker that
+// stops answering polls is retryable; a failed job is final.
+func (f *fleet) dispatchJob(ctx context.Context, worker, path string, body []byte, done *atomic.Int64) (json.RawMessage, error) {
+	status, data, err := f.post(ctx, worker+path, body)
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err, false
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return nil, rerr, false
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("worker %s: frontier: %s: %s", worker, resp.Status, bytes.TrimSpace(body)), false
+	if status != http.StatusAccepted {
+		return nil, fmt.Errorf("worker %s: %s: status %d: %s", worker, path, status, bytes.TrimSpace(data))
 	}
 	var started remoteJobView
-	if err := json.Unmarshal(body, &started); err != nil {
-		return nil, fmt.Errorf("worker %s: frontier: decoding job: %w", worker, err), false
+	if err := json.Unmarshal(data, &started); err != nil {
+		return nil, fmt.Errorf("worker %s: %s: decoding job: %w", worker, path, err)
 	}
 
 	pollFails := 0
 	for {
 		select {
 		case <-ctx.Done():
-			c.cancelRemoteJob(worker, started.ID)
-			return nil, ctx.Err(), true
-		case <-time.After(frontierPollEvery):
+			f.cancelRemoteJob(worker, started.ID)
+			return nil, ctx.Err()
+		case <-time.After(remoteJobPollEvery):
 		}
-		resp, err := c.probeClient.Get(worker + "/v1/jobs/" + started.ID)
+		v, err := f.pollJob(worker, started.ID)
 		if err != nil {
-			pollFails++
-			if pollFails >= 5 {
-				return nil, fmt.Errorf("worker %s: frontier job %s unreachable: %w", worker, started.ID, err), false
-			}
-			continue
-		}
-		var v remoteJobView
-		derr := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&v)
-		resp.Body.Close()
-		if derr != nil || resp.StatusCode != http.StatusOK {
-			pollFails++
-			if pollFails >= 5 {
-				return nil, fmt.Errorf("worker %s: frontier job %s: bad poll (status %d)", worker, started.ID, resp.StatusCode), false
+			if pollFails++; pollFails >= 5 {
+				return nil, retryErr{fmt.Errorf("worker %s: job %s unreachable: %w", worker, started.ID, err)}
 			}
 			continue
 		}
@@ -931,51 +690,22 @@ func (c *Coordinator) dispatchFrontier(ctx context.Context, worker string, canon
 		done.Store(v.Done)
 		switch v.Status {
 		case jobDone:
-			return v.Result, nil, false
+			return v.Result, nil
 		case jobFailed:
-			return nil, fmt.Errorf("worker %s: frontier job %s: %s", worker, started.ID, v.Error), true
+			return nil, fmt.Errorf("worker %s: job %s: %s", worker, started.ID, v.Error)
 		case jobCanceled:
-			// The worker is draining or someone canceled the remote job:
-			// another worker can still compute the frontier.
-			return nil, fmt.Errorf("worker %s: frontier job %s canceled remotely", worker, started.ID), false
+			return nil, retryErr{fmt.Errorf("worker %s: job %s canceled remotely", worker, started.ID)}
 		}
 	}
 }
 
-// --- jobs, results, traces, metrics, health ---
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobs.cancelJob(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-func (c *Coordinator) handleResults(w http.ResponseWriter, _ *http.Request) {
-	results := c.runner.Results()
-	writeJSON(w, http.StatusOK, resultsResponse{
-		Version: core.StoreVersion,
-		Count:   len(results),
-		Results: results,
-	})
-}
+// --- traces and metrics ---
 
 // handleTracePut stores a worker-captured launch trace. First write wins —
 // captures of the same (device, program, input) are bit-identical, so the
 // store never needs to reconcile, and keeping the first preserves pointer
 // stability for concurrent readers.
-func (c *Coordinator) handleTracePut(w http.ResponseWriter, r *http.Request) {
+func (f *fleet) handleTracePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBytes))
 	if err != nil {
@@ -986,53 +716,47 @@ func (c *Coordinator) handleTracePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid trace: %v", err))
 		return
 	}
-	c.fm.traceStorePuts.Inc()
-	c.traceMu.Lock()
-	if _, exists := c.traces[key]; !exists {
-		c.traces[key] = data
-		c.fm.traceStoreTraces.Add(1)
-		c.fm.traceStoreBytes.Add(int64(len(data)))
+	f.m.traceStorePuts.Inc()
+	f.traceMu.Lock()
+	if _, exists := f.traces[key]; !exists {
+		f.traces[key] = data
+		f.m.traceStoreTraces.Add(1)
+		f.m.traceStoreBytes.Add(int64(len(data)))
 	}
-	c.traceMu.Unlock()
+	f.traceMu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleTraceGet serves a stored trace, 404 when the fleet has not captured
 // the pair yet.
-func (c *Coordinator) handleTraceGet(w http.ResponseWriter, r *http.Request) {
+func (f *fleet) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	c.fm.traceStoreGets.Inc()
-	c.traceMu.Lock()
-	data, ok := c.traces[key]
-	c.traceMu.Unlock()
+	f.m.traceStoreGets.Inc()
+	f.traceMu.Lock()
+	data, ok := f.traces[key]
+	f.traceMu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no trace for %q", key))
 		return
 	}
-	c.fm.traceStoreHits.Inc()
+	f.m.traceStoreHits.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }
 
-// handleMetrics federates the fleet's Prometheus exposition: the
-// coordinator's own families labeled worker="coordinator", every ready
-// worker's scrape labeled with its address, merged into one consistent
-// exposition (one TYPE line per family). JSON negotiation matches the
-// worker: Accept: application/json (or /metrics.json) serves the
-// coordinator's own legacy snapshot.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsJSON(r) {
-		c.handleMetricsJSON(w, r)
-		return
-	}
+// metrics federates the fleet's Prometheus exposition: the coordinator's
+// own families labeled worker="coordinator", every ready worker's scrape
+// labeled with its address, merged into one consistent exposition (one
+// TYPE line per family).
+func (f *fleet) metrics(ctx context.Context) ([]promtext.Family, error) {
 	sources := [][]promtext.Family{
-		c.runner.Metrics().PromFamilies(promtext.Label{Name: "worker", Value: "coordinator"}),
+		f.runner.Metrics().PromFamilies(promtext.Label{Name: "worker", Value: "coordinator"}),
 	}
-	for _, member := range c.currentMembers(r.Context()) {
-		fams, err := c.scrapeWorker(r.Context(), member)
+	for _, member := range f.currentMembers(ctx) {
+		fams, err := f.scrapeWorker(ctx, member)
 		if err != nil {
-			c.cfg.Log.Printf("serve: scraping %s: %v", member, err)
+			f.log.Printf("serve: scraping %s: %v", member, err)
 			continue
 		}
 		promtext.AddLabel(fams, "worker", member)
@@ -1040,22 +764,18 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	merged, err := promtext.Merge(sources...)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("merging fleet metrics: %v", err))
-		return
+		return nil, fmt.Errorf("merging fleet metrics: %w", err)
 	}
-	w.Header().Set("Content-Type", promtext.ContentType)
-	if err := promtext.Write(w, merged); err != nil {
-		c.cfg.Log.Printf("serve: writing metrics: %v", err)
-	}
+	return merged, nil
 }
 
 // scrapeWorker fetches and parses one worker's /metrics exposition.
-func (c *Coordinator) scrapeWorker(ctx context.Context, worker string) ([]promtext.Family, error) {
+func (f *fleet) scrapeWorker(ctx context.Context, worker string) ([]promtext.Family, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.probeClient.Do(req)
+	resp, err := f.probeClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -1068,29 +788,4 @@ func (c *Coordinator) scrapeWorker(ctx context.Context, worker string) ([]promte
 		return nil, err
 	}
 	return promtext.Parse(data)
-}
-
-func (c *Coordinator) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := c.runner.Metrics().WriteJSON(w); err != nil {
-		c.cfg.Log.Printf("serve: writing metrics: %v", err)
-	}
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	resolved, pending := c.runner.CacheCounts()
-	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok", Resolved: resolved, Pending: pending})
-}
-
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	resolved, _ := c.runner.CacheCounts()
-	if !c.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{Status: "draining", Resolved: resolved})
-		return
-	}
-	writeJSON(w, http.StatusOK, readyzResponse{
-		Status:   "ready",
-		Resolved: resolved,
-		Workers:  len(c.currentMembers(r.Context())),
-	})
 }

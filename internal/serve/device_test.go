@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // End-to-end coverage of the request-level device dimension: the `device`
@@ -75,20 +77,12 @@ func TestMeasureDeviceRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The per-device simulate counters surface on /metrics.json.
-	code, data := getJSON(t, ts.URL+"/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics.json: status %d", code)
-	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
+	// The per-device simulate counters surface on /metrics as one
+	// device-labeled family.
+	fams := scrapeMetrics(t, ts.URL, "")
 	for _, dev := range []string{"K20c", "GTX1080", "JetsonTX2"} {
-		if snap.Counters["simulate_runs_device_"+dev] == 0 {
-			t.Errorf("/metrics missing simulate_runs_device_%s (counters: %v)", dev, snap.Counters)
+		if got := promValue(fams, "gpuchard_simulate_runs_total", "", promtext.Label{Name: "device", Value: dev}); got == "" || got == "0" {
+			t.Errorf(`/metrics gpuchard_simulate_runs_total{device=%q} = %q, want > 0`, dev, got)
 		}
 	}
 }

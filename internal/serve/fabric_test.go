@@ -59,7 +59,7 @@ func newFabricWorkers(t *testing.T, n int, mkProgs func() []core.Program) ([]*fa
 	return ws, urls
 }
 
-func newTestCoordinator(t *testing.T, peers []string, progs []core.Program, mod func(*CoordinatorConfig)) (*Coordinator, *httptest.Server) {
+func newTestCoordinator(t *testing.T, peers []string, progs []core.Program, mod func(*CoordinatorConfig)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := CoordinatorConfig{
 		Runner:      core.NewRunner(),
@@ -550,7 +550,7 @@ func TestMonotoneProgressClamp(t *testing.T) {
 // re-dispatched (setWorker resets its counter to zero), and the clamped
 // parent sum must hold its high-water mark instead of stepping back.
 func TestShardRedispatchResetClampedByParent(t *testing.T) {
-	c := &Coordinator{probeClient: &http.Client{Timeout: 50 * time.Millisecond}}
+	c := &fleet{probeClient: &http.Client{Timeout: 50 * time.Millisecond}}
 	mid := &shardState{combos: make([]shardCombo, 4), status: jobRunning, lastDone: 3, lastPoll: time.Now()}
 	done := &shardState{combos: make([]shardCombo, 2), status: jobDone}
 	shards := []*shardState{mid, done}

@@ -8,9 +8,9 @@ import (
 )
 
 // resolver validates request names against the served program, device and
-// configuration sets. It is the transport-agnostic half the Server (worker
-// role) and the Coordinator share: both must resolve identically so a
-// request means the same combination no matter which role receives it.
+// configuration sets. Every role resolves through it before handing work to
+// its executor, so a request means the same combination no matter which
+// role receives it.
 type resolver struct {
 	programList []core.Program
 	programs    map[string]core.Program

@@ -21,6 +21,13 @@
 //     requests get DrainTimeout to finish, then the base context is
 //     canceled so the remaining simulations abort at the next thread-block
 //     boundary and the handlers return the context error.
+//
+// One Server type plays every role. Each handler decodes and validates its
+// request, then hands the validated work to an executor: the local
+// executor runs it on the Server's own Runner (the standalone and worker
+// roles), the fleet executor spreads it over the workers named in
+// Config.Peers (the coordinator role; see coordinator.go). Both executors
+// therefore reject a bad request with the same status and bytes.
 package serve
 
 import (
@@ -32,7 +39,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,17 +77,31 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Log receives operational messages. Defaults to log.Default().
 	Log *log.Logger
+	// Peers lists worker base URLs (e.g. "http://w0:8080"). Non-empty
+	// selects the fleet executor: the Server becomes a coordinator whose
+	// members are the peers currently answering 200 on GET /readyz, and its
+	// Runner only holds the merged results. Programs and Configs must then
+	// match the workers'.
+	Peers []string
+	// HealthEvery bounds the fleet's membership staleness: a member set
+	// older than this is re-probed before the next placement decision.
+	// Defaults to 5s; unused without Peers.
+	HealthEvery time.Duration
 }
 
-// Server is the HTTP measurement service: the standalone gpuchard process
-// and the fleet's worker role are the same Server — a worker simply also
-// accepts coordinator-dispatched /v1/shard sub-jobs and (optionally) shares
-// launch traces through the Runner's Broker.
+// CoordinatorConfig is the Config of a coordinator (a Server with Peers).
+type CoordinatorConfig = Config
+
+// Server is the HTTP measurement service. The standalone process, the
+// fleet's worker (which also accepts coordinator-dispatched /v1/shard
+// sub-jobs and may share launch traces through the Runner's Broker) and the
+// fleet's coordinator are all a Server; only the executor differs.
 type Server struct {
 	cfg     Config
 	runner  *core.Runner
 	res     *resolver
 	jobs    *jobRegistry
+	exec    executor
 	handler http.Handler
 
 	// baseCtx parents every request's measurement context; cancelBase
@@ -103,45 +123,55 @@ type Server struct {
 }
 
 // serviceMetrics are the service-level handles in the runner's registry,
-// alongside the pipeline metrics the Runner already records.
+// alongside the pipeline metrics the Runner already records. The per-route
+// handles are created as the routes are instrumented, so each executor
+// exposes exactly the routes it serves.
 type serviceMetrics struct {
+	reg           *obs.Registry
 	inflight      *obs.Gauge
 	responses2xx  *obs.Counter
 	responses4xx  *obs.Counter
 	responses5xx  *obs.Counter
 	snapshots     *obs.Counter
 	snapshotFails *obs.Counter
-
-	requests map[string]*obs.Counter   // per route
-	latency  map[string]*obs.Histogram // per route
 }
 
-// newServiceMetrics resolves the HTTP-level handles for the given routes.
-func newServiceMetrics(reg *obs.Registry, routes []string) serviceMetrics {
-	m := serviceMetrics{
+// newServiceMetrics resolves the HTTP-level handles.
+func newServiceMetrics(reg *obs.Registry) serviceMetrics {
+	return serviceMetrics{
+		reg:           reg,
 		inflight:      reg.Gauge("http_inflight_requests"),
 		responses2xx:  reg.Counter("http_responses_2xx_total"),
 		responses4xx:  reg.Counter("http_responses_4xx_total"),
 		responses5xx:  reg.Counter("http_responses_5xx_total"),
 		snapshots:     reg.Counter("store_snapshots_total"),
 		snapshotFails: reg.Counter("store_snapshot_errors_total"),
-		requests:      make(map[string]*obs.Counter, len(routes)),
-		latency:       make(map[string]*obs.Histogram, len(routes)),
 	}
-	for _, rt := range routes {
-		m.requests[rt] = reg.Counter("http_" + rt + "_requests_total")
-		m.latency[rt] = reg.Histogram("http_" + rt + "_seconds")
-	}
-	return m
 }
 
-// routes lists the worker's instrumented endpoint names.
-var routes = []string{"measure", "sweep", "frontier", "attrib", "shard", "jobs", "results", "metrics", "healthz", "readyz"}
+// executor runs the work of validated requests: locally on the Server's
+// Runner, or across the fleet in Config.Peers.
+type executor interface {
+	// measure answers one measure request.
+	measure(ctx context.Context, w http.ResponseWriter, cb core.Combo)
+	// sweep returns the job that measures combos. An error means the work
+	// cannot be placed now (503).
+	sweep(ctx context.Context, dev *kepler.Device, combos []core.Combo) (jobSpec, error)
+	// frontier returns the job that prices a frontier grid.
+	frontier(fw frontierWork) jobSpec
+	// attrib returns the job that attributes a (program, config) matrix.
+	attrib(aw attribWork) jobSpec
+	// metrics returns the /metrics exposition.
+	metrics(ctx context.Context) ([]promtext.Family, error)
+	// workers is the ready-worker count /readyz reports (0 when local).
+	workers(ctx context.Context) int
+}
 
 // New builds the service and, when cfg.StorePath names an existing store,
 // warm-starts the runner cache from it. A missing store file is a cold
 // start, not an error; an incompatible one (version mismatch) is reported
-// and ignored, matching gpuchar.
+// and ignored, matching gpuchar. A non-empty cfg.Peers makes the Server a
+// coordinator (the fleet executor); otherwise it simulates locally.
 func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("serve: Config.Runner is required")
@@ -164,22 +194,35 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 
 	reg := s.runner.Metrics()
-	s.m = newServiceMetrics(reg, routes)
+	s.m = newServiceMetrics(reg)
 	s.jobs = newJobRegistry(reg)
 
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/measure", s.m.instrument("measure", s.handleMeasure))
-	mux.Handle("POST /v1/sweep", s.m.instrument("sweep", s.handleSweep))
-	mux.Handle("POST /v1/frontier", s.m.instrument("frontier", s.handleFrontier))
-	mux.Handle("POST /v1/attrib", s.m.instrument("attrib", s.handleAttrib))
-	mux.Handle("POST /v1/shard", s.m.instrument("shard", s.handleShard))
-	mux.Handle("GET /v1/jobs/{id...}", s.m.instrument("jobs", s.handleJob))
-	mux.Handle("DELETE /v1/jobs/{id...}", s.m.instrument("jobs", s.handleJobCancel))
-	mux.Handle("GET /v1/results", s.m.instrument("results", s.handleResults))
-	mux.Handle("GET /metrics", s.m.instrument("metrics", s.handleMetrics))
-	mux.Handle("GET /metrics.json", s.m.instrument("metrics", s.handleMetricsJSON))
-	mux.Handle("GET /healthz", s.m.instrument("healthz", s.handleHealthz))
-	mux.Handle("GET /readyz", s.m.instrument("readyz", s.handleReadyz))
+	route := func(pattern, name string, h http.HandlerFunc) {
+		mux.Handle(pattern, s.m.instrument(name, h))
+	}
+	route("POST /v1/measure", "measure", s.handleMeasure)
+	route("POST /v1/sweep", "sweep", s.handleSweep)
+	route("POST /v1/frontier", "frontier", s.handleFrontier)
+	route("POST /v1/attrib", "attrib", s.handleAttrib)
+	route("GET /v1/jobs/{id...}", "jobs", s.handleJob)
+	route("DELETE /v1/jobs/{id...}", "jobs", s.handleJobCancel)
+	route("GET /v1/results", "results", s.handleResults)
+	route("GET /metrics", "metrics", s.handleMetrics)
+	route("GET /healthz", "healthz", s.handleHealthz)
+	route("GET /readyz", "readyz", s.handleReadyz)
+	if len(cfg.Peers) > 0 {
+		f := newFleet(cfg)
+		s.exec = f
+		route("GET /v1/traces/{key...}", "traces", f.handleTraceGet)
+		route("PUT /v1/traces/{key...}", "traces", f.handleTracePut)
+	} else {
+		s.exec = &local{runner: s.runner, jobs: s.jobs}
+		route("POST /v1/shard", "shard", s.handleShard)
+		// Size the worker pool up front so readiness means "can simulate
+		// now", not "will size a pool on the first request".
+		s.runner.WorkerPool()
+	}
 	s.handler = mux
 
 	if cfg.StorePath != "" {
@@ -193,11 +236,17 @@ func New(cfg Config) (*Server, error) {
 			cfg.Log.Printf("serve: ignoring store %s: %v", cfg.StorePath, err)
 		}
 	}
-	// Size the worker pool up front so readiness means "can simulate now",
-	// not "will size a pool on the first request".
-	s.runner.WorkerPool()
 	s.ready.Store(true)
 	return s, nil
+}
+
+// NewCoordinator is New for the coordinator role: it refuses an empty
+// Peers rather than quietly starting a standalone server.
+func NewCoordinator(cfg Config) (*Server, error) {
+	if len(cfg.Peers) == 0 {
+		return nil, errors.New("serve: a coordinator needs Config.Peers: at least one worker URL")
+	}
+	return New(cfg)
 }
 
 // Handler returns the service's HTTP handler (for tests and embedding).
@@ -206,7 +255,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // instrument wraps a handler with the per-route request counter, latency
 // histogram, in-flight gauge and response-class counters.
 func (m *serviceMetrics) instrument(route string, h http.HandlerFunc) http.Handler {
-	reqs, lat := m.requests[route], m.latency[route]
+	reqs := m.reg.Counter("http_" + route + "_requests_total")
+	lat := m.reg.Histogram("http_" + route + "_seconds")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		reqs.Inc()
@@ -241,8 +291,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // flips to 503 (a coordinator probing membership drops the worker and
 // starts re-dispatching its shards before the listener even closes), the
 // listener closes, in-flight requests get DrainTimeout to finish, remaining
-// simulations are aborted via the base context, and the store is
-// snapshotted one final time. It returns nil after a clean drain.
+// work is aborted via the base context, and the store is snapshotted one
+// final time. It returns nil after a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	stopSnapshots := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -254,18 +304,41 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}()
 	}
 
-	err := serveHTTP(ctx, ln, serveHTTPConfig{
-		handler:      s.Handler(),
-		baseCtx:      s.baseCtx,
-		cancelBase:   s.cancelBase,
-		drainTimeout: s.cfg.DrainTimeout,
-		log:          s.cfg.Log,
-		onDrain:      func() { s.ready.Store(false) },
-	})
+	httpSrv := &http.Server{
+		Handler:     s.handler,
+		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
+		ErrorLog:    s.cfg.Log,
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	// Hard-stop anything still running, stop the snapshot timer, and take
-	// the final snapshot. Store writes are atomic (tmp + rename), so even a
-	// snapshot racing a late handler can only publish a consistent store.
+	var err error
+	select {
+	case err = <-serveErr:
+		// Listener failure: not a drain, but the store is still snapshotted.
+	case <-ctx.Done():
+		s.ready.Store(false)
+		drainCtx := context.Background()
+		if s.cfg.DrainTimeout > 0 {
+			var cancel context.CancelFunc
+			drainCtx, cancel = context.WithTimeout(drainCtx, s.cfg.DrainTimeout)
+			defer cancel()
+		}
+		// When the drain deadline passes, cancel the base context so
+		// in-flight simulations abort at the next thread-block boundary
+		// and their handlers return promptly with the context error.
+		stopAbort := context.AfterFunc(drainCtx, s.cancelBase)
+		err = httpSrv.Shutdown(drainCtx)
+		stopAbort()
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = nil // a forced drain is still an orderly shutdown
+		}
+	}
+	s.cancelBase()
+
+	// Stop the snapshot timer and take the final snapshot. Store writes are
+	// atomic (tmp + rename), so even a snapshot racing a late handler can
+	// only publish a consistent store.
 	close(stopSnapshots)
 	snapWG.Wait()
 	if s.cfg.StorePath != "" {
@@ -276,59 +349,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			}
 		}
 	}
-	return err
-}
-
-// serveHTTPConfig parameterizes the shared serve/drain loop of the worker
-// and coordinator roles.
-type serveHTTPConfig struct {
-	handler      http.Handler
-	baseCtx      context.Context
-	cancelBase   context.CancelFunc
-	drainTimeout time.Duration
-	log          *log.Logger
-	// onDrain runs the moment the drain starts, before the HTTP shutdown —
-	// both roles flip their readiness probe here.
-	onDrain func()
-}
-
-// serveHTTP drives an http.Server over ln until ctx cancels, then drains
-// with the configured timeout, hard-stopping leftover work via cancelBase.
-func serveHTTP(ctx context.Context, ln net.Listener, cfg serveHTTPConfig) error {
-	httpSrv := &http.Server{
-		Handler:     cfg.handler,
-		BaseContext: func(net.Listener) context.Context { return cfg.baseCtx },
-		ErrorLog:    cfg.log,
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	var err error
-	select {
-	case err = <-serveErr:
-		// Listener failure: not a drain, but the caller still snapshots.
-	case <-ctx.Done():
-		if cfg.onDrain != nil {
-			cfg.onDrain()
-		}
-		drainCtx := context.Background()
-		if cfg.drainTimeout > 0 {
-			var cancel context.CancelFunc
-			drainCtx, cancel = context.WithTimeout(drainCtx, cfg.drainTimeout)
-			defer cancel()
-		}
-		// When the drain deadline passes, cancel the base context so
-		// in-flight simulations abort at the next thread-block boundary
-		// and their handlers return promptly with the context error.
-		stopAbort := context.AfterFunc(drainCtx, cfg.cancelBase)
-		err = httpSrv.Shutdown(drainCtx)
-		stopAbort()
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = nil // a forced drain is still an orderly shutdown
-		}
-	}
-	cfg.cancelBase()
 	return err
 }
 
@@ -419,19 +439,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
+	s.exec.measure(ctx, w, core.Combo{Program: p, Input: input, Clocks: clk})
+}
 
-	// One worker-pool slot per in-flight measurement, exactly like a
-	// MeasureAll job: the service never runs more simulations than the
-	// runner's worker budget. Cache hits pass through quickly because
-	// resolved entries return without simulating.
-	pool := s.runner.WorkerPool()
-	if err := pool.Acquire(ctx); err != nil {
-		writeMeasureError(w, err)
-		return
-	}
-	defer pool.Release(1)
-
-	res, err := s.runner.Measure(ctx, p, input, clk)
+// writeMeasure answers a measure request from runner.Measure: a cache hit
+// returns at once, a miss simulates.
+func writeMeasure(ctx context.Context, w http.ResponseWriter, runner *core.Runner, cb core.Combo) {
+	res, err := runner.Measure(ctx, cb.Program, cb.Input, cb.Clocks)
 	if err != nil {
 		writeMeasureError(w, err)
 		return
@@ -440,7 +454,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		Program:        res.Program,
 		Input:          res.Input,
 		Config:         res.Config,
-		Board:          clk.Device().Name,
+		Board:          cb.Clocks.Device().Name,
 		ActiveTime:     res.ActiveTime,
 		Energy:         res.Energy,
 		AvgPower:       res.AvgPower,
@@ -481,8 +495,8 @@ type sweepRequest struct {
 	Device string `json:"device,omitempty"`
 }
 
-// handleSweep starts an asynchronous MeasureAll job and returns its id.
-// Jobs execute one at a time (sweeps are heavyweight; queueing keeps the
+// handleSweep starts an asynchronous sweep job and returns its id. Jobs
+// execute one at a time (sweeps are heavyweight; queueing keeps the
 // per-job progress counters exact) on the server's base context, so a
 // client disconnect does not abort a running sweep — only shutdown does.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -491,20 +505,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	programs, _, configs, err := s.res.sweepSet(req)
+	programs, dev, configs, err := s.res.sweepSet(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	combos := core.EnumerateCombos(programs, configs, req.AllInputs)
-	j := s.jobs.start(s.baseCtx, jobSpec{
-		combos:   len(combos),
-		progress: s.jobs.sweepProgress,
-		run: func(ctx context.Context, _ string) (any, error) {
-			return nil, s.runner.MeasureList(ctx, combos)
-		},
-	})
-	writeJSON(w, http.StatusAccepted, j.view())
+	spec, err := s.exec.sweep(r.Context(), dev, core.EnumerateCombos(programs, configs, req.AllInputs))
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	s.startJob(w, spec)
+}
+
+// startJob starts an asynchronous job and answers 202 with its view.
+func (s *Server) startJob(w http.ResponseWriter, spec jobSpec) {
+	writeJSON(w, http.StatusAccepted, s.jobs.start(s.baseCtx, spec).view())
 }
 
 // frontierRequest is the POST /v1/frontier body.
@@ -596,13 +612,22 @@ func summarizeFrontier(res *frontier.Result) *frontierSummary {
 	return sum
 }
 
+// frontierWork is a validated frontier request: the canonical request
+// (every name resolved, the spec as given) and what it resolved to.
+type frontierWork struct {
+	req  frontierRequest
+	p    core.Program
+	dev  *kepler.Device
+	spec kepler.GridSpec
+	size int // grid configurations
+}
+
 // handleFrontier starts an asynchronous dense-grid frontier job for one
 // program. Validation mirrors the rest of the API — unknown names and
 // malformed bodies are 400; a structurally valid but physically impossible
 // grid spec (inverted bounds, zero step, oversized grid) is 422, the same
-// class as the paper's unprocessable-measurement responses. Progress is the
-// replayed + interpolated grid-point count from the obs registry; the
-// completed job's view carries the frontier summary.
+// class as the paper's unprocessable-measurement responses. The completed
+// job's view carries the frontier summary.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	var req frontierRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -635,26 +660,16 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-
-	reg := s.runner.Metrics()
-	replays := reg.Counter("frontier_replays")
-	interp := reg.Counter("frontier_interpolated")
-	progress := func() (int64, int64) { return replays.Value() + interp.Value(), 0 }
-	j := s.jobs.start(s.baseCtx, jobSpec{
-		combos:   len(grid),
-		progress: progress,
-		run: func(ctx context.Context, _ string) (any, error) {
-			res, err := frontier.Sweep(ctx, s.runner, p, frontier.Options{Device: dev, Spec: spec, Input: input})
-			if err != nil {
-				return nil, err
-			}
-			return summarizeFrontier(res), nil
-		},
-	})
-	writeJSON(w, http.StatusAccepted, j.view())
+	s.startJob(w, s.exec.frontier(frontierWork{
+		req:  frontierRequest{Program: p.Name(), Input: input, Spec: req.Spec, Device: dev.Name},
+		p:    p,
+		dev:  dev,
+		spec: spec,
+		size: len(grid),
+	}))
 }
 
-// handleJob reports a sweep job's status and progress.
+// handleJob reports a job's status, progress and (once done) result.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
@@ -695,35 +710,18 @@ func (s *Server) handleResults(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// wantsJSON reports whether the request prefers the legacy JSON metrics
-// snapshot over the Prometheus text exposition. The JSON is also always
-// available at /metrics.json, so scripted consumers need no Accept header.
-func wantsJSON(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	json := strings.Index(accept, "application/json")
-	text := strings.Index(accept, "text/plain")
-	return json >= 0 && (text < 0 || json < text)
-}
-
-// handleMetrics serves the observability registry: Prometheus text
-// exposition format 0.0.4 by default (pipeline stage timings as cumulative
-// histograms, cache/trace/broker counters, pool gauges, HTTP metrics), or
-// the legacy JSON snapshot when the client asks for application/json.
+// handleMetrics serves the observability registry in the Prometheus text
+// exposition format 0.0.4: pipeline stage timings as cumulative
+// histograms, cache/trace/broker counters, pool gauges and HTTP metrics (a
+// coordinator federates its workers' expositions into the same document).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsJSON(r) {
-		s.handleMetricsJSON(w, r)
+	fams, err := s.exec.metrics(r.Context())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", promtext.ContentType)
-	if err := s.runner.Metrics().WriteProm(w); err != nil {
-		s.cfg.Log.Printf("serve: writing metrics: %v", err)
-	}
-}
-
-// handleMetricsJSON dumps the registry snapshot in the legacy JSON shape.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.runner.Metrics().WriteJSON(w); err != nil {
+	if err := promtext.Write(w, fams); err != nil {
 		s.cfg.Log.Printf("serve: writing metrics: %v", err)
 	}
 }
@@ -752,14 +750,14 @@ type readyzResponse struct {
 // handleReadyz reports readiness: the store is warmed and the worker pool
 // sized (both done by New), and no drain has started. Coordinators use it
 // for membership, so a draining worker disappears from the ring before its
-// listener closes.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// listener closes; a coordinator's own answer counts its ready workers.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resolved, _ := s.runner.CacheCounts()
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{Status: "draining", Resolved: resolved})
 		return
 	}
-	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready", Resolved: resolved})
+	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready", Resolved: resolved, Workers: s.exec.workers(r.Context())})
 }
 
 // maxBodyBytes bounds request bodies; the API's requests are tiny.

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/promtext"
 	"repro/internal/sim"
 )
@@ -304,9 +303,61 @@ func TestSweepJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint checks both expositions: /metrics.json (and /metrics
-// with Accept: application/json) serve the legacy registry snapshot, while
-// bare /metrics serves lint-clean Prometheus text.
+// scrapeMetrics fetches base's /metrics exposition, requires it to be
+// lint-clean Prometheus text, and parses it.
+func scrapeMetrics(t *testing.T, base string, accept string) []promtext.Family {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != promtext.ContentType {
+		t.Errorf("Content-Type %q, want %q", ct, promtext.ContentType)
+	}
+	if errs := promtext.LintText(prom); len(errs) > 0 {
+		t.Errorf("exposition not lint-clean: %v", errs)
+	}
+	fams, err := promtext.Parse(prom)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, prom)
+	}
+	return fams
+}
+
+// promValue returns the value of the sample of family with the given
+// suffix and exactly the given labels; "" when there is none.
+func promValue(fams []promtext.Family, family, suffix string, labels ...promtext.Label) string {
+	for _, f := range fams {
+		if f.Name != family {
+			continue
+		}
+		for _, sm := range f.Samples {
+			if sm.Suffix == suffix && fmt.Sprint(sm.Labels) == fmt.Sprint(labels) {
+				return sm.Value
+			}
+		}
+	}
+	return ""
+}
+
+// TestMetricsEndpoint: /metrics is lint-clean Prometheus text exposition
+// 0.0.4 whatever the Accept header asks for, and carries the pipeline and
+// HTTP data. The JSON snapshot route is retired.
 func TestMetricsEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
 	ts := httptest.NewServer(s.Handler())
@@ -315,53 +366,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/measure", `{"program":"FAKE"}`); code != http.StatusOK {
 		t.Fatalf("measure: status %d", code)
 	}
-	code, body := getJSON(t, ts.URL+"/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("metrics.json: status %d", code)
+	fams := scrapeMetrics(t, ts.URL, "")
+	if got := promValue(fams, "gpuchard_stage_simulate_seconds", "_count"); got != "1" {
+		t.Errorf("gpuchard_stage_simulate_seconds_count = %q, want 1", got)
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("metrics.json not JSON: %v", err)
+	if promValue(fams, "gpuchard_stage_simulate_seconds", "_bucket", promtext.Label{Name: "le", Value: "+Inf"}) == "" {
+		t.Error("exposition missing the stage histogram's buckets")
 	}
-	if snap.Histograms["stage_simulate_seconds"].Count != 1 {
-		t.Errorf("metrics snapshot missing pipeline data: %+v", snap.Histograms["stage_simulate_seconds"])
+	if got := promValue(fams, "gpuchard_http_measure_requests_total", ""); got != "1" {
+		t.Errorf("gpuchard_http_measure_requests_total = %q, want 1", got)
 	}
-	if snap.Counters["http_measure_requests_total"] != 1 {
-		t.Errorf("metrics snapshot missing http data: %v", snap.Counters)
-	}
-
-	// Accept-based negotiation serves the same JSON from /metrics.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	negotiated, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var snap2 obs.Snapshot
-	if err := json.Unmarshal(negotiated, &snap2); err != nil {
-		t.Fatalf("Accept: application/json on /metrics not JSON: %v", err)
+	if got := promValue(fams, "gpuchard_simulate_runs_total", "", promtext.Label{Name: "device", Value: "K20c"}); got != "1" {
+		t.Errorf(`gpuchard_simulate_runs_total{device="K20c"} = %q, want 1`, got)
 	}
 
-	// The default /metrics is Prometheus text exposition 0.0.4, lint-clean.
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != promtext.ContentType {
-		t.Errorf("Content-Type %q, want %q", ct, promtext.ContentType)
-	}
-	if errs := promtext.LintText(prom); len(errs) > 0 {
-		t.Errorf("exposition not lint-clean: %v", errs)
-	}
-	if !bytes.Contains(prom, []byte("gpuchard_stage_simulate_seconds_bucket")) {
-		t.Errorf("exposition missing stage histogram:\n%s", prom)
-	}
-	if !bytes.Contains(prom, []byte(`gpuchard_simulate_runs_total{device="K20c"} 1`)) {
-		t.Errorf("exposition missing per-device simulate counter:\n%s", prom)
+	// Asking for JSON still gets the one exposition format.
+	scrapeMetrics(t, ts.URL, "application/json")
+	if code, _ := getJSON(t, ts.URL+"/metrics.json"); code != http.StatusNotFound {
+		t.Errorf("/metrics.json: status %d, want 404 (retired)", code)
 	}
 }
 
@@ -556,6 +578,9 @@ func TestConfigValidation(t *testing.T) {
 	p := newFakeProg("DUP", 1)
 	if _, err := New(Config{Runner: core.NewRunner(), Programs: []core.Program{p, p}}); err == nil {
 		t.Error("New accepted duplicate program names")
+	}
+	if _, err := NewCoordinator(Config{Runner: core.NewRunner(), Programs: []core.Program{p}}); err == nil {
+		t.Error("NewCoordinator accepted a Config without Peers")
 	}
 }
 

@@ -33,7 +33,7 @@ type shardRequest struct {
 	// ID is the coordinator-assigned "<parent>/shard-<n>" job id.
 	ID string `json:"id"`
 	// Device is the GPU profile shared by every combo; empty means the K20c.
-	Device string `json:"device,omitempty"`
+	Device string       `json:"device,omitempty"`
 	Combos []shardCombo `json:"combos"`
 }
 

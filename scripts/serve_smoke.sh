@@ -43,11 +43,15 @@ for i in $(seq 2 $N); do
 done
 jq -e '.program == "NN" and .activeTime > 0 and .energy > 0' "$OUT/resp-1.json" >/dev/null
 
-# Exactly one simulation despite N requests: the rest coalesced.
-curl -fsS "$BASE/metrics.json" >"$OUT/metrics.json"
-jq -e '.histograms.stage_simulate_seconds.count == 1' "$OUT/metrics.json"
-jq -e ".counters.http_measure_requests_total == $N" "$OUT/metrics.json"
-jq -e '.counters.measure_cache_misses == 1' "$OUT/metrics.json"
+# Exactly one simulation despite N requests: the rest coalesced. Each
+# check is an exact sample line of the Prometheus text exposition.
+curl -fsS "$BASE/metrics" >"$OUT/metrics.prom"
+expect_sample() {
+    grep -qxF "$1" "$OUT/metrics.prom" || { echo "serve smoke: /metrics lacks: $1" >&2; exit 1; }
+}
+expect_sample 'gpuchard_stage_simulate_seconds_count 1'
+expect_sample "gpuchard_http_measure_requests_total $N"
+expect_sample 'gpuchard_measure_cache_misses_total 1'
 
 # The cached result is listed.
 curl -fsS "$BASE/v1/results" | jq -e '.count == 1 and .results[0].program == "NN"'
