@@ -57,20 +57,5 @@ func (b *DirBroker) StoreTrace(device, program, input string, tr *sim.LaunchTrac
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".trace-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
+	_ = writeFileAtomic(path, data) // best-effort, per the TraceBroker contract
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -101,11 +102,31 @@ func (r *Runner) SaveStore(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic writes data to path through a temp file of its own in the
+// same directory and a rename, so readers only ever see a complete file and
+// concurrent writers never rename each other's half-written bytes.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // LoadStore seeds the runner's cache from a store written by SaveStore.
