@@ -15,23 +15,23 @@ import (
 )
 
 // The attribution invariants are bit-exact (==, no tolerance): the
-// attribution pass is a decomposition of the energies the pipeline already
-// computed, and a decomposition that does not re-add to its total is an
-// accounting bug, not a physics margin. The calibration invariants recover
-// EnergyTable entries from attributed microbenchmark energies and so carry
-// float round-off from the division chain; calibEntryTol bounds them.
-const (
-	calibEntryTol = 1e-9  // recovered table entry vs its table value
-	calibExactTol = 1e-12 // relations exact up to the residual fold (e.g. 2x chain = 2x energy)
-)
+// attribution pass reports the energies the pipeline already computed, and a
+// total that does not match is an accounting bug, not a physics margin. The
+// calibration invariants recover EnergyTable entries from attributed
+// microbenchmark energies and so carry float round-off from the division
+// chain; calibEntryTol bounds them.
+const calibEntryTol = 1e-9 // recovered table entry vs its table value
 
-// checkAttribution asserts the bit-exact energy-attribution tie-out for one
+// checkAttribution asserts the energy-attribution invariants for one
 // program across the swept configurations:
 //
-//   - every launch's per-class energies sum to that launch's dynamic energy;
-//   - the run's attributed dynamic total equals power.DynamicEnergy;
+//   - every launch's statistics pass trace's accounting checks;
+//   - no launch charges a class a negative energy;
 //   - the run's attributed grand total equals power.ActiveEnergy — and,
 //     when the combination measured, the stored Result.TrueEnergy.
+//
+// That the classes sum to the dynamic energy needs no check: power defines
+// a launch's dynamic energy as that sum.
 //
 // The devices come from the launch-trace cache (replay for the
 // clock-insensitive programs), so on the selfcheck's warm cache this pass
@@ -59,21 +59,11 @@ func checkAttribution(ctx context.Context, r *core.Runner, p core.Program, confi
 				bad(clk, "launch %s#%d: %v", la.Kernel, la.Seq, aerr)
 			}
 			checks++
-			want := power.DynamicLaunchEnergy(clk, dev.Launches[i])
-			if got := la.Classes.Total(); got != want {
-				bad(clk, "launch %s#%d: class sum %v != dynamic energy %v (diff %g)",
-					la.Kernel, la.Seq, got, want, got-want)
-			}
 			for c, e := range la.Classes {
 				if e < 0 {
-					checks++
 					bad(clk, "launch %s#%d: negative %s energy %g", la.Kernel, la.Seq, power.Class(c), e)
 				}
 			}
-		}
-		checks++
-		if want := power.DynamicEnergy(dev); a.DynamicJ != want {
-			bad(clk, "attributed dynamic total %v != power.DynamicEnergy %v", a.DynamicJ, want)
 		}
 		checks++
 		if want := power.ActiveEnergy(dev); a.TotalJ != want {
@@ -118,14 +108,10 @@ func calibrate(ctx context.Context, r *core.Runner, p core.Program, input string
 	l := dev.Launches[0]
 	d := clk.Device()
 	v := clk.VoltageV / d.Power.RefVoltageV
-	scale := l.Scale
-	if scale < 1 {
-		scale = 1
-	}
 	return &calibRun{
 		launch: l,
 		vec:    power.AttributeLaunch(clk, l),
-		norm:   d.Power.EnergyScale * scale * float64(l.Repeat),
+		norm:   d.Power.EnergyScale * l.Scale * float64(l.Repeat),
 		v2:     v * v,
 	}, nil, nil
 }
@@ -154,7 +140,7 @@ func relErr(got, want float64) float64 {
 //     model's row-locality inflation;
 //   - MB-FMA: zero memory traffic (dram and ldst classes exactly 0), the
 //     fp32 class recovers fp32J, and doubling the chain doubles the fp32
-//     count exactly and its energy to within the residual fold.
+//     count and its fp32 energy exactly.
 func checkCalibration(ctx context.Context, r *core.Runner, opt Options, st *Stats) ([]Violation, int, error) {
 	clk := opt.Configs[0] // baseline: ECC off on every shipped ladder
 	t := clk.Device().Energy
@@ -278,8 +264,6 @@ func checkCalibration(ctx context.Context, r *core.Runner, opt Options, st *Stat
 			bad("MB-FMA", input, "memory traffic on a register-resident chain: txns %d, ld %d, st %d, dramJ %v, ldstJ %v",
 				s.GlobalTxns, s.LoadSlots, s.StoreSlots, cr.vec[power.ClassDRAM], cr.vec[power.ClassLDST])
 		}
-		// The residual fold lands on fp32 (the dominant class), so the
-		// recovery carries a few ULP beyond the pure product.
 		entry("MB-FMA", input, "fp32J",
 			cr.vec[power.ClassFP32]/(float64(s.FP32Insts)*cr.v2*cr.norm), t.FP32J)
 	}
@@ -289,8 +273,8 @@ func checkCalibration(ctx context.Context, r *core.Runner, opt Options, st *Stat
 			bad("MB-FMA", "2x", "FP32Insts %d, want exactly 2x 1x's %d", two.launch.Stats.FP32Insts, one.launch.Stats.FP32Insts)
 		}
 		checks++
-		if err := relErr(two.vec[power.ClassFP32], 2*one.vec[power.ClassFP32]); !(err <= calibExactTol) {
-			bad("MB-FMA", "2x", "fp32 energy %v, want 2x 1x's %v (rel err %.3e)", two.vec[power.ClassFP32], one.vec[power.ClassFP32], err)
+		if two.vec[power.ClassFP32] != 2*one.vec[power.ClassFP32] {
+			bad("MB-FMA", "2x", "fp32 energy %v, want exactly 2x 1x's %v", two.vec[power.ClassFP32], one.vec[power.ClassFP32])
 		}
 	}
 	return vs, checks, nil

@@ -102,11 +102,11 @@ type Options struct {
 	// within a grid row.
 	FrontierValleyTol float64
 
-	// Attribution enables the bit-exact energy-attribution tie-out: for
-	// every program x configuration, the per-class energies of every launch
-	// must sum to that launch's dynamic energy, and the run totals must
-	// reproduce power.DynamicEnergy, power.ActiveEnergy and the stored
-	// Result.TrueEnergy exactly (see attrib.go).
+	// Attribution enables the energy-attribution invariants: for every
+	// program x configuration, every launch passes the accounting checks
+	// and charges no class a negative energy, and the run total reproduces
+	// power.ActiveEnergy and the stored Result.TrueEnergy exactly (see
+	// attrib.go).
 	Attribution bool
 	// Calibration enables the microbenchmark calibration invariants: each
 	// program in internal/microbench pins one EnergyTable entry of the

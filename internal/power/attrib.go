@@ -1,15 +1,14 @@
-// Instruction-level energy attribution: price each captured launch's
-// KernelStats into per-class energies that sum — bit-exactly — to the same
-// dynamic energy the run-level model charges. Attribution is a pure
-// post-processing pass over a completed (or replayed) device: it performs
-// zero simulation and invents no new physics, it only decomposes
-// launchDynamicEnergy along the class structure it already has.
+// Instruction-level energy attribution: report each launch's dynamic energy
+// by instruction class. The classes are the ones classEnergies prices for
+// LaunchEnergy, so they sum to the dynamic energy the run-level model
+// charges by construction. Attribution is a pure post-processing pass over a
+// completed (or replayed) device: it performs zero simulation and invents no
+// new physics.
 package power
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/kepler"
@@ -18,8 +17,7 @@ import (
 
 // Class is one instruction-energy attribution class. The seven core-side
 // classes carry the V² voltage scaling and the divergence surcharge; the
-// two memory-side classes (dram, atomic) do not, mirroring the split in
-// launchDynamicEnergy.
+// two memory-side classes (dram, atomic) do not (see classEnergies).
 type Class int
 
 const (
@@ -50,9 +48,8 @@ func (c Class) String() string {
 // ClassVec is one energy per attribution class, in joules.
 type ClassVec [NumClasses]float64
 
-// Total sums the classes left to right in class order. Every tie-out in
-// the attribution subsystem sums in exactly this order, so "the classes
-// sum to the launch's dynamic energy" is a bit-exact statement.
+// Total sums the classes left to right in class order. A launch's dynamic
+// energy is defined as this sum over its classEnergies.
 func (v ClassVec) Total() float64 {
 	var t float64
 	for _, e := range v {
@@ -110,238 +107,16 @@ func (v *ClassVec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// DynamicLaunchEnergy returns the dynamic energy one launch record charges
-// the run: the per-execution dynamic energy, times the launch's timing
-// scale, times its repeat count. This is the exact dynamic component of
-// LaunchEnergy(clk, l) * Repeat, and the bit-exact target AttributeLaunch
-// decomposes.
-func DynamicLaunchEnergy(clk kepler.Clocks, l *sim.Launch) float64 {
-	scale := l.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	return launchDynamicEnergy(clk, &l.Stats) * scale * float64(l.Repeat)
-}
-
-// DynamicEnergy returns the run's total dynamic energy: per-launch dynamic
-// energies summed in launch order (the same order ActiveEnergy uses).
-func DynamicEnergy(dev *sim.Device) float64 {
-	var e float64
-	for _, l := range dev.Launches {
-		e += DynamicLaunchEnergy(dev.Clocks, l)
-	}
-	return e
-}
-
-// AttributeLaunch decomposes one launch's dynamic energy into per-class
-// energies whose Total() equals DynamicLaunchEnergy(clk, l) bit-exactly.
-//
-// Each class is priced with the same expressions launchDynamicEnergy uses
-// for its class — the same table entry, divergence surcharge, V² and
-// EnergyScale factors, launch scale and repeat count — but floating-point
-// multiplication does not distribute over addition, so the per-class
-// products can drift from the run-level total by a few ULP. The residual
-// (total minus the class sum) is folded into the largest class, iterating
-// until the class sum reproduces the total exactly; the residual is ULP-
-// scale, far below any class worth displaying, and the fold makes "classes
-// sum to the total" an invariant rather than an approximation (see
-// internal/check).
+// AttributeLaunch returns the per-class dynamic energy one launch record
+// charges the run: each class of one execution, times the launch's timing
+// scale and repeat count.
 func AttributeLaunch(clk kepler.Clocks, l *sim.Launch) ClassVec {
-	s := &l.Stats
-	d := clk.Device()
-	t := d.Energy
-	v := clk.VoltageV / d.Power.RefVoltageV
-	v2 := v * v
-	scale := l.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	rep := float64(l.Repeat)
-
-	var vec ClassVec
-	vec[ClassInt] = float64(s.IntInsts) * t.IntJ
-	vec[ClassFP32] = float64(s.FP32Insts) * t.FP32J
-	vec[ClassFP64] = float64(s.FP64Insts) * t.FP64J
-	vec[ClassSFU] = float64(s.SFUInsts) * t.SFUJ
-	vec[ClassShared] = float64(s.SharedCycles) * t.SharedJ
-	vec[ClassLDST] = float64(s.LoadSlots+s.StoreSlots) * t.LDSTJ
-	vec[ClassSync] = float64(s.Syncs) * t.SyncJ
-	divMul := 1.0
-	if dr := s.DivergenceRatio(); dr > 1 {
-		divMul = 1 + t.DivergenceFactor*(dr-1)
-	}
-	for c := ClassInt; c <= ClassSync; c++ {
-		e := vec[c]
-		e *= divMul
-		e *= v2
-		vec[c] = e
-	}
-	vec[ClassDRAM] = effectiveTxns(clk, s) * t.TxnJ
-	vec[ClassAtomic] = float64(s.Atomics) * t.AtomicJ
+	vec := classEnergies(clk, &l.Stats)
+	k := l.Scale * float64(l.Repeat)
 	for c := range vec {
-		vec[c] = vec[c] * d.Power.EnergyScale * scale * rep
+		vec[c] *= k
 	}
-
-	foldResidual(&vec, DynamicLaunchEnergy(clk, l))
 	return vec
-}
-
-// foldResidual adjusts vec so that vec.Total() equals target bit-exactly,
-// touching only classes that are already nonzero and never driving one
-// negative.
-//
-// The residual (target minus the naive class sum) is ULP-scale — floating-
-// point multiplication simply does not distribute over addition — and is
-// hidden in a class where it sits far below display precision. Landing the
-// ordered sum EXACTLY on the target is trickier than it looks: nudging one
-// class by one ULP usually moves the sum by one ULP of the total, but a
-// round-to-nearest-even tie in any addition downstream of the adjusted
-// class makes the sum jump by TWO ULPs per step, skipping odd-mantissa
-// targets forever (observed in practice on real launches). No single
-// adjustment point is immune, so the fold runs a cascade — each strategy
-// verifies Total() == target before being accepted:
-//
-//  1. One-ULP walk on the largest class (first on ties): the common case,
-//     and the one the calibration invariants assume — the residual lands
-//     inside the dominant class.
-//  2. Exact reconstruction at the last nonzero class j: with only zeros
-//     after j, Total() == fl(prefix + vec[j]), and setting vec[j] to the
-//     floating-point difference target - prefix makes the final addition
-//     exact whenever that subtraction is (Sterbenz: prefix within a factor
-//     of two of the target). For the calibration microbenchmarks the last
-//     nonzero class IS the dominant class, so strategy 2 preserves their
-//     fold-placement semantics too.
-//  3. One-ULP walks on every other nonzero class, largest first — a tie
-//     is a property of the adjustment position, so moving the adjustment
-//     usually dissolves it.
-//  4. Tie breaking: perturb one nonzero class by a few of its own ULPs
-//     (shifting the exact sum off the halfway point that causes the tie),
-//     then re-walk another.
-//
-// If the entire cascade fails the sub-ULP residual is left in place and
-// the internal/check tie-out surfaces it; across the full 34-program x
-// 4-config x 6-profile corpus and the property fuzz, it never does.
-func foldResidual(vec *ClassVec, target float64) {
-	largest := 0
-	for i := 1; i < NumClasses; i++ {
-		if vec[i] > vec[largest] {
-			largest = i
-		}
-	}
-	if walkTo(vec, largest, target) {
-		return
-	}
-
-	// Nonzero classes in descending value order (stable on ties).
-	var order []int
-	for c := 0; c < NumClasses; c++ {
-		if vec[c] != 0 {
-			order = append(order, c)
-		}
-	}
-	sortDesc(order, vec)
-
-	last := -1
-	for c := NumClasses - 1; c >= 0; c-- {
-		if vec[c] != 0 {
-			last = c
-			break
-		}
-	}
-	if last >= 0 {
-		var prefix float64
-		for c := 0; c < last; c++ {
-			prefix += vec[c]
-		}
-		if cand := target - prefix; cand >= 0 {
-			old := vec[last]
-			vec[last] = cand
-			if walkTo(vec, last, target) {
-				return
-			}
-			vec[last] = old
-		}
-	}
-
-	for _, c := range order {
-		if walkTo(vec, c, target) {
-			return
-		}
-	}
-
-	for _, a := range order {
-		for _, k := range [...]int{1, -1, 2, -2} {
-			save := *vec
-			dir := math.Inf(1)
-			if k < 0 {
-				dir = math.Inf(-1)
-			}
-			for i := k; i != 0; i -= sign(k) {
-				vec[a] = math.Nextafter(vec[a], dir)
-			}
-			if vec[a] < 0 {
-				*vec = save
-				continue
-			}
-			for _, b := range order {
-				if b == a {
-					continue
-				}
-				if walkTo(vec, b, target) {
-					return
-				}
-			}
-			*vec = save
-		}
-	}
-}
-
-// sortDesc orders class indices by descending vector value (insertion sort;
-// at most NumClasses entries), stable so ties keep class order.
-func sortDesc(order []int, vec *ClassVec) {
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && vec[order[j]] > vec[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-}
-
-func sign(k int) int {
-	if k < 0 {
-		return -1
-	}
-	return 1
-}
-
-// walkTo nudges vec[class] until vec.Total() == target: a first-order
-// correction, then one-ULP steps. Reports whether the target was hit; on
-// failure (including a step that would drive the class negative) the
-// class is restored to its starting value.
-func walkTo(vec *ClassVec, class int, target float64) bool {
-	start := vec[class]
-	if delta := target - vec.Total(); delta != 0 && vec[class]+delta >= 0 {
-		vec[class] += delta
-	}
-	for i := 0; i < 64; i++ {
-		t := vec.Total()
-		if t == target {
-			return true
-		}
-		if t < target {
-			vec[class] = math.Nextafter(vec[class], math.Inf(1))
-		} else {
-			next := math.Nextafter(vec[class], math.Inf(-1))
-			if next < 0 {
-				break
-			}
-			vec[class] = next
-		}
-	}
-	if vec.Total() == target {
-		return true
-	}
-	vec[class] = start
-	return false
 }
 
 // LaunchAttribution is one launch record's energy breakdown.
@@ -351,7 +126,7 @@ type LaunchAttribution struct {
 	Repeat    int      `json:"repeat"`
 	DurationS float64  `json:"durationS"` // per execution, before repeats
 	Classes   ClassVec `json:"classes"`
-	DynamicJ  float64  `json:"dynamicJ"` // == Classes.Total(), bit-exactly
+	DynamicJ  float64  `json:"dynamicJ"` // Classes.Total()
 	StaticJ   float64  `json:"staticJ"`  // TotalJ - DynamicJ (display split)
 	TotalJ    float64  `json:"totalJ"`   // LaunchEnergy * Repeat
 }
@@ -370,15 +145,11 @@ type KernelAttribution struct {
 
 // Attribution is a full run's instruction-level energy breakdown.
 //
-// Bit-exact invariants (checked by internal/check for every program ×
-// config × device):
-//
-//   - each launch's Classes.Total() == DynamicLaunchEnergy for that launch;
-//   - DynamicJ == DynamicEnergy(dev) (launch-ordered sum of class sums);
-//   - TotalJ == ActiveEnergy(dev) == the stored Result.TrueEnergy.
-//
-// StaticJ and the kernel rollups are display decompositions derived from
-// those exact quantities.
+// Every class energy is non-negative, and TotalJ == ActiveEnergy(dev) ==
+// the stored Result.TrueEnergy bit-exactly (both checked by internal/check
+// for every program × config × device). Each launch's DynamicJ is its
+// Classes.Total(); StaticJ and the kernel rollups are display
+// decompositions derived from those quantities.
 type Attribution struct {
 	Device   string              `json:"device"`
 	Config   string              `json:"config"`
@@ -391,8 +162,8 @@ type Attribution struct {
 }
 
 // Attribute decomposes a completed (or replayed) device run. Launch order
-// is preserved, so the run totals accumulate in exactly the order
-// DynamicEnergy and ActiveEnergy sum.
+// is preserved, so TotalJ accumulates in exactly the order ActiveEnergy
+// sums.
 func Attribute(dev *sim.Device) *Attribution {
 	clk := dev.Clocks
 	a := &Attribution{Device: clk.Device().Name, Config: clk.Name}

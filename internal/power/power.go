@@ -62,40 +62,45 @@ func TailW(clk kepler.Clocks) float64 {
 }
 
 // LaunchEnergy returns the total energy in joules consumed by one execution
-// of the launch (dynamic plus static over its duration).
+// of the launch: its dynamic energy — the ordered sum of its class energies,
+// times the launch's timing scale — plus static power over its duration.
 func LaunchEnergy(clk kepler.Clocks, l *sim.Launch) float64 {
-	scale := l.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	return launchDynamicEnergy(clk, &l.Stats)*scale + StaticActiveW(clk)*l.Duration
+	return classEnergies(clk, &l.Stats).Total()*l.Scale + StaticActiveW(clk)*l.Duration
 }
 
-// launchDynamicEnergy sums the per-event energies of the launch statistics.
-func launchDynamicEnergy(clk kepler.Clocks, s *trace.KernelStats) float64 {
+// classEnergies prices one execution of a launch's statistics into the nine
+// attribution classes. It is the only place the per-event energies are
+// applied: LaunchEnergy charges its Total() and AttributeLaunch reports its
+// classes, so the two agree by construction.
+func classEnergies(clk kepler.Clocks, s *trace.KernelStats) ClassVec {
 	d := clk.Device()
 	t := d.Energy
 	v := clk.VoltageV / d.Power.RefVoltageV
 	v2 := v * v
 
-	core := float64(s.IntInsts)*t.IntJ +
-		float64(s.FP32Insts)*t.FP32J +
-		float64(s.FP64Insts)*t.FP64J +
-		float64(s.SFUInsts)*t.SFUJ +
-		float64(s.SharedCycles)*t.SharedJ +
-		float64(s.LoadSlots+s.StoreSlots)*t.LDSTJ +
-		float64(s.Syncs)*t.SyncJ
+	var vec ClassVec
+	vec[ClassInt] = float64(s.IntInsts) * t.IntJ
+	vec[ClassFP32] = float64(s.FP32Insts) * t.FP32J
+	vec[ClassFP64] = float64(s.FP64Insts) * t.FP64J
+	vec[ClassSFU] = float64(s.SFUInsts) * t.SFUJ
+	vec[ClassShared] = float64(s.SharedCycles) * t.SharedJ
+	vec[ClassLDST] = float64(s.LoadSlots+s.StoreSlots) * t.LDSTJ
+	vec[ClassSync] = float64(s.Syncs) * t.SyncJ
 	// Serialized divergent paths keep fetch/decode and the operand
 	// collectors busy without retiring useful lanes.
+	divMul := 1.0
 	if dr := s.DivergenceRatio(); dr > 1 {
-		core *= 1 + t.DivergenceFactor*(dr-1)
+		divMul = 1 + t.DivergenceFactor*(dr-1)
 	}
-	core *= v2
-
-	txns := effectiveTxns(clk, s)
-	mem := txns*t.TxnJ + float64(s.Atomics)*t.AtomicJ
-
-	return (core + mem) * d.Power.EnergyScale
+	for c := ClassInt; c <= ClassSync; c++ {
+		vec[c] = vec[c] * divMul * v2
+	}
+	vec[ClassDRAM] = effectiveTxns(clk, s) * t.TxnJ
+	vec[ClassAtomic] = float64(s.Atomics) * t.AtomicJ
+	for c := range vec {
+		vec[c] *= d.Power.EnergyScale
+	}
+	return vec
 }
 
 // effectiveTxns inflates the raw DRAM transaction count into the effective

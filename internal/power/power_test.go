@@ -177,7 +177,7 @@ func TestPropertyLaunchPowerBounds(t *testing.T) {
 			GlobalTxns: int64(txnsRaw % 1000),
 		}
 		s.GlobalBytes = s.GlobalTxns * 128
-		l := &sim.Launch{Stats: s, Duration: 1e-3, Repeat: 1}
+		l := &sim.Launch{Stats: s, Duration: 1e-3, Repeat: 1, Scale: 1}
 		p := LaunchPower(kepler.Default, l)
 		return p >= StaticActiveW(kepler.Default)-1e-9 && p < 400
 	}
@@ -207,7 +207,7 @@ func TestSortEvents(t *testing.T) {
 }
 
 func TestLaunchPowerZeroDuration(t *testing.T) {
-	l := &sim.Launch{Repeat: 1}
+	l := &sim.Launch{Repeat: 1, Scale: 1}
 	p := LaunchPower(kepler.Default, l)
 	if math.Abs(p-StaticActiveW(kepler.Default)) > 1e-9 {
 		t.Errorf("zero-duration power = %f", p)

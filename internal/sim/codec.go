@@ -131,8 +131,8 @@ func DecodeTrace(data []byte) (*LaunchTrace, error) {
 					return nil, fmt.Errorf("sim: event %d: non-finite block cycles in launch %q", i, cl.Spec.Name)
 				}
 			}
-			if math.IsNaN(cl.Scale) || math.IsInf(cl.Scale, 0) {
-				return nil, fmt.Errorf("sim: event %d: non-finite scale in launch %q", i, cl.Spec.Name)
+			if !(cl.Scale >= 1) || math.IsInf(cl.Scale, 1) {
+				return nil, fmt.Errorf("sim: event %d: scale %v in launch %q, want finite and >= 1", i, cl.Scale, cl.Spec.Name)
 			}
 			if cl.Occ.BlocksPerSM < 1 {
 				return nil, fmt.Errorf("sim: event %d: launch %q with %d resident blocks per SM", i, cl.Spec.Name, cl.Occ.BlocksPerSM)

@@ -133,6 +133,12 @@ func TestTraceCodecCrossDeviceRefusal(t *testing.T) {
 	}
 }
 
+// scaledLaunchDoc is a one-launch K20c trace document with the given
+// launch scale.
+func scaledLaunchDoc(scale string) string {
+	return `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"Occ":{"BlocksPerSM":1},"BlockCycles":[1],"Scale":` + scale + `}}]}`
+}
+
 // TestTraceCodecRejectsMalformed: the decoder is strict — structural
 // violations fail cleanly instead of producing a corrupt replay.
 func TestTraceCodecRejectsMalformed(t *testing.T) {
@@ -151,11 +157,19 @@ func TestTraceCodecRejectsMalformed(t *testing.T) {
 		{"no resident blocks", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
 		{"unknown device", `{"version":1,"device":"RivaTNT","events":[{"kind":"pause","pause":1}]}`},
 		{"unknown device tombstone", `{"version":1,"device":"RivaTNT","sensitive":true,"reason":"ordered launch"}`},
+		{"zero scale", scaledLaunchDoc("0")},
+		{"fractional scale", scaledLaunchDoc("0.5")},
+		{"negative scale", scaledLaunchDoc("-2")},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeTrace([]byte(tc.doc)); err == nil {
 			t.Errorf("%s: decoder accepted %s", tc.name, tc.doc)
 		}
+	}
+
+	// The scale rows differ from a well-formed launch only in the scale.
+	if _, err := DecodeTrace([]byte(scaledLaunchDoc("1"))); err != nil {
+		t.Errorf("decoder rejected a well-formed launch with scale 1: %v", err)
 	}
 
 	// An unknown device is reported with the devices this build knows.

@@ -53,7 +53,8 @@ type Launch struct {
 	// Scale is the input surrogate factor: the simulated input stands for a
 	// Scale-times-larger real input, so Duration (already multiplied) and
 	// dynamic energy are scaled while average power and configuration
-	// ratios stay unchanged.
+	// ratios stay unchanged. Always >= 1 (SetTimeScale clamps it and
+	// DecodeTrace rejects a smaller one).
 	Scale float64
 	// TCore and TMem are the compute- and memory-side time components of one
 	// execution, before overlap (seconds).
