@@ -49,14 +49,17 @@ smoke:
 
 # Dense-grid frontier golden-diff smoke: two runs of `gpuchar -exp frontier`
 # (cold, then warm from the same store) must print byte-identical frontier
-# tables, and the warm run must re-price the whole ~100-config grid without
-# a single simulation. Mirrors the CI frontier-smoke job; needs jq.
+# tables. The cold run must replay every program's grid, interpolating no
+# point and re-simulating nothing, and the warm run must re-price the whole
+# ~100-config grid without a single simulation. Mirrors the CI
+# frontier-smoke job; needs jq.
 frontier-smoke:
 	$(GO) build -o /tmp/gpuchar-frontier ./cmd/gpuchar
 	rm -f /tmp/gpuchar-frontier-store.json
 	/tmp/gpuchar-frontier -exp frontier -reps 1 -store /tmp/gpuchar-frontier-store.json -metrics >/tmp/gpuchar-frontier-1.txt 2>/tmp/gpuchar-frontier-1.json
 	/tmp/gpuchar-frontier -exp frontier -reps 1 -store /tmp/gpuchar-frontier-store.json -metrics >/tmp/gpuchar-frontier-2.txt 2>/tmp/gpuchar-frontier-2.json
 	cmp /tmp/gpuchar-frontier-1.txt /tmp/gpuchar-frontier-2.txt
+	jq -e '(.counters.frontier_interpolated // 0) == 0 and (.counters.trace_cache_sensitive_runs // 0) == 0' /tmp/gpuchar-frontier-1.json
 	jq -e '.histograms.stage_simulate_seconds.count == 0' /tmp/gpuchar-frontier-2.json
 	jq -e '.counters.frontier_replays > 0' /tmp/gpuchar-frontier-2.json
 

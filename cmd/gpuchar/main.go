@@ -60,7 +60,7 @@ func main() {
 		noreplay  = flag.Bool("noreplay", false, "disable the cross-config launch-trace replay cache: simulate every configuration from scratch (never affects measured values; debugging/benchmarking escape hatch)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the run (e.g. 10m); 0 disables")
 		metrics   = flag.Bool("metrics", false, "dump pipeline metrics (stage timings, cache counters, pool utilization) as JSON to stderr at exit")
-		traces    = flag.String("traces", "", "launch-trace directory: captured traces are stored here and replayed on later runs, so a warm directory costs zero simulations for clock-insensitive programs (never affects measured values)")
+		traces    = flag.String("traces", "", "launch-trace directory: captured traces are stored here and replayed on later runs, so a warm directory costs zero simulations (never affects measured values)")
 		jsonOut   = flag.Bool("json", false, "emit the attrib experiment as JSON instead of text (other experiments are unaffected)")
 	)
 	flag.Parse()

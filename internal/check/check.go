@@ -9,12 +9,9 @@
 //     medians stay within a bounded relative error of the simulator's
 //     ground truth (TrueEnergy, TrueActiveTime);
 //   - DVFS monotonicity: lowering a clock never shortens the active
-//     runtime of regular codes (irregular ones converge data-dependently
-//     and are exempt), and average power at 614 and 324 is strictly below
-//     default for every program;
-//   - ECC directionality: on regular codes enabling ECC never speeds the
-//     program up nor saves energy, and its runtime penalty on compute-bound
-//     codes stays small;
+//     runtime, and average power at 614 and 324 is strictly below default;
+//   - ECC directionality: enabling ECC never speeds a program up nor saves
+//     energy, and its runtime penalty on compute-bound codes stays small;
 //   - determinism: a fresh Runner reproduces bit-identical Result structs
 //     for the same (program, input, configuration, seed);
 //   - replay-identity: the launch-trace replay engine (capture in
@@ -119,8 +116,8 @@ type Options struct {
 // time-vs-truth 0.162, trace integral 0.105, identity 2e-16, DVFS runtime
 // shrink 0.035 (threshold detection at lower power levels), compute-bound
 // ECC penalty 0.110 (ST). The dense-grid frontier margins are exactly 0
-// for regular programs over all 34 (the ground-truth surface is strictly
-// monotone and valley-shaped), so the 0.02 tolerances are pure headroom.
+// for all 34 programs (the ground-truth surface is strictly monotone and
+// valley-shaped), so the 0.02 tolerances are pure headroom.
 func DefaultOptions() Options {
 	return Options{
 		Configs:            kepler.Configs,
@@ -277,9 +274,9 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Optio
 			vs, n := checkEnergyConservation(res, r.Analysis.Tau, opt, &rep.Stats)
 			rep.add(vs, n)
 		}
-		vs, n := checkDVFSMonotonicity(p.Irregular(), byConfig, opt, &rep.Stats)
+		vs, n := checkDVFSMonotonicity(byConfig, opt, &rep.Stats)
 		rep.add(vs, n)
-		vs, n = checkECCDirectionality(p.Irregular(), byConfig, opt, &rep.Stats)
+		vs, n = checkECCDirectionality(byConfig, opt, &rep.Stats)
 		rep.add(vs, n)
 		if opt.Attribution {
 			vs, n, err := checkAttribution(ctx, r, p, opt.Configs, byConfig)
@@ -467,11 +464,10 @@ func trapezoidActive(trace []sensor.Sample, m k20power.Measurement, tau float64)
 }
 
 // checkDVFSMonotonicity evaluates the cross-configuration clock invariants
-// on one program's results (keyed by configuration name). The runtime
-// direction checks apply to regular programs — the paper's irregular codes
-// have genuinely timing-dependent convergence, so a clock change may move
-// their runtime either way — while the power checks apply to everything.
-func checkDVFSMonotonicity(irregular bool, byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
+// on one program's results (keyed by configuration name). Every program
+// does the same work at every configuration (the ordered block order reads
+// no clock), so all of them are held to every check.
+func checkDVFSMonotonicity(byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	bad := func(res *core.Result, format string, args ...any) {
@@ -485,28 +481,26 @@ func checkDVFSMonotonicity(irregular bool, byConfig map[string]*core.Result, opt
 	f614 := byConfig[kepler.F614.Name]
 	f324 := byConfig[kepler.F324.Name]
 
-	if !irregular {
-		// Lowering any clock must never shorten a regular program's runtime
-		// (compute-bound codes stretch with the core clock; memory-bound
-		// ones stay flat at 614 and stretch hugely at 324).
-		pairs := []struct {
-			slow, fast *core.Result
-			transition string
-		}{
-			{f614, def, "default -> 614 MHz core"},
-			{f324, f614, "614 -> 324 MHz core+memory"},
-			{f324, def, "default -> 324 MHz core+memory"},
+	// Lowering any clock must never shorten a program's runtime
+	// (compute-bound codes stretch with the core clock; memory-bound ones
+	// stay flat at 614 and stretch hugely at 324).
+	pairs := []struct {
+		slow, fast *core.Result
+		transition string
+	}{
+		{f614, def, "default -> 614 MHz core"},
+		{f324, f614, "614 -> 324 MHz core+memory"},
+		{f324, def, "default -> 324 MHz core+memory"},
+	}
+	for _, pr := range pairs {
+		if pr.slow == nil || pr.fast == nil {
+			continue
 		}
-		for _, pr := range pairs {
-			if pr.slow == nil || pr.fast == nil {
-				continue
-			}
-			n++
-			shrink := 1 - pr.slow.ActiveTime/pr.fast.ActiveTime
-			st.MaxDVFSTimeShrink = math.Max(st.MaxDVFSTimeShrink, shrink)
-			if shrink > opt.MonoTol {
-				bad(pr.slow, "regular code sped up by %.1f%% going %s", 100*shrink, pr.transition)
-			}
+		n++
+		shrink := 1 - pr.slow.ActiveTime/pr.fast.ActiveTime
+		st.MaxDVFSTimeShrink = math.Max(st.MaxDVFSTimeShrink, shrink)
+		if shrink > opt.MonoTol {
+			bad(pr.slow, "program sped up by %.1f%% going %s", 100*shrink, pr.transition)
 		}
 	}
 	if def != nil && f324 != nil {
@@ -531,14 +525,11 @@ func checkDVFSMonotonicity(irregular bool, byConfig map[string]*core.Result, opt
 }
 
 // checkECCDirectionality evaluates the ECC invariants on one program's
-// results. On regular codes ECC must never speed the program up nor save
-// energy, and a code whose runtime scales with the core clock (measured
-// compute-bound) must be nearly ECC-immune — a cross-configuration
-// consistency relation between two independent responses of the same
-// program. Irregular codes are exempt from the direction checks: ECC
-// changes their memory timing, which legitimately changes how their
-// data-dependent algorithms converge (NSP, for one, converges faster).
-func checkECCDirectionality(irregular bool, byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
+// results. ECC must never speed the program up nor save energy, and a code
+// whose runtime scales with the core clock (measured compute-bound) must be
+// nearly ECC-immune — a cross-configuration consistency relation between
+// two independent responses of the same program.
+func checkECCDirectionality(byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	def := byConfig[kepler.Default.Name]
@@ -553,22 +544,20 @@ func checkECCDirectionality(irregular bool, byConfig map[string]*core.Result, op
 			Detail: fmt.Sprintf(format, args...),
 		})
 	}
-	if !irregular {
-		n++
-		speedup := 1 - ecc.ActiveTime/def.ActiveTime
-		st.MaxECCSpeedup = math.Max(st.MaxECCSpeedup, speedup)
-		if speedup > opt.MonoTol {
-			bad("ECC sped the program up by %.1f%% (%.4g s -> %.4g s); ECC only costs",
-				100*speedup, def.ActiveTime, ecc.ActiveTime)
-		}
-		n++
-		if esave := 1 - ecc.Energy/def.Energy; esave > opt.MonoTol {
-			bad("ECC lowered energy by %.1f%% (%.4g J -> %.4g J); ECC only costs",
-				100*esave, def.Energy, ecc.Energy)
-		}
+	n++
+	speedup := 1 - ecc.ActiveTime/def.ActiveTime
+	st.MaxECCSpeedup = math.Max(st.MaxECCSpeedup, speedup)
+	if speedup > opt.MonoTol {
+		bad("ECC sped the program up by %.1f%% (%.4g s -> %.4g s); ECC only costs",
+			100*speedup, def.ActiveTime, ecc.ActiveTime)
+	}
+	n++
+	if esave := 1 - ecc.Energy/def.Energy; esave > opt.MonoTol {
+		bad("ECC lowered energy by %.1f%% (%.4g J -> %.4g J); ECC only costs",
+			100*esave, def.Energy, ecc.Energy)
 	}
 	sens := coreSensitivity(byConfig, opt.Device)
-	if !irregular && !math.IsNaN(sens) && sens >= opt.ComputeBoundMin {
+	if !math.IsNaN(sens) && sens >= opt.ComputeBoundMin {
 		n++
 		penalty := ecc.ActiveTime/def.ActiveTime - 1
 		st.MaxECCComputePenalty = math.Max(st.MaxECCComputePenalty, penalty)

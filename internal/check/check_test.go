@@ -157,7 +157,7 @@ func TestDVFSMonotonicityDetectsSpeedup(t *testing.T) {
 		kepler.F614.Name:    fakeResult("X", kepler.F614.Name, 1.5, 70), // faster at a lower clock
 		kepler.F324.Name:    fakeResult("X", kepler.F324.Name, 4.0, 45),
 	}
-	vs, n := checkDVFSMonotonicity(false, byConfig, opt, &st)
+	vs, n := checkDVFSMonotonicity(byConfig, opt, &st)
 	if violationCount(vs, "sped up") == 0 {
 		t.Errorf("25%% speedup at 614 MHz not flagged: %v", vs)
 	}
@@ -165,16 +165,9 @@ func TestDVFSMonotonicityDetectsSpeedup(t *testing.T) {
 		t.Error("no checks counted")
 	}
 
-	// The same results on an irregular program are legitimate: its
-	// convergence is timing-dependent, so no runtime-direction violation.
-	vs, _ = checkDVFSMonotonicity(true, byConfig, opt, &st)
-	if violationCount(vs, "sped up") != 0 {
-		t.Errorf("irregular program wrongly held to runtime monotonicity: %v", vs)
-	}
-
-	// Power NOT dropping at 324 must fire for everyone, irregular or not.
+	// Power NOT dropping at 324 must fire.
 	byConfig[kepler.F324.Name] = fakeResult("X", kepler.F324.Name, 4.0, 85)
-	vs, _ = checkDVFSMonotonicity(true, byConfig, opt, &st)
+	vs, _ = checkDVFSMonotonicity(byConfig, opt, &st)
 	if violationCount(vs, "not strictly below") == 0 {
 		t.Errorf("power rise at 324 MHz not flagged: %v", vs)
 	}
@@ -190,7 +183,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 		}
 	}
 
-	vs, n := checkECCDirectionality(false, mk(1.5, 80), opt, &st)
+	vs, n := checkECCDirectionality(mk(1.5, 80), opt, &st)
 	if violationCount(vs, "sped the program up") == 0 {
 		t.Errorf("ECC speedup not flagged: %v", vs)
 	}
@@ -198,13 +191,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 		t.Error("no checks counted")
 	}
 
-	// An irregular program may legitimately converge faster under ECC
-	// (changed memory timing changes the iteration count).
-	if vs, _ := checkECCDirectionality(true, mk(1.5, 80), opt, &st); len(vs) != 0 {
-		t.Errorf("irregular program wrongly held to ECC directionality: %v", vs)
-	}
-
-	vs, _ = checkECCDirectionality(false, mk(2.0, 60), opt, &st)
+	vs, _ = checkECCDirectionality(mk(2.0, 60), opt, &st)
 	if violationCount(vs, "lowered energy") == 0 {
 		t.Errorf("ECC energy saving not flagged: %v", vs)
 	}
@@ -215,7 +202,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 	def := byConfig[kepler.Default.Name]
 	f614 := fakeResult("X", kepler.F614.Name, def.ActiveTime*float64(kepler.Default.CoreMHz)/float64(kepler.F614.CoreMHz), 70)
 	byConfig[kepler.F614.Name] = f614
-	vs, _ = checkECCDirectionality(false, byConfig, opt, &st)
+	vs, _ = checkECCDirectionality(byConfig, opt, &st)
 	if violationCount(vs, "compute-bound") == 0 {
 		t.Errorf("large ECC penalty on compute-bound code not flagged: %v", vs)
 	}

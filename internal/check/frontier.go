@@ -14,9 +14,7 @@ import (
 // generated grid (internal/kepler.Grid) through the frontier sweep:
 //
 //   - dvfs-grid runtime: within a (memory clock, ECC) row, raising the core
-//     clock never lengthens the ground-truth runtime of a regular program
-//     (irregular codes converge data-dependently and are exempt, like the
-//     4-config monotonicity invariant);
+//     clock never lengthens the ground-truth runtime;
 //   - dvfs-grid energy valley: within a row, ground-truth energy is
 //     valley-shaped in the core clock — non-increasing until its minimum
 //     (static energy dominates: finishing sooner saves energy), then
@@ -33,7 +31,7 @@ import (
 
 // frontierPrograms picks the subset the frontier invariants sweep: n
 // programs evenly spaced over the provided list, so every suite tends to be
-// represented and both sweep strategies (replay and interpolation) run.
+// represented.
 func frontierPrograms(programs []core.Program, n int) []core.Program {
 	if n <= 0 || n >= len(programs) {
 		return programs
@@ -55,7 +53,7 @@ func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program,
 		if err != nil {
 			return fmt.Errorf("check: frontier sweep %s: %w", p.Name(), err)
 		}
-		vs, n := checkFrontierRows(p.Irregular(), res, opt, &rep.Stats)
+		vs, n := checkFrontierRows(res, opt, &rep.Stats)
 		rep.add(vs, n)
 		vs, n = checkFrontierConsistency(res)
 		rep.add(vs, n)
@@ -65,7 +63,7 @@ func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program,
 
 // checkFrontierRows evaluates the per-row runtime and energy-shape
 // invariants of one frontier result.
-func checkFrontierRows(irregular bool, res *frontier.Result, opt Options, st *Stats) ([]Violation, int) {
+func checkFrontierRows(res *frontier.Result, opt Options, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	for _, row := range res.Rows {
@@ -79,33 +77,25 @@ func checkFrontierRows(irregular bool, res *frontier.Result, opt Options, st *St
 			continue
 		}
 
-		// Runtime non-increasing in core clock (regular programs).
-		if !irregular {
-			for i := 1; i < len(pts); i++ {
-				n++
-				rise := pts[i].Time/pts[i-1].Time - 1
-				if rise > st.MaxFrontierTimeRise {
-					st.MaxFrontierTimeRise = rise
-				}
-				if rise > opt.FrontierTimeTol {
-					vs = append(vs, Violation{
-						Invariant: "dvfs-grid",
-						Program:   res.Program, Input: res.Input, Config: pts[i].Config.Name,
-						Detail: fmt.Sprintf("runtime rose %.4f (tol %.4f) when core clock increased %d->%d MHz",
-							rise, opt.FrontierTimeTol, pts[i-1].Config.CoreMHz, pts[i].Config.CoreMHz),
-					})
-				}
+		// Runtime non-increasing in core clock.
+		for i := 1; i < len(pts); i++ {
+			n++
+			rise := pts[i].Time/pts[i-1].Time - 1
+			if rise > st.MaxFrontierTimeRise {
+				st.MaxFrontierTimeRise = rise
+			}
+			if rise > opt.FrontierTimeTol {
+				vs = append(vs, Violation{
+					Invariant: "dvfs-grid",
+					Program:   res.Program, Input: res.Input, Config: pts[i].Config.Name,
+					Detail: fmt.Sprintf("runtime rose %.4f (tol %.4f) when core clock increased %d->%d MHz",
+						rise, opt.FrontierTimeTol, pts[i-1].Config.CoreMHz, pts[i].Config.CoreMHz),
+				})
 			}
 		}
 
 		// Energy valley-shaped in core clock: non-increasing up to the row
-		// minimum, non-decreasing after. Regular programs only — an
-		// irregular program's anchors are fresh data-dependent simulations
-		// whose work differs per configuration (observed wiggle up to ~8%
-		// on NSP), so the valley is a property of fixed-work codes.
-		if irregular {
-			continue
-		}
+		// minimum, non-decreasing after.
 		min := 0
 		for i := range pts {
 			if pts[i].Energy < pts[min].Energy {

@@ -52,7 +52,7 @@ func TestFrontierRowsDetectRuntimeRise(t *testing.T) {
 		[]float64{4.0, 3.0, 2.5, 2.2, 2.0},
 		[]float64{300, 260, 250, 255, 270},
 	)
-	if vs, n := checkFrontierRows(false, clean, opt, &st); len(vs) != 0 || n == 0 {
+	if vs, n := checkFrontierRows(clean, opt, &st); len(vs) != 0 || n == 0 {
 		t.Fatalf("clean frontier flagged: %v (n=%d)", vs, n)
 	}
 
@@ -61,14 +61,9 @@ func TestFrontierRowsDetectRuntimeRise(t *testing.T) {
 		[]float64{4.0, 3.0, 3.3, 2.2, 2.0},
 		[]float64{300, 260, 250, 255, 270},
 	)
-	vs, _ := checkFrontierRows(false, rise, opt, &st)
+	vs, _ := checkFrontierRows(rise, opt, &st)
 	if violationCount(vs, "runtime rose") == 0 {
 		t.Errorf("10%% runtime rise not flagged: %v", vs)
-	}
-
-	// The same shape on an irregular program is legitimate.
-	if vs, _ := checkFrontierRows(true, rise, opt, &st); len(vs) != 0 {
-		t.Errorf("irregular program wrongly held to grid runtime monotonicity: %v", vs)
 	}
 }
 
@@ -82,17 +77,12 @@ func TestFrontierRowsDetectDoubleDip(t *testing.T) {
 		[]float64{4.0, 3.0, 2.5, 2.2, 2.0},
 		[]float64{300, 250, 290, 285, 240},
 	)
-	vs, n := checkFrontierRows(false, dip, opt, &st)
+	vs, n := checkFrontierRows(dip, opt, &st)
 	if violationCount(vs, "the row valley") == 0 {
 		t.Errorf("double-dip energy curve not flagged: %v", vs)
 	}
 	if n == 0 {
 		t.Error("no checks counted")
-	}
-
-	// Irregular programs are exempt from the valley invariant.
-	if vs, _ := checkFrontierRows(true, dip, opt, &st); len(vs) != 0 {
-		t.Errorf("irregular program wrongly held to the energy valley: %v", vs)
 	}
 }
 
@@ -150,7 +140,7 @@ func TestFrontierProgramsSubset(t *testing.T) {
 // TestFrontierSweepMarginsWithinTolerance: the shared DefaultOptions sweep
 // ran the frontier invariants over the selfcheck grid; on the model's
 // smooth ground-truth surface the worst margins must stay inside tolerance
-// (they are exactly zero for regular programs — see DefaultOptions).
+// (they are exactly zero for every program — see DefaultOptions).
 func TestFrontierSweepMarginsWithinTolerance(t *testing.T) {
 	_, rep := sharedSweep(t)
 	opt := DefaultOptions()

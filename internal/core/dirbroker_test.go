@@ -110,3 +110,42 @@ func TestDirBrokerRoundTripAndMisses(t *testing.T) {
 		t.Error("corrupt trace file served a trace, want miss")
 	}
 }
+
+// TestDirBrokerRecapturesPreviousVersionTombstone: a directory written
+// before the clock-free block order holds version-1 tombstones for ordered
+// programs. Such a file is a miss, and the runner overwrites it with a
+// replayable capture, so the program simulates once instead of at every
+// configuration.
+func TestDirBrokerRecapturesPreviousVersionTombstone(t *testing.T) {
+	dir := t.TempDir()
+	b := NewDirBroker(dir)
+	const prog = "toy-ordered-v1"
+	dev := kepler.Default.Device().Name
+	path := b.path(dev, prog, "default")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := `{"version":1,"device":"` + dev + `","sensitive":true,"reason":"ordered launch \"relax\""}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tr := b.FetchTrace(dev, prog, "default"); tr != nil {
+		t.Fatal("version-1 tombstone served a trace, want miss")
+	}
+
+	calls := 0
+	r := NewRunner()
+	r.Broker = b
+	measureConfigs(t, r, orderedToy(prog, &calls))
+	if calls != 1 {
+		t.Errorf("ordered program ran %d times, want 1", calls)
+	}
+	tr := b.FetchTrace(dev, prog, "default")
+	if tr == nil {
+		t.Fatal("runner did not overwrite the version-1 tombstone")
+	}
+	if tr.ClockSensitive() || tr.Launches() == 0 {
+		t.Errorf("stored trace: sensitive=%v launches=%d, want a replayable capture",
+			tr.ClockSensitive(), tr.Launches())
+	}
+}

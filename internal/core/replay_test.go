@@ -41,8 +41,10 @@ func insensitiveToy(name string, calls *int) *toyProgram {
 	}
 }
 
-// orderedToy issues an Ordered launch, whose block permutation mixes the
-// clocks (launchSeed): the capture layer must mark it clock-sensitive.
+// orderedToy self-schedules through an Ordered launch: each block's work
+// depends on an accumulator the blocks before it advanced, so its counters
+// follow the block order. That order is a function of (kernel, seq) alone
+// (launchSeed), so the capture replays at every configuration.
 func orderedToy(name string, calls *int) *toyProgram {
 	return &toyProgram{
 		name:  name,
@@ -52,11 +54,36 @@ func orderedToy(name string, calls *int) *toyProgram {
 				*calls++
 			}
 			dev.SetTimeScale(100)
+			acc := 0
 			l := dev.LaunchOrdered("relax", 512, 256, func(c *sim.Ctx) {
-				c.IntOps(100 + c.Block%7)
+				c.IntOps(100 + acc%7)
 				c.FP32Ops(400)
+				if c.Thread == 0 {
+					acc = (acc*31 + c.Block) % 1009
+				}
 			})
 			dev.Repeat(l, 4000)
+			return nil
+		},
+	}
+}
+
+// clockReaderToy branches on the simulated clock mid-run, so its Go-side
+// evolution depends on the configuration: the capture layer must mark it
+// clock-sensitive.
+func clockReaderToy(name string, calls *int) *toyProgram {
+	return &toyProgram{
+		name:  name,
+		suite: SuiteLonestar,
+		run: func(dev *sim.Device) error {
+			if calls != nil {
+				*calls++
+			}
+			dev.SetTimeScale(100)
+			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(400) })
+			dev.Repeat(l, 4000)
+			grid := 64 + int(dev.Now()*1e3)%64
+			dev.Launch("k2", grid, 256, func(c *sim.Ctx) { c.IntOps(100) })
 			return nil
 		},
 	}
@@ -116,13 +143,43 @@ func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClockSensitiveProgramNeverReplayed: a program with an Ordered launch
-// must be re-simulated at every configuration — never served from the trace
-// cache — and still agree bit for bit with a NoReplay runner.
-func TestClockSensitiveProgramNeverReplayed(t *testing.T) {
+// TestOrderedProgramReplayed: a program with an Ordered launch simulates
+// once and replays at the other configurations, bit-identical to a
+// NoReplay runner.
+func TestOrderedProgramReplayed(t *testing.T) {
 	calls := 0
 	r := NewRunner()
 	got := measureConfigs(t, r, orderedToy("toy-ordered", &calls))
+	if calls != 1 {
+		t.Errorf("ordered program ran %d times, want 1", calls)
+	}
+	m := r.metricsHandles()
+	if c := m.traceReplays.Value(); c != int64(len(kepler.Configs))-1 {
+		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs)-1)
+	}
+	if c := m.traceSensitiveRuns.Value(); c != 0 {
+		t.Errorf("trace_cache_sensitive_runs = %d, want 0", c)
+	}
+
+	fresh := NewRunner()
+	fresh.NoReplay = true
+	want := measureConfigs(t, fresh, orderedToy("toy-ordered", nil))
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: replayed ordered result differs from fresh simulation",
+				kepler.Configs[i].Name)
+		}
+	}
+}
+
+// TestClockSensitiveProgramNeverReplayed: a program that reads the
+// simulated clock mid-run must be re-simulated at every configuration —
+// never served from the trace cache — and still agree bit for bit with a
+// NoReplay runner.
+func TestClockSensitiveProgramNeverReplayed(t *testing.T) {
+	calls := 0
+	r := NewRunner()
+	got := measureConfigs(t, r, clockReaderToy("toy-clock-reader", &calls))
 	if calls != len(kepler.Configs) {
 		t.Errorf("clock-sensitive program ran %d times, want %d (one per config)",
 			calls, len(kepler.Configs))
@@ -141,7 +198,7 @@ func TestClockSensitiveProgramNeverReplayed(t *testing.T) {
 
 	fresh := NewRunner()
 	fresh.NoReplay = true
-	want := measureConfigs(t, fresh, orderedToy("toy-ordered", nil))
+	want := measureConfigs(t, fresh, clockReaderToy("toy-clock-reader", nil))
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s: sensitive-path result differs from fresh simulation",

@@ -40,7 +40,7 @@ type storeFile struct {
 
 // storeVersion must be bumped whenever the simulator or power model changes
 // in a way that invalidates cached measurements.
-const storeVersion = 1
+const storeVersion = 2
 
 // StoreVersion is the current on-disk store format/physics version. The
 // golden corpus embeds it so a legitimate physics change (version bump)

@@ -6,8 +6,9 @@
 //
 // The paper stops at four clock configurations; the launch-trace replay
 // engine (internal/sim, PR 5) makes additional configurations nearly free
-// for clock-insensitive programs, so the frontier sweeps ~100 instead. Cost
-// stays bounded for clock-sensitive programs — whose traces refuse replay —
+// for clock-insensitive programs, so the frontier sweeps ~100 instead. Every
+// shipped program is clock-insensitive. Cost stays bounded for a program
+// that reads the simulated clock mid-run — whose trace refuses replay —
 // via a coarse-grid + interpolation fallback: only every CoarseStride-th
 // core clock per (memory clock, ECC) row is simulated, and the points in
 // between are linearly interpolated in core frequency and flagged.
@@ -183,11 +184,19 @@ func Sweep(ctx context.Context, r *core.Runner, p core.Program, opts Options) (*
 	sensitive, known := r.TraceClockSensitive(p, input, def)
 	if !known {
 		// No completed capture: the default measurement was served from a
-		// warm cache, errored, or the runner runs NoReplay. When the whole
-		// grid is already cached (a warm-restarted store) the dense sweep
-		// costs nothing, so sensitivity is moot; otherwise assume sensitive
-		// so the simulation count stays bounded.
-		sensitive = !allCached(r, p, input, grid)
+		// warm cache, errored, or the runner runs NoReplay. Measuring the
+		// first configuration the cache cannot serve captures the trace.
+		// A fully cached grid costs nothing to sweep densely; a runner
+		// that still holds no trace (NoReplay) is assumed sensitive, so
+		// its simulation count stays bounded.
+		if clk, ok := firstUncached(r, p, input, grid); ok {
+			if _, err := r.Measure(ctx, p, input, clk); err != nil && !core.IsInsufficient(err) {
+				return nil, err
+			}
+			if sensitive, known = r.TraceClockSensitive(p, input, def); !known {
+				sensitive = true
+			}
+		}
 	}
 
 	res := &Result{
@@ -227,15 +236,15 @@ func Sweep(ctx context.Context, r *core.Runner, p core.Program, opts Options) (*
 	return res, nil
 }
 
-// allCached reports whether every grid configuration is already resolved in
-// the runner's measurement cache.
-func allCached(r *core.Runner, p core.Program, input string, grid []kepler.Clocks) bool {
+// firstUncached returns the first grid configuration not yet resolved in
+// the runner's measurement cache; ok is false when the whole grid is.
+func firstUncached(r *core.Runner, p core.Program, input string, grid []kepler.Clocks) (clk kepler.Clocks, ok bool) {
 	for _, clk := range grid {
 		if !r.Cached(p, input, clk) {
-			return false
+			return clk, true
 		}
 	}
-	return true
+	return kepler.Clocks{}, false
 }
 
 // findConfig locates a configuration by name in Points (-1 if absent).

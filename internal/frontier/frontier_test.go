@@ -2,12 +2,15 @@ package frontier_test
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/frontier"
 	"repro/internal/kepler"
+	"repro/internal/sim"
 	"repro/internal/suites"
 )
 
@@ -203,13 +206,40 @@ func TestDefaultNeverDominatesSweetSpots(t *testing.T) {
 	}
 }
 
+// clockReader wraps a program with a read of the simulated clock during
+// its run. That makes its Go-side evolution configuration-dependent as far
+// as the capture layer can tell, so its trace is a clock-sensitive
+// tombstone. No shipped program reads the clock mid-run.
+type clockReader struct{ core.Program }
+
+func (c clockReader) Name() string { return c.Program.Name() + "-clock" }
+
+func (c clockReader) Run(ctx context.Context, dev *sim.Device, input string) error {
+	if err := c.Program.Run(ctx, dev, input); err != nil {
+		return err
+	}
+	_ = dev.Now()
+	return nil
+}
+
+// newClockReader wraps NN, a cheap program, in a clockReader.
+func newClockReader(t *testing.T) core.Program {
+	t.Helper()
+	p, err := suites.ByName("NN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clockReader{p}
+}
+
 // TestSweepObsCounters proves the sweep's cost model through the obs
 // counters: a clock-insensitive program covers the whole ≥80-config grid
 // with exactly one simulation (one trace capture, N-1 replays, nothing
-// interpolated); a clock-sensitive program triggers the interpolation
-// fallback, flags the interpolated points, and simulates only the coarse
-// anchors. Uses fresh runners so the counters are exact, and cheap
-// programs so it stays affordable outside -short too.
+// interpolated); a clock-sensitive program (one that reads the simulated
+// clock mid-run) triggers the interpolation fallback, flags the
+// interpolated points, and simulates only the coarse anchors. Uses fresh
+// runners so the counters are exact, and cheap programs so it stays
+// affordable outside -short too.
 func TestSweepObsCounters(t *testing.T) {
 	ctx := context.Background()
 
@@ -256,16 +286,12 @@ func TestSweepObsCounters(t *testing.T) {
 	t.Run("sensitive", func(t *testing.T) {
 		r := core.NewRunner()
 		r.Repetitions = 1
-		p, err := suites.ByName("BP")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := frontier.Sweep(ctx, r, p, frontier.Options{})
+		res, err := frontier.Sweep(ctx, r, newClockReader(t), frontier.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Sensitive {
-			t.Fatalf("BP (ordered launches) swept as insensitive")
+			t.Fatalf("mid-run clock reader swept as insensitive")
 		}
 		interpolated := res.Interpolated()
 		if interpolated == 0 {
@@ -296,23 +322,72 @@ func TestSweepObsCounters(t *testing.T) {
 	})
 }
 
-// TestSweepSensitivitySplit pins the sweep-strategy routing: programs with
-// Ordered launches fall back to interpolation, the rest replay densely.
+// TestSweepSensitivitySplit pins the sweep-strategy routing: every shipped
+// program replays densely (ordered launches included), and only a program
+// that reads the simulated clock mid-run falls back to interpolation.
 func TestSweepSensitivitySplit(t *testing.T) {
-	results := sharedSweep(t)
-	sensitive, insensitive := 0, 0
-	for _, res := range results {
-		if res.Sensitive {
-			sensitive++
-		} else {
-			insensitive++
+	for _, res := range sharedSweep(t) {
+		if res.Sensitive || res.Interpolated() != 0 {
+			t.Errorf("%s: swept as clock-sensitive (%d interpolated points); every shipped program replays",
+				res.Program, res.Interpolated())
 		}
 	}
-	t.Logf("sensitivity split: %d sensitive, %d insensitive", sensitive, insensitive)
-	if insensitive == 0 {
-		t.Error("no insensitive programs: dense replay path never exercised")
+	r := core.NewRunner()
+	r.Repetitions = 1
+	res, err := frontier.Sweep(context.Background(), r, newClockReader(t), frontier.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sensitive == 0 {
-		t.Error("no sensitive programs: interpolation fallback never exercised")
+	if !res.Sensitive || res.Interpolated() == 0 {
+		t.Errorf("mid-run clock reader: sensitive=%v with %d interpolated points, want the coarse fallback",
+			res.Sensitive, res.Interpolated())
+	}
+}
+
+// TestSweepWarmStoreReplays: a store holding the canonical measurements
+// serves the default configuration without capturing a trace. The sweep
+// must still learn that the program is clock-insensitive and replay the
+// dense grid, matching a cold sweep exactly.
+func TestSweepWarmStoreReplays(t *testing.T) {
+	ctx := context.Background()
+	p, err := suites.ByName("NN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRunner := func() *core.Runner {
+		r := core.NewRunner()
+		r.Repetitions = 1
+		return r
+	}
+
+	cold, err := frontier.Sweep(ctx, newRunner(), p, frontier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seed := newRunner()
+	for _, clk := range kepler.Configs {
+		if _, err := seed.Measure(ctx, p, p.DefaultInput(), clk); err != nil && !core.IsInsufficient(err) {
+			t.Fatal(err)
+		}
+	}
+	store := filepath.Join(t.TempDir(), "store.json")
+	if err := seed.SaveStore(store); err != nil {
+		t.Fatal(err)
+	}
+	warm := newRunner()
+	if err := warm.LoadStore(store); err != nil {
+		t.Fatal(err)
+	}
+	res, err := frontier.Sweep(ctx, warm, p, frontier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sensitive || res.Interpolated() != 0 {
+		t.Errorf("warm sweep: sensitive=%v with %d interpolated points, want a dense replay",
+			res.Sensitive, res.Interpolated())
+	}
+	if !reflect.DeepEqual(res, cold) {
+		t.Error("warm-store sweep differs from a cold sweep")
 	}
 }

@@ -15,8 +15,8 @@ import (
 // surrounding cavity. Cavities of concurrently processed triangles may
 // overlap; conflicting threads back off and retry in a later round. Which
 // cavities conflict depends on the order blocks execute — on this simulator
-// that order depends on the clock configuration, so the retry counts (and
-// with them runtime and energy) are genuinely timing dependent, as the
+// a fixed scrambled permutation of (kernel, launch) — so the retry counts
+// (and with them runtime and energy) are genuinely order dependent, as the
 // paper observes for irregular codes.
 type DMR struct{ core.Meta }
 
@@ -103,7 +103,7 @@ func (p *DMR) Run(ctx context.Context, dev *sim.Device, input string) error {
 
 		// Kernel 2: cavity processing. Threads claim their cavities; the
 		// claim order is the engine's block order, so which threads lose
-		// conflicts varies with the clock configuration.
+		// conflicts depends on it.
 		claimed := make(map[int32]bool)
 		type job struct {
 			tri    int32

@@ -194,7 +194,7 @@ func runBFSTopology(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) e
 // atomicMin updates are in place and visible within the iteration, so
 // levels propagate several hops per sweep in block-scheduling order. The
 // iteration count therefore drops well below the graph diameter — and
-// depends on the clock configuration.
+// depends on the block order.
 func runBFSAtomic(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) error {
 	const inf = int32(1 << 30)
 	for {

@@ -5,10 +5,12 @@
 // (wlc, wln) implementations of the paper's Table 3.
 //
 // These are the paper's irregular codes: data-dependent control flow,
-// uncoalesced accesses and timing-dependent behaviour. On the simulator the
-// timing dependence is genuine: the engine's block execution order is a
-// deterministic function of the clock configuration, and the worklist
-// algorithms below converge in configuration-dependent iteration counts.
+// uncoalesced accesses and order-dependent convergence. On the simulator
+// the order dependence is genuine: the engine runs the blocks of ordered
+// launches in a scrambled permutation of (kernel, launch), and the worklist
+// algorithms below converge in iteration counts that depend on it. The
+// permutation reads no clock, so a program does the same work at every
+// configuration.
 package lonestar
 
 import (

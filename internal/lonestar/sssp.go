@@ -15,8 +15,8 @@ import (
 //   - "default": topology-driven, one node per thread, in-place relaxation
 //     with atomicMin. Distances propagate several hops per iteration in
 //     block-scheduling order, so the iteration count — and with it runtime
-//     and energy — depends on the clock configuration (the paper's
-//     timing-dependent irregular behaviour).
+//     and energy — depends on the block order (the paper's data-dependent
+//     irregular behaviour).
 //   - "wlc": data-driven, one edge per thread with a deduplicated frontier
 //     (Merrill's strategy adapted to SSSP) — the efficient variant.
 //   - "wln": data-driven, one node per thread, no deduplication: a node is

@@ -18,19 +18,15 @@ import (
 // fresh simulation at that configuration would have produced, bit for bit,
 // at a tiny fraction of the cost.
 //
-// The soundness boundary is the program's Go-side data evolution. Two things
-// make it configuration-dependent, and the capture detects both:
-//
-//   - Ordered launches: their block permutation deliberately mixes
-//     CoreMHz/MemMHz/ECC through launchSeed, so self-scheduling programs
-//     observe genuinely config-dependent orderings. Any Ordered launch marks
-//     the trace clock-sensitive.
-//   - Mid-run reads of the simulated clock: a program that branches on
-//     Now() or ActiveTime() while capturing sees config-dependent values.
-//     Both methods mark the trace clock-sensitive when a capture is active.
-//
-// A clock-sensitive trace refuses to Replay; callers fall back to a fresh
-// simulation (core.Runner does exactly that).
+// The soundness boundary is the program's Go-side data evolution. Ordered
+// launches do not cross it: their block permutation is a function of the
+// kernel name and launch sequence number alone (launchSeed), so they capture
+// and replay like any other launch. What does cross it is a mid-run read of
+// the simulated clock: a program that branches on Now() or ActiveTime()
+// while capturing sees config-dependent values, so both methods mark the
+// trace clock-sensitive when a capture is active. A clock-sensitive trace
+// refuses to Replay; callers fall back to a fresh simulation (core.Runner
+// does exactly that).
 
 // captureEventKind tags the entries of a captured launch timeline.
 type captureEventKind uint8
@@ -157,14 +153,8 @@ func (d *Device) EndCapture() *LaunchTrace {
 	return t
 }
 
-// recordLaunch captures one completed launch. Ordered launches make the
-// trace clock-sensitive: their block permutation mixes the clock
-// configuration (launchSeed), so the program's Go-side data evolution is
-// config-dependent by design and must be re-simulated per configuration.
+// recordLaunch captures one completed launch.
 func (t *LaunchTrace) recordLaunch(spec LaunchSpec, occ kepler.Occupancy, stats *trace.KernelStats, blockCycles []float64, sched launchSchedule, scale float64) {
-	if spec.Ordered {
-		t.markSensitive(fmt.Sprintf("ordered launch %q", spec.Name))
-	}
 	if t.sensitive {
 		return
 	}

@@ -127,26 +127,47 @@ func TestCaptureLeavesSimulationUntouched(t *testing.T) {
 	}
 }
 
-// TestOrderedLaunchMarksSensitive: an Ordered launch mixes the clocks into
-// its block permutation (launchSeed), so the capture must refuse replay.
-func TestOrderedLaunchMarksSensitive(t *testing.T) {
+// orderedProgram self-schedules through an ordered launch: each block's
+// work depends on a shared accumulator the earlier blocks advanced, and the
+// follow-up launch's grid depends on where the accumulator ended. Its
+// timeline is therefore a function of the block order.
+func orderedProgram(d *Device) {
+	acc := 0
+	d.LaunchOrdered("relax", 32, 64, func(c *Ctx) {
+		c.IntOps(1 + acc%7)
+		if c.Thread == 0 {
+			acc = (acc*31 + c.Block) % 1009
+		}
+	})
+	d.HostPause(0.001)
+	l := d.Launch("post", 8+acc%16, 128, func(c *Ctx) { c.FP32Ops(4) })
+	d.Repeat(l, 3)
+}
+
+// TestOrderedLaunchReplays: the ordered block permutation reads no clock,
+// so an ordered capture at the default configuration replays at every
+// configuration to the timeline a fresh simulation there produces.
+func TestOrderedLaunchReplays(t *testing.T) {
 	d := NewDevice(kepler.Default)
 	d.BeginCapture()
-	d.Launch("pre", 8, 64, func(c *Ctx) { c.IntOps(1) })
-	d.LaunchOrdered("relax", 32, 64, func(c *Ctx) { c.IntOps(1) })
+	orderedProgram(d)
 	tr := d.EndCapture()
-
-	if !tr.ClockSensitive() {
-		t.Fatal("ordered launch did not mark the trace clock-sensitive")
+	if tr.ClockSensitive() {
+		t.Fatalf("ordered launch marked the trace clock-sensitive: %s", tr.SensitiveReason())
 	}
-	if tr.SensitiveReason() == "" {
-		t.Error("no sensitivity reason recorded")
+	if tr.Launches() != 2 {
+		t.Fatalf("captured %d launches, want 2", tr.Launches())
 	}
-	if tr.Launches() != 0 || tr.Bytes() != 0 {
-		t.Errorf("sensitive trace retained events: %d launches, %d bytes", tr.Launches(), tr.Bytes())
-	}
-	if _, err := tr.Replay(kepler.F614); err == nil {
-		t.Fatal("Replay of a clock-sensitive trace did not fail")
+	for _, clk := range kepler.Configs {
+		replayed, err := tr.Replay(clk)
+		if err != nil {
+			t.Fatalf("%s: %v", clk.Name, err)
+		}
+		fresh := NewDevice(clk)
+		orderedProgram(fresh)
+		if diff := diffDevices(fresh, replayed); diff != "" {
+			t.Errorf("%s: replay vs fresh simulation: %s", clk.Name, diff)
+		}
 	}
 }
 

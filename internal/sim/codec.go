@@ -14,16 +14,20 @@ import (
 // float inputs (per-block issue cycles, merged statistics, scales), and
 // Go's JSON encoding round-trips float64 values bit-exactly (shortest
 // representation that re-parses to the same bits), so a decoded trace
-// replays bit-identically to the original. Tombstones (clock-sensitive
-// traces) serialize as their sensitivity verdict alone, mirroring
+// replays bit-identically to the original. Ordered launches travel like any
+// other launch. Tombstones (traces of runs that read the simulated clock
+// mid-capture) serialize as their sensitivity verdict alone, mirroring
 // markSensitive dropping the events in memory; the device tag travels with
 // the trace, so cross-device replay refusal carries over unchanged. Each
 // launch's block schedule is not on the wire: the decoder re-derives it
 // from the validated block cycles and the SM count of the tagged device.
 
 // traceWireVersion guards the wire format; DecodeTrace rejects documents
-// from a different format generation instead of misreading them.
-const traceWireVersion = 1
+// from a different format generation instead of misreading them. Version 2
+// is the clock-free block order: a version-1 document may be a tombstone
+// for an ordered program that now replays, so brokers treat it as a miss
+// and the program is captured again.
+const traceWireVersion = 2
 
 // wireTrace is the serialized form of a LaunchTrace.
 type wireTrace struct {
@@ -119,9 +123,6 @@ func DecodeTrace(data []byte) (*LaunchTrace, error) {
 			}
 			if cl.Spec.Grid <= 0 || cl.Spec.Block <= 0 {
 				return nil, fmt.Errorf("sim: event %d: launch %q with grid %d block %d", i, cl.Spec.Name, cl.Spec.Grid, cl.Spec.Block)
-			}
-			if cl.Spec.Ordered {
-				return nil, fmt.Errorf("sim: event %d: ordered launch %q in a non-sensitive trace", i, cl.Spec.Name)
 			}
 			if len(cl.BlockCycles) != cl.Spec.Grid {
 				return nil, fmt.Errorf("sim: event %d: launch %q with %d block cycles for grid %d", i, cl.Spec.Name, len(cl.BlockCycles), cl.Spec.Grid)

@@ -11,11 +11,15 @@ import (
 // TestTraceCodecRoundTrip is the wire-format soundness contract: a trace
 // encoded on one worker and decoded on another must replay bit-identically
 // to the original at every configuration, report the same footprint, and
-// re-encode to the same bytes.
+// re-encode to the same bytes. Ordered launches travel like any other.
 func TestTraceCodecRoundTrip(t *testing.T) {
+	program := func(d *Device) {
+		captureProgram(d)
+		orderedProgram(d)
+	}
 	capDev := NewDevice(kepler.Default)
 	capDev.BeginCapture()
-	captureProgram(capDev)
+	program(capDev)
 	tr := capDev.EndCapture()
 	if tr.ClockSensitive() {
 		t.Fatalf("capture program marked sensitive: %s", tr.SensitiveReason())
@@ -54,7 +58,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: decoded replay diverges: %s", clk.Name, diff)
 		}
 		fresh := NewDevice(clk)
-		captureProgram(fresh)
+		program(fresh)
 		if diff := diffDevices(fresh, decoded); diff != "" {
 			t.Errorf("%s: decoded replay vs fresh simulation: %s", clk.Name, diff)
 		}
@@ -76,10 +80,11 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 func TestTraceCodecSensitiveTombstone(t *testing.T) {
 	dev := NewDevice(kepler.Default)
 	dev.BeginCapture()
-	dev.LaunchOrdered("ord", 8, 128, func(c *Ctx) { c.IntOps(8) })
+	dev.Launch("k", 8, 128, func(c *Ctx) { c.IntOps(8) })
+	_ = dev.Now()
 	tr := dev.EndCapture()
 	if !tr.ClockSensitive() {
-		t.Fatal("ordered launch did not mark the trace sensitive")
+		t.Fatal("mid-run Now() read did not mark the trace sensitive")
 	}
 
 	data, err := EncodeTrace(tr)
@@ -136,7 +141,7 @@ func TestTraceCodecCrossDeviceRefusal(t *testing.T) {
 // scaledLaunchDoc is a one-launch K20c trace document with the given
 // launch scale.
 func scaledLaunchDoc(scale string) string {
-	return `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"Occ":{"BlocksPerSM":1},"BlockCycles":[1],"Scale":` + scale + `}}]}`
+	return `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"Occ":{"BlocksPerSM":1},"BlockCycles":[1],"Scale":` + scale + `}}]}`
 }
 
 // TestTraceCodecRejectsMalformed: the decoder is strict — structural
@@ -145,18 +150,18 @@ func TestTraceCodecRejectsMalformed(t *testing.T) {
 	cases := []struct{ name, doc string }{
 		{"not JSON", `{`},
 		{"wrong version", `{"version":99,"device":"K20c"}`},
-		{"no device", `{"version":1}`},
-		{"unknown field", `{"version":1,"device":"K20c","frobnicate":1}`},
-		{"unknown event kind", `{"version":1,"device":"K20c","events":[{"kind":"warp"}]}`},
-		{"launch without body", `{"version":1,"device":"K20c","events":[{"kind":"launch"}]}`},
-		{"zero grid", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":0,"Block":128},"BlockCycles":[],"Scale":1}}]}`},
-		{"block cycles mismatch", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":2,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
-		{"ordered in insensitive", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128,"Ordered":true},"BlockCycles":[1],"Scale":1}}]}`},
-		{"repeat of future launch", `{"version":1,"device":"K20c","events":[{"kind":"repeat","index":0,"n":3}]}`},
-		{"negative repeat", `{"version":1,"device":"K20c","events":[{"kind":"pause","pause":1},{"kind":"repeat","index":0,"n":-1}]}`},
-		{"no resident blocks", `{"version":1,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
-		{"unknown device", `{"version":1,"device":"RivaTNT","events":[{"kind":"pause","pause":1}]}`},
-		{"unknown device tombstone", `{"version":1,"device":"RivaTNT","sensitive":true,"reason":"ordered launch"}`},
+		{"no device", `{"version":2}`},
+		{"unknown field", `{"version":2,"device":"K20c","frobnicate":1}`},
+		{"unknown event kind", `{"version":2,"device":"K20c","events":[{"kind":"warp"}]}`},
+		{"launch without body", `{"version":2,"device":"K20c","events":[{"kind":"launch"}]}`},
+		{"zero grid", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":0,"Block":128},"BlockCycles":[],"Scale":1}}]}`},
+		{"block cycles mismatch", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":2,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
+		{"previous version", `{"version":1,"device":"K20c","sensitive":true,"reason":"ordered launch \"k\""}`},
+		{"repeat of future launch", `{"version":2,"device":"K20c","events":[{"kind":"repeat","index":0,"n":3}]}`},
+		{"negative repeat", `{"version":2,"device":"K20c","events":[{"kind":"pause","pause":1},{"kind":"repeat","index":0,"n":-1}]}`},
+		{"no resident blocks", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
+		{"unknown device", `{"version":2,"device":"RivaTNT","events":[{"kind":"pause","pause":1}]}`},
+		{"unknown device tombstone", `{"version":2,"device":"RivaTNT","sensitive":true,"reason":"mid-run Now() read"}`},
 		{"zero scale", scaledLaunchDoc("0")},
 		{"fractional scale", scaledLaunchDoc("0.5")},
 		{"negative scale", scaledLaunchDoc("-2")},
@@ -173,7 +178,7 @@ func TestTraceCodecRejectsMalformed(t *testing.T) {
 	}
 
 	// An unknown device is reported with the devices this build knows.
-	_, err := DecodeTrace([]byte(`{"version":1,"device":"RivaTNT"}`))
+	_, err := DecodeTrace([]byte(`{"version":2,"device":"RivaTNT"}`))
 	if err == nil || !strings.Contains(err.Error(), "RivaTNT") || !strings.Contains(err.Error(), "K20c") {
 		t.Errorf("unknown-device refusal %v does not name the device and the known list", err)
 	}

@@ -6,11 +6,11 @@
 //
 // The engine is deterministic. Kernels launched with LaunchOrdered execute
 // their thread blocks sequentially in an order derived from a hash of the
-// kernel, the launch sequence number and the clock configuration; irregular
-// programs that self-schedule work through atomics therefore observe
-// genuinely configuration-dependent orderings, reproducing the paper's
-// timing-dependent behaviour of irregular codes without any explicit fudge
-// factor. Kernels launched with Launch declare their blocks independent and
+// kernel name and the launch sequence number only; irregular programs that
+// self-schedule work through atomics therefore observe a scrambled but fixed
+// ordering, the same at every clock configuration, so their data evolution
+// (and with it every counter the timing model prices) does not depend on the
+// clocks. Kernels launched with Launch declare their blocks independent and
 // may have them sharded across a worker pool (see WorkerPool) — with
 // bit-identical results, because the statistics merge is associative and
 // commutative and per-block timing is indexed by block id (see LaunchSpec).
@@ -275,17 +275,10 @@ func (d *Device) Repeat(l *Launch, n int) {
 	d.now += extra
 }
 
-// launchSeed derives the deterministic block-scheduling seed for a launch.
-// It mixes the kernel name, the launch sequence number and the clock
-// configuration, so the same program run at a different frequency observes a
-// different (but reproducible) block execution order.
-func (d *Device) launchSeed(name string, seq int) uint64 {
-	h := hashing.New().String(name).
-		Word(uint64(seq)).
-		Word(uint64(d.Clocks.CoreMHz)).
-		Word(uint64(d.Clocks.MemMHz))
-	if d.Clocks.ECC {
-		h = h.Word(0x9e3779b9)
-	}
-	return h.Mix()
+// launchSeed derives the deterministic block-scheduling seed for a launch
+// from the kernel name and the launch sequence number. It reads no clock, so
+// an ordered launch visits its blocks in the same order at every
+// configuration and its capture replays like any other launch.
+func launchSeed(name string, seq int) uint64 {
+	return hashing.New().String(name).Word(uint64(seq)).Mix()
 }

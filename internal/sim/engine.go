@@ -18,9 +18,9 @@ type LaunchSpec struct {
 	// order in which thread blocks execute: shared accumulators, worklist
 	// appends, in-place relaxations visible mid-launch, and similar
 	// self-scheduling idioms of the irregular codes. Ordered kernels run
-	// their blocks sequentially in the deterministic, configuration-
-	// dependent permutation (the engine's documented mechanism for
-	// config-dependent irregular behaviour). Unordered kernels — whose
+	// their blocks sequentially in a deterministic permutation of the
+	// kernel name and launch sequence number (launchSeed), the same at
+	// every clock configuration. Unordered kernels — whose
 	// threads touch disjoint Go state — may have their blocks sharded
 	// across a worker pool; results are bit-identical either way.
 	Ordered bool
@@ -86,7 +86,7 @@ func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
 
 	var stats trace.KernelStats
 	if spec.Ordered {
-		d.runOrdered(spec, fn, d.launchSeed(spec.Name, seq), blockCycles, &stats)
+		d.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &stats)
 	} else {
 		d.runSharded(spec, fn, blockCycles, &stats)
 	}
