@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/...
 
 # Short fuzz smokes over the store key codec and the warp merge (against
 # its reference implementation); seeds plus 10s of mutation each.

@@ -289,6 +289,7 @@ func (r *Runner) Cached(p Program, input string, clk kepler.Clocks) bool {
 // the stage inventory.
 func (r *Runner) measure(ctx context.Context, p Program, input string, clk kepler.Clocks) (*Result, error) {
 	st := &measureState{ctx: ctx, p: p, input: input, clk: clk}
+	defer st.release()
 	if err := r.runStages(ctx, st); err != nil {
 		return nil, err
 	}
@@ -296,10 +297,11 @@ func (r *Runner) measure(ctx context.Context, p Program, input string, clk keple
 }
 
 // perturbTimeline stretches the timeline by a small random factor and scales
-// power by another, modeling run-to-run machine variation.
-func perturbTimeline(segs []power.Segment, seed uint64, jitter float64) []power.Segment {
+// power by another, modeling run-to-run machine variation. It appends the
+// perturbed segments to dst.
+func perturbTimeline(dst, segs []power.Segment, seed uint64, jitter float64) []power.Segment {
 	if jitter <= 0 {
-		return segs
+		return append(dst, segs...)
 	}
 	rng := newRNG(seed ^ 0xfeedface)
 	ts := 1 + rng.normal()*jitter
@@ -310,11 +312,10 @@ func perturbTimeline(segs []power.Segment, seed uint64, jitter float64) []power.
 	if ps < 0.9 {
 		ps = 0.9
 	}
-	out := make([]power.Segment, len(segs))
-	for i, s := range segs {
-		out[i] = power.Segment{Start: s.Start * ts, Duration: s.Duration * ts, Watts: s.Watts * ps}
+	for _, s := range segs {
+		dst = append(dst, power.Segment{Start: s.Start * ts, Duration: s.Duration * ts, Watts: s.Watts * ps})
 	}
-	return out
+	return dst
 }
 
 // MeasureAll measures every (program, input, config) combination in

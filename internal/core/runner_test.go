@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/k20power"
 	"repro/internal/kepler"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -194,10 +196,20 @@ func TestSeedForDistinct(t *testing.T) {
 }
 
 func TestPerturbTimelineStretch(t *testing.T) {
-	if segs := perturbTimeline(nil, 1, 0.01); len(segs) != 0 {
+	if segs := perturbTimeline(nil, nil, 1, 0.01); len(segs) != 0 {
 		t.Error("nil timeline should stay empty")
 	}
-	if segs := perturbTimeline(nil, 1, 0); segs != nil {
-		t.Error("zero jitter should pass the input through")
+	in := []power.Segment{{Start: 0, Duration: 2, Watts: 25}, {Start: 2, Duration: 1, Watts: 90}}
+	if segs := perturbTimeline(nil, in, 1, 0); !reflect.DeepEqual(segs, in) {
+		t.Errorf("zero jitter should copy the input unchanged: %+v", segs)
+	}
+	// The result is appended to dst and stretched by one common factor.
+	dst := make([]power.Segment, 1, 8)
+	segs := perturbTimeline(dst, in, 1, 0.01)
+	if len(segs) != 3 || &segs[0] != &dst[0] {
+		t.Fatalf("perturbTimeline did not append to dst: %+v", segs)
+	}
+	if ts := segs[1].Duration / in[0].Duration; segs[2].Start != in[1].Start*ts {
+		t.Errorf("start %v not stretched by %v", segs[2].Start, ts)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/k20power"
@@ -50,6 +51,42 @@ type measureState struct {
 	perturbed [][]power.Segment
 	samples   [][]sensor.Sample
 	res       *Result
+
+	// buf lends the per-repetition buffers; nil until stagePerturb
+	// borrows it, and returned to repBufferPool by release.
+	buf *repBuffers
+}
+
+// repBuffers are one measurement's per-repetition work buffers: the
+// perturbed timelines, the sensor logs and the analysis scratch. A
+// measurement borrows them from repBufferPool and returns them when it
+// finishes, so a grid of replays reuses a few sets instead of allocating
+// every repetition's buffers afresh. Sensor logs that Runner.KeepTraces
+// hands out in Result.Traces never come from here.
+type repBuffers struct {
+	perturbed [][]power.Segment
+	samples   [][]sensor.Sample
+	analyzer  k20power.Analyzer
+}
+
+var repBufferPool = sync.Pool{New: func() any { return new(repBuffers) }}
+
+// release returns the borrowed buffers to the pool. The measurement's
+// Result holds no reference into them.
+func (st *measureState) release() {
+	if st.buf != nil {
+		repBufferPool.Put(st.buf)
+		st.buf, st.perturbed, st.samples = nil, nil, nil
+	}
+}
+
+// reps returns n per-repetition slices backed by *bufs, growing it as
+// needed, so the slices' storage survives for the next measurement.
+func reps[T any](bufs *[][]T, n int) [][]T {
+	for len(*bufs) < n {
+		*bufs = append(*bufs, nil)
+	}
+	return (*bufs)[:n]
 }
 
 // stage is one named step of the measurement pipeline.
@@ -244,15 +281,13 @@ func (r *Runner) stageTimeline(st *measureState) error {
 // stagePerturb derives each repetition's seed and jittered timeline,
 // mirroring repeated wall-clock runs on a real machine.
 func (r *Runner) stagePerturb(st *measureState) error {
-	reps := r.Repetitions
-	if reps < 1 {
-		reps = 1
-	}
-	st.seeds = make([]uint64, reps)
-	st.perturbed = make([][]power.Segment, reps)
-	for rep := 0; rep < reps; rep++ {
+	n := max(r.Repetitions, 1)
+	st.buf = repBufferPool.Get().(*repBuffers)
+	st.seeds = make([]uint64, n)
+	st.perturbed = reps(&st.buf.perturbed, n)
+	for rep := 0; rep < n; rep++ {
 		st.seeds[rep] = seedFor(st.p.Name(), st.input, st.clk.Device().Name, st.clk.Name, rep)
-		st.perturbed[rep] = perturbTimeline(st.segs, st.seeds[rep], r.RuntimeJitter)
+		st.perturbed[rep] = perturbTimeline(st.perturbed[rep][:0], st.segs, st.seeds[rep], r.RuntimeJitter)
 	}
 	return nil
 }
@@ -262,13 +297,18 @@ func (r *Runner) stagePerturb(st *measureState) error {
 // sensor description (the defaults are the K20c's values).
 func (r *Runner) stageRecord(st *measureState) error {
 	dev := st.clk.Device()
-	st.samples = make([][]sensor.Sample, len(st.perturbed))
+	if r.KeepTraces {
+		// The logs outlive the measurement in Result.Traces.
+		st.samples = make([][]sensor.Sample, len(st.perturbed))
+	} else {
+		st.samples = reps(&st.buf.samples, len(st.perturbed))
+	}
 	for rep := range st.perturbed {
 		opt := sensor.DefaultOptions(st.seeds[rep])
 		opt.SwitchW = dev.Sensor.SwitchW
 		opt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
 		opt.DriftAmpW = dev.Sensor.DriftAmpW
-		st.samples[rep] = sensor.Record(st.perturbed[rep], opt)
+		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], opt)
 	}
 	return nil
 }
@@ -285,7 +325,7 @@ func (r *Runner) stageAnalyze(st *measureState) error {
 	opt.TailGuardW *= st.clk.Device().Power.EnergyScale
 	var firstErr error
 	for rep := range st.samples {
-		m, err := k20power.Analyze(st.samples[rep], opt)
+		m, err := st.buf.analyzer.Analyze(st.samples[rep], opt)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -279,8 +279,18 @@ func (pt *Point) derive() {
 
 // sweepDense measures every grid point. For a clock-insensitive program the
 // trace cache serves every configuration after the capture by replay, so
-// the whole grid costs one simulation.
+// the whole grid costs one simulation. The points are measured in parallel
+// by Runner.MeasureList, within the runner's worker budget; the pass then
+// reads them back from the measurement cache in grid order, so the points,
+// the error returned and the replay count do not depend on the worker
+// count or the completion order.
 func (r *Result) sweepDense(ctx context.Context, run *core.Runner, p core.Program, input string, m metrics) error {
+	combos := make([]core.Combo, len(r.Points))
+	for i := range r.Points {
+		combos[i] = core.Combo{Program: p, Input: input, Clocks: r.Points[i].Config}
+	}
+	// Failures resurface below, in grid order, as cached outcomes.
+	_ = run.MeasureList(ctx, combos)
 	for i := range r.Points {
 		pt := &r.Points[i]
 		res, err := run.Measure(ctx, p, input, pt.Config)

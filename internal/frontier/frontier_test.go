@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -389,5 +390,45 @@ func TestSweepWarmStoreReplays(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, cold) {
 		t.Error("warm-store sweep differs from a cold sweep")
+	}
+}
+
+// TestSweepWorkerCountInvariant: the dense pass measures the grid on every
+// worker of the runner's pool, yet a sweep on one worker, on the default
+// worker count and on an oversubscribed pool returns DeepEqual results and
+// the same counters (all but the pool's own, which count slot traffic).
+func TestSweepWorkerCountInvariant(t *testing.T) {
+	ctx := context.Background()
+	p, err := suites.ByName("NN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(workers int) (*frontier.Result, map[string]int64) {
+		r := core.NewRunner()
+		r.Workers = workers
+		res, err := frontier.Sweep(ctx, r, p, frontier.Options{})
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		counters := r.Metrics().Snapshot().Counters
+		for name := range counters {
+			if strings.HasPrefix(name, "pool_") {
+				delete(counters, name)
+			}
+		}
+		return res, counters
+	}
+	serial, serialCounters := sweep(1)
+	if serialCounters["frontier_replays"] == 0 {
+		t.Fatal("serial sweep replayed nothing")
+	}
+	for _, workers := range []int{0, 4} {
+		res, counters := sweep(workers)
+		if !reflect.DeepEqual(res, serial) {
+			t.Errorf("Workers=%d: result differs from Workers=1", workers)
+		}
+		if !reflect.DeepEqual(counters, serialCounters) {
+			t.Errorf("Workers=%d: counters %v, want %v", workers, counters, serialCounters)
+		}
 	}
 }

@@ -75,6 +75,21 @@ func (m Measurement) String() string {
 // diverges from the documented defaults. TailGuardW and MinSamples1Hz keep
 // their zero values: zero disables the tail guard and the stricter 1 Hz bar.
 func Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
+	var a Analyzer
+	return a.Analyze(samples, opt)
+}
+
+// Analyzer runs Analyze with work buffers (the compensated log and the
+// sampling intervals) that it keeps between calls, so a stream of analyses
+// stops allocating once the buffers have grown to the longest log. The zero
+// value is ready to use; an Analyzer is not safe for concurrent use.
+type Analyzer struct {
+	comp []sensor.Sample
+	gaps []float64
+}
+
+// Analyze is the package-level Analyze, reusing a's buffers.
+func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
 	def := DefaultOptions()
 	if opt.Tau <= 0 {
 		opt.Tau = def.Tau
@@ -89,7 +104,8 @@ func Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
 		return Measurement{}, ErrInsufficientSamples
 	}
 
-	comp := Compensate(samples, opt.Tau)
+	a.comp = compensate(a.comp[:0], samples, opt.Tau)
+	comp := a.comp
 
 	// The log starts and ends at driver idle, but a long run at the active
 	// 10 Hz rate can make idle samples a tiny fraction of the log, so a
@@ -128,7 +144,7 @@ func Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
 		// mean — is load-bearing here: a single long sensor dropout inside
 		// an otherwise 10 Hz run must not reclassify the whole run as
 		// 1 Hz-sampled and exclude it.
-		if medianInterval(comp[first:last+1]) > 0.5 {
+		if a.medianInterval(comp[first:last+1]) > 0.5 {
 			need = opt.MinSamples1Hz
 		}
 	}
@@ -165,8 +181,13 @@ func Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
 // information, so they are left at their raw reported value rather than
 // dividing by a zero or negative dt.
 func Compensate(samples []sensor.Sample, tau float64) []sensor.Sample {
-	out := make([]sensor.Sample, len(samples))
-	copy(out, samples)
+	return compensate(nil, samples, tau)
+}
+
+// compensate is Compensate writing into dst's storage when it is large
+// enough.
+func compensate(dst, samples []sensor.Sample, tau float64) []sensor.Sample {
+	out := append(dst[:0], samples...)
 	for i := 1; i < len(samples); i++ {
 		dt := samples[i].T - samples[i-1].T
 		if dt <= 0 {
@@ -203,14 +224,15 @@ func nthSmallest(samples []sensor.Sample, n int) float64 {
 
 // medianInterval returns the median inter-sample time gap, or 0 for fewer
 // than two samples.
-func medianInterval(samples []sensor.Sample) float64 {
+func (a *Analyzer) medianInterval(samples []sensor.Sample) float64 {
 	if len(samples) < 2 {
 		return 0
 	}
-	gaps := make([]float64, len(samples)-1)
+	a.gaps = a.gaps[:0]
 	for i := 1; i < len(samples); i++ {
-		gaps[i-1] = samples[i].T - samples[i-1].T
+		a.gaps = append(a.gaps, samples[i].T-samples[i-1].T)
 	}
+	gaps := a.gaps
 	sort.Float64s(gaps)
 	n := len(gaps)
 	if n%2 == 1 {

@@ -300,14 +300,15 @@ func TestCompensateNonMonotonicTimestampsStayRaw(t *testing.T) {
 func TestMedianInterval(t *testing.T) {
 	s := []sensor.Sample{{T: 0}, {T: 0.1}, {T: 0.2}, {T: 6.2}, {T: 6.3}}
 	// gaps .1 .1 6 .1 -> median (even count) = 0.1
-	if got := medianInterval(s); math.Abs(got-0.1) > 1e-12 {
+	var a Analyzer
+	if got := a.medianInterval(s); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("medianInterval = %v, want 0.1", got)
 	}
 	// odd gap count: .1 .1 6 -> 0.1
-	if got := medianInterval(s[:4]); math.Abs(got-0.1) > 1e-12 {
+	if got := a.medianInterval(s[:4]); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("medianInterval(odd) = %v, want 0.1", got)
 	}
-	if medianInterval(s[:1]) != 0 || medianInterval(nil) != 0 {
+	if a.medianInterval(s[:1]) != 0 || a.medianInterval(nil) != 0 {
 		t.Error("medianInterval of <2 samples should be 0")
 	}
 }

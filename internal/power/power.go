@@ -147,31 +147,33 @@ func (s Segment) End() float64 { return s.Start + s.Duration }
 // leading idle, per-launch plateaus, tail-level host gaps, the driver tail
 // after the last kernel, and trailing idle. Segment times are shifted so the
 // timeline starts at zero.
+//
+// The device's launches and gaps are each in start order (Device.Repeat
+// shifts every later launch and gap by the same amount), so one linear
+// merge orders the timeline; on equal starts the launch comes first.
 func Timeline(dev *sim.Device) []Segment {
 	clk := dev.Clocks
 	segs := make([]Segment, 0, len(dev.Launches)+len(dev.Gaps)+4)
 	idle := IdleW(clk)
 	segs = append(segs, Segment{Start: 0, Duration: leadIdle, Watts: idle})
 
-	events := make([]event, 0, len(dev.Launches)+len(dev.Gaps))
-	for _, l := range dev.Launches {
-		events = append(events, event{l.Start, l.TotalDuration(), LaunchPower(clk, l)})
-	}
 	tail := TailW(clk)
-	for _, g := range dev.Gaps {
-		events = append(events, event{g.Start, g.Duration, tail})
-	}
-	sortEvents(events)
-	for _, e := range events {
-		if e.dur <= 0 {
-			continue
-		}
-		segs = append(segs, Segment{Start: leadIdle + e.start, Duration: e.dur, Watts: e.watts})
-	}
 	end := leadIdle
-	if len(events) > 0 {
-		last := events[len(events)-1]
-		end = leadIdle + last.start + last.dur
+	launches, gaps := dev.Launches, dev.Gaps
+	for len(launches) > 0 || len(gaps) > 0 {
+		var start, dur, watts float64
+		if len(gaps) == 0 || (len(launches) > 0 && !(gaps[0].Start < launches[0].Start)) {
+			l := launches[0]
+			launches = launches[1:]
+			start, dur, watts = l.Start, l.TotalDuration(), LaunchPower(clk, l)
+		} else {
+			start, dur, watts = gaps[0].Start, gaps[0].Duration, tail
+			gaps = gaps[1:]
+		}
+		if dur > 0 {
+			segs = append(segs, Segment{Start: leadIdle + start, Duration: dur, Watts: watts})
+		}
+		end = leadIdle + start + dur
 	}
 	segs = append(segs, Segment{Start: end, Duration: tailDuration, Watts: tail})
 	segs = append(segs, Segment{Start: end + tailDuration, Duration: trailIdle, Watts: idle})
@@ -195,20 +197,4 @@ func ActiveEnergy(dev *sim.Device) float64 {
 		e += LaunchEnergy(dev.Clocks, l) * float64(l.Repeat)
 	}
 	return e
-}
-
-// event is a timeline entry before merging into segments.
-type event struct {
-	start, dur float64
-	watts      float64
-}
-
-// sortEvents sorts by start time (insertion sort; launches are already
-// nearly ordered).
-func sortEvents(ev []event) {
-	for i := 1; i < len(ev); i++ {
-		for j := i; j > 0 && ev[j].start < ev[j-1].start; j-- {
-			ev[j], ev[j-1] = ev[j-1], ev[j]
-		}
-	}
 }

@@ -2,6 +2,8 @@ package power
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -198,11 +200,82 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 	}
 }
 
-func TestSortEvents(t *testing.T) {
-	ev := []event{{3, 1, 0}, {1, 1, 0}, {2, 1, 0}}
-	sortEvents(ev)
-	if !(ev[0].start == 1 && ev[1].start == 2 && ev[2].start == 3) {
-		t.Errorf("sortEvents wrong: %+v", ev)
+// stableSortTimeline is the reference ordering Timeline's merge replaces:
+// every launch, then every gap, stably sorted by start time.
+func stableSortTimeline(dev *sim.Device) []Segment {
+	type event struct{ start, dur, watts float64 }
+	clk := dev.Clocks
+	var events []event
+	for _, l := range dev.Launches {
+		events = append(events, event{l.Start, l.TotalDuration(), LaunchPower(clk, l)})
+	}
+	for _, g := range dev.Gaps {
+		events = append(events, event{g.Start, g.Duration, TailW(clk)})
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].start < events[j].start })
+	segs := []Segment{{Start: 0, Duration: leadIdle, Watts: IdleW(clk)}}
+	end := leadIdle
+	for _, e := range events {
+		if e.dur > 0 {
+			segs = append(segs, Segment{Start: leadIdle + e.start, Duration: e.dur, Watts: e.watts})
+		}
+		end = leadIdle + e.start + e.dur
+	}
+	segs = append(segs, Segment{Start: end, Duration: tailDuration, Watts: TailW(clk)})
+	return append(segs, Segment{Start: end + tailDuration, Duration: trailIdle, Watts: IdleW(clk)})
+}
+
+// TestTimelineMergeMatchesStableSort drives random devices through
+// launches, host pauses and Repeat calls on earlier (mid-timeline) launches,
+// and checks that Timeline's linear merge equals a stable sort of the
+// launches followed by the gaps, segment for segment and bit for bit.
+func TestTimelineMergeMatchesStableSort(t *testing.T) {
+	f := func(ops []uint16) bool {
+		d := sim.NewDevice(kepler.Default)
+		for _, op := range ops {
+			switch arg := int(op >> 2); op & 3 {
+			case 0, 1:
+				d.Launch("k", 1+arg%8, 32, func(c *sim.Ctx) { c.FP32Ops(1 + arg%50) })
+			case 2:
+				d.HostPause(float64(arg%7) * 1e-4)
+			case 3:
+				if len(d.Launches) > 0 {
+					l := d.Launches[arg%len(d.Launches)]
+					d.Repeat(l, l.Repeat+1+arg%3)
+				}
+			}
+		}
+		got, want := Timeline(d), stableSortTimeline(d)
+		if len(got) != len(want) {
+			t.Logf("%d segments, want %d", len(got), len(want))
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Logf("segment %d = %+v, want %+v", i, got[i], want[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+
+	// Equal starts: the launch precedes the gap, as in the stable sort;
+	// a zero-length entry still sets the timeline's end.
+	tied := &sim.Device{
+		Clocks: kepler.Default,
+		Launches: []*sim.Launch{
+			{Start: 0, Duration: 1e-3, Repeat: 1, Scale: 1},
+			{Start: 2e-3, Duration: 1e-3, Repeat: 1, Scale: 1},
+			{Start: 4e-3, Repeat: 1, Scale: 1},
+		},
+		Gaps: []sim.Gap{{Start: 0, Duration: 2e-3}, {Start: 2e-3, Duration: 1e-3}, {Start: 4e-3}},
+	}
+	got, want := Timeline(tied), stableSortTimeline(tied)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tied starts: got %+v, want %+v", got, want)
 	}
 }
 

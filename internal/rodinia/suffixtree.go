@@ -6,17 +6,36 @@ package rodinia
 // and the kernel mirrors the per-query walk.
 type suffixTree struct {
 	text []byte
+	// slot maps a byte to its column in next, -1 for a byte the text lacks;
+	// width is the number of distinct bytes in the text.
+	slot  [256]int16
+	width int32
 	// Nodes. Node 0 is the root.
-	next  []map[byte]int32 // child by first edge character
-	start []int32          // edge label start in text
-	end   []int32          // edge label end (exclusive); -1 = open leaf
-	link  []int32          // suffix link
+	next  []int32 // child by first edge character: next[node*width+slot[c]]; 0 = none (the root is nobody's child)
+	start []int32 // edge label start in text
+	end   []int32 // edge label end (exclusive); -1 = open leaf
+	link  []int32 // suffix link
 }
 
 // newSuffixTree builds the suffix tree of text (a unique terminator is
 // appended internally), using Ukkonen's online algorithm.
 func newSuffixTree(text []byte) *suffixTree {
 	t := &suffixTree{text: append(append([]byte(nil), text...), 0)}
+	for i := range t.slot {
+		t.slot[i] = -1
+	}
+	for _, c := range t.text {
+		if t.slot[c] < 0 {
+			t.slot[c] = int16(t.width)
+			t.width++
+		}
+	}
+	// Ukkonen's tree has at most 2n nodes for a text of length n.
+	maxNodes := 2 * len(t.text)
+	t.next = make([]int32, 0, maxNodes*int(t.width))
+	t.start = make([]int32, 0, maxNodes)
+	t.end = make([]int32, 0, maxNodes)
+	t.link = make([]int32, 0, maxNodes)
 	t.addNode(0, 0) // root
 
 	var (
@@ -33,11 +52,11 @@ func newSuffixTree(text []byte) *suffixTree {
 			if activeLen == 0 {
 				activeEdge = pos
 			}
-			child, ok := t.next[activeNode][t.text[activeEdge]]
-			if !ok {
+			child := t.child(activeNode, t.text[activeEdge])
+			if child == 0 {
 				// Rule 2a: new leaf straight off the active node.
 				leaf := t.addNode(pos, -1)
-				t.next[activeNode][t.text[activeEdge]] = leaf
+				t.setChild(activeNode, t.text[activeEdge], leaf)
 				if lastNew >= 0 {
 					t.link[lastNew] = activeNode
 					lastNew = -1
@@ -62,11 +81,11 @@ func newSuffixTree(text []byte) *suffixTree {
 				}
 				// Rule 2b: split the edge and add a leaf.
 				split := t.addNode(t.start[child], t.start[child]+activeLen)
-				t.next[activeNode][t.text[activeEdge]] = split
+				t.setChild(activeNode, t.text[activeEdge], split)
 				leaf := t.addNode(pos, -1)
-				t.next[split][t.text[pos]] = leaf
+				t.setChild(split, t.text[pos], leaf)
 				t.start[child] += activeLen
-				t.next[split][t.text[t.start[child]]] = child
+				t.setChild(split, t.text[t.start[child]], child)
 				if lastNew >= 0 {
 					t.link[lastNew] = split
 				}
@@ -85,11 +104,26 @@ func newSuffixTree(text []byte) *suffixTree {
 }
 
 func (t *suffixTree) addNode(start, end int32) int32 {
-	t.next = append(t.next, make(map[byte]int32, 2))
+	t.next = append(t.next, make([]int32, t.width)...)
 	t.start = append(t.start, start)
 	t.end = append(t.end, end)
 	t.link = append(t.link, 0)
-	return int32(len(t.next) - 1)
+	return int32(len(t.start) - 1)
+}
+
+// child returns node's child whose edge starts with c, or 0 for none.
+func (t *suffixTree) child(node int32, c byte) int32 {
+	s := t.slot[c]
+	if s < 0 {
+		return 0
+	}
+	return t.next[node*t.width+int32(s)]
+}
+
+// setChild links node to its child whose edge starts with c, a byte of the
+// text.
+func (t *suffixTree) setChild(node int32, c byte, child int32) {
+	t.next[node*t.width+int32(t.slot[c])] = child
 }
 
 func (t *suffixTree) edgeLen(node, pos int32) int32 {
@@ -101,7 +135,7 @@ func (t *suffixTree) edgeLen(node, pos int32) int32 {
 }
 
 // nodes returns the node count (for sizing device mirrors).
-func (t *suffixTree) nodes() int { return len(t.next) }
+func (t *suffixTree) nodes() int { return len(t.start) }
 
 // matchLen walks the tree from the root matching query[from:] and returns
 // the length of the longest prefix that occurs in the text, along with the
@@ -110,8 +144,8 @@ func (t *suffixTree) matchLen(query []byte, from int) (length, hops int) {
 	node := int32(0)
 	i := from
 	for i < len(query) {
-		child, ok := t.next[node][query[i]]
-		if !ok {
+		child := t.child(node, query[i])
+		if child == 0 {
 			return i - from, hops
 		}
 		hops++

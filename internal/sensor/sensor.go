@@ -53,6 +53,12 @@ func DefaultOptions(seed uint64) Options {
 // Record samples the true-power timeline the way the on-board sensor would,
 // returning the reported samples.
 func Record(segs []power.Segment, opt Options) []Sample {
+	return AppendRecord(nil, segs, opt)
+}
+
+// AppendRecord is Record appending the samples to dst, so a caller that
+// records many timelines can reuse one buffer (pass dst[:0]).
+func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 	if opt.Tau <= 0 {
 		opt.Tau = 0.7
 	}
@@ -63,13 +69,13 @@ func Record(segs []power.Segment, opt Options) []Sample {
 		opt.ActiveDT = 0.1
 	}
 	if len(segs) == 0 {
-		return nil
+		return dst
 	}
 	end := segs[len(segs)-1].End()
 	rng := newRNG(opt.Seed)
 	driftPhase := rng.float() * 2 * math.Pi
 
-	var samples []Sample
+	samples := dst
 	reported := segs[0].Watts
 	t := 0.0
 	segIdx := 0

@@ -2,6 +2,7 @@ package shoc
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -75,5 +76,40 @@ func TestGreedyClusterMonotoneInCandidates(t *testing.T) {
 	half := greedyCluster(0, candidates[:len(candidates)/2], dist)
 	if len(half) > len(full) {
 		t.Errorf("fewer candidates grew a bigger cluster: %d > %d", len(half), len(full))
+	}
+}
+
+// TestMDNeighborListsMatchSortSlice rebuilds every atom's neighbor list
+// with the reflection-based sort.Slice the generator used before
+// slices.SortFunc and checks that all 8192 lists are identical: both run
+// the same pattern-defeating quicksort, so even the order among
+// equidistant candidates must agree.
+func TestMDNeighborListsMatchSortSlice(t *testing.T) {
+	pos, neigh := mdSystem()
+
+	rng := xrand.New(xrand.HashString("md"))
+	for range pos {
+		rng.Float64()
+		rng.Float64()
+		rng.Float64()
+	}
+	for i := range pos {
+		var cands []mdCand
+		for k := 0; k < 256; k++ {
+			j := int32(rng.Intn(mdAtoms))
+			if int(j) == i {
+				continue
+			}
+			dx := pos[j][0] - pos[i][0]
+			dy := pos[j][1] - pos[i][1]
+			dz := pos[j][2] - pos[i][2]
+			cands = append(cands, mdCand{dx*dx + dy*dy + dz*dz, j})
+		}
+		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+		for k := 0; k < mdNeighbors; k++ {
+			if want := cands[k%len(cands)].j; neigh[i][k] != want {
+				t.Fatalf("atom %d neighbor %d = %d, want %d", i, k, neigh[i][k], want)
+			}
+		}
 	}
 }

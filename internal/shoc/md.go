@@ -3,7 +3,7 @@ package shoc
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -39,29 +39,26 @@ const (
 	mdPasses    = 220
 )
 
-// Run computes the forces and validates sampled atoms against a float64
-// recompute over the same neighbor lists.
-func (p *MD) Run(ctx context.Context, dev *sim.Device, input string) error {
-	if err := p.CheckInput(input); err != nil {
-		return err
-	}
-	dev.SetTimeScale(mdScale)
+// mdCand is one neighbor candidate: its squared distance and atom index.
+type mdCand struct {
+	d float64
+	j int32
+}
 
+// mdSystem places the atoms and builds their neighbor lists: the
+// mdNeighbors nearest atoms, approximated by a distance sort over a random
+// sample, as SHOC's generator does.
+func mdSystem() (pos [][3]float64, neigh [][]int32) {
 	rng := xrand.New(xrand.HashString("md"))
 	box := math.Cbrt(float64(mdAtoms)) * 1.2
-	pos := make([][3]float64, mdAtoms)
+	pos = make([][3]float64, mdAtoms)
 	for i := range pos {
 		pos[i] = [3]float64{rng.Float64() * box, rng.Float64() * box, rng.Float64() * box}
 	}
-	// Neighbor lists: the mdNeighbors nearest atoms (approximated by
-	// distance sort over a random sample, as SHOC's generator does).
-	neigh := make([][]int32, mdAtoms)
+	neigh = make([][]int32, mdAtoms)
+	cands := make([]mdCand, 0, 256)
 	for i := range neigh {
-		type cand struct {
-			d float64
-			j int32
-		}
-		cands := make([]cand, 0, 256)
+		cands = cands[:0]
 		for k := 0; k < 256; k++ {
 			j := int32(rng.Intn(mdAtoms))
 			if int(j) == i {
@@ -70,15 +67,35 @@ func (p *MD) Run(ctx context.Context, dev *sim.Device, input string) error {
 			dx := pos[j][0] - pos[i][0]
 			dy := pos[j][1] - pos[i][1]
 			dz := pos[j][2] - pos[i][2]
-			cands = append(cands, cand{dx*dx + dy*dy + dz*dz, j})
+			cands = append(cands, mdCand{dx*dx + dy*dy + dz*dz, j})
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+		slices.SortFunc(cands, func(a, b mdCand) int {
+			switch {
+			case a.d < b.d:
+				return -1
+			case a.d > b.d:
+				return 1
+			}
+			return 0
+		})
 		list := make([]int32, mdNeighbors)
-		for k := 0; k < mdNeighbors; k++ {
+		for k := range list {
 			list[k] = cands[k%len(cands)].j
 		}
 		neigh[i] = list
 	}
+	return pos, neigh
+}
+
+// Run computes the forces and validates sampled atoms against a float64
+// recompute over the same neighbor lists.
+func (p *MD) Run(ctx context.Context, dev *sim.Device, input string) error {
+	if err := p.CheckInput(input); err != nil {
+		return err
+	}
+	dev.SetTimeScale(mdScale)
+
+	pos, neigh := mdSystem()
 
 	dPos := dev.NewArray(mdAtoms, 16)
 	dNeigh := dev.NewArray(mdAtoms*mdNeighbors, 4)

@@ -216,11 +216,26 @@ func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 		return nil, fmt.Errorf("sim: trace captured on device %s cannot replay on %s: block statistics and issue cycles are device-dependent", t.device, dev)
 	}
 	d := NewDevice(clk)
+	// Size the timeline up front and allocate its launches in one block:
+	// every launch adds one record and at most one inter-launch gap.
+	launches, gaps := 0, 0
+	for i := range t.events {
+		switch t.events[i].kind {
+		case evLaunch:
+			launches++
+			gaps++
+		case evPause:
+			gaps++
+		}
+	}
+	block := make([]Launch, launches)
+	d.Launches = make([]*Launch, 0, launches)
+	d.Gaps = make([]Gap, 0, gaps)
 	for i := range t.events {
 		ev := &t.events[i]
 		switch ev.kind {
 		case evLaunch:
-			replayLaunch(d, ev.launch)
+			replayLaunch(d, ev.launch, &block[len(d.Launches)])
 		case evPause:
 			d.HostPause(ev.pause)
 		case evRepeat:
@@ -233,10 +248,10 @@ func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 	return d, nil
 }
 
-// replayLaunch appends one captured launch to the replay device, mirroring
-// the tail of LaunchSpec (gap insertion, pricing, clock advance) operation
-// for operation.
-func replayLaunch(d *Device, cl *CapturedLaunch) {
+// replayLaunch records one captured launch into l and appends it to the
+// replay device, mirroring the tail of LaunchSpec (gap insertion, pricing,
+// clock advance) operation for operation.
+func replayLaunch(d *Device, cl *CapturedLaunch, l *Launch) {
 	seq := d.seq
 	d.seq++
 
@@ -245,7 +260,7 @@ func replayLaunch(d *Device, cl *CapturedLaunch) {
 		d.now += d.interLaunchGap
 	}
 
-	l := &Launch{
+	*l = Launch{
 		Name:           cl.Spec.Name,
 		Seq:            seq,
 		Grid:           cl.Spec.Grid,

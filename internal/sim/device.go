@@ -92,7 +92,8 @@ type Device struct {
 	// timeScale is applied to every subsequent launch (see Launch.Scale).
 	timeScale float64
 
-	// exec is the caller-goroutine block executor, reused across launches;
+	// exec is the caller-goroutine block executor, created by the first
+	// launch and reused by later ones (a replayed device never needs one);
 	// parallel launches borrow additional executors from a shared pool.
 	exec *blockExecutor
 	// pool is the worker budget parallel launches draw extra workers from.
@@ -120,7 +121,6 @@ func NewDevice(clk kepler.Clocks) *Device {
 		nextAddr:       4096, // keep 0 unused so Addr(0) can mean "nil"
 		interLaunchGap: 40e-6,
 		timeScale:      1,
-		exec:           newBlockExecutor(),
 		pool:           defaultPool,
 		ctx:            context.Background(),
 	}

@@ -84,6 +84,9 @@ func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
 	}
 	blockCycles := d.blockCycles[:spec.Grid]
 
+	if d.exec == nil {
+		d.exec = newBlockExecutor()
+	}
 	var stats trace.KernelStats
 	if spec.Ordered {
 		d.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &stats)
