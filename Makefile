@@ -81,9 +81,8 @@ fabric-smoke:
 	$(GO) build -o /tmp/gpuchard-promlint ./cmd/promlint
 	PROMLINT=/tmp/gpuchard-promlint ./scripts/fabric_smoke.sh /tmp/gpuchard-fabric
 
-# Sweep benchmarks bracketing the replay engine (replay on vs NoReplay
-# baseline, plus raw engine throughput and the isolated replay path);
-# writes benchstat-compatible BENCH_sweep.json. Minutes-long on one core.
+# Re-baseline the committed BENCH_<workload>.jsonl records: the four
+# bench/ workloads over seeds 1-5 (about 9 minutes on 2 vCPUs).
 bench:
 	./scripts/bench.sh
 

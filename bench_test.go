@@ -218,126 +218,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(256*256), "threads/op")
 }
 
-// BenchmarkColdSweep measures an uncached full-suite sweep: a fresh Runner
-// measuring every program's default input at all four clock configurations,
-// exactly what `gpuchar -exp all` pays on startup. This is the workload the
-// parallel block-simulation engine targets; worker counts change only the
-// wall time reported here, never the measured values.
-func BenchmarkColdSweep(b *testing.B) {
-	progs := suites.All()
-	for i := 0; i < b.N; i++ {
-		r := core.NewRunner() // cold: no cache, full simulation cost
-		if err := r.MeasureAll(context.Background(), progs, kepler.Configs, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdSweepNoReplay is the cold sweep with the launch-trace replay
-// cache disabled: every configuration pays for a full warp-level simulation,
-// the pre-replay engine's behaviour. The replay speedup is the ratio of
-// BenchmarkColdSweepNoReplay to BenchmarkColdSweep.
-func BenchmarkColdSweepNoReplay(b *testing.B) {
-	progs := suites.All()
-	for i := 0; i < b.N; i++ {
-		r := core.NewRunner()
-		r.NoReplay = true
-		if err := r.MeasureAll(context.Background(), progs, kepler.Configs, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplaySweep isolates the replay path itself: every clock-
-// insensitive program's launch trace is captured once outside the timed
-// region, then each iteration re-prices all those traces at the three
-// non-default configurations — the marginal cost of "another config" once a
-// trace exists.
-func BenchmarkReplaySweep(b *testing.B) {
-	var traces []*sim.LaunchTrace
-	for _, p := range suites.All() {
-		dev := sim.NewDevice(kepler.Default)
-		dev.BeginCapture()
-		if err := core.RunProgram(context.Background(), p, dev, p.DefaultInput()); err != nil {
-			b.Fatal(err)
-		}
-		tr := dev.EndCapture()
-		if !tr.ClockSensitive() {
-			traces = append(traces, tr)
-		}
-	}
-	if len(traces) == 0 {
-		b.Fatal("no clock-insensitive traces captured")
-	}
-	others := []kepler.Clocks{kepler.F614, kepler.F324, kepler.ECCDefault}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range traces {
-			for _, clk := range others {
-				if _, err := tr.Replay(clk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(len(traces)*len(others)), "replays/op")
-}
-
-// BenchmarkFrontierGridReplay prices the dense DVFS frontier's hot path:
-// every clock-insensitive program's trace, captured once outside the timed
-// region, replayed across the full ~100-config grid (the work `gpuchar -exp
-// frontier` does per program after its single capture). ns/op divided by
-// replays/op is the marginal cost of one grid configuration.
-func BenchmarkFrontierGridReplay(b *testing.B) {
-	grid, err := kepler.Grid(kepler.DefaultGridSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var traces []*sim.LaunchTrace
-	for _, p := range suites.All() {
-		dev := sim.NewDevice(kepler.Default)
-		dev.BeginCapture()
-		if err := core.RunProgram(context.Background(), p, dev, p.DefaultInput()); err != nil {
-			b.Fatal(err)
-		}
-		tr := dev.EndCapture()
-		if !tr.ClockSensitive() {
-			traces = append(traces, tr)
-		}
-	}
-	if len(traces) == 0 {
-		b.Fatal("no clock-insensitive traces captured")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range traces {
-			for _, clk := range grid {
-				if clk.Name == kepler.Default.Name {
-					continue // the capture config is never replayed
-				}
-				if _, err := tr.Replay(clk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(len(traces)*(len(grid)-1)), "replays/op")
-}
-
-// BenchmarkColdSweepSerial is the same sweep restricted to one worker — the
-// pre-parallel engine's behaviour — so the speedup of the worker pool is the
-// ratio of the two benchmarks.
-func BenchmarkColdSweepSerial(b *testing.B) {
-	progs := suites.All()
-	for i := 0; i < b.N; i++ {
-		r := core.NewRunner()
-		r.Workers = 1
-		if err := r.MeasureAll(context.Background(), progs, kepler.Configs, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMeasurementStack measures one full measurement pass (device,
 // power model, sensor, analysis) for a single mid-sized program.
 func BenchmarkMeasurementStack(b *testing.B) {

@@ -57,7 +57,6 @@ func main() {
 		store     = flag.String("store", "", "measurement cache file: loaded if present, saved on exit (also on failure, timeout and SIGINT)")
 		selfcheck = flag.Bool("selfcheck", false, "run the physics-invariant verification sweep instead of the experiments; exit 1 on any violation")
 		workers   = flag.Int("workers", 0, "simulation worker budget shared by concurrent measurements and per-launch block sharding (0 = GOMAXPROCS); never affects measured values")
-		noreplay  = flag.Bool("noreplay", false, "disable the cross-config launch-trace replay cache: simulate every configuration from scratch (never affects measured values; debugging/benchmarking escape hatch)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the run (e.g. 10m); 0 disables")
 		metrics   = flag.Bool("metrics", false, "dump pipeline metrics (stage timings, cache counters, pool utilization) as JSON to stderr at exit")
 		traces    = flag.String("traces", "", "launch-trace directory: captured traces are stored here and replayed on later runs, so a warm directory costs zero simulations (never affects measured values)")
@@ -85,7 +84,6 @@ func main() {
 	runner := core.NewRunner()
 	runner.Repetitions = *reps
 	runner.Workers = *workers
-	runner.NoReplay = *noreplay
 	if *traces != "" {
 		runner.Broker = core.NewDirBroker(*traces)
 	}

@@ -78,7 +78,6 @@ func main() {
 		health   = flag.Duration("health", 5*time.Second, "coordinator membership staleness bound: ready-worker probes are refreshed at least this often")
 		reps     = flag.Int("reps", 3, "measurement repetitions per configuration (the paper uses 3)")
 		workers  = flag.Int("workers", 0, "simulation worker budget shared by concurrent requests, sweeps and block sharding (0 = GOMAXPROCS)")
-		noreplay = flag.Bool("noreplay", false, "disable the cross-config launch-trace replay cache: simulate every configuration from scratch (never affects measured values)")
 	)
 	flag.Parse()
 
@@ -94,7 +93,6 @@ func main() {
 	runner := core.NewRunner()
 	runner.Repetitions = *reps
 	runner.Workers = *workers
-	runner.NoReplay = *noreplay
 
 	cfg := serve.Config{
 		Runner:         runner,

@@ -86,9 +86,10 @@ type Runner struct {
 	// NoReplay disables the cross-config launch-trace cache: every
 	// measurement then pays for a full warp-level simulation, exactly as if
 	// the replay engine did not exist. Replay never changes measured values
-	// (replayed timelines are bit-identical to fresh simulations; the golden
-	// corpus and `gpuchar -selfcheck` enforce it), so this is an escape
-	// hatch for debugging and for benchmarking the simulation cost itself.
+	// (replayed timelines are bit-identical to fresh simulations), and this
+	// is the reference path that proves it: internal/check's replay-identity
+	// invariant re-measures the sweep on a NoReplay runner and compares the
+	// results bitwise.
 	NoReplay bool
 	// Broker, when set, extends the launch-trace cache across a fleet: the
 	// simulate stage consults it before paying for a capture and publishes

@@ -226,9 +226,9 @@ func (r *Runner) stageSimulate(st *measureState) error {
 func (r *Runner) consumeTrace(st *measureState, tr *sim.LaunchTrace) error {
 	m := r.metricsHandles()
 	if tr.ClockSensitive() {
-		// Ordered launches (or mid-run clock reads) make the program's Go
-		// state evolve per configuration: replay would be unsound, so every
-		// configuration pays for its own simulation.
+		// A mid-run clock read makes the program's Go state evolve per
+		// configuration: replay would be unsound, so every configuration
+		// pays for its own simulation.
 		m.traceSensitiveRuns.Inc()
 		_, err := r.simulateFresh(st, false)
 		return err

@@ -45,9 +45,9 @@ var promHelp = map[string]string{
 	"trace_broker_puts":            "Launch traces published to the fleet trace broker.",
 	"trace_broker_errors":          "Trace broker transport or decode failures (fell back to local capture).",
 	"simulate_runs":                "Full warp-level simulations, by device.",
-	"pool_workers_total":           "Size of the shared simulation worker pool.",
+	"pool_workers_budget":          "Size of the shared simulation worker pool.",
 	"pool_workers_in_use":          "Worker-pool slots currently held.",
-	"pool_workers_max_in_use":      "High-water mark of held worker-pool slots.",
+	"pool_workers_in_use_peak":     "High-water mark of held worker-pool slots.",
 	"frontier_replays":             "Frontier grid configurations priced by trace replay.",
 	"fabric_workers_ready":         "Workers currently passing the coordinator's readiness probe.",
 	"fabric_shards_dispatched":     "Sweep shards dispatched to workers.",

@@ -387,6 +387,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsPoolGaugeHelp: the worker-pool gauges the pool registers carry
+// their written docstrings, not the generic one derived from the name.
+func TestMetricsPoolGaugeHelp(t *testing.T) {
+	s, _ := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if code, _ := postJSON(t, ts.URL+"/v1/measure", `{"program":"FAKE"}`); code != http.StatusOK {
+		t.Fatalf("measure: status %d", code)
+	}
+	help := map[string]string{}
+	for _, f := range scrapeMetrics(t, ts.URL, "") {
+		help[f.Name] = f.Help
+	}
+	for name, want := range map[string]string{
+		"gpuchard_pool_workers_budget":      "Size of the shared simulation worker pool.",
+		"gpuchard_pool_workers_in_use_peak": "High-water mark of held worker-pool slots.",
+	} {
+		if got, ok := help[name]; !ok {
+			t.Errorf("exposition has no %s family", name)
+		} else if got != want {
+			t.Errorf("%s HELP = %q, want %q", name, got, want)
+		}
+	}
+}
+
 // serveOn runs srv.Serve on a fresh loopback listener, returning the base
 // URL, the cancel that triggers the drain, and a channel with Serve's error.
 func serveOn(t *testing.T, srv *Server) (string, context.CancelFunc, chan error) {

@@ -153,19 +153,14 @@ func (d *Device) EndCapture() *LaunchTrace {
 	return t
 }
 
-// recordLaunch captures one completed launch.
-func (t *LaunchTrace) recordLaunch(spec LaunchSpec, occ kepler.Occupancy, stats *trace.KernelStats, blockCycles []float64, sched launchSchedule, scale float64) {
+// recordLaunch captures one completed launch. cl is the launch path's own
+// record; only its BlockCycles, which alias the device's scratch buffer, are
+// copied.
+func (t *LaunchTrace) recordLaunch(cl *CapturedLaunch) {
 	if t.sensitive {
 		return
 	}
-	cl := &CapturedLaunch{
-		Spec:        spec,
-		Occ:         occ,
-		Stats:       *stats,
-		BlockCycles: append([]float64(nil), blockCycles...),
-		Scale:       scale,
-		sched:       sched,
-	}
+	cl.BlockCycles = append([]float64(nil), cl.BlockCycles...)
 	t.events = append(t.events, captureEvent{kind: evLaunch, launch: cl})
 	t.bytes += int64(len(cl.BlockCycles))*8 + capturedLaunchOverhead
 }
@@ -201,13 +196,12 @@ func (t *LaunchTrace) recordRepeat(index, n int) {
 // (thread functions, statistics merging) does not run again, and neither
 // does the block schedule: each launch costs O(1), a replay O(launches).
 //
-// Bit-identity holds because Replay performs the exact float operations of
-// the original launch path in the exact order: the same kernelTime call on
-// the same inputs (stats and the block schedule are clock-independent; the
-// schedule is the very value the launch path computed once and priced), the
-// same scale multiplications, and the same running-clock additions. It
-// fails on a clock-sensitive trace, whose Go-side evolution the timing
-// model alone cannot reproduce.
+// Bit-identity holds by construction: each launch goes through the same
+// appendLaunch tail the live path used, on the same inputs (stats and the
+// block schedule are clock-independent; the schedule is the very value the
+// launch path computed once and priced), and pauses and repeats through the
+// same HostPause and Repeat. It fails on a clock-sensitive trace, whose
+// Go-side evolution the timing model alone cannot reproduce.
 func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 	if t.sensitive {
 		return nil, fmt.Errorf("sim: trace is clock-sensitive (%s); replay would be unsound", t.reason)
@@ -235,7 +229,8 @@ func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 		ev := &t.events[i]
 		switch ev.kind {
 		case evLaunch:
-			replayLaunch(d, ev.launch, &block[len(d.Launches)])
+			d.appendLaunch(ev.launch, d.seq, &block[len(d.Launches)])
+			d.seq++
 		case evPause:
 			d.HostPause(ev.pause)
 		case evRepeat:
@@ -248,13 +243,14 @@ func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 	return d, nil
 }
 
-// replayLaunch records one captured launch into l and appends it to the
-// replay device, mirroring the tail of LaunchSpec (gap insertion, pricing,
-// clock advance) operation for operation.
-func replayLaunch(d *Device, cl *CapturedLaunch, l *Launch) {
-	seq := d.seq
-	d.seq++
-
+// appendLaunch prices a launch record at d's clocks into l and appends it to
+// the timeline as launch seq: the inter-launch gap, kernelTime, the
+// surrogate scale and the clock advance. It is the one launch tail of both
+// the live path (LaunchSpec) and Replay, so a replayed timeline performs
+// the float operations of a fresh simulation in the same order by
+// construction.
+func (d *Device) appendLaunch(cl *CapturedLaunch, seq int, l *Launch) {
+	// Host-side gap before this launch (driver/launch overhead).
 	if len(d.Launches) > 0 || len(d.Gaps) > 0 {
 		d.Gaps = append(d.Gaps, Gap{Start: d.now, Duration: d.interLaunchGap})
 		d.now += d.interLaunchGap

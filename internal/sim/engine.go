@@ -44,9 +44,10 @@ func (d *Device) LaunchShared(name string, grid, block, sharedPerBlock int, fn T
 }
 
 // LaunchOrdered executes a kernel whose Go-side effects are block-order
-// dependent: blocks run sequentially in the deterministic, configuration-
-// dependent permutation (see Device docs). Irregular kernels that
-// self-schedule through shared state belong here.
+// dependent: blocks run sequentially in a deterministic permutation of the
+// kernel name and launch sequence number (launchSeed), the same at every
+// clock configuration. Irregular kernels that self-schedule through shared
+// state belong here.
 func (d *Device) LaunchOrdered(name string, grid, block int, fn ThreadFunc) *Launch {
 	return d.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, Ordered: true}, fn)
 }
@@ -87,44 +88,21 @@ func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
 	if d.exec == nil {
 		d.exec = newBlockExecutor()
 	}
-	var stats trace.KernelStats
+	cl := &CapturedLaunch{Spec: spec, Occ: occ, BlockCycles: blockCycles}
 	if spec.Ordered {
-		d.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &stats)
+		d.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &cl.Stats)
 	} else {
-		d.runSharded(spec, fn, blockCycles, &stats)
+		d.runSharded(spec, fn, blockCycles, &cl.Stats)
 	}
-
-	// Host-side gap before this launch (driver/launch overhead).
-	if len(d.Launches) > 0 || len(d.Gaps) > 0 {
-		d.Gaps = append(d.Gaps, Gap{Start: d.now, Duration: d.interLaunchGap})
-		d.now += d.interLaunchGap
-	}
-
 	// The block schedule is clock-independent: derive it once and hand the
 	// same value to the capture and the pricing.
-	sched := blockSchedule(d.desc.SMs, occ, blockCycles)
+	cl.sched = blockSchedule(d.desc.SMs, occ, blockCycles)
+	cl.Scale = d.timeScale
 	if d.capture != nil {
-		d.capture.recordLaunch(spec, occ, &stats, blockCycles, sched, d.timeScale)
+		d.capture.recordLaunch(cl)
 	}
-
-	l := &Launch{
-		Name:           spec.Name,
-		Seq:            seq,
-		Grid:           spec.Grid,
-		Block:          spec.Block,
-		SharedPerBlock: spec.SharedPerBlock,
-		Occ:            occ,
-		Stats:          stats,
-		Start:          d.now,
-		Repeat:         1,
-		Scale:          d.timeScale,
-	}
-	l.Duration, l.TCore, l.TMem = kernelTime(d.Clocks, occ, &stats, sched)
-	l.Duration *= d.timeScale
-	l.TCore *= d.timeScale
-	l.TMem *= d.timeScale
-	d.now += l.Duration
-	d.Launches = append(d.Launches, l)
+	l := new(Launch)
+	d.appendLaunch(cl, seq, l)
 	return l
 }
 

@@ -1,78 +1,22 @@
 #!/usr/bin/env bash
-# Sweep benchmark harness: runs the cold-sweep benchmarks that bracket the
-# launch-trace replay engine (BenchmarkColdSweep with replay on,
-# BenchmarkColdSweepNoReplay as the from-scratch baseline), the raw engine
-# throughput and the isolated replay path, and writes BENCH_sweep.json — the
-# raw `go test -bench` lines (benchstat-compatible) plus the parsed ns/op of
-# each benchmark, the machine's worker budget and the run date. Shared by
-# `make bench` and the CI bench job.
+# Re-baselines the committed benchmark records: runs the four workloads of
+# BENCHMARK.json through bench/run.sh over seeds 1-5 and rewrites
+# BENCH_<workload>.jsonl with their -record lines (5 per file). Seed-major:
+# each seed runs all four workloads in turn, so host drift hits them alike.
+# Compare a later run against the committed records with
+#   bash bench/run.sh -compare BENCH_<workload>.jsonl new.jsonl
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-OUT=${1:-BENCH_sweep.json}
-BENCHES='BenchmarkColdSweep$|BenchmarkColdSweepNoReplay$|BenchmarkSimulatorThroughput$|BenchmarkReplaySweep$|BenchmarkFrontierGridReplay$'
-RAW=$(mktemp)
-trap 'rm -f "$RAW"' EXIT
+workloads=(cold_sweep frontier_grid attrib_grid fleet_sweep)
 
-# One iteration each: the cold sweeps are minutes-long end-to-end runs, not
-# microbenchmarks — a single run is the statistic.
-go test -run '^$' -bench "$BENCHES" -benchtime 1x -timeout 60m . | tee "$RAW" >&2
-
-# Benchmark names carry a -N GOMAXPROCS suffix only when N > 1; fall back to
-# the environment (or the machine's CPU count) for single-proc runs.
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v defprocs="${GOMAXPROCS:-$(nproc)}" '
-/^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
-/^Benchmark/ {
-    # BenchmarkName-8  1  123456 ns/op [extra metrics]
-    name = $1; sub(/-[0-9]+$/, "", name)
-    if (maxprocs == "" && match($1, /-[0-9]+$/)) {
-        maxprocs = substr($1, RSTART + 1)
-    }
-    for (i = 2; i < NF; i++) {
-        if ($(i + 1) == "ns/op") { ns[name] = $i }
-        if ($(i + 1) == "replays/op") { replays[name] = $i }
-    }
-    raw[++n] = $0
-}
-END {
-    printf "{\n"
-    printf "  \"date\": \"%s\",\n", date
-    printf "  \"cpu\": \"%s\",\n", cpu
-    if (maxprocs == "") maxprocs = defprocs
-    printf "  \"gomaxprocs\": %d,\n", maxprocs + 0
-    # Trajectory origin: the pre-replay engine (no trace cache, linear
-    # list scheduling, pre-optimization warp merge) measured on the same
-    # one-core CI container, 2026-08-06. Later runs are compared to this.
-    printf "  \"baseline\": {\n"
-    printf "    \"date\": \"2026-08-06\",\n"
-    printf "    \"cold_sweep_ns\": 155854314692,\n"
-    printf "    \"note\": \"seed engine before launch-trace replay\"\n"
-    printf "  },\n"
-    printf "  \"ns_per_op\": {\n"
-    first = 1
-    for (b in ns) {
-        if (!first) printf ",\n"
-        printf "    \"%s\": %s", b, ns[b]
-        first = 0
-    }
-    printf "\n  },\n"
-    cold = ns["BenchmarkColdSweep"]; base = ns["BenchmarkColdSweepNoReplay"]
-    if (cold > 0 && base > 0) {
-        printf "  \"replay_speedup\": %.3f,\n", base / cold
-    }
-    # Dense-grid frontier throughput: replays per second at ~100-config scale.
-    fns = ns["BenchmarkFrontierGridReplay"]; frep = replays["BenchmarkFrontierGridReplay"]
-    if (fns > 0 && frep > 0) {
-        printf "  \"frontier_replays_per_sec\": %.1f,\n", frep / (fns / 1e9)
-    }
-    printf "  \"benchstat_lines\": [\n"
-    for (i = 1; i <= n; i++) {
-        gsub(/"/, "\\\"", raw[i]); gsub(/\t/, " ", raw[i])
-        printf "    \"%s\"%s\n", raw[i], (i < n ? "," : "")
-    }
-    printf "  ]\n}\n"
-}' "$RAW" > "$OUT"
-
-echo "wrote $OUT" >&2
+for w in "${workloads[@]}"; do
+    : >"BENCH_$w.jsonl"
+done
+for seed in 1 2 3 4 5; do
+    for w in "${workloads[@]}"; do
+        bash bench/run.sh -workload "$w" -seed "$seed" -record "BENCH_$w.jsonl"
+    done
+done

@@ -14,16 +14,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
 
-# Timeline construction: Device.Launches may be appended to only by the
-# launch path (engine.go, behind recordLaunch) and the replay path
-# (capture.go, which re-prices recorded events). internal/power/attrib.go
+# Timeline construction: Device.Launches may be appended to only by
+# appendLaunch (capture.go), the one launch tail the live path (engine.go,
+# behind recordLaunch) and the replay path share. internal/power/attrib.go
 # is allowlisted for a different type: power.RunAttribution.Launches is a
 # read-only pricing of an already-captured timeline (attribution result
 # rows), not sim timeline state — appending there cannot bypass
 # recordLaunch or the clock-sensitivity detector.
 while IFS= read -r hit; do
     case "${hit%%:*}" in
-    internal/sim/engine.go | internal/sim/capture.go | internal/power/attrib.go) ;;
+    internal/sim/capture.go | internal/power/attrib.go) ;;
     *)
         echo "lint_launch: timeline append outside the capture layer: $hit" >&2
         fail=1
@@ -31,12 +31,12 @@ while IFS= read -r hit; do
     esac
 done < <(grep -rn 'Launches = append' --include='*.go' cmd/ internal/ *.go 2>/dev/null || true)
 
-# Timing model: kernelTime may be called only by the launch path, the
-# replay path and its own definition/helpers (timing.go), plus sim tests.
+# Timing model: kernelTime may be called only by appendLaunch (capture.go)
+# and its own definition/helpers (timing.go), plus sim tests.
 while IFS= read -r hit; do
     file=${hit%%:*}
     case "$file" in
-    internal/sim/engine.go | internal/sim/capture.go | internal/sim/timing.go) ;;
+    internal/sim/capture.go | internal/sim/timing.go) ;;
     internal/sim/*_test.go) ;;
     *)
         echo "lint_launch: kernelTime call outside the capture layer: $hit" >&2
