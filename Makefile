@@ -16,10 +16,9 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/...
 
-# Short fuzz smokes over the store key codec and the warp merge (against
-# its reference implementation); seeds plus 10s of mutation each.
+# Short fuzz smoke over the warp merge (against its reference
+# implementation); seeds plus 10s of mutation.
 fuzz:
-	$(GO) test -fuzz=FuzzKeyRoundTrip -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzMergeWarp -fuzztime=10s ./internal/trace
 
 # Full physics-invariant verification sweep + golden corpus diff.

@@ -147,13 +147,8 @@ func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progF
 	}
 
 	if selfcheck {
-		// The K20c keeps the historical selfcheck options (and their golden
-		// pinning); other profiles derive the equivalent device-independent
-		// sweep from their own ladder.
 		opt := check.DefaultOptions()
-		if dev.Name != "K20c" {
-			opt = check.DeviceOptions(dev)
-		}
+		opt.Device = dev
 		rep, err := check.Run(ctx, runner, programs, opt)
 		if err != nil {
 			return err

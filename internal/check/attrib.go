@@ -141,9 +141,9 @@ func relErr(got, want float64) float64 {
 //   - MB-FMA: zero memory traffic (dram and ldst classes exactly 0), the
 //     fp32 class recovers fp32J, and doubling the chain doubles the fp32
 //     count and its fp32 energy exactly.
-func checkCalibration(ctx context.Context, r *core.Runner, opt Options, st *Stats) ([]Violation, int, error) {
-	clk := opt.Configs[0] // baseline: ECC off on every shipped ladder
-	t := clk.Device().Energy
+func checkCalibration(ctx context.Context, r *core.Runner, dev *kepler.Device, st *Stats) ([]Violation, int, error) {
+	clk := dev.Configurations()[0] // baseline: ECC off on every shipped ladder
+	t := dev.Energy
 	var vs []Violation
 	checks := 0
 	bad := func(p, input, format string, args ...any) {

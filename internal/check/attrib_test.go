@@ -16,7 +16,7 @@ import (
 func TestCalibrationInvariants(t *testing.T) {
 	r := core.NewRunner()
 	var st Stats
-	vs, n, err := checkCalibration(context.Background(), r, DefaultOptions(), &st)
+	vs, n, err := checkCalibration(context.Background(), r, kepler.K20cDevice(), &st)
 	if err != nil {
 		t.Fatalf("calibration sweep failed: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestCalibrationOnEveryDevice(t *testing.T) {
 	for _, dev := range kepler.Devices() {
 		r := core.NewRunner()
 		var st Stats
-		vs, _, err := checkCalibration(context.Background(), r, DeviceOptions(dev), &st)
+		vs, _, err := checkCalibration(context.Background(), r, dev, &st)
 		if err != nil {
 			t.Fatalf("%s: calibration sweep failed: %v", dev.Name, err)
 		}

@@ -45,18 +45,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Options are the engine's invariant tolerances. The defaults are
-// calibrated against the current physics with roughly 2x headroom over the
-// worst observed margin, so real regressions trip them while sensor noise
-// and run-to-run jitter do not.
+// Options are the engine's invariant tolerances and the device they apply
+// to. The defaults are calibrated against the current physics with roughly
+// 2x headroom over the worst observed margin, so real regressions trip them
+// while sensor noise and run-to-run jitter do not. The tolerances are
+// device-independent physics (energy conservation, DVFS monotonicity and
+// ECC directionality hold on any profile); what the sweep covers comes from
+// the device (see Run).
 type Options struct {
-	// Device is the GPU profile the sweep runs on; nil means the K20c (or,
-	// when Configs is set, the device its first configuration belongs to).
+	// Device is the GPU profile the sweep runs on; nil means the K20c.
 	Device *kepler.Device
-	// Configs are the clock configurations to sweep (default: the device's
-	// four canonical ones). The first entry is treated as the baseline
-	// ("default" clocks).
-	Configs []kepler.Clocks
 
 	// EnergyTruthTol bounds |Energy/TrueEnergy - 1| of each result.
 	EnergyTruthTol float64
@@ -77,38 +75,12 @@ type Options struct {
 	ComputeBoundMin float64
 	// ECCComputeMax bounds the ECC runtime penalty on compute-bound codes.
 	ECCComputeMax float64
-	// DeterminismConfigs are re-measured on a fresh Runner and compared
-	// bitwise (nil disables the determinism invariant).
-	DeterminismConfigs []kepler.Clocks
-	// ReplayConfigs are re-measured on a fresh replay-disabled Runner
-	// (core.Runner.NoReplay) and compared bitwise against the main sweep,
-	// proving launch-trace replay never changes a measured value (nil
-	// disables the replay-identity invariant).
-	ReplayConfigs []kepler.Clocks
-
-	// FrontierSpec bounds the dense-grid frontier invariants (see
-	// frontier.go); the zero value disables them.
-	FrontierSpec kepler.GridSpec
-	// FrontierPrograms caps how many programs the frontier invariants
-	// sweep (evenly spaced over the program list; 0 sweeps all of them).
-	FrontierPrograms int
 	// FrontierTimeTol is the slack on dense-grid runtime monotonicity
 	// within a grid row.
 	FrontierTimeTol float64
 	// FrontierValleyTol is the slack on the dense-grid energy valley shape
 	// within a grid row.
 	FrontierValleyTol float64
-
-	// Attribution enables the energy-attribution invariants: for every
-	// program x configuration, every launch passes the accounting checks
-	// and charges no class a negative energy, and the run total reproduces
-	// power.ActiveEnergy and the stored Result.TrueEnergy exactly (see
-	// attrib.go).
-	Attribution bool
-	// Calibration enables the microbenchmark calibration invariants: each
-	// program in internal/microbench pins one EnergyTable entry of the
-	// swept device to an observable invariant (see attrib.go).
-	Calibration bool
 }
 
 // DefaultOptions returns the calibrated engine tolerances. Worst margins
@@ -120,39 +92,16 @@ type Options struct {
 // valley-shaped), so the 0.02 tolerances are pure headroom.
 func DefaultOptions() Options {
 	return Options{
-		Configs:            kepler.Configs,
-		EnergyTruthTol:     0.25,
-		TimeTruthTol:       0.30,
-		TraceTol:           0.20,
-		IdentityTol:        1e-9,
-		MonoTol:            0.07,
-		ComputeBoundMin:    0.6,
-		ECCComputeMax:      0.22,
-		DeterminismConfigs: []kepler.Clocks{kepler.Default},
-		ReplayConfigs:      kepler.Configs,
-		FrontierSpec:       defaultFrontierSpec(),
-		FrontierPrograms:   6,
-		FrontierTimeTol:    0.02,
-		FrontierValleyTol:  0.02,
-		Attribution:        true,
-		Calibration:        true,
+		EnergyTruthTol:    0.25,
+		TimeTruthTol:      0.30,
+		TraceTol:          0.20,
+		IdentityTol:       1e-9,
+		MonoTol:           0.07,
+		ComputeBoundMin:   0.6,
+		ECCComputeMax:     0.22,
+		FrontierTimeTol:   0.02,
+		FrontierValleyTol: 0.02,
 	}
-}
-
-// DeviceOptions returns the engine tolerances for an arbitrary device
-// profile. The bounds are the same calibrated ones as DefaultOptions — the
-// invariant classes are device-independent physics (energy conservation,
-// DVFS monotonicity and ECC directionality hold on any profile) — while the
-// configuration sets and the frontier grid come from the device's own DVFS
-// ladder.
-func DeviceOptions(dev *kepler.Device) Options {
-	opt := DefaultOptions()
-	opt.Device = dev
-	opt.Configs = dev.Configurations()
-	opt.DeterminismConfigs = []kepler.Clocks{dev.DefaultConfig()}
-	opt.ReplayConfigs = dev.Configurations()
-	opt.FrontierSpec = deviceFrontierSpec(dev)
-	return opt
 }
 
 // Violation is one failed invariant on one measured combination.
@@ -227,36 +176,35 @@ func (r *Report) Format(w io.Writer) {
 	}
 }
 
-// Run sweeps every program at every configuration through the runner and
-// evaluates all invariant classes. Hard measurement failures (validation
-// errors, not sample insufficiency) abort with an error; physics
-// inconsistencies are returned as violations in the report.
+// Run sweeps every program at the device's four canonical configurations
+// through the runner and evaluates all invariant classes: per-result energy
+// conservation, DVFS monotonicity, ECC directionality and energy
+// attribution; the microbenchmark calibration at the baseline
+// configuration; the frontier invariants on a reduced grid over
+// frontierSubsetSize programs; determinism at the default configuration; and
+// replay identity at every canonical configuration. Hard measurement
+// failures (validation errors, not sample insufficiency) abort with an
+// error; physics inconsistencies are returned as violations in the report.
 func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Options) (*Report, error) {
 	if opt.Device == nil {
-		if len(opt.Configs) > 0 {
-			opt.Device = opt.Configs[0].Device()
-		} else {
-			opt.Device = kepler.K20cDevice()
-		}
+		opt.Device = kepler.K20cDevice()
 	}
-	if len(opt.Configs) == 0 {
-		opt.Configs = opt.Device.Configurations()
-	}
+	configs := opt.Device.Configurations()
 	// A verification sweep runs with the trace-accounting assertions armed:
 	// an impossible counter combination (e.g. useful bytes exceeding fetched
 	// bytes) panics at the point of use instead of being silently clamped.
 	trace.AccountingChecks = true
 
 	r.KeepTraces = true
-	if err := r.MeasureAll(ctx, programs, opt.Configs, false); err != nil {
+	if err := r.MeasureAll(ctx, programs, configs, false); err != nil {
 		return nil, fmt.Errorf("check: sweep failed: %w", err)
 	}
 
-	rep := &Report{Programs: len(programs), Combos: len(programs) * len(opt.Configs)}
+	rep := &Report{Programs: len(programs), Combos: len(programs) * len(configs)}
 	measured := make(map[string]map[string]*core.Result, len(programs))
 	for _, p := range programs {
-		byConfig := make(map[string]*core.Result, len(opt.Configs))
-		for _, clk := range opt.Configs {
+		byConfig := make(map[string]*core.Result, len(configs))
+		for _, clk := range configs {
 			res, err := r.Measure(ctx, p, p.DefaultInput(), clk)
 			switch {
 			case err == nil:
@@ -278,43 +226,33 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Optio
 		rep.add(vs, n)
 		vs, n = checkECCDirectionality(byConfig, opt, &rep.Stats)
 		rep.add(vs, n)
-		if opt.Attribution {
-			vs, n, err := checkAttribution(ctx, r, p, opt.Configs, byConfig)
-			if err != nil {
-				return nil, err
-			}
-			rep.add(vs, n)
-		}
-	}
-
-	if opt.Calibration {
-		vs, n, err := checkCalibration(ctx, r, opt, &rep.Stats)
+		vs, n, err := checkAttribution(ctx, r, p, configs, byConfig)
 		if err != nil {
 			return nil, err
 		}
 		rep.add(vs, n)
 	}
 
-	if len(opt.FrontierSpec.MemMHz) > 0 {
-		if err := checkFrontier(ctx, r, programs, opt, rep); err != nil {
-			return nil, err
-		}
+	vs, n, err := checkCalibration(ctx, r, opt.Device, &rep.Stats)
+	if err != nil {
+		return nil, err
+	}
+	rep.add(vs, n)
+
+	if err := checkFrontier(ctx, r, programs, opt, rep); err != nil {
+		return nil, err
 	}
 
-	for _, clk := range opt.DeterminismConfigs {
-		vs, n, err := checkDeterminism(ctx, r, programs, clk)
-		if err != nil {
-			return nil, err
-		}
-		rep.add(vs, n)
+	vs, n, err = checkDeterminism(ctx, r, programs, opt.Device.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
-	if len(opt.ReplayConfigs) > 0 {
-		vs, n, err := checkReplayIdentity(ctx, r, programs, opt.ReplayConfigs)
-		if err != nil {
-			return nil, err
-		}
-		rep.add(vs, n)
+	rep.add(vs, n)
+	vs, n, err = checkReplayIdentity(ctx, r, programs, configs)
+	if err != nil {
+		return nil, err
 	}
+	rep.add(vs, n)
 	sort.Slice(rep.Violations, func(i, j int) bool {
 		a, b := rep.Violations[i], rep.Violations[j]
 		if a.Invariant != b.Invariant {

@@ -25,9 +25,11 @@ import (
 //     optimizer's pick) in (runtime, energy) — otherwise the "sweet spot"
 //     would be a worse choice on both axes.
 //
-// The invariants run on a reduced grid over a program subset by default
-// (see DefaultOptions) so `gpuchar -selfcheck` stays affordable; the grid
-// spec and subset size are Options.
+// The invariants run on a reduced grid (selfcheckGrid) over a program
+// subset (frontierPrograms) so `gpuchar -selfcheck` stays affordable.
+
+// frontierSubsetSize is how many programs the frontier invariants sweep.
+const frontierSubsetSize = 6
 
 // frontierPrograms picks the subset the frontier invariants sweep: n
 // programs evenly spaced over the provided list, so every suite tends to be
@@ -47,9 +49,9 @@ func frontierPrograms(programs []core.Program, n int) []core.Program {
 // three frontier invariant classes. Hard sweep errors abort; physics
 // inconsistencies become violations.
 func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program, opt Options, rep *Report) error {
-	subset := frontierPrograms(programs, opt.FrontierPrograms)
-	for _, p := range subset {
-		res, err := frontier.Sweep(ctx, r, p, frontier.Options{Device: opt.Device, Spec: opt.FrontierSpec})
+	spec := selfcheckGrid(opt.Device)
+	for _, p := range frontierPrograms(programs, frontierSubsetSize) {
+		res, err := frontier.Sweep(ctx, r, p, frontier.Options{Device: opt.Device, Spec: spec})
 		if err != nil {
 			return fmt.Errorf("check: frontier sweep %s: %w", p.Name(), err)
 		}
@@ -164,19 +166,12 @@ func checkFrontierConsistency(res *frontier.Result) ([]Violation, int) {
 	return vs, n
 }
 
-// defaultFrontierSpec is the K20c selfcheck grid: 8 core clocks spanning the
-// full range crossed with the extreme memory clocks — enough rows and
-// resolution to exercise both invariant shapes at a fraction of the dense
-// grid's sweep cost.
-func defaultFrontierSpec() kepler.GridSpec {
-	return deviceFrontierSpec(kepler.K20cDevice())
-}
-
-// deviceFrontierSpec reduces a device's default dense grid to the selfcheck
+// selfcheckGrid reduces a device's default dense grid to the selfcheck
 // resolution: ~8 core clocks spanning the device's full ladder range crossed
-// with its extreme memory clocks. On the K20c this reproduces the historical
-// 324..758-by-62 x {2600, 324} grid exactly.
-func deviceFrontierSpec(dev *kepler.Device) kepler.GridSpec {
+// with its extreme memory clocks — enough rows and resolution to exercise
+// both invariant shapes at a fraction of the dense grid's sweep cost. On
+// the K20c this is the 324..758-by-62 x {2600, 324} grid.
+func selfcheckGrid(dev *kepler.Device) kepler.GridSpec {
 	spec := dev.DefaultGrid()
 	step := (spec.CoreMaxMHz - spec.CoreMinMHz) / 7
 	if step < 1 {

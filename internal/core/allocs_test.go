@@ -25,7 +25,8 @@ func TestReplayedMeasureAllocs(t *testing.T) {
 	if _, err := r.Measure(ctx, p, "default", kepler.Default); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := kepler.Grid(kepler.DefaultGridSpec())
+	dev := kepler.K20cDevice()
+	grid, err := dev.Grid(dev.DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

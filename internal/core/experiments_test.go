@@ -342,8 +342,8 @@ func TestFreqSweepToy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(kepler.AllSettings) {
-		t.Fatalf("points = %d, want %d", len(points), len(kepler.AllSettings))
+	if len(points) != len(kepler.K20cDevice().Settings) {
+		t.Fatalf("points = %d, want %d", len(points), len(kepler.K20cDevice().Settings))
 	}
 	// Monotonicity for a compute-bound code: lower core clock, longer time
 	// and lower power (among the 2600 MHz memory settings).

@@ -21,7 +21,8 @@ func TestGridScaleReplayStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense-grid sweep; skipped in -short")
 	}
-	grid, err := kepler.Grid(kepler.DefaultGridSpec())
+	dev := kepler.K20cDevice()
+	grid, err := dev.Grid(dev.DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

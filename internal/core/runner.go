@@ -101,13 +101,13 @@ type Runner struct {
 	Broker TraceBroker
 
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[resultKey]*cacheEntry
 
 	// traceMu guards traces, the per-(program, input) launch-trace cache the
 	// simulate stage consults: clock-insensitive programs simulate once at
 	// the first requested configuration and replay everywhere else.
 	traceMu sync.Mutex
-	traces  map[string]*traceEntry
+	traces  map[traceKey]*traceEntry
 
 	poolOnce sync.Once
 	pool     *sim.WorkerPool
@@ -148,9 +148,8 @@ func (r *Runner) WorkerPool() *sim.WorkerPool { return r.workerPool() }
 // clk identifies the device whose trace is consulted — traces are cached per
 // device, since block statistics and issue cycles are device-dependent.
 func (r *Runner) TraceClockSensitive(p Program, input string, clk kepler.Clocks) (sensitive, known bool) {
-	key := traceKey(p, input, clk)
 	r.traceMu.Lock()
-	e := r.traces[key]
+	e := r.traces[traceKeyOf(p, input, clk)]
 	r.traceMu.Unlock()
 	if e == nil {
 		return false, false
@@ -182,8 +181,10 @@ type TraceBroker interface {
 // statistics and per-block issue cycles depend on the device's geometry and
 // throughputs, so a trace captured on one device never serves another (and
 // sim.LaunchTrace.Replay refuses the mismatch as a second line of defense).
-func traceKey(p Program, input string, clk kepler.Clocks) string {
-	return p.Name() + "\x00" + input + "\x00" + clk.Device().Name
+type traceKey struct{ program, input, device string }
+
+func traceKeyOf(p Program, input string, clk kepler.Clocks) traceKey {
+	return traceKey{p.Name(), input, clk.Device().Name}
 }
 
 // traceEntry is one slot of the launch-trace cache. The first goroutine to
@@ -202,7 +203,7 @@ type cacheEntry struct {
 	res  *Result
 	err  error
 	// resolved is published after res/err are written inside once; readers
-	// outside the once (SaveStore) must observe it before touching them.
+	// outside the once (record) must observe it before touching them.
 	resolved atomic.Bool
 }
 
@@ -212,7 +213,7 @@ func NewRunner() *Runner {
 		Repetitions:   3,
 		RuntimeJitter: 0.008,
 		Analysis:      k20power.DefaultOptions(),
-		cache:         make(map[string]*cacheEntry),
+		cache:         make(map[resultKey]*cacheEntry),
 	}
 }
 
@@ -238,10 +239,10 @@ func (r *Runner) Measure(ctx context.Context, p Program, input string, clk keple
 		ctx = context.Background()
 	}
 	m := r.metricsHandles()
-	key := joinKey(p.Name(), input, clk.Name, clk.Device().Name)
+	key := resultKey{p.Name(), input, clk.Name, clk.Device().Name}
 	r.mu.Lock()
 	if r.cache == nil {
-		r.cache = make(map[string]*cacheEntry)
+		r.cache = make(map[resultKey]*cacheEntry)
 	}
 	e, ok := r.cache[key]
 	switch {
@@ -277,10 +278,9 @@ func (r *Runner) Measure(ctx context.Context, p Program, input string, clk keple
 // it without simulating. Used by cost-policy decisions (e.g. the frontier
 // sweep choosing its strategy on a warm-started cache).
 func (r *Runner) Cached(p Program, input string, clk kepler.Clocks) bool {
-	key := joinKey(p.Name(), input, clk.Name, clk.Device().Name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.cache[key]
+	e, ok := r.cache[resultKey{p.Name(), input, clk.Name, clk.Device().Name}]
 	return ok && e.resolved.Load()
 }
 
@@ -442,9 +442,9 @@ func (r *Runner) sweepJob(ctx context.Context, pool *sim.WorkerPool, j Combo) er
 func capturesFirst(combos []Combo) []Combo {
 	queue := make([]Combo, 0, len(combos))
 	var rest []Combo
-	seen := make(map[string]bool)
+	seen := make(map[traceKey]bool)
 	for _, c := range combos {
-		if k := traceKey(c.Program, c.Input, c.Clocks); !seen[k] {
+		if k := traceKeyOf(c.Program, c.Input, c.Clocks); !seen[k] {
 			seen[k] = true
 			queue = append(queue, c)
 		} else {

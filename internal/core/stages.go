@@ -137,11 +137,11 @@ func (r *Runner) stageSimulate(st *measureState) error {
 		return err
 	}
 	m := r.metricsHandles()
-	key := traceKey(st.p, st.input, st.clk)
+	key := traceKeyOf(st.p, st.input, st.clk)
 
 	r.traceMu.Lock()
 	if r.traces == nil {
-		r.traces = make(map[string]*traceEntry)
+		r.traces = make(map[traceKey]*traceEntry)
 	}
 	e, ok := r.traces[key]
 	if !ok {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/sim"
 )
@@ -119,16 +121,9 @@ func TestStoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSplitKey(t *testing.T) {
-	p, i, c, b, ok := splitKey(joinKey("NB", "1m", "614", "K20c"))
-	if !ok || p != "NB" || i != "1m" || c != "614" || b != "K20c" {
-		t.Errorf("splitKey wrong: %q %q %q %q %v", p, i, c, b, ok)
-	}
-	if _, _, _, _, ok := splitKey("toofew"); ok {
-		t.Error("malformed key accepted")
-	}
-}
-
+// TestKeyRoundTripHostileNames: names containing NUL, backslashes or
+// nothing at all survive ImportResults -> SaveStore -> LoadStore -> Results
+// unchanged, exclusions included.
 func TestKeyRoundTripHostileNames(t *testing.T) {
 	cases := [][4]string{
 		{"N\x00B", "1m", "614", "K20c"},
@@ -136,18 +131,33 @@ func TestKeyRoundTripHostileNames(t *testing.T) {
 		{`\`, `\\`, `\0`, "\x00\\\x00"},
 		{"", "", "", ""},
 	}
-	for _, c := range cases {
-		p, i, cf, b, ok := splitKey(joinKey(c[0], c[1], c[2], c[3]))
-		if !ok || p != c[0] || i != c[1] || cf != c[2] || b != c[3] {
-			t.Errorf("round trip %q: got %q %q %q %q ok=%v", c, p, i, cf, b, ok)
+	var want []Record
+	for i, c := range cases {
+		rec := Record{Program: c[0], Input: c[1], Config: c[2], Board: c[3]}
+		if i%2 == 0 {
+			rec.ActiveTime, rec.Energy, rec.AvgPower = 1+float64(i), 2, 3
+			rec.Reps = []k20power.Measurement{{ActiveTime: 1 + float64(i), Energy: 2, AvgPower: 3}}
+		} else {
+			rec.Insufficient = true
 		}
+		want = append(want, rec)
 	}
-	// A dangling escape must be rejected, not silently mangled.
-	if _, ok := unescapeKeyPart(`dangling\`); ok {
-		t.Error("dangling escape accepted")
+	SortResults(want)
+
+	r := NewRunner()
+	if n := r.ImportResults(want); n != len(want) {
+		t.Fatalf("imported %d of %d records", n, len(want))
 	}
-	if _, ok := unescapeKeyPart(`bad\x`); ok {
-		t.Error("unknown escape accepted")
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := r.SaveStore(path); err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRunner()
+	if err := r2.LoadStore(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := r2.Results(); !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed records:\n got %#v\nwant %#v", got, want)
 	}
 }
 

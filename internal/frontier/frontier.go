@@ -9,7 +9,7 @@
 // for clock-insensitive programs, so the frontier sweeps ~100 instead. Every
 // shipped program is clock-insensitive. Cost stays bounded for a program
 // that reads the simulated clock mid-run — whose trace refuses replay —
-// via a coarse-grid + interpolation fallback: only every CoarseStride-th
+// via a coarse-grid + interpolation fallback: only every coarseStride-th
 // core clock per (memory clock, ECC) row is simulated, and the points in
 // between are linearly interpolated in core frequency and flagged.
 package frontier
@@ -30,14 +30,6 @@ type Options struct {
 	Device *kepler.Device
 	// Spec bounds the DVFS grid. Zero value means the device's default grid.
 	Spec kepler.GridSpec
-	// CoarseStride is the in-row sampling stride of the clock-sensitive
-	// fallback and of the optimizer's coarse pass (default 8: every 8th
-	// core clock per row plus both row endpoints is simulated/evaluated).
-	CoarseStride int
-	// OptimizerBudget caps the optimizer's evaluations as a fraction of the
-	// grid size (default 0.29, i.e. strictly under the 30%-of-grid bound the
-	// acceptance criteria demand).
-	OptimizerBudget float64
 	// Input overrides the program input (default Program.DefaultInput).
 	Input string
 }
@@ -49,14 +41,17 @@ func (o Options) withDefaults() Options {
 	if o.Spec.CoreStepMHz == 0 && o.Spec.CoreMinMHz == 0 && o.Spec.CoreMaxMHz == 0 && len(o.Spec.MemMHz) == 0 {
 		o.Spec = o.Device.DefaultGrid()
 	}
-	if o.CoarseStride <= 0 {
-		o.CoarseStride = 8
-	}
-	if o.OptimizerBudget <= 0 {
-		o.OptimizerBudget = 0.29
-	}
 	return o
 }
+
+// coarseStride is the in-row sampling stride of the clock-sensitive
+// fallback and of the optimizer's coarse pass: every 8th core clock per row
+// plus both row endpoints is simulated/evaluated.
+const coarseStride = 8
+
+// optimizerBudget caps the optimizer's evaluations as a fraction of the
+// grid size: 0.29, strictly under a 30%-of-grid bound.
+const optimizerBudget = 0.29
 
 // Point is one grid configuration's outcome.
 //
@@ -310,13 +305,13 @@ func (r *Result) sweepDense(ctx context.Context, run *core.Runner, p core.Progra
 }
 
 // sweepCoarse is the clock-sensitive fallback: simulate only every
-// CoarseStride-th core clock per row (plus both row endpoints and any
+// coarseStride-th core clock per row (plus both row endpoints and any
 // canonical configuration), then interpolate the points in between linearly
 // in core frequency. Interpolated points are flagged; memory-clock rows
 // never interpolate across each other.
 func (r *Result) sweepCoarse(ctx context.Context, run *core.Runner, p core.Program, input string, opts Options, m metrics) error {
 	for _, row := range r.Rows {
-		anchors := coarseAnchors(r, row, opts.CoarseStride, opts.Device)
+		anchors := coarseAnchors(r, row, coarseStride, opts.Device)
 		for _, i := range anchors {
 			pt := &r.Points[i]
 			res, err := run.Measure(ctx, p, input, pt.Config)

@@ -52,7 +52,8 @@ func TestSweepCoversGrid(t *testing.T) {
 	if len(results) != len(suites.All()) {
 		t.Fatalf("swept %d programs, want %d", len(results), len(suites.All()))
 	}
-	grid, err := kepler.Grid(kepler.DefaultGridSpec())
+	dev := kepler.K20cDevice()
+	grid, err := dev.Grid(dev.DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func chase(r *Result, opts Options) OptResult {
 	out := OptResult{
 		BestIdx:  -1,
 		GridSize: len(r.Points),
-		Budget:   int(opts.OptimizerBudget * float64(len(r.Points))),
+		Budget:   int(optimizerBudget * float64(len(r.Points))),
 	}
 	seen := make(map[int]bool, out.Budget)
 	best := -1
@@ -55,7 +55,7 @@ func chase(r *Result, opts Options) OptResult {
 	// sit off the stride lattice, e.g. 705 and 614 MHz).
 	for _, row := range r.Rows {
 		for j, idx := range row {
-			if j%opts.CoarseStride == 0 || j == len(row)-1 || isCanonical(opts.Device, r.Points[idx].Config.Name) {
+			if j%coarseStride == 0 || j == len(row)-1 || isCanonical(opts.Device, r.Points[idx].Config.Name) {
 				eval(idx)
 			}
 		}

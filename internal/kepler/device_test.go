@@ -208,20 +208,6 @@ func TestK20cMatchesPackageVars(t *testing.T) {
 	if got := d.DefaultConfig(); got != Default {
 		t.Errorf("DefaultConfig() = %+v", got)
 	}
-	if len(d.Settings) != len(AllSettings) {
-		t.Fatalf("ladder has %d settings, package has %d", len(d.Settings), len(AllSettings))
-	}
-	for i := range d.Settings {
-		if d.Settings[i] != AllSettings[i] {
-			t.Errorf("Settings[%d] = %+v, want %+v", i, d.Settings[i], AllSettings[i])
-		}
-	}
-	// GridSpec contains a slice, so compare field by field.
-	a, b := d.DefaultGrid(), DefaultGridSpec()
-	if a.CoreMinMHz != b.CoreMinMHz || a.CoreMaxMHz != b.CoreMaxMHz ||
-		a.CoreStepMHz != b.CoreStepMHz || len(a.MemMHz) != len(b.MemMHz) {
-		t.Errorf("DefaultGrid() = %+v, want %+v", a, b)
-	}
 }
 
 // TestConfigLookups: role and name lookups on a non-K20c profile.

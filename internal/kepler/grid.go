@@ -24,17 +24,6 @@ import (
 // non-decreasing in f by construction (the loader rejects non-monotone
 // ladders), which the power model's V²·f scaling — and the
 // energy-monotonicity invariant in internal/check — depend on.
-//
-// The package-level VoltageFor, DefaultGridSpec and Grid delegate to the
-// canonical K20c device, preserving the pre-device-backend API bit for bit.
-
-// VoltageFor returns the core supply voltage the K20c DVFS ladder pairs
-// with the given core frequency: exact on the ladder rungs, piecewise-linear
-// between them, clamped to the end rungs outside the ladder's range. It is
-// monotone non-decreasing in coreMHz.
-func VoltageFor(coreMHz int) float64 {
-	return K20cDevice().VoltageFor(coreMHz)
-}
 
 // GridSpec bounds a dense DVFS grid: every core clock from CoreMinMHz to
 // CoreMaxMHz in CoreStepMHz strides, crossed with every memory clock in
@@ -45,14 +34,6 @@ type GridSpec struct {
 	CoreMaxMHz  int   `json:"coreMaxMHz"`
 	CoreStepMHz int   `json:"coreStepMHz"`
 	MemMHz      []int `json:"memMHz"`
-}
-
-// DefaultGridSpec is the frontier experiment's K20c grid: 32 core clocks
-// spanning the K20c's application-clock range (324-758 MHz in 14 MHz steps)
-// crossed with three memory clocks (full, half, minimum data rate). With the
-// canonical four folded in, it expands to 99 configurations.
-func DefaultGridSpec() GridSpec {
-	return K20cDevice().DefaultGrid()
 }
 
 // MaxGridConfigs bounds the expanded grid size, keeping runaway specs (and
@@ -95,12 +76,6 @@ func (s GridSpec) Validate() error {
 // service requests without a registry.
 func GridName(coreMHz, memMHz int) string {
 	return fmt.Sprintf("c%dm%d", coreMHz, memMHz)
-}
-
-// Grid expands the spec into the K20c's dense DVFS configuration list; see
-// Device.Grid for the layout contract.
-func Grid(spec GridSpec) ([]Clocks, error) {
-	return K20cDevice().Grid(spec)
 }
 
 // GridRows groups a grid into frontier rows: configurations sharing a

@@ -6,9 +6,9 @@ import (
 )
 
 func TestDefaultGridShape(t *testing.T) {
-	grid, err := Grid(DefaultGridSpec())
+	grid, err := K20cDevice().Grid(K20cDevice().DefaultGrid())
 	if err != nil {
-		t.Fatalf("Grid(DefaultGridSpec()): %v", err)
+		t.Fatalf("K20c default grid: %v", err)
 	}
 	if len(grid) < 80 {
 		t.Fatalf("default grid has %d configs, want >= 80", len(grid))
@@ -20,7 +20,7 @@ func TestDefaultGridShape(t *testing.T) {
 }
 
 func TestGridCanonicalFirstAndBitIdentical(t *testing.T) {
-	grid, err := Grid(DefaultGridSpec())
+	grid, err := K20cDevice().Grid(K20cDevice().DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,30 +35,32 @@ func TestGridCanonicalFirstAndBitIdentical(t *testing.T) {
 }
 
 func TestVoltageForLadderRungs(t *testing.T) {
-	for _, rung := range K20cDevice().ladder {
-		if got := VoltageFor(rung.mhz); got != rung.v {
+	d := K20cDevice()
+	for _, rung := range d.ladder {
+		if got := d.VoltageFor(rung.mhz); got != rung.v {
 			t.Errorf("VoltageFor(%d) = %v, want ladder value %v", rung.mhz, got, rung.v)
 		}
 	}
 	// Clamped outside the ladder.
-	if got := VoltageFor(100); got != 0.85 {
+	if got := d.VoltageFor(100); got != 0.85 {
 		t.Errorf("VoltageFor(100) = %v, want clamp 0.85", got)
 	}
-	if got := VoltageFor(900); got != 1.05 {
+	if got := d.VoltageFor(900); got != 1.05 {
 		t.Errorf("VoltageFor(900) = %v, want clamp 1.05", got)
 	}
 	// Canonical voltages reproduce exactly.
 	for _, c := range []Clocks{Default, F614, F324} {
-		if got := VoltageFor(c.CoreMHz); got != c.VoltageV {
+		if got := d.VoltageFor(c.CoreMHz); got != c.VoltageV {
 			t.Errorf("VoltageFor(%d) = %v, want canonical %v", c.CoreMHz, got, c.VoltageV)
 		}
 	}
 }
 
 func TestVoltageForMonotone(t *testing.T) {
-	prev := VoltageFor(1)
+	d := K20cDevice()
+	prev := d.VoltageFor(1)
 	for mhz := 2; mhz <= 1000; mhz++ {
-		v := VoltageFor(mhz)
+		v := d.VoltageFor(mhz)
 		if v < prev {
 			t.Fatalf("VoltageFor not monotone: V(%d)=%v < V(%d)=%v", mhz, v, mhz-1, prev)
 		}
@@ -72,7 +74,7 @@ func TestGridSpecValidate(t *testing.T) {
 		spec GridSpec
 		ok   bool
 	}{
-		{"default", DefaultGridSpec(), true},
+		{"default", K20cDevice().DefaultGrid(), true},
 		{"single point", GridSpec{CoreMinMHz: 705, CoreMaxMHz: 705, CoreStepMHz: 1, MemMHz: []int{2600}}, true},
 		{"zero min", GridSpec{CoreMinMHz: 0, CoreMaxMHz: 705, CoreStepMHz: 14, MemMHz: []int{2600}}, false},
 		{"negative max", GridSpec{CoreMinMHz: 324, CoreMaxMHz: -1, CoreStepMHz: 14, MemMHz: []int{2600}}, false},
@@ -92,7 +94,7 @@ func TestGridSpecValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = nil, want error", tc.name)
 		}
 		if !tc.ok {
-			if _, err := Grid(tc.spec); err == nil {
+			if _, err := K20cDevice().Grid(tc.spec); err == nil {
 				t.Errorf("%s: Grid() = nil error, want validation error", tc.name)
 			}
 		}
@@ -100,7 +102,7 @@ func TestGridSpecValidate(t *testing.T) {
 }
 
 func TestGridRowsLayout(t *testing.T) {
-	grid, err := Grid(DefaultGridSpec())
+	grid, err := K20cDevice().Grid(K20cDevice().DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func checkGridProperties(t *testing.T, grid []Clocks) {
 // fails Validate or expands into a grid satisfying all quick-check
 // invariants (unique names, round-trip, monotone voltage, canonical four).
 func FuzzDVFSGrid(f *testing.F) {
-	d := DefaultGridSpec()
+	d := K20cDevice().DefaultGrid()
 	f.Add(d.CoreMinMHz, d.CoreMaxMHz, d.CoreStepMHz, 2600, 1300, 324)
 	f.Add(705, 705, 1, 2600, 0, 0)
 	f.Add(324, 758, 7, 2600, 324, 0)
@@ -200,7 +202,7 @@ func FuzzDVFSGrid(f *testing.F) {
 			}
 		}
 		spec := GridSpec{CoreMinMHz: coreMin, CoreMaxMHz: coreMax, CoreStepMHz: step, MemMHz: mem}
-		grid, err := Grid(spec)
+		grid, err := K20cDevice().Grid(spec)
 		if err != nil {
 			return // invalid specs must fail, not panic
 		}

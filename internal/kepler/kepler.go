@@ -57,14 +57,9 @@ var (
 // Configs lists the four evaluated configurations in the paper's order.
 var Configs = K20cDevice().Configurations()
 
-// AllSettings lists the K20c's six application-clock settings (the paper
-// evaluates three of them: 705 as "default" — 758 throttles under
-// sustained load — plus 614 and 324). Voltages follow the DVFS ladder.
-var AllSettings = append([]Clocks(nil), K20cDevice().Settings...)
-
 // ConfigByName returns the K20c configuration with the given name: one of
 // the canonical four, or a generated dense-grid configuration named
-// "c<core>m<mem>" (see Grid), reconstructed from the name alone so grid
+// "c<core>m<mem>" (see Device.Grid), reconstructed from the name alone so grid
 // configs round-trip through stores and service requests.
 func ConfigByName(name string) (Clocks, error) {
 	for _, c := range Configs {
@@ -178,11 +173,4 @@ type Occupancy struct {
 	WarpsPerSM  int
 	// Fraction is resident warps divided by the maximum (0, 1].
 	Fraction float64
-}
-
-// ComputeOccupancy derives the per-SM residency on the K20c for a launch of
-// blocks with threadsPerBlock threads and sharedPerBlock bytes of shared
-// memory each. Device-aware callers use Device.ComputeOccupancy.
-func ComputeOccupancy(threadsPerBlock, sharedPerBlock int) Occupancy {
-	return K20cDevice().ComputeOccupancy(threadsPerBlock, sharedPerBlock)
 }

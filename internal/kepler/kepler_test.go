@@ -85,7 +85,7 @@ func TestComputeOccupancy(t *testing.T) {
 		{32, 0, 16, 16},         // tiny blocks
 	}
 	for _, c := range cases {
-		occ := ComputeOccupancy(c.threads, c.shared)
+		occ := K20cDevice().ComputeOccupancy(c.threads, c.shared)
 		if occ.BlocksPerSM != c.wantBlocks || occ.WarpsPerSM != c.wantWarps {
 			t.Errorf("ComputeOccupancy(%d, %d) = %+v, want blocks %d warps %d",
 				c.threads, c.shared, occ, c.wantBlocks, c.wantWarps)
@@ -95,7 +95,7 @@ func TestComputeOccupancy(t *testing.T) {
 
 func TestOccupancyProperties(t *testing.T) {
 	f := func(threads, shared uint16) bool {
-		occ := ComputeOccupancy(int(threads)%1025, int(shared)%(64*1024))
+		occ := K20cDevice().ComputeOccupancy(int(threads)%1025, int(shared)%(64*1024))
 		return occ.BlocksPerSM >= 1 &&
 			occ.WarpsPerSM >= 1 &&
 			occ.WarpsPerSM <= K20cDevice().MaxWarpsPerSM() &&
@@ -168,15 +168,16 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestAllSettingsLadder(t *testing.T) {
-	if len(AllSettings) != 6 {
-		t.Fatalf("K20c has six settings, got %d", len(AllSettings))
+	settings := K20cDevice().Settings
+	if len(settings) != 6 {
+		t.Fatalf("K20c has six settings, got %d", len(settings))
 	}
-	for i, c := range AllSettings {
+	for i, c := range settings {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 		if i > 0 {
-			prev := AllSettings[i-1]
+			prev := settings[i-1]
 			if c.CoreMHz >= prev.CoreMHz {
 				t.Errorf("ladder not descending at %s", c.Name)
 			}
@@ -187,7 +188,7 @@ func TestAllSettingsLadder(t *testing.T) {
 	}
 	// The paper's three evaluated settings are on the ladder.
 	names := map[string]bool{}
-	for _, c := range AllSettings {
+	for _, c := range settings {
 		names[c.Name] = true
 	}
 	for _, want := range []string{"705", "614", "324"} {

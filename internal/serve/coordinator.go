@@ -467,7 +467,7 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 		run: func(ctx context.Context, id string) (any, error) {
 			var wg sync.WaitGroup
 			errs := make([]error, len(shards))
-			merged := make([][]core.ResultEntry, len(shards))
+			merged := make([][]core.Record, len(shards))
 			for i, st := range shards {
 				st.mu.Lock()
 				st.id = fmt.Sprintf("%s/shard-%d", id, i)
@@ -481,7 +481,7 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 			wg.Wait()
 			// Import whatever completed even when some shards failed: a
 			// retried sweep then only re-dispatches the missing part.
-			var all []core.ResultEntry
+			var all []core.Record
 			for _, part := range merged {
 				all = append(all, part...)
 			}
@@ -495,12 +495,12 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 // runShard dispatches one shard along the ring. Dispatch is synchronous — a
 // worker dying mid-shard surfaces as the POST's transport error, which is
 // the re-dispatch signal.
-func (f *fleet) runShard(ctx context.Context, st *shardState) ([]core.ResultEntry, error) {
+func (f *fleet) runShard(ctx context.Context, st *shardState) ([]core.Record, error) {
 	body, err := json.Marshal(shardRequest{ID: st.id, Device: st.device, Combos: st.combos})
 	if err != nil {
 		return nil, err
 	}
-	var results []core.ResultEntry
+	var results []core.Record
 	err = f.onRing(ctx, st.key, func(worker string) error {
 		st.setWorker(worker)
 		f.m.shardsDispatched.Inc()
@@ -579,29 +579,21 @@ func (f *fleet) measure(ctx context.Context, w http.ResponseWriter, cb core.Comb
 }
 
 // importMeasure folds a proxied measure response into the merged cache: a
-// 200 carries the full result, a 422 insufficient carries the exclusion.
+// 200 carries the worker's core.Record, a 422 insufficient the exclusion.
 func (f *fleet) importMeasure(program, input, config, board string, status int, body []byte) {
 	switch status {
 	case http.StatusOK:
-		var mr measureResponse
-		if err := json.Unmarshal(body, &mr); err != nil {
+		var rec core.Record
+		if err := json.Unmarshal(body, &rec); err != nil {
 			return
 		}
-		f.runner.ImportResults([]core.ResultEntry{{
-			Program: program, Input: input, Config: config, Board: board,
-			Result: &core.Result{
-				Program: mr.Program, Input: mr.Input, Config: mr.Config,
-				ActiveTime: mr.ActiveTime, Energy: mr.Energy, AvgPower: mr.AvgPower,
-				TrueActiveTime: mr.TrueActiveTime, TrueEnergy: mr.TrueEnergy,
-				Reps: mr.Reps,
-			},
-		}})
+		f.runner.ImportResults([]core.Record{rec})
 	case http.StatusUnprocessableEntity:
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || !er.Insufficient {
 			return
 		}
-		f.runner.ImportResults([]core.ResultEntry{{
+		f.runner.ImportResults([]core.Record{{
 			Program: program, Input: input, Config: config, Board: board, Insufficient: true,
 		}})
 	}

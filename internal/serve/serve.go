@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frontier"
-	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/obs"
 	"repro/internal/promtext"
@@ -392,24 +391,6 @@ type measureRequest struct {
 	Device string `json:"device,omitempty"`
 }
 
-// measureResponse is the POST /v1/measure success body. Reps marshal with
-// k20power.Measurement's field names, matching the store's serialization.
-type measureResponse struct {
-	Program string `json:"program"`
-	Input   string `json:"input"`
-	Config  string `json:"config"`
-	Board   string `json:"board"`
-
-	ActiveTime float64 `json:"activeTime"`
-	Energy     float64 `json:"energy"`
-	AvgPower   float64 `json:"avgPower"`
-
-	TrueActiveTime float64 `json:"trueActiveTime"`
-	TrueEnergy     float64 `json:"trueEnergy"`
-
-	Reps []k20power.Measurement `json:"reps"`
-}
-
 // errorResponse is the body of every non-2xx response.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -442,26 +423,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	s.exec.measure(ctx, w, core.Combo{Program: p, Input: input, Clocks: clk})
 }
 
-// writeMeasure answers a measure request from runner.Measure: a cache hit
-// returns at once, a miss simulates.
+// writeMeasure answers a measure request from runner.Measure with the
+// result's core.Record: a cache hit returns at once, a miss simulates.
 func writeMeasure(ctx context.Context, w http.ResponseWriter, runner *core.Runner, cb core.Combo) {
 	res, err := runner.Measure(ctx, cb.Program, cb.Input, cb.Clocks)
 	if err != nil {
 		writeMeasureError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, measureResponse{
-		Program:        res.Program,
-		Input:          res.Input,
-		Config:         res.Config,
-		Board:          cb.Clocks.Device().Name,
-		ActiveTime:     res.ActiveTime,
-		Energy:         res.Energy,
-		AvgPower:       res.AvgPower,
-		TrueActiveTime: res.TrueActiveTime,
-		TrueEnergy:     res.TrueEnergy,
-		Reps:           res.Reps,
-	})
+	writeJSON(w, http.StatusOK, res.Record(cb.Clocks.Device().Name))
 }
 
 // writeMeasureError maps a measurement failure to its status code:
@@ -694,9 +664,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // resultsResponse is the GET /v1/results body: the same content a store
 // snapshot would persist, straight from the cache.
 type resultsResponse struct {
-	Version int                `json:"version"`
-	Count   int                `json:"count"`
-	Results []core.ResultEntry `json:"results"`
+	Version int           `json:"version"`
+	Count   int           `json:"count"`
+	Results []core.Record `json:"results"`
 }
 
 // handleResults dumps every resolved measurement (and exclusion) the

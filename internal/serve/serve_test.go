@@ -141,7 +141,7 @@ func TestMeasureCoalescing(t *testing.T) {
 			t.Errorf("request %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	var m measureResponse
+	var m core.Record
 	if err := json.Unmarshal(bodies[0], &m); err != nil {
 		t.Fatalf("response not valid JSON: %v", err)
 	}
@@ -284,9 +284,9 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Errorf("results dump: version %d count %d len %d, want version %d count 4",
 			rr.Version, rr.Count, len(rr.Results), core.StoreVersion)
 	}
-	for _, re := range rr.Results {
-		if re.Program != "FAKE" || (re.Result == nil && !re.Insufficient) {
-			t.Errorf("bad result entry %+v", re)
+	for _, rec := range rr.Results {
+		if rec.Program != "FAKE" || (rec.Reps == nil && !rec.Insufficient) {
+			t.Errorf("bad result record %+v", rec)
 		}
 	}
 
@@ -590,6 +590,52 @@ func TestPeriodicSnapshot(t *testing.T) {
 	}
 	if got := runner.Metrics().Snapshot().Counters["store_snapshots_total"]; got < 1 {
 		t.Errorf("store_snapshots_total = %d, want >= 1", got)
+	}
+}
+
+// TestOneRecordShape: a measured combination serializes byte for byte the
+// same as its POST /v1/measure body, its GET /v1/results entry and its
+// entry in the saved store (compacted) — one core.Record, one shape.
+func TestOneRecordShape(t *testing.T) {
+	s, runner := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, measured := postJSON(t, ts.URL+"/v1/measure", `{"program":"FAKE","input":"big"}`)
+	if code != http.StatusOK {
+		t.Fatalf("measure: status %d, body %s", code, measured)
+	}
+	code, results := getJSON(t, ts.URL+"/v1/results")
+	if code != http.StatusOK {
+		t.Fatalf("results: status %d", code)
+	}
+	storePath := filepath.Join(t.TempDir(), "store.json")
+	if err := runner.SaveStore(storePath); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := bytes.TrimSuffix(measured, []byte("\n"))
+	for name, doc := range map[string][]byte{"/v1/results": results, "store": stored} {
+		var d struct {
+			Results []json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(doc, &d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(d.Results) != 1 {
+			t.Fatalf("%s holds %d records, want 1", name, len(d.Results))
+		}
+		var got bytes.Buffer
+		if err := json.Compact(&got, d.Results[0]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s record differs from the /v1/measure body:\n%s\nvs\n%s", name, got.Bytes(), want)
+		}
 	}
 }
 

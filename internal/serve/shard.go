@@ -11,7 +11,7 @@ import (
 // The /v1/shard API is the fabric-internal contract between coordinator and
 // worker: a shard is a coordinator-assigned slice of a sweep, named
 // "<parent>/shard-<n>", that the worker measures synchronously on the
-// request and answers with the shard's resolved result entries. Synchronous
+// request and answers with the shard's resolved records. Synchronous
 // dispatch is what makes the failure model simple — a worker dying mid-shard
 // tears down the coordinator's POST, which is the re-dispatch signal; no
 // heartbeats, leases or acknowledgement protocol needed. While it runs, the
@@ -40,10 +40,10 @@ type shardRequest struct {
 // shardResponse is the POST /v1/shard success body.
 type shardResponse struct {
 	ID string `json:"id"`
-	// Results carries one entry per combo in deterministic result order —
+	// Results carries one record per combo in deterministic result order —
 	// exclusions (insufficient samples) included, exactly as /v1/results
 	// would report them.
-	Results []core.ResultEntry `json:"results"`
+	Results []core.Record `json:"results"`
 }
 
 // handleShard measures a coordinator-dispatched shard synchronously. The
@@ -91,9 +91,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]core.ResultEntry, 0, len(combos))
+	results := make([]core.Record, 0, len(combos))
 	for _, c := range combos {
-		re, ok := s.runner.Lookup(c.Program.Name(), c.Input, c.Clocks.Name, c.Clocks.Device().Name)
+		rec, ok := s.runner.Lookup(c.Program.Name(), c.Input, c.Clocks.Name, c.Clocks.Device().Name)
 		if !ok {
 			// MeasureList returned nil yet a combo is unresolved: impossible
 			// unless the cache was mutated concurrently; fail loudly rather
@@ -102,7 +102,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("shard %s: combo %s/%s@%s missing after measurement", req.ID, c.Program.Name(), c.Input, c.Clocks.Name))
 			return
 		}
-		results = append(results, re)
+		results = append(results, rec)
 	}
 	core.SortResults(results)
 	writeJSON(w, http.StatusOK, shardResponse{ID: req.ID, Results: results})
