@@ -147,9 +147,7 @@ func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progF
 	}
 
 	if selfcheck {
-		opt := check.DefaultOptions()
-		opt.Device = dev
-		rep, err := check.Run(ctx, runner, programs, opt)
+		rep, err := check.Run(ctx, runner, programs, dev)
 		if err != nil {
 			return err
 		}

@@ -91,21 +91,28 @@ type calibRun struct {
 }
 
 // calibrate simulates one (microbenchmark, input) at clk and returns the
-// attributed single launch. A microbenchmark with any other launch shape is
-// itself a violation (vr non-nil).
+// attributed single launch. A microbenchmark with any other launch shape, or
+// whose launch fails trace's accounting checks, is itself a violation (vr
+// non-nil).
 func calibrate(ctx context.Context, r *core.Runner, p core.Program, input string, clk kepler.Clocks) (*calibRun, *Violation, error) {
 	dev, err := r.SimulatedDevice(ctx, p, input, clk)
 	if err != nil {
 		return nil, nil, fmt.Errorf("check: calibration %s/%s@%s: %w", p.Name(), input, clk.Name, err)
 	}
-	if len(dev.Launches) != 1 {
+	bad := func(format string, args ...any) (*calibRun, *Violation, error) {
 		return nil, &Violation{
 			Invariant: "calibration",
 			Program:   p.Name(), Input: input, Config: clk.Name,
-			Detail: fmt.Sprintf("microbenchmark recorded %d launches, want exactly 1", len(dev.Launches)),
+			Detail: fmt.Sprintf(format, args...),
 		}, nil
 	}
+	if len(dev.Launches) != 1 {
+		return bad("microbenchmark recorded %d launches, want exactly 1", len(dev.Launches))
+	}
 	l := dev.Launches[0]
+	if err := l.Stats.CheckAccounting(); err != nil {
+		return bad("launch %s#%d: %v", l.Name, l.Seq, err)
+	}
 	d := clk.Device()
 	v := clk.VoltageV / d.Power.RefVoltageV
 	return &calibRun{

@@ -42,67 +42,47 @@ import (
 	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/sensor"
-	"repro/internal/trace"
 )
 
-// Options are the engine's invariant tolerances and the device they apply
-// to. The defaults are calibrated against the current physics with roughly
-// 2x headroom over the worst observed margin, so real regressions trip them
-// while sensor noise and run-to-run jitter do not. The tolerances are
-// device-independent physics (energy conservation, DVFS monotonicity and
-// ECC directionality hold on any profile); what the sweep covers comes from
-// the device (see Run).
-type Options struct {
-	// Device is the GPU profile the sweep runs on; nil means the K20c.
-	Device *kepler.Device
-
-	// EnergyTruthTol bounds |Energy/TrueEnergy - 1| of each result.
-	EnergyTruthTol float64
-	// TimeTruthTol bounds |ActiveTime/TrueActiveTime - 1| of each result.
-	TimeTruthTol float64
-	// TraceTol bounds the relative difference between a repetition's
+// The engine's invariant tolerances, calibrated against the current physics
+// with roughly 2x headroom over the worst observed margin, so real
+// regressions trip them while sensor noise and run-to-run jitter do not.
+// They are device-independent physics (energy conservation, DVFS
+// monotonicity and ECC directionality hold on any profile); what the sweep
+// covers comes from the device (see Run). Worst margins observed over the
+// full 34x4 sweep (see Stats): energy-vs-truth 0.133, time-vs-truth 0.162,
+// trace integral 0.105, identity 2e-16, DVFS runtime shrink 0.035
+// (threshold detection at lower power levels), compute-bound ECC penalty
+// 0.110 (ST). The dense-grid frontier margins are exactly 0 for all 34
+// programs (the ground-truth surface is strictly monotone and
+// valley-shaped), so the 0.02 tolerances are pure headroom.
+const (
+	// energyTruthTol bounds |Energy/TrueEnergy - 1| of each result.
+	energyTruthTol = 0.25
+	// timeTruthTol bounds |ActiveTime/TrueActiveTime - 1| of each result.
+	timeTruthTol = 0.30
+	// traceTol bounds the relative difference between a repetition's
 	// reported energy and the trapezoidal integral of its raw sensor trace
 	// over the active window.
-	TraceTol float64
-	// IdentityTol bounds |AvgPower*ActiveTime/Energy - 1| per repetition
+	traceTol = 0.20
+	// identityTol bounds |AvgPower*ActiveTime/Energy - 1| per repetition
 	// (an exact identity of the analyzer, allowed only float round-off).
-	IdentityTol float64
-	// MonoTol is the slack on cross-configuration runtime monotonicity
+	identityTol = 1e-9
+	// monoTol is the slack on cross-configuration runtime monotonicity
 	// (covers sensor noise and run-to-run jitter on near-equal runtimes).
-	MonoTol float64
-	// ComputeBoundMin is the core-clock sensitivity above which a program
+	monoTol = 0.07
+	// computeBoundMin is the core-clock sensitivity above which a program
 	// counts as compute-bound for the monotonicity and ECC invariants.
-	ComputeBoundMin float64
-	// ECCComputeMax bounds the ECC runtime penalty on compute-bound codes.
-	ECCComputeMax float64
-	// FrontierTimeTol is the slack on dense-grid runtime monotonicity
+	computeBoundMin = 0.6
+	// eccComputeMax bounds the ECC runtime penalty on compute-bound codes.
+	eccComputeMax = 0.22
+	// frontierTimeTol is the slack on dense-grid runtime monotonicity
 	// within a grid row.
-	FrontierTimeTol float64
-	// FrontierValleyTol is the slack on the dense-grid energy valley shape
+	frontierTimeTol = 0.02
+	// frontierValleyTol is the slack on the dense-grid energy valley shape
 	// within a grid row.
-	FrontierValleyTol float64
-}
-
-// DefaultOptions returns the calibrated engine tolerances. Worst margins
-// observed over the full 34x4 sweep (see Stats): energy-vs-truth 0.133,
-// time-vs-truth 0.162, trace integral 0.105, identity 2e-16, DVFS runtime
-// shrink 0.035 (threshold detection at lower power levels), compute-bound
-// ECC penalty 0.110 (ST). The dense-grid frontier margins are exactly 0
-// for all 34 programs (the ground-truth surface is strictly monotone and
-// valley-shaped), so the 0.02 tolerances are pure headroom.
-func DefaultOptions() Options {
-	return Options{
-		EnergyTruthTol:    0.25,
-		TimeTruthTol:      0.30,
-		TraceTol:          0.20,
-		IdentityTol:       1e-9,
-		MonoTol:           0.07,
-		ComputeBoundMin:   0.6,
-		ECCComputeMax:     0.22,
-		FrontierTimeTol:   0.02,
-		FrontierValleyTol: 0.02,
-	}
-}
+	frontierValleyTol = 0.02
+)
 
 // Violation is one failed invariant on one measured combination.
 type Violation struct {
@@ -182,18 +162,15 @@ func (r *Report) Format(w io.Writer) {
 // attribution; the microbenchmark calibration at the baseline
 // configuration; the frontier invariants on a reduced grid over
 // frontierSubsetSize programs; determinism at the default configuration; and
-// replay identity at every canonical configuration. Hard measurement
-// failures (validation errors, not sample insufficiency) abort with an
-// error; physics inconsistencies are returned as violations in the report.
-func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Options) (*Report, error) {
-	if opt.Device == nil {
-		opt.Device = kepler.K20cDevice()
+// replay identity at every canonical configuration. dev is the GPU profile
+// the sweep runs on; nil means the K20c. Hard measurement failures
+// (validation errors, not sample insufficiency) abort with an error; physics
+// inconsistencies are returned as violations in the report.
+func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepler.Device) (*Report, error) {
+	if dev == nil {
+		dev = kepler.K20cDevice()
 	}
-	configs := opt.Device.Configurations()
-	// A verification sweep runs with the trace-accounting assertions armed:
-	// an impossible counter combination (e.g. useful bytes exceeding fetched
-	// bytes) panics at the point of use instead of being silently clamped.
-	trace.AccountingChecks = true
+	configs := dev.Configurations()
 
 	r.KeepTraces = true
 	if err := r.MeasureAll(ctx, programs, configs, false); err != nil {
@@ -219,12 +196,12 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Optio
 		measured[p.Name()] = byConfig
 
 		for _, res := range byConfig {
-			vs, n := checkEnergyConservation(res, r.Analysis.Tau, opt, &rep.Stats)
+			vs, n := checkEnergyConservation(res, &rep.Stats)
 			rep.add(vs, n)
 		}
-		vs, n := checkDVFSMonotonicity(byConfig, opt, &rep.Stats)
+		vs, n := checkDVFSMonotonicity(byConfig, &rep.Stats)
 		rep.add(vs, n)
-		vs, n = checkECCDirectionality(byConfig, opt, &rep.Stats)
+		vs, n = checkECCDirectionality(byConfig, dev, &rep.Stats)
 		rep.add(vs, n)
 		vs, n, err := checkAttribution(ctx, r, p, configs, byConfig)
 		if err != nil {
@@ -233,22 +210,26 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, opt Optio
 		rep.add(vs, n)
 	}
 
-	vs, n, err := checkCalibration(ctx, r, opt.Device, &rep.Stats)
+	vs, n, err := checkCalibration(ctx, r, dev, &rep.Stats)
 	if err != nil {
 		return nil, err
 	}
 	rep.add(vs, n)
 
-	if err := checkFrontier(ctx, r, programs, opt, rep); err != nil {
+	if err := checkFrontier(ctx, r, programs, dev, rep); err != nil {
 		return nil, err
 	}
 
-	vs, n, err = checkDeterminism(ctx, r, programs, opt.Device.DefaultConfig())
+	// Determinism: a fresh runner reproduces the default configuration.
+	// Replay identity: a fresh runner that simulates every configuration
+	// from scratch reproduces the main sweep, which served most
+	// configurations by replaying launch traces.
+	vs, n, err = checkRerun(ctx, r, programs, []kepler.Clocks{dev.DefaultConfig()}, "determinism", false)
 	if err != nil {
 		return nil, err
 	}
 	rep.add(vs, n)
-	vs, n, err = checkReplayIdentity(ctx, r, programs, configs)
+	vs, n, err = checkRerun(ctx, r, programs, configs, "replay-identity", true)
 	if err != nil {
 		return nil, err
 	}
@@ -278,9 +259,6 @@ func (r *Report) add(vs []Violation, n int) {
 // device's ~13% frequency drop. NaN when either configuration is
 // unmeasurable.
 func coreSensitivity(byConfig map[string]*core.Result, dev *kepler.Device) float64 {
-	if dev == nil {
-		dev = kepler.K20cDevice()
-	}
 	def, ok1 := byConfig[kepler.Default.Name]
 	f614, ok2 := byConfig[kepler.F614.Name]
 	if !ok1 || !ok2 {
@@ -293,7 +271,7 @@ func coreSensitivity(byConfig map[string]*core.Result, dev *kepler.Device) float
 
 // checkEnergyConservation evaluates the per-result energy invariants. It
 // returns the violations and the number of individual checks evaluated.
-func checkEnergyConservation(res *core.Result, tau float64, opt Options, st *Stats) ([]Violation, int) {
+func checkEnergyConservation(res *core.Result, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	bad := func(format string, args ...any) {
@@ -319,17 +297,17 @@ func checkEnergyConservation(res *core.Result, tau float64, opt Options, st *Sta
 	n++
 	if rel := math.Abs(res.Energy/res.TrueEnergy - 1); true {
 		st.MaxEnergyTruthErr = math.Max(st.MaxEnergyTruthErr, rel)
-		if rel > opt.EnergyTruthTol {
+		if rel > energyTruthTol {
 			bad("energy %.4g J off ground truth %.4g J by %.1f%% (tolerance %.1f%%)",
-				res.Energy, res.TrueEnergy, 100*rel, 100*opt.EnergyTruthTol)
+				res.Energy, res.TrueEnergy, 100*rel, 100*energyTruthTol)
 		}
 	}
 	n++
 	if rel := math.Abs(res.ActiveTime/res.TrueActiveTime - 1); true {
 		st.MaxTimeTruthErr = math.Max(st.MaxTimeTruthErr, rel)
-		if rel > opt.TimeTruthTol {
+		if rel > timeTruthTol {
 			bad("active time %.4g s off ground truth %.4g s by %.1f%% (tolerance %.1f%%)",
-				res.ActiveTime, res.TrueActiveTime, 100*rel, 100*opt.TimeTruthTol)
+				res.ActiveTime, res.TrueActiveTime, 100*rel, 100*timeTruthTol)
 		}
 	}
 
@@ -342,22 +320,22 @@ func checkEnergyConservation(res *core.Result, tau float64, opt Options, st *Sta
 		}
 		idErr := math.Abs(m.AvgPower*m.ActiveTime/m.Energy - 1)
 		st.MaxIdentityErr = math.Max(st.MaxIdentityErr, idErr)
-		if idErr > opt.IdentityTol {
+		if idErr > identityTol {
 			bad("rep %d: AvgPower*ActiveTime = %.6g J but Energy = %.6g J (rel err %.2e)",
 				i, m.AvgPower*m.ActiveTime, m.Energy, idErr)
 		}
 		if i < len(res.Traces) {
 			n++
-			integral := trapezoidActive(res.Traces[i], m, tau)
+			integral := trapezoidActive(res.Traces[i], m)
 			if integral <= 0 {
 				bad("rep %d: sensor trace integrates to %.4g J", i, integral)
 				continue
 			}
 			traceErr := math.Abs(integral/m.Energy - 1)
 			st.MaxTraceErr = math.Max(st.MaxTraceErr, traceErr)
-			if traceErr > opt.TraceTol {
+			if traceErr > traceTol {
 				bad("rep %d: trapezoidal trace integral %.4g J vs reported %.4g J (off %.1f%%, tolerance %.1f%%)",
-					i, integral, m.Energy, 100*traceErr, 100*opt.TraceTol)
+					i, integral, m.Energy, 100*traceErr, 100*traceTol)
 			}
 		}
 	}
@@ -369,11 +347,8 @@ func checkEnergyConservation(res *core.Result, tau float64, opt Options, st *Sta
 // same way k20power does — lag-compensate, then threshold — so the integral
 // is an independent recomputation of the reported energy from the same
 // samples (raw instead of compensated, hence the tolerance).
-func trapezoidActive(trace []sensor.Sample, m k20power.Measurement, tau float64) float64 {
-	if tau <= 0 {
-		tau = 0.7
-	}
-	comp := k20power.Compensate(trace, tau)
+func trapezoidActive(trace []sensor.Sample, m k20power.Measurement) float64 {
+	comp := k20power.Compensate(trace, k20power.DefaultOptions().Tau)
 	first, last := -1, -1
 	for i, s := range comp {
 		if s.W >= m.ThresholdW {
@@ -405,7 +380,7 @@ func trapezoidActive(trace []sensor.Sample, m k20power.Measurement, tau float64)
 // on one program's results (keyed by configuration name). Every program
 // does the same work at every configuration (the ordered block order reads
 // no clock), so all of them are held to every check.
-func checkDVFSMonotonicity(byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
+func checkDVFSMonotonicity(byConfig map[string]*core.Result, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	bad := func(res *core.Result, format string, args ...any) {
@@ -437,7 +412,7 @@ func checkDVFSMonotonicity(byConfig map[string]*core.Result, opt Options, st *St
 		n++
 		shrink := 1 - pr.slow.ActiveTime/pr.fast.ActiveTime
 		st.MaxDVFSTimeShrink = math.Max(st.MaxDVFSTimeShrink, shrink)
-		if shrink > opt.MonoTol {
+		if shrink > monoTol {
 			bad(pr.slow, "program sped up by %.1f%% going %s", 100*shrink, pr.transition)
 		}
 	}
@@ -467,7 +442,7 @@ func checkDVFSMonotonicity(byConfig map[string]*core.Result, opt Options, st *St
 // whose runtime scales with the core clock (measured compute-bound) must be
 // nearly ECC-immune — a cross-configuration consistency relation between
 // two independent responses of the same program.
-func checkECCDirectionality(byConfig map[string]*core.Result, opt Options, st *Stats) ([]Violation, int) {
+func checkECCDirectionality(byConfig map[string]*core.Result, dev *kepler.Device, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	def := byConfig[kepler.Default.Name]
@@ -485,82 +460,41 @@ func checkECCDirectionality(byConfig map[string]*core.Result, opt Options, st *S
 	n++
 	speedup := 1 - ecc.ActiveTime/def.ActiveTime
 	st.MaxECCSpeedup = math.Max(st.MaxECCSpeedup, speedup)
-	if speedup > opt.MonoTol {
+	if speedup > monoTol {
 		bad("ECC sped the program up by %.1f%% (%.4g s -> %.4g s); ECC only costs",
 			100*speedup, def.ActiveTime, ecc.ActiveTime)
 	}
 	n++
-	if esave := 1 - ecc.Energy/def.Energy; esave > opt.MonoTol {
+	if esave := 1 - ecc.Energy/def.Energy; esave > monoTol {
 		bad("ECC lowered energy by %.1f%% (%.4g J -> %.4g J); ECC only costs",
 			100*esave, def.Energy, ecc.Energy)
 	}
-	sens := coreSensitivity(byConfig, opt.Device)
-	if !math.IsNaN(sens) && sens >= opt.ComputeBoundMin {
+	sens := coreSensitivity(byConfig, dev)
+	if !math.IsNaN(sens) && sens >= computeBoundMin {
 		n++
 		penalty := ecc.ActiveTime/def.ActiveTime - 1
 		st.MaxECCComputePenalty = math.Max(st.MaxECCComputePenalty, penalty)
-		if penalty > opt.ECCComputeMax {
+		if penalty > eccComputeMax {
 			bad("ECC slowed a compute-bound code by %.1f%% (bound %.1f%%): ECC must hurt memory-bound codes only",
-				100*penalty, 100*opt.ECCComputeMax)
+				100*penalty, 100*eccComputeMax)
 		}
 	}
 	return vs, n
 }
 
-// checkDeterminism re-measures every program at the configuration on a
-// fresh Runner and compares the Results bitwise against the cached ones.
-func checkDeterminism(ctx context.Context, r *core.Runner, programs []core.Program, clk kepler.Clocks) ([]Violation, int, error) {
+// checkRerun re-measures every program at every given configuration on a
+// fresh Runner and compares the Results bitwise against r's, reporting each
+// difference as a violation of invariant. With noReplay the fresh runner
+// simulates every configuration from scratch, so any timing divergence
+// between the main sweep's launch-trace replays and a full simulation — at
+// any configuration, on any program — surfaces here.
+func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, configs []kepler.Clocks, invariant string, noReplay bool) ([]Violation, int, error) {
 	fresh := core.NewRunner()
 	fresh.Repetitions = r.Repetitions
-	fresh.RuntimeJitter = r.RuntimeJitter
-	fresh.Analysis = r.Analysis
-	if err := fresh.MeasureAll(ctx, programs, []kepler.Clocks{clk}, false); err != nil {
-		return nil, 0, fmt.Errorf("check: determinism sweep failed: %w", err)
-	}
-	var vs []Violation
-	n := 0
-	bad := func(p core.Program, format string, args ...any) {
-		vs = append(vs, Violation{
-			Invariant: "determinism",
-			Program:   p.Name(), Input: p.DefaultInput(), Config: clk.Name,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
-	for _, p := range programs {
-		n++
-		a, errA := r.Measure(ctx, p, p.DefaultInput(), clk)
-		b, errB := fresh.Measure(ctx, p, p.DefaultInput(), clk)
-		switch {
-		case errA != nil && errB != nil:
-			if core.IsInsufficient(errA) != core.IsInsufficient(errB) {
-				bad(p, "error class differs between runners: %v vs %v", errA, errB)
-			}
-		case (errA == nil) != (errB == nil):
-			bad(p, "one runner measured, the other failed: %v vs %v", errA, errB)
-		default:
-			if d := diffResults(a, b); d != "" {
-				bad(p, "fresh runner diverged: %s", d)
-			}
-		}
-	}
-	return vs, n, nil
-}
-
-// checkReplayIdentity re-measures every program at every given configuration
-// on a fresh replay-disabled Runner and compares the Results bitwise against
-// the main sweep's. The main runner serves most configurations from the
-// launch-trace cache (clock-insensitive programs simulate once and replay),
-// so any timing divergence between the replay path and a from-scratch
-// simulation — at any configuration, on any program — surfaces here.
-func checkReplayIdentity(ctx context.Context, r *core.Runner, programs []core.Program, configs []kepler.Clocks) ([]Violation, int, error) {
-	fresh := core.NewRunner()
-	fresh.Repetitions = r.Repetitions
-	fresh.RuntimeJitter = r.RuntimeJitter
-	fresh.Analysis = r.Analysis
 	fresh.KeepTraces = r.KeepTraces
-	fresh.NoReplay = true
+	fresh.NoReplay = noReplay
 	if err := fresh.MeasureAll(ctx, programs, configs, false); err != nil {
-		return nil, 0, fmt.Errorf("check: replay-identity sweep failed: %w", err)
+		return nil, 0, fmt.Errorf("check: %s sweep failed: %w", invariant, err)
 	}
 	var vs []Violation
 	n := 0
@@ -571,7 +505,7 @@ func checkReplayIdentity(ctx context.Context, r *core.Runner, programs []core.Pr
 			b, errB := fresh.Measure(ctx, p, p.DefaultInput(), clk)
 			bad := func(format string, args ...any) {
 				vs = append(vs, Violation{
-					Invariant: "replay-identity",
+					Invariant: invariant,
 					Program:   p.Name(), Input: p.DefaultInput(), Config: clk.Name,
 					Detail: fmt.Sprintf(format, args...),
 				})
@@ -579,13 +513,13 @@ func checkReplayIdentity(ctx context.Context, r *core.Runner, programs []core.Pr
 			switch {
 			case errA != nil && errB != nil:
 				if core.IsInsufficient(errA) != core.IsInsufficient(errB) {
-					bad("error class differs between replay and fresh: %v vs %v", errA, errB)
+					bad("error class differs from the fresh runner's: %v vs %v", errA, errB)
 				}
 			case (errA == nil) != (errB == nil):
-				bad("replay and fresh disagree on measurability: %v vs %v", errA, errB)
+				bad("measurability differs from the fresh runner's: %v vs %v", errA, errB)
 			default:
 				if d := diffResults(a, b); d != "" {
-					bad("replayed result diverged from fresh simulation: %s", d)
+					bad("fresh runner diverged: %s", d)
 				}
 			}
 		}

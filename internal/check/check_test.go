@@ -13,6 +13,7 @@ import (
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/suites"
+	"repro/internal/trace"
 )
 
 // The full invariant sweep (34 programs x 4 configurations plus the
@@ -29,7 +30,7 @@ func sharedSweep(t *testing.T) (*core.Runner, *Report) {
 	t.Helper()
 	sweepOnce.Do(func() {
 		sweepRunner = core.NewRunner()
-		sweepReport, sweepErr = Run(context.Background(), sweepRunner, suites.All(), DefaultOptions())
+		sweepReport, sweepErr = Run(context.Background(), sweepRunner, suites.All(), nil)
 	})
 	if sweepErr != nil {
 		t.Fatalf("verification sweep failed: %v", sweepErr)
@@ -91,6 +92,18 @@ func TestSweepStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestSweepKeepsAccountingClamp: a verification sweep asserts accounting
+// through CheckAccounting and leaves the stats accessors' clamp in force, so
+// code running in the same process after a selfcheck still gets a ratio in
+// [0, 1] for an impossible counter combination instead of a panic.
+func TestSweepKeepsAccountingClamp(t *testing.T) {
+	sharedSweep(t)
+	s := trace.KernelStats{LoadSlots: 1, GlobalTxns: 1, GlobalBytes: 256} // 256 useful > 128 fetched
+	if eff := s.CoalescingEfficiency(); eff != 1 {
+		t.Errorf("efficiency after the sweep = %g, want the clamped 1", eff)
+	}
+}
+
 // --- negative controls: each checker must actually fire on corrupted data ---
 
 // fakeResult builds a self-consistent measured result for synthetic checks.
@@ -119,45 +132,43 @@ func violationCount(vs []Violation, substr string) int {
 }
 
 func TestEnergyConservationDetectsCorruption(t *testing.T) {
-	opt := DefaultOptions()
 	var st Stats
 
 	good := fakeResult("GOOD", "default", 2.0, 80)
-	if vs, n := checkEnergyConservation(good, 0.7, opt, &st); len(vs) != 0 || n == 0 {
+	if vs, n := checkEnergyConservation(good, &st); len(vs) != 0 || n == 0 {
 		t.Fatalf("clean result flagged: %v (n=%d)", vs, n)
 	}
 
 	offTruth := fakeResult("BAD", "default", 2.0, 80)
-	offTruth.Energy *= 1 + 2*opt.EnergyTruthTol
-	vs, _ := checkEnergyConservation(offTruth, 0.7, opt, &st)
+	offTruth.Energy *= 1 + 2*energyTruthTol
+	vs, _ := checkEnergyConservation(offTruth, &st)
 	if violationCount(vs, "off ground truth") == 0 {
-		t.Errorf("energy %.0f%% off truth not flagged: %v", 200*opt.EnergyTruthTol, vs)
+		t.Errorf("energy %.0f%% off truth not flagged: %v", 200*energyTruthTol, vs)
 	}
 
 	badIdentity := fakeResult("BAD", "default", 2.0, 80)
 	badIdentity.Reps[1].Energy *= 1.001 // breaks AvgPower*ActiveTime == Energy
-	vs, _ = checkEnergyConservation(badIdentity, 0.7, opt, &st)
+	vs, _ = checkEnergyConservation(badIdentity, &st)
 	if violationCount(vs, "rep 1") == 0 {
 		t.Errorf("broken per-rep identity not flagged: %v", vs)
 	}
 
 	negative := fakeResult("BAD", "default", 2.0, 80)
 	negative.Energy = -1
-	vs, _ = checkEnergyConservation(negative, 0.7, opt, &st)
+	vs, _ = checkEnergyConservation(negative, &st)
 	if violationCount(vs, "non-positive") == 0 {
 		t.Errorf("negative energy not flagged: %v", vs)
 	}
 }
 
 func TestDVFSMonotonicityDetectsSpeedup(t *testing.T) {
-	opt := DefaultOptions()
 	var st Stats
 	byConfig := map[string]*core.Result{
 		kepler.Default.Name: fakeResult("X", kepler.Default.Name, 2.0, 80),
 		kepler.F614.Name:    fakeResult("X", kepler.F614.Name, 1.5, 70), // faster at a lower clock
 		kepler.F324.Name:    fakeResult("X", kepler.F324.Name, 4.0, 45),
 	}
-	vs, n := checkDVFSMonotonicity(byConfig, opt, &st)
+	vs, n := checkDVFSMonotonicity(byConfig, &st)
 	if violationCount(vs, "sped up") == 0 {
 		t.Errorf("25%% speedup at 614 MHz not flagged: %v", vs)
 	}
@@ -167,14 +178,14 @@ func TestDVFSMonotonicityDetectsSpeedup(t *testing.T) {
 
 	// Power NOT dropping at 324 must fire.
 	byConfig[kepler.F324.Name] = fakeResult("X", kepler.F324.Name, 4.0, 85)
-	vs, _ = checkDVFSMonotonicity(byConfig, opt, &st)
+	vs, _ = checkDVFSMonotonicity(byConfig, &st)
 	if violationCount(vs, "not strictly below") == 0 {
 		t.Errorf("power rise at 324 MHz not flagged: %v", vs)
 	}
 }
 
 func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
-	opt := DefaultOptions()
+	dev := kepler.K20cDevice()
 	var st Stats
 	mk := func(eccTime, eccPower float64) map[string]*core.Result {
 		return map[string]*core.Result{
@@ -183,7 +194,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 		}
 	}
 
-	vs, n := checkECCDirectionality(mk(1.5, 80), opt, &st)
+	vs, n := checkECCDirectionality(mk(1.5, 80), dev, &st)
 	if violationCount(vs, "sped the program up") == 0 {
 		t.Errorf("ECC speedup not flagged: %v", vs)
 	}
@@ -191,7 +202,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 		t.Error("no checks counted")
 	}
 
-	vs, _ = checkECCDirectionality(mk(2.0, 60), opt, &st)
+	vs, _ = checkECCDirectionality(mk(2.0, 60), dev, &st)
 	if violationCount(vs, "lowered energy") == 0 {
 		t.Errorf("ECC energy saving not flagged: %v", vs)
 	}
@@ -202,7 +213,7 @@ func TestECCDirectionalityDetectsImpossibleGains(t *testing.T) {
 	def := byConfig[kepler.Default.Name]
 	f614 := fakeResult("X", kepler.F614.Name, def.ActiveTime*float64(kepler.Default.CoreMHz)/float64(kepler.F614.CoreMHz), 70)
 	byConfig[kepler.F614.Name] = f614
-	vs, _ = checkECCDirectionality(byConfig, opt, &st)
+	vs, _ = checkECCDirectionality(byConfig, dev, &st)
 	if violationCount(vs, "compute-bound") == 0 {
 		t.Errorf("large ECC penalty on compute-bound code not flagged: %v", vs)
 	}
@@ -242,17 +253,17 @@ func TestTrapezoidActivePlateau(t *testing.T) {
 		trace = append(trace, sensor.Sample{T: float64(i) * dt, W: w})
 	}
 	m := k20power.Measurement{ThresholdW: (idleW + plateauW) / 2}
-	got := trapezoidActive(trace, m, 0.7)
+	got := trapezoidActive(trace, m)
 	want := plateauW * (2.0 + dt) // plateau span plus the two edge halves
 	if math.Abs(got/want-1) > 0.02 {
 		t.Errorf("plateau integral %.2f J, want about %.2f J", got, want)
 	}
 
-	if e := trapezoidActive(nil, m, 0.7); e != 0 {
+	if e := trapezoidActive(nil, m); e != 0 {
 		t.Errorf("empty trace integrated to %v", e)
 	}
 	flat := []sensor.Sample{{T: 0, W: idleW}, {T: 1, W: idleW}}
-	if e := trapezoidActive(flat, m, 0.7); e != 0 {
+	if e := trapezoidActive(flat, m); e != 0 {
 		t.Errorf("never-active trace integrated to %v", e)
 	}
 }
@@ -261,7 +272,7 @@ func TestTrapezoidActivePlateau(t *testing.T) {
 // with an error instead of being silently skipped like insufficiency.
 func TestRunRejectsHardFailures(t *testing.T) {
 	r := core.NewRunner()
-	_, err := Run(context.Background(), r, []core.Program{newBrokenProgram()}, DefaultOptions())
+	_, err := Run(context.Background(), r, []core.Program{newBrokenProgram()}, nil)
 	if err == nil {
 		t.Fatal("sweep over a failing program returned no error")
 	}

@@ -48,14 +48,14 @@ func frontierPrograms(programs []core.Program, n int) []core.Program {
 // checkFrontier sweeps the subset across the dense grid and evaluates the
 // three frontier invariant classes. Hard sweep errors abort; physics
 // inconsistencies become violations.
-func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program, opt Options, rep *Report) error {
-	spec := selfcheckGrid(opt.Device)
+func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepler.Device, rep *Report) error {
+	spec := selfcheckGrid(dev)
 	for _, p := range frontierPrograms(programs, frontierSubsetSize) {
-		res, err := frontier.Sweep(ctx, r, p, frontier.Options{Device: opt.Device, Spec: spec})
+		res, err := frontier.Sweep(ctx, r, p, frontier.Options{Device: dev, Spec: spec})
 		if err != nil {
 			return fmt.Errorf("check: frontier sweep %s: %w", p.Name(), err)
 		}
-		vs, n := checkFrontierRows(res, opt, &rep.Stats)
+		vs, n := checkFrontierRows(res, &rep.Stats)
 		rep.add(vs, n)
 		vs, n = checkFrontierConsistency(res)
 		rep.add(vs, n)
@@ -65,7 +65,7 @@ func checkFrontier(ctx context.Context, r *core.Runner, programs []core.Program,
 
 // checkFrontierRows evaluates the per-row runtime and energy-shape
 // invariants of one frontier result.
-func checkFrontierRows(res *frontier.Result, opt Options, st *Stats) ([]Violation, int) {
+func checkFrontierRows(res *frontier.Result, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	for _, row := range res.Rows {
@@ -86,12 +86,12 @@ func checkFrontierRows(res *frontier.Result, opt Options, st *Stats) ([]Violatio
 			if rise > st.MaxFrontierTimeRise {
 				st.MaxFrontierTimeRise = rise
 			}
-			if rise > opt.FrontierTimeTol {
+			if rise > frontierTimeTol {
 				vs = append(vs, Violation{
 					Invariant: "dvfs-grid",
 					Program:   res.Program, Input: res.Input, Config: pts[i].Config.Name,
 					Detail: fmt.Sprintf("runtime rose %.4f (tol %.4f) when core clock increased %d->%d MHz",
-						rise, opt.FrontierTimeTol, pts[i-1].Config.CoreMHz, pts[i].Config.CoreMHz),
+						rise, frontierTimeTol, pts[i-1].Config.CoreMHz, pts[i].Config.CoreMHz),
 				})
 			}
 		}
@@ -115,7 +115,7 @@ func checkFrontierRows(res *frontier.Result, opt Options, st *Stats) ([]Violatio
 			if wiggle > st.MaxFrontierValleyErr {
 				st.MaxFrontierValleyErr = wiggle
 			}
-			if wiggle > opt.FrontierValleyTol {
+			if wiggle > frontierValleyTol {
 				side := "rose before"
 				if i > min {
 					side = "fell after"
@@ -124,7 +124,7 @@ func checkFrontierRows(res *frontier.Result, opt Options, st *Stats) ([]Violatio
 					Invariant: "dvfs-grid",
 					Program:   res.Program, Input: res.Input, Config: pts[i].Config.Name,
 					Detail: fmt.Sprintf("energy %s the row valley (%s) by %.4f (tol %.4f)",
-						side, pts[min].Config.Name, wiggle, opt.FrontierValleyTol),
+						side, pts[min].Config.Name, wiggle, frontierValleyTol),
 				})
 			}
 		}

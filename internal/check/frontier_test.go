@@ -44,7 +44,6 @@ func fakeFrontier(times, energies []float64) *frontier.Result {
 }
 
 func TestFrontierRowsDetectRuntimeRise(t *testing.T) {
-	opt := DefaultOptions()
 	var st Stats
 
 	// Clean row: runtime falls with core clock, energy is a valley.
@@ -52,7 +51,7 @@ func TestFrontierRowsDetectRuntimeRise(t *testing.T) {
 		[]float64{4.0, 3.0, 2.5, 2.2, 2.0},
 		[]float64{300, 260, 250, 255, 270},
 	)
-	if vs, n := checkFrontierRows(clean, opt, &st); len(vs) != 0 || n == 0 {
+	if vs, n := checkFrontierRows(clean, &st); len(vs) != 0 || n == 0 {
 		t.Fatalf("clean frontier flagged: %v (n=%d)", vs, n)
 	}
 
@@ -61,14 +60,13 @@ func TestFrontierRowsDetectRuntimeRise(t *testing.T) {
 		[]float64{4.0, 3.0, 3.3, 2.2, 2.0},
 		[]float64{300, 260, 250, 255, 270},
 	)
-	vs, _ := checkFrontierRows(rise, opt, &st)
+	vs, _ := checkFrontierRows(rise, &st)
 	if violationCount(vs, "runtime rose") == 0 {
 		t.Errorf("10%% runtime rise not flagged: %v", vs)
 	}
 }
 
 func TestFrontierRowsDetectDoubleDip(t *testing.T) {
-	opt := DefaultOptions()
 	var st Stats
 
 	// Energy dips, rises, then dips below the first minimum again: the
@@ -77,7 +75,7 @@ func TestFrontierRowsDetectDoubleDip(t *testing.T) {
 		[]float64{4.0, 3.0, 2.5, 2.2, 2.0},
 		[]float64{300, 250, 290, 285, 240},
 	)
-	vs, n := checkFrontierRows(dip, opt, &st)
+	vs, n := checkFrontierRows(dip, &st)
 	if violationCount(vs, "the row valley") == 0 {
 		t.Errorf("double-dip energy curve not flagged: %v", vs)
 	}
@@ -137,17 +135,16 @@ func TestFrontierProgramsSubset(t *testing.T) {
 	}
 }
 
-// TestFrontierSweepMarginsWithinTolerance: the shared DefaultOptions sweep
-// ran the frontier invariants over the selfcheck grid; on the model's
-// smooth ground-truth surface the worst margins must stay inside tolerance
-// (they are exactly zero for every program — see DefaultOptions).
+// TestFrontierSweepMarginsWithinTolerance: the shared sweep ran the
+// frontier invariants over the selfcheck grid; on the model's smooth
+// ground-truth surface the worst margins must stay inside tolerance (they
+// are exactly zero for every program — see the tolerance constants).
 func TestFrontierSweepMarginsWithinTolerance(t *testing.T) {
 	_, rep := sharedSweep(t)
-	opt := DefaultOptions()
-	if rep.Stats.MaxFrontierTimeRise > opt.FrontierTimeTol {
-		t.Errorf("frontier runtime margin %v exceeds tolerance %v", rep.Stats.MaxFrontierTimeRise, opt.FrontierTimeTol)
+	if rep.Stats.MaxFrontierTimeRise > frontierTimeTol {
+		t.Errorf("frontier runtime margin %v exceeds tolerance %v", rep.Stats.MaxFrontierTimeRise, frontierTimeTol)
 	}
-	if rep.Stats.MaxFrontierValleyErr > opt.FrontierValleyTol {
-		t.Errorf("frontier valley margin %v exceeds tolerance %v", rep.Stats.MaxFrontierValleyErr, opt.FrontierValleyTol)
+	if rep.Stats.MaxFrontierValleyErr > frontierValleyTol {
+		t.Errorf("frontier valley margin %v exceeds tolerance %v", rep.Stats.MaxFrontierValleyErr, frontierValleyTol)
 	}
 }

@@ -19,14 +19,7 @@ func TestProbeMargins(t *testing.T) {
 		t.Skip("probe")
 	}
 	r := core.NewRunner()
-	opt := DefaultOptions()
-	opt.EnergyTruthTol = 10
-	opt.TimeTruthTol = 10
-	opt.TraceTol = 10
-	opt.IdentityTol = 10
-	opt.MonoTol = 10
-	opt.ECCComputeMax = 10
-	rep, err := Run(context.Background(), r, suites.All(), opt)
+	rep, err := Run(context.Background(), r, suites.All(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,16 +365,8 @@ func Profile(ctx context.Context, p Program, input string, clk kepler.Clocks, se
 	if err := RunProgram(ctx, p, dev, input); err != nil {
 		return nil, k20power.Measurement{}, err
 	}
-	d := clk.Device()
-	segs := power.Timeline(dev)
-	sopt := sensor.DefaultOptions(seed)
-	sopt.SwitchW = d.Sensor.SwitchW
-	sopt.NoiseSigmaW = d.Sensor.NoiseSigmaW
-	sopt.DriftAmpW = d.Sensor.DriftAmpW
-	samples := sensor.Record(segs, sopt)
-	aopt := k20power.DefaultOptions()
-	aopt.TailGuardW *= d.Power.EnergyScale
-	m, err := k20power.Analyze(samples, aopt)
+	samples := sensor.Record(power.Timeline(dev), sensorOptions(clk.Device(), seed))
+	m, err := k20power.Analyze(samples, analysisOptions(clk.Device()))
 	return samples, m, err
 }
 

@@ -60,7 +60,7 @@ func (e *cacheEntry) record(k resultKey) (Record, bool) {
 	switch {
 	case e.res != nil:
 		return e.res.Record(k.board), true
-	case isInsufficient(e.err):
+	case IsInsufficient(e.err):
 		return Record{Program: k.program, Input: k.input, Config: k.config, Board: k.board, Insufficient: true}, true
 	}
 	return Record{}, false

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/xrand"
 )
 
 // Result is the outcome of measuring one (program, input, configuration)
@@ -68,11 +69,6 @@ func medianOf(ms []k20power.Measurement, f func(k20power.Measurement) float64) f
 type Runner struct {
 	// Repetitions is the number of repeated measurements (the paper uses 3).
 	Repetitions int
-	// RuntimeJitter is the per-repetition relative runtime perturbation
-	// standard deviation (models OS/driver/thermal run-to-run variation).
-	RuntimeJitter float64
-	// Sensor options template; the seed is set per repetition.
-	Analysis k20power.Options
 	// KeepTraces retains each repetition's raw sensor samples in
 	// Result.Traces, for trace-level verification (costs memory).
 	KeepTraces bool
@@ -210,10 +206,8 @@ type cacheEntry struct {
 // NewRunner returns a Runner with the paper's methodology defaults.
 func NewRunner() *Runner {
 	return &Runner{
-		Repetitions:   3,
-		RuntimeJitter: 0.008,
-		Analysis:      k20power.DefaultOptions(),
-		cache:         make(map[resultKey]*cacheEntry),
+		Repetitions: 3,
+		cache:       make(map[resultKey]*cacheEntry),
 	}
 }
 
@@ -297,16 +291,17 @@ func (r *Runner) measure(ctx context.Context, p Program, input string, clk keple
 	return st.res, nil
 }
 
+// runtimeJitter is the per-repetition relative runtime perturbation standard
+// deviation (models OS/driver/thermal run-to-run variation).
+const runtimeJitter = 0.008
+
 // perturbTimeline stretches the timeline by a small random factor and scales
 // power by another, modeling run-to-run machine variation. It appends the
 // perturbed segments to dst.
-func perturbTimeline(dst, segs []power.Segment, seed uint64, jitter float64) []power.Segment {
-	if jitter <= 0 {
-		return append(dst, segs...)
-	}
-	rng := newRNG(seed ^ 0xfeedface)
-	ts := 1 + rng.normal()*jitter
-	ps := 1 + rng.normal()*jitter*0.4
+func perturbTimeline(dst, segs []power.Segment, seed uint64) []power.Segment {
+	rng := xrand.New(seed ^ 0xfeedface ^ 0x7335f4914f6cdd1d)
+	ts := 1 + rng.Norm()*runtimeJitter
+	ps := 1 + rng.Norm()*runtimeJitter*0.4
 	if ts < 0.9 {
 		ts = 0.9
 	}
@@ -395,7 +390,7 @@ func (r *Runner) MeasureList(ctx context.Context, combos []Combo) error {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(queue)); i = next.Add(1) - 1 {
 				switch err := r.sweepJob(ctx, pool, queue[i]); {
-				case err == nil || isInsufficient(err):
+				case err == nil || IsInsufficient(err):
 					m.sweepJobsDone.Inc()
 				case isCtxErr(err):
 					// Once ctx fires, every remaining queue entry lands here
@@ -454,8 +449,10 @@ func capturesFirst(combos []Combo) []Combo {
 	return append(queue, rest...)
 }
 
-func isInsufficient(err error) bool {
-	return err != nil && (errorsIs(err, k20power.ErrInsufficientSamples) || errorsIs(err, k20power.ErrNoActivity))
+// IsInsufficient reports whether the error means the run yielded too few
+// power samples to analyze (the paper's exclusion criterion).
+func IsInsufficient(err error) bool {
+	return errors.Is(err, k20power.ErrInsufficientSamples) || errors.Is(err, k20power.ErrNoActivity)
 }
 
 // seedFor derives the per-repetition noise seed from the measurement

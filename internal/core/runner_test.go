@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -196,16 +195,13 @@ func TestSeedForDistinct(t *testing.T) {
 }
 
 func TestPerturbTimelineStretch(t *testing.T) {
-	if segs := perturbTimeline(nil, nil, 1, 0.01); len(segs) != 0 {
+	if segs := perturbTimeline(nil, nil, 1); len(segs) != 0 {
 		t.Error("nil timeline should stay empty")
 	}
 	in := []power.Segment{{Start: 0, Duration: 2, Watts: 25}, {Start: 2, Duration: 1, Watts: 90}}
-	if segs := perturbTimeline(nil, in, 1, 0); !reflect.DeepEqual(segs, in) {
-		t.Errorf("zero jitter should copy the input unchanged: %+v", segs)
-	}
 	// The result is appended to dst and stretched by one common factor.
 	dst := make([]power.Segment, 1, 8)
-	segs := perturbTimeline(dst, in, 1, 0.01)
+	segs := perturbTimeline(dst, in, 1)
 	if len(segs) != 3 || &segs[0] != &dst[0] {
 		t.Fatalf("perturbTimeline did not append to dst: %+v", segs)
 	}

@@ -287,14 +287,12 @@ func (r *Runner) stagePerturb(st *measureState) error {
 	st.perturbed = reps(&st.buf.perturbed, n)
 	for rep := 0; rep < n; rep++ {
 		st.seeds[rep] = seedFor(st.p.Name(), st.input, st.clk.Device().Name, st.clk.Name, rep)
-		st.perturbed[rep] = perturbTimeline(st.perturbed[rep][:0], st.segs, st.seeds[rep], r.RuntimeJitter)
+		st.perturbed[rep] = perturbTimeline(st.perturbed[rep][:0], st.segs, st.seeds[rep])
 	}
 	return nil
 }
 
-// stageRecord samples every perturbed timeline through the sensor model,
-// with the sampling switch level, noise and drift taken from the device's
-// sensor description (the defaults are the K20c's values).
+// stageRecord samples every perturbed timeline through the sensor model.
 func (r *Runner) stageRecord(st *measureState) error {
 	dev := st.clk.Device()
 	if r.KeepTraces {
@@ -304,13 +302,30 @@ func (r *Runner) stageRecord(st *measureState) error {
 		st.samples = reps(&st.buf.samples, len(st.perturbed))
 	}
 	for rep := range st.perturbed {
-		opt := sensor.DefaultOptions(st.seeds[rep])
-		opt.SwitchW = dev.Sensor.SwitchW
-		opt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
-		opt.DriftAmpW = dev.Sensor.DriftAmpW
-		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], opt)
+		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], sensorOptions(dev, st.seeds[rep]))
 	}
 	return nil
+}
+
+// sensorOptions configures the sensor model for one recording on the device:
+// the sampling switch level, noise and drift come from the device's sensor
+// description (the defaults are the K20c's values).
+func sensorOptions(dev *kepler.Device, seed uint64) sensor.Options {
+	opt := sensor.DefaultOptions(seed)
+	opt.SwitchW = dev.Sensor.SwitchW
+	opt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
+	opt.DriftAmpW = dev.Sensor.DriftAmpW
+	return opt
+}
+
+// analysisOptions configures the K20Power analysis for the device. The tail
+// guard separates active power from the driver's persistence level; its
+// default is sized for a 200 W-class board, so it scales with the device's
+// power envelope (EnergyScale is 1 for the Kepler boards).
+func analysisOptions(dev *kepler.Device) k20power.Options {
+	opt := k20power.DefaultOptions()
+	opt.TailGuardW *= dev.Power.EnergyScale
+	return opt
 }
 
 // stageAnalyze runs the K20Power analysis on each repetition's trace and
@@ -318,11 +333,7 @@ func (r *Runner) stageRecord(st *measureState) error {
 // repetitions may fail (insufficient samples); the stage fails only when
 // none survive, reporting the first per-repetition error.
 func (r *Runner) stageAnalyze(st *measureState) error {
-	// The tail guard separates active power from the driver's persistence
-	// level; its default is sized for a 200 W-class board, so scale it with
-	// the device's power envelope (EnergyScale is 1 for the Kepler boards).
-	opt := r.Analysis
-	opt.TailGuardW *= st.clk.Device().Power.EnergyScale
+	opt := analysisOptions(st.clk.Device())
 	var firstErr error
 	for rep := range st.samples {
 		m, err := st.buf.analyzer.Analyze(st.samples[rep], opt)

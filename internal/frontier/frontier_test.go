@@ -34,11 +34,6 @@ func sharedSweep(t *testing.T) []*frontier.Result {
 	sweepOnce.Do(func() {
 		r := core.NewRunner()
 		r.Repetitions = 1
-		// Jitter off: the properties are about the frontier math on the
-		// model's smooth (time, energy) surface. With jitter on, adjacent
-		// grid points differ by ~0.8% noise, so the exhaustive argmin is
-		// jitter-determined and no sub-exhaustive optimizer could match it.
-		r.RuntimeJitter = 0
 		sweepResults, sweepErr = frontier.SweepAll(context.Background(), r, suites.All(), frontier.Options{})
 	})
 	if sweepErr != nil {

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/power"
+	"repro/internal/xrand"
 )
 
 // Sample is one sensor reading.
@@ -72,8 +73,8 @@ func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 		return dst
 	}
 	end := segs[len(segs)-1].End()
-	rng := newRNG(opt.Seed)
-	driftPhase := rng.float() * 2 * math.Pi
+	rng := xrand.New(opt.Seed ^ 0x2545f4914f6cdd1d)
+	driftPhase := rng.Float64() * 2 * math.Pi
 
 	samples := dst
 	reported := segs[0].Watts
@@ -95,7 +96,7 @@ func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 		t = next
 
 		w := reported
-		w += rng.normal() * opt.NoiseSigmaW
+		w += rng.Norm() * opt.NoiseSigmaW
 		w += opt.DriftAmpW * math.Sin(2*math.Pi*t/300+driftPhase)
 		if w < 0 {
 			w = 0
@@ -133,32 +134,4 @@ func avgPower(segs []power.Segment, fromIdx int, t0, t1 float64) (float64, int) 
 		}
 	}
 	return energy / (t1 - t0), resume
-}
-
-// rng is a small deterministic generator (SplitMix64 stream).
-type rng struct{ state uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x2545f4914f6cdd1d} }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// normal returns a standard normal variate (Box-Muller).
-func (r *rng) normal() float64 {
-	u1 := r.float()
-	for u1 == 0 {
-		u1 = r.float()
-	}
-	u2 := r.float()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

@@ -157,22 +157,6 @@ func TestEmptyTimeline(t *testing.T) {
 	}
 }
 
-func TestRNGNormalMoments(t *testing.T) {
-	r := newRNG(99)
-	n := 20000
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		v := r.normal()
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / float64(n)
-	variance := sum2/float64(n) - mean*mean
-	if math.Abs(mean) > 0.05 || math.Abs(variance-1) > 0.08 {
-		t.Errorf("normal moments: mean %f var %f", mean, variance)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	in := []Sample{{T: 0, W: 25.125}, {T: 0.1, W: 80.5}, {T: 0.2, W: 81}}
 	var buf strings.Builder

@@ -620,13 +620,15 @@ const remoteJobPollEvery = 150 * time.Millisecond
 
 // remoteJob returns the job that starts req as an asynchronous job at path
 // on the key's ring owner and polls it to a terminal state; the finished
-// job's result is the worker's, byte for byte.
+// job's result is the worker's, byte for byte. Progress is the owner's done
+// count, clamped to its high-water mark: a re-dispatched job restarts at 0
+// on the replacement worker.
 func (f *fleet) remoteJob(path, key string, req any, size int, proxied *obs.Counter) jobSpec {
 	var done atomic.Int64
 	return jobSpec{
 		combos:   size,
 		absolute: true,
-		progress: func() (int64, int64) { return done.Load(), 0 },
+		progress: monotoneProgress(done.Load),
 		run: func(ctx context.Context, _ string) (any, error) {
 			proxied.Inc()
 			body, err := json.Marshal(req)

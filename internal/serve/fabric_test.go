@@ -530,6 +530,93 @@ func TestFabricProgressMonotoneAcrossRedispatch(t *testing.T) {
 	}
 }
 
+// TestFabricFrontierProgressMonotoneAcrossRedispatch kills the worker that
+// owns a proxied frontier job after the job has reported progress, and
+// asserts the coordinator's done count never steps backward: the
+// replacement worker restarts the job from 0.
+func TestFabricFrontierProgressMonotoneAcrossRedispatch(t *testing.T) {
+	// A clock-sensitive program takes the frontier's coarse path, which
+	// simulates each grid row's anchors (slowly here) and reports progress
+	// row by row; the dense path reports all of it only at its end. Two
+	// memory rows leave the second row running after the first reported.
+	crawl := func() []core.Program {
+		p := newFakeProg("CLOCK", 2e5)
+		p.sleepPerBlock = 20 * time.Millisecond
+		p.readsClock = true
+		return []core.Program{p}
+	}
+	ws, urls := newFabricWorkers(t, 3, crawl)
+	c, cts := newTestCoordinator(t, urls, crawl(), nil)
+
+	code, data := postJSON(t, cts.URL+"/v1/frontier",
+		`{"program":"CLOCK","spec":{"coreMinMHz":324,"coreMaxMHz":758,"coreStepMHz":62,"memMHz":[2600,324]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("frontier: status %d, body %s", code, data)
+	}
+	var jv jobView
+	if err := json.Unmarshal(data, &jv); err != nil {
+		t.Fatal(err)
+	}
+	poll := func() jobView {
+		code, data := getJSON(t, cts.URL+"/v1/jobs/"+jv.ID)
+		if code != http.StatusOK {
+			t.Fatalf("job poll: status %d, body %s", code, data)
+		}
+		var v jobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	// Wait until the coordinator has seen progress, then kill the owner —
+	// the one worker whose frontier has interpolated a row.
+	deadline := time.Now().Add(60 * time.Second)
+	for v := poll(); v.Done == 0; v = poll() {
+		if v.Status != jobQueued && v.Status != jobRunning {
+			t.Fatalf("job terminal before it reported progress: %+v", v)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("frontier reported no progress before the deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	killed := 0
+	for _, w := range ws {
+		if w.runner.Metrics().Snapshot().Counters["frontier_interpolated"] > 0 {
+			w.ts.CloseClientConnections()
+			w.ts.Close()
+			killed++
+		}
+	}
+	if killed != 1 {
+		t.Fatalf("%d workers ran the frontier, want 1", killed)
+	}
+
+	var hi int64
+	deadline = time.Now().Add(60 * time.Second)
+	for {
+		v := poll()
+		if v.Done < hi {
+			t.Fatalf("frontier progress stepped backward: %d after %d", v.Done, hi)
+		}
+		hi = v.Done
+		if v.Status == jobDone {
+			break
+		}
+		if v.Status == jobFailed || v.Status == jobCanceled {
+			t.Fatalf("job %s: %+v", jv.ID, v)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck: %+v", v)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c.runner.Metrics().Snapshot().Counters["fabric_shard_redispatches"] == 0 {
+		t.Error("worker death did not force a re-dispatch; the regression scenario was not exercised")
+	}
+}
+
 // TestMonotoneProgressClamp pins the high-water behavior of the parent
 // progress wrapper in isolation.
 func TestMonotoneProgressClamp(t *testing.T) {

@@ -26,11 +26,13 @@ import (
 // simulated duration is stretched by the input surrogate factor, so tests
 // get multi-second simulated runs (plenty of 10 Hz sensor samples) at
 // sub-millisecond wall-clock cost. sleepPerBlock optionally makes the
-// simulation wall-clock slow, for drain tests.
+// simulation wall-clock slow, for drain tests; readsClock makes the program
+// read the simulated clock mid-run, so its launch trace is clock-sensitive.
 type fakeProg struct {
 	core.Meta
 	scale         float64
 	sleepPerBlock time.Duration
+	readsClock    bool
 }
 
 func newFakeProg(name string, scale float64) *fakeProg {
@@ -64,6 +66,9 @@ func (p *fakeProg) Run(ctx context.Context, dev *sim.Device, input string) error
 		c.FP32Ops(4000)
 		c.IntOps(800)
 	})
+	if p.readsClock {
+		dev.Now()
+	}
 	return nil
 }
 

@@ -145,40 +145,24 @@ func (s *KernelStats) SIMDEfficiency() float64 {
 	return float64(s.LaneSlots) / float64(32*s.Slots)
 }
 
-// AccountingChecks gates the debug-mode accounting assertions on the stats
-// accessors. When enabled, an impossible accounting — useful bytes exceeding
-// fetched bytes — panics at the point of use instead of being silently
-// clamped, so a coalescing-model bug surfaces as a loud failure in tests and
-// selfcheck sweeps rather than as a quietly wrong efficiency feeding the
-// power model. Production keeps the clamp: a derived ratio must stay in
-// [0, 1] even if a future accounting bug ships.
-var AccountingChecks = false
-
 // CoalescingEfficiency returns useful bytes divided by fetched bytes
 // (1 = perfectly coalesced). A ratio above 1 is an accounting violation —
 // the merge cannot request more useful bytes than its transactions fetch —
-// reported by CheckAccounting and, under AccountingChecks, a panic here.
+// reported by CheckAccounting; here it is clamped, because a derived ratio
+// must stay in [0, 1] even if a future accounting bug ships.
 func (s *KernelStats) CoalescingEfficiency() float64 {
 	fetched := s.GlobalTxns * 128
 	if fetched == 0 {
 		return 1
 	}
-	eff := float64(s.GlobalBytes) / float64(fetched)
-	if eff > 1 {
-		if AccountingChecks {
-			panic(fmt.Sprintf("trace: accounting violation: %d useful bytes exceed %d fetched bytes (efficiency %g)",
-				s.GlobalBytes, fetched, eff))
-		}
-		eff = 1
-	}
-	return eff
+	return min(float64(s.GlobalBytes)/float64(fetched), 1)
 }
 
 // CheckAccounting validates the cross-counter consistency the derived
 // metrics rely on. A non-nil error means the merge produced an impossible
 // combination; the clamped accessors would hide it, so callers that care
-// about accounting integrity (internal/check's attribution tie-out) assert
-// this explicitly on every launch.
+// about accounting integrity (internal/check's attribution and calibration
+// passes) assert this explicitly on every launch.
 func (s *KernelStats) CheckAccounting() error {
 	switch {
 	case s.GlobalBytes > 128*s.GlobalTxns:
