@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/... ./internal/sdk/...
 
 # Short fuzz smoke over the warp merge (against its reference
 # implementation); seeds plus 10s of mutation.

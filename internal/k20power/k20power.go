@@ -176,10 +176,11 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, e
 // Compensate undoes the sensor's first-order running average: for a
 // low-pass y' = (x - y)/tau, the input is x = y + tau * dy/dt.
 //
-// Samples with a non-positive time step (a duplicated or non-monotonic
-// timestamp, as real sensor logs occasionally contain) carry no derivative
-// information, so they are left at their raw reported value rather than
-// dividing by a zero or negative dt.
+// Samples whose time step is below sensor.MinDT (a duplicated,
+// non-monotonic or near-duplicate timestamp, as real sensor logs
+// occasionally contain) carry no derivative information, so they are left at
+// their raw reported value rather than dividing by a zero, negative or
+// rounding-sized dt.
 func Compensate(samples []sensor.Sample, tau float64) []sensor.Sample {
 	return compensate(nil, samples, tau)
 }
@@ -190,7 +191,7 @@ func compensate(dst, samples []sensor.Sample, tau float64) []sensor.Sample {
 	out := append(dst[:0], samples...)
 	for i := 1; i < len(samples); i++ {
 		dt := samples[i].T - samples[i-1].T
-		if dt <= 0 {
+		if dt < sensor.MinDT {
 			continue
 		}
 		x := samples[i].W + tau*(samples[i].W-samples[i-1].W)/dt

@@ -2,11 +2,13 @@ package k20power
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/kepler"
 	"repro/internal/power"
 	"repro/internal/sensor"
 )
@@ -212,6 +214,59 @@ func TestPropertyAnalyzeScalesLinearly(t *testing.T) {
 	}
 }
 
+// TestPropertyPulseNoSliverSample records an idle → pulse → idle square wave
+// with every device's sensor profile and analyzes it, over pulse widths,
+// pulse powers and 40 start phases. The phases sit on a 0.025 s grid, where
+// the summed sampling times land within a few ulps of the log's end often
+// enough to matter. The log must hold no sampling interval shorter than
+// sensor.MinDT, and the analysis must stay near the pulse: a sliver interval
+// compensated as a derivative reads as a huge power spike that stretches the
+// active region to the end of the log.
+func TestPropertyPulseNoSliverSample(t *testing.T) {
+	for _, dev := range kepler.Devices() {
+		sopt := sensor.DefaultOptions(0)
+		sopt.SwitchW = dev.Sensor.SwitchW
+		sopt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
+		sopt.DriftAmpW = dev.Sensor.DriftAmpW
+		aopt := DefaultOptions()
+		aopt.TailGuardW *= dev.Power.EnergyScale
+		idle := dev.Power.IdleW
+		for _, width := range []float64{2.8, 6, 20} {
+			for _, rise := range []float64{1.5, 4} {
+				watts := idle + rise*(dev.Sensor.SwitchW-idle+1)
+				for k := 0; k < 40; k++ {
+					lead := 3 + float64(k)/40
+					segs := []power.Segment{
+						{Start: 0, Duration: lead, Watts: idle},
+						{Start: lead, Duration: width, Watts: watts},
+						{Start: lead + width, Duration: 3, Watts: idle},
+					}
+					sopt.Seed = uint64(k)
+					samples := sensor.Record(segs, sopt)
+					name := fmt.Sprintf("%s width=%g W=%.2f phase=%d", dev.Name, width, watts, k)
+					for i := 1; i < len(samples); i++ {
+						if dt := samples[i].T - samples[i-1].T; dt < sensor.MinDT {
+							t.Fatalf("%s: sample %d follows the previous by %g s", name, i, dt)
+						}
+					}
+					m, err := Analyze(samples, aopt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					// The bounds leave room for the analyzer's known edge
+					// bias (up to a sampling interval per edge at 1 Hz).
+					if math.Abs(m.ActiveTime-width) > 1 {
+						t.Errorf("%s: active time %.3f s, want %g ± 1", name, m.ActiveTime, width)
+					}
+					if r := m.AvgPower / watts; r < 0.75 || r > 1.25 {
+						t.Errorf("%s: avg power %.3f W, want %.2f ± 25%%", name, m.AvgPower, watts)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSingleSensorGapDoesNotReclassifyAs1Hz(t *testing.T) {
 	// Regression for the mean-vs-median 1 Hz classification bug: a 12 s
 	// 10 Hz run with one long mid-run sensor dropout. The MEAN inter-sample
@@ -294,6 +349,16 @@ func TestCompensateNonMonotonicTimestampsStayRaw(t *testing.T) {
 		if math.IsNaN(s.W) || math.IsInf(s.W, 0) {
 			t.Errorf("comp[%d].W = %v", i, s.W)
 		}
+	}
+}
+
+func TestCompensateSliverIntervalStaysRaw(t *testing.T) {
+	// A sample a rounding sliver after its predecessor carries no
+	// derivative either: dividing by ~1e-15 s would read ~1e13 W.
+	samples := []sensor.Sample{{T: 0, W: 25}, {T: 0.1, W: 60}, {T: 0.1 + 1e-15, W: 61}}
+	comp := Compensate(samples, 0.7)
+	if comp[2].W != samples[2].W {
+		t.Errorf("sliver-interval sample compensated: %g, want raw %g", comp[2].W, samples[2].W)
 	}
 }
 

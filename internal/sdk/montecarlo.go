@@ -3,7 +3,6 @@ package sdk
 import (
 	"context"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -53,8 +52,10 @@ func (p *EIP) Run(ctx context.Context, dev *sim.Device, input string) error {
 	result := dev.NewArray(1, 8)
 
 	var hits, total int64
+	blockHits := make([]int64, mcThreads/256)
 	for batch := 0; batch < mcBatches; batch++ {
 		seed := uint64(batch)*977 + 13
+		clear(blockHits)
 		l := dev.Launch("samplePoints", mcThreads/256, 256, func(c *sim.Ctx) {
 			rng := xrand.New(seed ^ uint64(c.TID())*0x9e3779b97f4a7c15)
 			h := 0
@@ -73,10 +74,11 @@ func (p *EIP) Run(ctx context.Context, dev *sim.Device, input string) error {
 			if c.Thread == 0 {
 				c.Store(blockCounts.At(c.Block), 4)
 			}
-			atomicAdd(&hits, int64(h))
-			atomicAdd(&total, mcSamplesPerPass)
+			blockHits[c.Block] += int64(h)
 		})
 		dev.Repeat(l, eipPasses)
+		hits += sum(blockHits)
+		total += mcThreads * mcSamplesPerPass
 		lr := dev.Launch("reduceCounts", 1, 256, func(c *sim.Ctx) {
 			c.LoadRep(blockCounts.At(c.Thread), 4, 1)
 			c.IntOps(4)
@@ -123,8 +125,10 @@ func (p *EP) Run(ctx context.Context, dev *sim.Device, input string) error {
 	pts := make([][2]float32, n)
 
 	var hits, total int64
+	blockHits := make([]int64, n/256)
 	for batch := 0; batch < mcBatches; batch++ {
 		seed := uint64(batch)*31337 + 7
+		clear(blockHits)
 		lg := dev.Launch("generatePoints", n/256, 256, func(c *sim.Ctx) {
 			rng := xrand.New(seed ^ uint64(c.TID())*0x2545f4914f6cdd1d)
 			x, y := rng.Float32(), rng.Float32()
@@ -137,9 +141,8 @@ func (p *EP) Run(ctx context.Context, dev *sim.Device, input string) error {
 		lc := dev.Launch("computeValue", n/256, 256, func(c *sim.Ctx) {
 			pt := pts[c.TID()]
 			if pt[0]*pt[0]+pt[1]*pt[1] <= 1 {
-				atomicAdd(&hits, 1)
+				blockHits[c.Block]++
 			}
-			atomicAdd(&total, 1)
 			c.Load(xs.At(c.TID()), 4)
 			c.Load(ys.At(c.TID()), 4)
 			c.FP32Ops(4)
@@ -149,6 +152,8 @@ func (p *EP) Run(ctx context.Context, dev *sim.Device, input string) error {
 			}
 		})
 		dev.Repeat(lc, epPasses)
+		hits += sum(blockHits)
+		total += n
 	}
 	pi := 4 * float64(hits) / float64(total)
 	if math.Abs(pi-math.Pi) > 0.01 {
@@ -157,7 +162,15 @@ func (p *EP) Run(ctx context.Context, dev *sim.Device, input string) error {
 	return nil
 }
 
-// atomicAdd mirrors the CUDA operation. It must be a real atomic: the
-// engine may shard a launch's blocks across workers, and integer addition is
-// commutative, so the total stays deterministic either way.
-func atomicAdd(p *int64, v int64) { atomic.AddInt64(p, v) }
+// sum returns the total of the per-block hit counts. A kernel counts into
+// blockHits[c.Block] rather than a shared counter: one goroutine runs all
+// threads of a block in order, so the slots need no atomics even when the
+// engine shards the blocks across workers, and integer addition keeps the
+// total independent of the sharding.
+func sum(blockHits []int64) int64 {
+	var s int64
+	for _, h := range blockHits {
+		s += h
+	}
+	return s
+}

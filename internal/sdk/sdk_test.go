@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -73,6 +74,37 @@ func TestUnknownInputRejected(t *testing.T) {
 		dev := sim.NewDevice(kepler.Default)
 		if err := p.Run(context.Background(), dev, "no-such-input"); err == nil {
 			t.Errorf("%s: unknown input accepted", p.Name())
+		}
+	}
+}
+
+// TestMonteCarloShardInvariance: EP and EIP count hits in per-block slots,
+// which sharded blocks write from different workers. A 1-worker and a
+// 4-worker pool must produce byte-identical launch traces (every launch's
+// KernelStats and block cycles) and the same validation outcome.
+func TestMonteCarloShardInvariance(t *testing.T) {
+	for _, p := range []core.Program{NewEP(), NewEIP()} {
+		var refTrace []byte
+		var refErr error
+		for _, workers := range []int{1, 4} {
+			dev := sim.NewDevice(kepler.Default)
+			dev.SetWorkerPool(sim.NewWorkerPool(workers))
+			dev.BeginCapture()
+			runErr := p.Run(context.Background(), dev, p.DefaultInput())
+			enc, err := sim.EncodeTrace(dev.EndCapture())
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", p.Name(), workers, err)
+			}
+			if workers == 1 {
+				refTrace, refErr = enc, runErr
+				continue
+			}
+			if !bytes.Equal(enc, refTrace) {
+				t.Errorf("%s: the 4-worker launch trace differs from the 1-worker one", p.Name())
+			}
+			if fmt.Sprint(runErr) != fmt.Sprint(refErr) {
+				t.Errorf("%s: validation %v with 4 workers, %v with 1", p.Name(), runErr, refErr)
+			}
 		}
 	}
 }

@@ -21,6 +21,12 @@ type Sample struct {
 	W float64 // reported watts
 }
 
+// MinDT is the shortest sampling interval (seconds) a log carries
+// meaningfully. Summing 0.1 s and 1 s steps can land a few ulps short of
+// the timeline's end; an interval shorter than MinDT is such a rounding
+// sliver, not a sample period.
+const MinDT = 1e-9
+
 // Options configure the sensor simulation.
 type Options struct {
 	// Seed distinguishes repeated experiments (noise and drift phase).
@@ -80,7 +86,7 @@ func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 	reported := segs[0].Watts
 	t := 0.0
 	segIdx := 0
-	for t < end {
+	for end-t >= MinDT {
 		dt := opt.IdleDT
 		if reported >= opt.SwitchW {
 			dt = opt.ActiveDT

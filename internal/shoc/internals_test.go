@@ -113,3 +113,25 @@ func TestMDNeighborListsMatchSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestMFChainTableMatchesPerThreadLoop: each entry of MF's chain table must
+// be bit-equal to the per-thread chain it stands for, both as read by the
+// plain kernels and through the SFU kernels' Sqrt.
+func TestMFChainTableMatchesPerThreadLoop(t *testing.T) {
+	chain := mfChainTable()
+	for r := 0; r < 7; r++ {
+		x := 1.0 + float64(r)*1e-9
+		for it := 0; it < mfInner; it++ {
+			x = x*1.01 - 0.01
+		}
+		for _, sfu := range []bool{false, true} {
+			got, want := chain[r], x
+			if sfu {
+				got, want = math.Sqrt(got*got), math.Sqrt(want*want)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("residue %d sfu=%v: table %v, per-thread loop %v", r, sfu, got, want)
+			}
+		}
+	}
+}

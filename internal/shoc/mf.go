@@ -59,18 +59,15 @@ func (p *MF) Run(ctx context.Context, dev *sim.Device, input string) error {
 		{"Add1_DP", true, false}, {"Mul1_DP", true, false}, {"MAdd1_DP", true, false}, {"MulMAdd1_DP", true, false},
 		{"Sqrt", false, true}, {"Exp", false, true},
 	}
+	// A thread's chain depends only on TID()%7, so the seven distinct
+	// values are computed once here rather than once per thread.
+	chain := mfChainTable()
 	var firstResult float64
 	for ki, k := range kernels {
 		k := k
 		ki := ki
 		l := dev.Launch(k.name, mfThreads/256, 256, func(c *sim.Ctx) {
-			// The real arithmetic chain: x starts at 1 + tiny(tid) and
-			// repeatedly applies x = x*1.01 - 0.01 (fixed point at 1), which
-			// stays bounded and checkable.
-			x := 1.0 + float64(c.TID()%7)*1e-9
-			for it := 0; it < mfInner; it++ {
-				x = x*1.01 - 0.01
-			}
+			x := chain[c.TID()%7]
 			if k.sfu {
 				x = math.Sqrt(x * x)
 			}
@@ -98,4 +95,19 @@ func (p *MF) Run(ctx context.Context, dev *sim.Device, input string) error {
 		return core.Validatef(p.Name(), "arithmetic chain diverged: %g", firstResult)
 	}
 	return nil
+}
+
+// mfChainTable returns the arithmetic chain of each thread residue r = tid%7:
+// x starts at 1 + r*1e-9 and applies x = x*1.01 - 0.01 (fixed point at 1)
+// mfInner times, which stays bounded and checkable.
+func mfChainTable() [7]float64 {
+	var chain [7]float64
+	for r := range chain {
+		x := 1.0 + float64(r)*1e-9
+		for it := 0; it < mfInner; it++ {
+			x = x*1.01 - 0.01
+		}
+		chain[r] = x
+	}
+	return chain
 }
