@@ -74,7 +74,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh /tmp/gpuchard-smoke /tmp/gpuchard-smoke-store.json
 
 # Sweep-fabric smoke: a 1-coordinator + 3-worker fleet must merge the
-# byte-identical /v1/results a standalone server produces, the federated
+# byte-identical /v1/results a standalone server produces and return its
+# frontier and attribution job results, the federated
 # /metrics must pass the promtool-style lint (cmd/promlint), and killing a
 # worker must not change the merged bytes. Mirrors the CI fabric-smoke job;
 # needs curl and jq.

@@ -20,8 +20,9 @@
 // across the ready workers, dispatches them as /v1/shard sub-jobs,
 // re-dispatches the shards of a worker that dies or drains mid-sweep, and
 // merges the results in deterministic store order — byte-identical to the
-// same sweep on one standalone process. Measures, frontiers and
-// attributions run on the ring owner and are relayed verbatim. Workers are
+// same sweep on one standalone process. A frontier or attribution runs as
+// one shard on its ring owner, a measure is proxied to its ring owner, and
+// both answers are relayed verbatim. Workers are
 // standalone servers that additionally accept shards and (when -peers names
 // the coordinator) fetch and publish launch traces through it, so the fleet
 // captures each (device, program, input) exactly once.
@@ -32,7 +33,7 @@
 //	POST /v1/sweep       {"programs":[...],"configs":[...],"allInputs":false}
 //	POST /v1/frontier    {"program":"NB","spec":{...optional DVFS grid...}}
 //	POST /v1/attrib      {"programs":[...],"configs":[...]}
-//	GET  /v1/jobs/{id}   job progress and result (coordinator sweeps list their shards)
+//	GET  /v1/jobs/{id}   job progress and result (coordinator jobs list their shards)
 //	GET  /v1/results     every cached measurement and exclusion
 //	GET  /metrics        Prometheus text exposition (coordinator: federated, per-worker label)
 //	GET  /healthz        liveness + cache occupancy

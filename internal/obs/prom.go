@@ -50,8 +50,8 @@ var promHelp = map[string]string{
 	"pool_workers_in_use_peak":     "High-water mark of held worker-pool slots.",
 	"frontier_replays":             "Frontier grid configurations priced by trace replay.",
 	"fabric_workers_ready":         "Workers currently passing the coordinator's readiness probe.",
-	"fabric_shards_dispatched":     "Sweep shards dispatched to workers.",
-	"fabric_shard_redispatches":    "Shards, measures and remote jobs moved to another worker after one could not answer.",
+	"fabric_shards_dispatched":     "Shards (sweep slices, frontier and attribution jobs) dispatched to workers.",
+	"fabric_shard_redispatches":    "Shards and measures moved to another worker after one could not answer.",
 	"fabric_sweep_fanouts":         "Sweep requests fanned out across the fleet.",
 	"fabric_frontier_proxied":      "Frontier jobs proxied to a worker.",
 	"fabric_attrib_proxied":        "Attribution jobs proxied to a worker.",

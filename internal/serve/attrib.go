@@ -45,12 +45,22 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	programs, dev, configs, err := s.res.sweepSet(sweepRequest{
-		Programs: req.Programs, Configs: req.Configs, Device: req.Device,
-	})
+	aw, err := s.res.attrib(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	s.startJob(w, s.exec.attrib(aw))
+}
+
+// attrib validates an attribution request, for the public handler and for a
+// worker's attribution shard alike. Every rejection is a 400.
+func (res *resolver) attrib(req attribRequest) (attribWork, error) {
+	programs, dev, configs, err := res.sweepSet(sweepRequest{
+		Programs: req.Programs, Configs: req.Configs, Device: req.Device,
+	})
+	if err != nil {
+		return attribWork{}, err
 	}
 	aw := attribWork{req: attribRequest{Device: dev.Name}, programs: programs, dev: dev, configs: configs}
 	for _, p := range programs {
@@ -59,5 +69,5 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 	for _, clk := range configs {
 		aw.req.Configs = append(aw.req.Configs, clk.Name)
 	}
-	s.startJob(w, s.exec.attrib(aw))
+	return aw, nil
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -25,12 +24,12 @@ import (
 // fleet is the coordinator's executor: it speaks the same public API as a
 // standalone Server but simulates nothing itself. Sweeps are consistent-
 // hashed into per-worker shards over the internal /v1/shard API and merged
-// in deterministic store order; measures proxy to the combination's owning
-// worker, frontier and attribution jobs run as jobs on their owner; launch
-// traces are brokered through an in-memory store so the fleet captures each
-// (device, program, input) exactly once; and /metrics federates every
-// worker's exposition under a "worker" label. The Server's Runner holds the
-// merged results.
+// in deterministic store order; a frontier or attribution job is one shard
+// on its ring owner; measures proxy to the combination's owning worker;
+// launch traces are brokered through an in-memory store so the fleet
+// captures each (device, program, input) exactly once; and /metrics
+// federates every worker's exposition under a "worker" label. The Server's
+// Runner holds the merged results.
 type fleet struct {
 	runner      *core.Runner
 	peers       []string
@@ -275,9 +274,9 @@ func (f *fleet) cancelRemoteJob(worker, id string) {
 // shardState is one shard's live bookkeeping, shared between the dispatch
 // goroutine (writes) and job views (reads).
 type shardState struct {
-	device string
-	combos []shardCombo
-	key    string // ring key of the shard's first combo
+	work shardRequest // the shard's work; its ID is filled in at dispatch
+	size int64        // combinations the work resolves
+	key  string       // ring key: a sweep shard's first combo, or the job's
 
 	mu           sync.Mutex
 	id           string // assigned when the parent job's run starts
@@ -338,13 +337,13 @@ func (st *shardState) progress(f *fleet) int64 {
 	st.mu.Unlock()
 	switch status {
 	case jobDone:
-		return int64(len(st.combos))
+		return st.size
 	case jobRunning:
 		if worker == "" || time.Since(last) < 200*time.Millisecond {
 			return done
 		}
-		if v, err := f.pollJob(worker, id); err == nil {
-			done = v.Done
+		if v, err := f.pollDone(worker, id); err == nil {
+			done = v
 		}
 		st.mu.Lock()
 		st.lastDone = done
@@ -362,42 +361,34 @@ func (st *shardState) view() shardView {
 	defer st.mu.Unlock()
 	done := st.lastDone
 	if st.status == jobDone {
-		done = int64(len(st.combos))
+		done = st.size
 	}
 	return shardView{
 		ID:           st.id,
 		Worker:       st.worker,
 		Status:       st.status,
-		Combinations: int64(len(st.combos)),
+		Combinations: st.size,
 		Done:         done,
 		Redispatches: st.redispatches,
 	}
 }
 
-// remoteJobView decodes a worker's job view. Result stays raw so a proxied
-// job result re-serves byte-identically.
-type remoteJobView struct {
-	ID     string          `json:"id"`
-	Status jobStatus       `json:"status"`
-	Done   int64           `json:"done"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result"`
-}
-
-// pollJob reads a job view from a worker.
-func (f *fleet) pollJob(worker, id string) (remoteJobView, error) {
-	var v remoteJobView
+// pollDone reads a job's done count from its view on a worker.
+func (f *fleet) pollDone(worker, id string) (int64, error) {
 	resp, err := f.probeClient.Get(worker + "/v1/jobs/" + id)
 	if err != nil {
-		return v, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return v, fmt.Errorf("job %s: poll status %s", id, resp.Status)
+		return 0, fmt.Errorf("job %s: poll status %s", id, resp.Status)
+	}
+	var v struct {
+		Done int64 `json:"done"`
 	}
 	err = json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&v)
-	return v, err
+	return v.Done, err
 }
 
 // sweep fans a sweep out across the fleet: combinations already in the
@@ -424,10 +415,11 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 		}
 		st := byWorker[owner]
 		if st == nil {
-			st = &shardState{device: dev.Name, key: key, status: jobQueued}
+			st = &shardState{work: shardRequest{Device: dev.Name}, key: key, status: jobQueued}
 			byWorker[owner] = st
 		}
-		st.combos = append(st.combos, shardCombo{Program: cb.Program.Name(), Input: cb.Input, Config: cb.Clocks.Name})
+		st.work.Combos = append(st.work.Combos, shardCombo{Program: cb.Program.Name(), Input: cb.Input, Config: cb.Clocks.Name})
+		st.size++
 	}
 	workerOrder := make([]string, 0, len(byWorker))
 	for worker := range byWorker {
@@ -436,16 +428,32 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 	sort.Strings(workerOrder)
 
 	f.m.sweepFanouts.Inc()
-	// Shard ids embed the parent job id, which the registry assigns — so the
-	// shards are named inside run (run receives the final id). The table
-	// itself is immutable after this block; only shardState fields mutate,
-	// under their own mutex, so views and dispatch never race.
 	shards := make([]*shardState, 0, len(workerOrder))
 	for _, worker := range workerOrder {
 		shards = append(shards, byWorker[worker])
 	}
+	return f.shardJob(len(combos), preResolved, shards, func(resps []shardResponse) any {
+		// Import whatever completed even when some shards failed: a
+		// retried sweep then only re-dispatches the missing part.
+		var all []core.Record
+		for _, sr := range resps {
+			all = append(all, sr.Results...)
+		}
+		core.SortResults(all)
+		f.runner.ImportResults(all)
+		return nil
+	}), nil
+}
+
+// shardJob returns the job that dispatches shards in parallel and hands
+// every shard's response — empty for a shard that failed — to merge, whose
+// value is the job's result. Shard ids embed the parent job id, which the
+// registry assigns, so the shards are named inside run. The shard table
+// itself is immutable; only shardState fields mutate, under their own
+// mutex, so views and dispatch never race.
+func (f *fleet) shardJob(size int, preResolved int64, shards []*shardState, merge func([]shardResponse) any) jobSpec {
 	return jobSpec{
-		combos:   len(combos),
+		combos:   size,
 		absolute: true,
 		// The parent's progress is clamped to a high-water mark:
 		// re-dispatching a dead worker's shard resets that shard's counter
@@ -467,7 +475,7 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 		run: func(ctx context.Context, id string) (any, error) {
 			var wg sync.WaitGroup
 			errs := make([]error, len(shards))
-			merged := make([][]core.Record, len(shards))
+			resps := make([]shardResponse, len(shards))
 			for i, st := range shards {
 				st.mu.Lock()
 				st.id = fmt.Sprintf("%s/shard-%d", id, i)
@@ -475,32 +483,26 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					merged[i], errs[i] = f.runShard(ctx, st)
+					resps[i], errs[i] = f.runShard(ctx, st)
 				}()
 			}
 			wg.Wait()
-			// Import whatever completed even when some shards failed: a
-			// retried sweep then only re-dispatches the missing part.
-			var all []core.Record
-			for _, part := range merged {
-				all = append(all, part...)
-			}
-			core.SortResults(all)
-			f.runner.ImportResults(all)
-			return nil, errors.Join(errs...)
+			return merge(resps), errors.Join(errs...)
 		},
-	}, nil
+	}
 }
 
 // runShard dispatches one shard along the ring. Dispatch is synchronous — a
 // worker dying mid-shard surfaces as the POST's transport error, which is
 // the re-dispatch signal.
-func (f *fleet) runShard(ctx context.Context, st *shardState) ([]core.Record, error) {
-	body, err := json.Marshal(shardRequest{ID: st.id, Device: st.device, Combos: st.combos})
+func (f *fleet) runShard(ctx context.Context, st *shardState) (shardResponse, error) {
+	req := st.work
+	req.ID = st.id
+	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return shardResponse{}, err
 	}
-	var results []core.Record
+	var sr shardResponse
 	err = f.onRing(ctx, st.key, func(worker string) error {
 		st.setWorker(worker)
 		f.m.shardsDispatched.Inc()
@@ -520,23 +522,21 @@ func (f *fleet) runShard(ctx context.Context, st *shardState) ([]core.Record, er
 		case status != http.StatusOK:
 			return fmt.Errorf("worker %s: status %d: %s", worker, status, bytes.TrimSpace(data))
 		}
-		var sr shardResponse
 		if err := json.Unmarshal(data, &sr); err != nil {
 			return fmt.Errorf("worker %s: decoding response: %w", worker, err)
 		}
-		results = sr.Results
 		return nil
 	})
 	switch {
 	case err == nil:
 		st.setStatus(jobDone)
-		return results, nil
+		return sr, nil
 	case ctx.Err() != nil:
 		st.setStatus(jobCanceled)
 	default:
 		st.setStatus(jobFailed)
 	}
-	return nil, fmt.Errorf("shard %s: %w", st.id, err)
+	return shardResponse{}, fmt.Errorf("shard %s: %w", st.id, err)
 }
 
 // --- measure proxy ---
@@ -599,98 +599,31 @@ func (f *fleet) importMeasure(program, input, config, board string, status int, 
 	}
 }
 
-// --- remote jobs: frontier and attribution ---
+// --- frontier and attribution: one shard each ---
 
-// frontier runs the frontier as a job on the (device, program, input) ring
-// owner.
+// frontier runs the frontier as a single shard on the (device, program,
+// input) ring owner.
 func (f *fleet) frontier(fw frontierWork) jobSpec {
+	f.m.frontierProxied.Inc()
 	key := comboKey(fw.dev.Name, fw.p.Name(), fw.req.Input, "")
-	return f.remoteJob("/v1/frontier", key, fw.req, fw.size, f.m.frontierProxied)
+	return f.oneShard(key, fw.size, shardRequest{Frontier: &fw.req})
 }
 
-// attrib runs the attribution matrix as a job on the ring owner of its
-// (device, programs) selection.
+// attrib runs the attribution matrix as a single shard on the ring owner of
+// its (device, programs) selection.
 func (f *fleet) attrib(aw attribWork) jobSpec {
+	f.m.attribProxied.Inc()
 	key := comboKey(aw.dev.Name, strings.Join(aw.req.Programs, ","), "", "")
-	return f.remoteJob("/v1/attrib", key, aw.req, len(aw.programs)*len(aw.configs), f.m.attribProxied)
+	return f.oneShard(key, len(aw.programs)*len(aw.configs), shardRequest{Attrib: &aw.req})
 }
 
-// remoteJobPollEvery paces the remote job polls.
-const remoteJobPollEvery = 150 * time.Millisecond
-
-// remoteJob returns the job that starts req as an asynchronous job at path
-// on the key's ring owner and polls it to a terminal state; the finished
-// job's result is the worker's, byte for byte. Progress is the owner's done
-// count, clamped to its high-water mark: a re-dispatched job restarts at 0
-// on the replacement worker.
-func (f *fleet) remoteJob(path, key string, req any, size int, proxied *obs.Counter) jobSpec {
-	var done atomic.Int64
-	return jobSpec{
-		combos:   size,
-		absolute: true,
-		progress: monotoneProgress(done.Load),
-		run: func(ctx context.Context, _ string) (any, error) {
-			proxied.Inc()
-			body, err := json.Marshal(req)
-			if err != nil {
-				return nil, err
-			}
-			var result json.RawMessage
-			err = f.onRing(ctx, key, func(worker string) error {
-				var err error
-				result, err = f.dispatchJob(ctx, worker, path, body, &done)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			return result, nil
-		},
-	}
-}
-
-// dispatchJob starts the job on worker and polls its view to a terminal
-// state. A remote cancellation (the worker is draining) or a worker that
-// stops answering polls is retryable; a failed job is final.
-func (f *fleet) dispatchJob(ctx context.Context, worker, path string, body []byte, done *atomic.Int64) (json.RawMessage, error) {
-	status, data, err := f.post(ctx, worker+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusAccepted {
-		return nil, fmt.Errorf("worker %s: %s: status %d: %s", worker, path, status, bytes.TrimSpace(data))
-	}
-	var started remoteJobView
-	if err := json.Unmarshal(data, &started); err != nil {
-		return nil, fmt.Errorf("worker %s: %s: decoding job: %w", worker, path, err)
-	}
-
-	pollFails := 0
-	for {
-		select {
-		case <-ctx.Done():
-			f.cancelRemoteJob(worker, started.ID)
-			return nil, ctx.Err()
-		case <-time.After(remoteJobPollEvery):
-		}
-		v, err := f.pollJob(worker, started.ID)
-		if err != nil {
-			if pollFails++; pollFails >= 5 {
-				return nil, retryErr{fmt.Errorf("worker %s: job %s unreachable: %w", worker, started.ID, err)}
-			}
-			continue
-		}
-		pollFails = 0
-		done.Store(v.Done)
-		switch v.Status {
-		case jobDone:
-			return v.Result, nil
-		case jobFailed:
-			return nil, fmt.Errorf("worker %s: job %s: %s", worker, started.ID, v.Error)
-		case jobCanceled:
-			return nil, retryErr{fmt.Errorf("worker %s: job %s canceled remotely", worker, started.ID)}
-		}
-	}
+// oneShard returns the job that runs work as a single shard on the key's
+// ring owner. The finished job's result is the worker's, byte for byte.
+func (f *fleet) oneShard(key string, size int, work shardRequest) jobSpec {
+	st := &shardState{work: work, size: int64(size), key: key, status: jobQueued}
+	return f.shardJob(size, 0, []*shardState{st}, func(resps []shardResponse) any {
+		return resps[0].Result
+	})
 }
 
 // --- traces and metrics ---

@@ -280,22 +280,59 @@ func TestFabricTraceBrokered(t *testing.T) {
 }
 
 // TestFabricCancelFansOut: canceling the parent job on the coordinator
-// cancels the in-flight shard jobs on the workers.
+// cancels the in-flight shard jobs on the workers — a sweep's shards and a
+// proxied frontier's single shard alike.
 func TestFabricCancelFansOut(t *testing.T) {
-	ws, urls := newFabricWorkers(t, 2, slowProgs)
-	_, cts := newTestCoordinator(t, urls, slowProgs(), nil)
+	for _, tc := range []struct{ name, route, body string }{
+		{"sweep", "/v1/sweep", `{"programs":["SLOW"],"allInputs":true}`},
+		{"frontier", "/v1/frontier", `{"program":"SLOW","spec":` + smallSpec + `}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, urls := newFabricWorkers(t, 2, slowProgs)
+			_, cts := newTestCoordinator(t, urls, slowProgs(), nil)
+			testCancelFansOut(t, ws, cts.URL, tc.route, tc.body)
+		})
+	}
+}
 
-	code, data := postJSON(t, cts.URL+"/v1/sweep", `{"programs":["SLOW"],"allInputs":true}`)
+// testCancelFansOut starts a job, cancels it on the coordinator once a
+// shard runs, and waits for the parent and the worker's shard job to end
+// canceled.
+func testCancelFansOut(t *testing.T, ws []*fabricWorker, base, route, body string) {
+	t.Helper()
+	code, data := postJSON(t, base+route, body)
 	if code != http.StatusAccepted {
-		t.Fatalf("sweep: status %d, body %s", code, data)
+		t.Fatalf("%s: status %d, body %s", route, code, data)
 	}
 	var jv jobView
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
-	sh := waitShardRunning(t, cts.URL, jv.ID)
+	sh := waitShardRunning(t, base, jv.ID)
+	var worker *fabricWorker
+	for _, w := range ws {
+		if w.ts.URL == sh.Worker {
+			worker = w
+		}
+	}
+	if worker == nil {
+		t.Fatalf("shard worker %q is not in the fleet", sh.Worker)
+	}
+	// The coordinator marks a shard running as it sends the POST; the shard
+	// is in flight once the worker has registered its job.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		code, data := getJSON(t, worker.ts.URL+"/v1/jobs/"+sh.ID)
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusNotFound || time.Now().After(deadline) {
+			t.Fatalf("worker never registered shard %s: status %d, body %s", sh.ID, code, data)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-	req, err := http.NewRequest(http.MethodDelete, cts.URL+"/v1/jobs/"+jv.ID, nil)
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+jv.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +347,9 @@ func TestFabricCancelFansOut(t *testing.T) {
 	}
 
 	// Parent goes terminal-canceled, and the worker-side shard job follows.
-	deadline := time.Now().Add(30 * time.Second)
+	deadline = time.Now().Add(30 * time.Second)
 	for {
-		code, data := getJSON(t, cts.URL+"/v1/jobs/"+jv.ID)
+		code, data := getJSON(t, base+"/v1/jobs/"+jv.ID)
 		if code != http.StatusOK {
 			t.Fatalf("job poll: status %d, body %s", code, data)
 		}
@@ -330,15 +367,6 @@ func TestFabricCancelFansOut(t *testing.T) {
 			t.Fatalf("parent job never canceled: %+v", v)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	var worker *fabricWorker
-	for _, w := range ws {
-		if w.ts.URL == sh.Worker {
-			worker = w
-		}
-	}
-	if worker == nil {
-		t.Fatalf("shard worker %q is not in the fleet", sh.Worker)
 	}
 	for {
 		code, data := getJSON(t, worker.ts.URL+"/v1/jobs/"+sh.ID)
@@ -638,8 +666,8 @@ func TestMonotoneProgressClamp(t *testing.T) {
 // parent sum must hold its high-water mark instead of stepping back.
 func TestShardRedispatchResetClampedByParent(t *testing.T) {
 	c := &fleet{probeClient: &http.Client{Timeout: 50 * time.Millisecond}}
-	mid := &shardState{combos: make([]shardCombo, 4), status: jobRunning, lastDone: 3, lastPoll: time.Now()}
-	done := &shardState{combos: make([]shardCombo, 2), status: jobDone}
+	mid := &shardState{size: 4, status: jobRunning, lastDone: 3, lastPoll: time.Now()}
+	done := &shardState{size: 2, status: jobDone}
 	shards := []*shardState{mid, done}
 	progress := monotoneProgress(func() int64 {
 		var sum int64

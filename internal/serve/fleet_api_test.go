@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -25,21 +26,22 @@ func parityProgs() []core.Program {
 }
 
 // newParityPair starts a standalone server and a 3-worker coordinator over
-// parityProgs, returning both base URLs and the coordinator's runner.
-func newParityPair(t *testing.T) (standalone, coordinator string, coordRunner *core.Runner) {
+// parityProgs, returning both base URLs, the coordinator's runner and the
+// workers' URLs.
+func newParityPair(t *testing.T) (standalone, coordinator string, coordRunner *core.Runner, workers []string) {
 	t.Helper()
 	s, _ := newTestServer(t, Config{}, parityProgs()...)
 	sts := httptest.NewServer(s.Handler())
 	t.Cleanup(sts.Close)
 	_, urls := newFabricWorkers(t, 3, parityProgs)
 	c, cts := newTestCoordinator(t, urls, parityProgs(), nil)
-	return sts.URL, cts.URL, c.runner
+	return sts.URL, cts.URL, c.runner, urls
 }
 
 // TestFleetMeasureParity: a proxied 200, its cached repeat and a proxied
 // 422 exclusion are byte-identical to the standalone answers.
 func TestFleetMeasureParity(t *testing.T) {
-	sa, co, coordRunner := newParityPair(t)
+	sa, co, coordRunner, _ := newParityPair(t)
 	for _, tc := range []struct {
 		name, body string
 		want       int
@@ -64,20 +66,30 @@ func TestFleetMeasureParity(t *testing.T) {
 }
 
 // TestFleetFrontierParity: the coordinator's finished frontier job carries
-// the standalone job's result, byte for byte.
+// the standalone job's result, byte for byte, and ran as one shard.
 func TestFleetFrontierParity(t *testing.T) {
-	sa, co, _ := newParityPair(t)
+	sa, co, _, workers := newParityPair(t)
 	body := `{"program":"FB","spec":` + smallSpec + `}`
-	want := runResultJob(t, sa, "/v1/frontier", body)
+	want := runResultJob(t, sa, "/v1/frontier", body).Result
 	got := runResultJob(t, co, "/v1/frontier", body)
-	if !bytes.Equal(got, want) {
-		t.Errorf("coordinator frontier result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want, got)
+	if !bytes.Equal(got.Result, want) {
+		t.Errorf("coordinator frontier result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want, got.Result)
+	}
+	assertOneShard(t, got, workers)
+}
+
+// assertOneShard checks that a coordinator's finished frontier or
+// attribution job lists exactly one shard, done, on a fleet worker.
+func assertOneShard(t *testing.T, jv frontierJobView, workers []string) {
+	t.Helper()
+	if len(jv.Shards) != 1 || jv.Shards[0].Status != jobDone || !slices.Contains(workers, jv.Shards[0].Worker) {
+		t.Errorf("coordinator job %s shards = %+v, want one done shard on one of %v", jv.ID, jv.Shards, workers)
 	}
 }
 
 // runResultJob posts a job request to route, polls the job to done and
-// returns its raw result.
-func runResultJob(t *testing.T, base, route, body string) []byte {
+// returns its final view.
+func runResultJob(t *testing.T, base, route, body string) frontierJobView {
 	t.Helper()
 	code, data := postJSON(t, base+route, body)
 	if code != http.StatusAccepted {
@@ -91,13 +103,13 @@ func runResultJob(t *testing.T, base, route, body string) []byte {
 	if jv.Status != jobDone {
 		t.Fatalf("%s%s job: %+v", base, route, jv)
 	}
-	return jv.Result
+	return jv
 }
 
 // TestFleetValidationParity: every rejected body gets the same status and
 // error body from the coordinator as from a standalone server.
 func TestFleetValidationParity(t *testing.T) {
-	sa, co, _ := newParityPair(t)
+	sa, co, _, _ := newParityPair(t)
 	for _, tc := range []struct {
 		name, route, body string
 		want              int
@@ -131,16 +143,18 @@ func TestFleetValidationParity(t *testing.T) {
 	}
 }
 
-// TestFleetAttribParity: /v1/attrib works through the coordinator, and the
-// finished job's result is the standalone job's, byte for byte.
+// TestFleetAttribParity: /v1/attrib works through the coordinator, the
+// finished job's result is the standalone job's, byte for byte, and it ran
+// as one shard.
 func TestFleetAttribParity(t *testing.T) {
-	sa, co, _ := newParityPair(t)
+	sa, co, _, workers := newParityPair(t)
 	body := `{"programs":["FA","FC"],"configs":["614","default"]}`
-	want := runResultJob(t, sa, "/v1/attrib", body)
+	want := runResultJob(t, sa, "/v1/attrib", body).Result
 	got := runResultJob(t, co, "/v1/attrib", body)
-	if !bytes.Equal(got, want) {
-		t.Errorf("coordinator attrib result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want, got)
+	if !bytes.Equal(got.Result, want) {
+		t.Errorf("coordinator attrib result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want, got.Result)
 	}
+	assertOneShard(t, got, workers)
 	for _, bad := range []string{`{"programs":["NOPE"]}`, `{"configs":["999"]}`, `{"device":"RivaTNT"}`, `not json`} {
 		wantCode, wantBody := postJSON(t, sa+"/v1/attrib", bad)
 		code, data := postJSON(t, co+"/v1/attrib", bad)
@@ -196,6 +210,32 @@ func TestFleetPipelineFailureNotRetried(t *testing.T) {
 	for _, w := range ws {
 		if got := w.runner.Metrics().Snapshot().Counters["sweep_jobs_total"]; got != perWorker[w.ts.URL] {
 			t.Errorf("worker %s: sweep_jobs_total = %d, want its shard's %d", w.ts.URL, got, perWorker[w.ts.URL])
+		}
+	}
+}
+
+// TestShardCarriesOneKindOfWork: a worker takes a shard with exactly one of
+// combos, frontier and attrib, and rejects the frontier and attribution
+// kinds with the statuses of their public handlers.
+func TestShardCarriesOneKindOfWork(t *testing.T) {
+	ws, _ := newFabricWorkers(t, 1, fabricProgs)
+	const combo = `"combos":[{"program":"FA","input":"small","config":"614"}]`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"no id", `{` + combo + `}`, http.StatusBadRequest},
+		{"no work", `{"id":"p/shard-0"}`, http.StatusBadRequest},
+		{"combos and frontier", `{"id":"p/shard-0",` + combo + `,"frontier":{"program":"FA"}}`, http.StatusBadRequest},
+		{"frontier and attrib", `{"id":"p/shard-0","frontier":{"program":"FA"},"attrib":{}}`, http.StatusBadRequest},
+		{"combos and attrib", `{"id":"p/shard-0",` + combo + `,"attrib":{}}`, http.StatusBadRequest},
+		{"unknown attrib program", `{"id":"p/shard-0","attrib":{"programs":["NOPE"]}}`, http.StatusBadRequest},
+		{"inverted frontier grid", `{"id":"p/shard-0","frontier":{"program":"FA","spec":{"coreMinMHz":758,"coreMaxMHz":324,"coreStepMHz":62,"memMHz":[2600]}}}`, http.StatusUnprocessableEntity},
+		{"combos", `{"id":"p/shard-0",` + combo + `}`, http.StatusOK},
+		{"attrib", `{"id":"p/shard-1","attrib":{"programs":["FA"],"configs":["614"]}}`, http.StatusOK},
+	} {
+		if code, body := postJSON(t, ws[0].ts.URL+"/v1/shard", tc.body); code != tc.want {
+			t.Errorf("%s: status %d, want %d (body %s)", tc.name, code, tc.want, body)
 		}
 	}
 }

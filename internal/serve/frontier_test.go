@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// frontierJobView decodes a job view with a typed frontier payload.
+// frontierJobView decodes a job view with its payload kept raw.
 type frontierJobView struct {
 	ID           string          `json:"id"`
 	Status       jobStatus       `json:"status"`
@@ -19,6 +19,7 @@ type frontierJobView struct {
 	Done         int64           `json:"done"`
 	Error        string          `json:"error,omitempty"`
 	Result       json.RawMessage `json:"result,omitempty"`
+	Shards       []shardView     `json:"shards,omitempty"`
 }
 
 // smallSpec keeps the e2e grids cheap: 8 core clocks on one memory row

@@ -26,7 +26,8 @@ const (
 	jobFailed jobStatus = "failed"
 )
 
-// shardView is one fan-out shard in a coordinator job view.
+// shardView is one shard in a coordinator job view: a sweep's per-worker
+// slice, or the single shard a frontier or attribution job runs as.
 type shardView struct {
 	ID     string    `json:"id"`
 	Worker string    `json:"worker"`
@@ -51,11 +52,13 @@ type jobView struct {
 	Canceled     int64  `json:"canceled,omitempty"`
 	Error        string `json:"error,omitempty"`
 	// Result is the job's payload once it is done (frontier jobs: the
-	// frontier summary; sweep jobs carry none — their results land in the
-	// measurement cache and are read via /v1/results).
+	// frontier summary; attribution jobs: the attribution rows, both
+	// re-served byte for byte by a coordinator; sweep jobs carry none —
+	// their results land in the measurement cache and are read via
+	// /v1/results).
 	Result any `json:"result,omitempty"`
-	// Shards lists a coordinator job's fan-out (absent on worker and
-	// standalone jobs).
+	// Shards lists a coordinator job's shards, with the worker running
+	// each (absent on worker and standalone jobs).
 	Shards []shardView `json:"shards,omitempty"`
 }
 

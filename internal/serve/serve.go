@@ -593,33 +593,41 @@ type frontierWork struct {
 }
 
 // handleFrontier starts an asynchronous dense-grid frontier job for one
-// program. Validation mirrors the rest of the API — unknown names and
-// malformed bodies are 400; a structurally valid but physically impossible
-// grid spec (inverted bounds, zero step, oversized grid) is 422, the same
-// class as the paper's unprocessable-measurement responses. The completed
-// job's view carries the frontier summary.
+// program. The completed job's view carries the frontier summary.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	var req frontierRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	p, ok := s.res.programs[req.Program]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown program %q", req.Program))
+	fw, status, err := s.res.frontier(req)
+	if err != nil {
+		writeError(w, status, err.Error())
 		return
+	}
+	s.startJob(w, s.exec.frontier(fw))
+}
+
+// frontier validates a frontier request, for the public handler and for a
+// worker's frontier shard alike. Validation mirrors the rest of the API —
+// unknown names are 400; a structurally valid but physically impossible
+// grid spec (inverted bounds, zero step, oversized grid) is 422, the same
+// class as the paper's unprocessable-measurement responses. A rejection
+// returns the status to answer with.
+func (res *resolver) frontier(req frontierRequest) (frontierWork, int, error) {
+	p, ok := res.programs[req.Program]
+	if !ok {
+		return frontierWork{}, http.StatusBadRequest, fmt.Errorf("unknown program %q", req.Program)
 	}
 	input := req.Input
 	if input == "" {
 		input = p.DefaultInput()
-	} else if _, _, _, err := s.res.resolve(req.Program, input, "", req.Device); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	} else if _, _, _, err := res.resolve(req.Program, input, "", req.Device); err != nil {
+		return frontierWork{}, http.StatusBadRequest, err
 	}
-	dev, err := s.res.resolveDevice(req.Device)
+	dev, err := res.resolveDevice(req.Device)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return frontierWork{}, http.StatusBadRequest, err
 	}
 	spec := dev.DefaultGrid()
 	if req.Spec != nil {
@@ -627,16 +635,15 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	}
 	grid, err := dev.Grid(spec)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
+		return frontierWork{}, http.StatusUnprocessableEntity, err
 	}
-	s.startJob(w, s.exec.frontier(frontierWork{
+	return frontierWork{
 		req:  frontierRequest{Program: p.Name(), Input: input, Spec: req.Spec, Device: dev.Name},
 		p:    p,
 		dev:  dev,
 		spec: spec,
 		size: len(grid),
-	}))
+	}, 0, nil
 }
 
 // handleJob reports a job's status, progress and (once done) result.

@@ -185,10 +185,6 @@ func (d *Device) Alloc(n int64) Addr {
 	return base
 }
 
-// Free releases nothing (the allocator is a bump allocator) but exists so
-// benchmarks can mark logical deallocation points.
-func (d *Device) Free(Addr) {}
-
 // Array is a typed view of a device allocation.
 type Array struct {
 	Base Addr

@@ -163,6 +163,3 @@ func (p *WorkerPool) Release(n int) {
 // defaultPool is the process-wide pool used by devices that were not given
 // an explicit one (standalone NewDevice callers, tests, examples).
 var defaultPool = NewWorkerPool(runtime.GOMAXPROCS(0))
-
-// DefaultWorkerPool returns the process-wide worker pool.
-func DefaultWorkerPool() *WorkerPool { return defaultPool }

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Sweep-fabric smoke test, through the real gpuchard binary:
 #
-#   1. A standalone server runs a sweep — the baseline /v1/results bytes.
+#   1. A standalone server runs a sweep — the baseline /v1/results bytes —
+#      then a small-grid frontier and an attribution of NB — the baseline
+#      job results.
 #   2. A 1-coordinator + 3-worker fabric runs the same sweep; its merged
-#      /v1/results must be byte-identical to the standalone baseline.
+#      /v1/results must be byte-identical to the standalone baseline, and
+#      its frontier and attribution job results (each dispatched to a
+#      worker as one shard) must match the standalone results.
 #   3. The coordinator's federated /metrics must pass the promtool-style
 #      lint (cmd/promlint — pure Go, no network).
 #   4. One worker is killed; a fresh (cold-store) coordinator re-runs the
@@ -19,6 +23,8 @@ BIN=${1:-/tmp/gpuchard-fabric}
 PROMLINT=${PROMLINT:-go run ./cmd/promlint}
 PORT_BASE=${GPUCHARD_FABRIC_PORT_BASE:-18450}
 SWEEP='{}'   # empty request = the full default sweep: every program, canonical configs
+FRONTIER='{"program":"NB","spec":{"coreMinMHz":324,"coreMaxMHz":758,"coreStepMHz":62,"memMHz":[2600]}}'
+ATTRIB='{"programs":["NB"],"configs":["default"]}'
 OUT=$(mktemp -d)
 
 W1="127.0.0.1:$((PORT_BASE + 1))"
@@ -44,22 +50,33 @@ wait_up() { # addr
     return 1
 }
 
-run_sweep() { # base outfile — POST the sweep, poll to done, dump /v1/results
-    local base=$1 outfile=$2 id
-    id=$(curl -fsS -X POST "http://$base/v1/sweep" \
-        -H 'Content-Type: application/json' -d "$SWEEP" | jq -r .id)
+run_job() { # base route body — POST a job, poll it to done, print its final view
+    local base=$1 route=$2 body=$3 id view status
+    id=$(curl -fsS -X POST "http://$base$route" \
+        -H 'Content-Type: application/json' -d "$body" | jq -r .id)
     for _ in $(seq 1 3000); do
-        status=$(curl -fsS "http://$base/v1/jobs/$id" | jq -r .status)
+        view=$(curl -fsS "http://$base/v1/jobs/$id")
+        status=$(jq -r .status <<<"$view")
         case "$status" in
-            done) break ;;
+            done) printf '%s\n' "$view"; return 0 ;;
             failed|canceled)
-                echo "fabric smoke: sweep $id on $base: $status" >&2
+                echo "fabric smoke: $route job $id on $base: $status" >&2
                 return 1 ;;
         esac
         sleep 0.2
     done
-    [ "$status" = done ] || { echo "fabric smoke: sweep $id stuck" >&2; return 1; }
-    curl -fsS "http://$base/v1/results" >"$outfile"
+    echo "fabric smoke: $route job $id on $base stuck" >&2
+    return 1
+}
+
+run_sweep() { # base outfile — run the sweep, dump /v1/results
+    run_job "$1" /v1/sweep "$SWEEP" >/dev/null
+    curl -fsS "http://$1/v1/results" >"$2"
+}
+
+run_results() { # base outprefix — frontier and attribution job results
+    run_job "$1" /v1/frontier "$FRONTIER" | jq -c .result >"$2.frontier.json"
+    run_job "$1" /v1/attrib "$ATTRIB" | jq -c .result >"$2.attrib.json"
 }
 
 # 1. Standalone baseline.
@@ -67,6 +84,7 @@ run_sweep() { # base outfile — POST the sweep, poll to done, dump /v1/results
 PIDS+=($!)
 wait_up "$SA"
 run_sweep "$SA" "$OUT/baseline.json"
+run_results "$SA" "$OUT/baseline"
 
 # 2. The fabric: 3 workers + 1 coordinator, same sweep, identical bytes.
 "$BIN" -role worker -addr "$W1" -snapshot 0 & PIDS+=($!)
@@ -81,6 +99,9 @@ wait_up "$CO"
 curl -fsS "http://$CO/readyz" | jq -e '.workers == 3' >/dev/null
 run_sweep "$CO" "$OUT/fabric.json"
 cmp "$OUT/baseline.json" "$OUT/fabric.json"
+run_results "$CO" "$OUT/fabric"
+cmp "$OUT/baseline.frontier.json" "$OUT/fabric.frontier.json"
+cmp "$OUT/baseline.attrib.json" "$OUT/fabric.attrib.json"
 
 # 3. Federated metrics are valid Prometheus exposition text.
 curl -fsS "http://$CO/metrics" >"$OUT/metrics.prom"
