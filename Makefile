@@ -38,7 +38,7 @@ golden:
 
 # Store round-trip smoke: the second run must serve every measurement from
 # the cache (hit counter > 0, zero misses, zero simulations) and print
-# byte-identical output. Mirrors the CI smoke job; needs jq.
+# byte-identical output. CI runs this target; needs jq.
 smoke:
 	$(GO) build -o /tmp/gpuchar-smoke ./cmd/gpuchar
 	rm -f /tmp/gpuchar-smoke-store.json
@@ -53,8 +53,8 @@ smoke:
 # (cold, then warm from the same store) must print byte-identical frontier
 # tables. The cold run must replay every program's grid, interpolating no
 # point and re-simulating nothing, and the warm run must re-price the whole
-# ~100-config grid without a single simulation. Mirrors the CI
-# frontier-smoke job; needs jq.
+# ~100-config grid without a single simulation. CI runs this
+# target; needs jq.
 frontier-smoke:
 	$(GO) build -o /tmp/gpuchar-frontier ./cmd/gpuchar
 	rm -f /tmp/gpuchar-frontier-store.json
@@ -67,8 +67,8 @@ frontier-smoke:
 
 # gpuchard coalescing + graceful-shutdown smoke: N concurrent identical
 # measure requests against the real server must cost exactly one simulation
-# and return byte-identical bodies; SIGTERM must save the store. Mirrors the
-# CI serve-smoke job; needs curl and jq.
+# and return byte-identical bodies; SIGTERM must save the store. CI runs
+# this target; needs curl and jq.
 serve-smoke:
 	$(GO) build -o /tmp/gpuchard-smoke ./cmd/gpuchard
 	./scripts/serve_smoke.sh /tmp/gpuchard-smoke /tmp/gpuchard-smoke-store.json
@@ -77,8 +77,8 @@ serve-smoke:
 # byte-identical /v1/results a standalone server produces and return its
 # frontier and attribution job results, the federated
 # /metrics must pass the promtool-style lint (cmd/promlint), and killing a
-# worker must not change the merged bytes. Mirrors the CI fabric-smoke job;
-# needs curl and jq.
+# worker must not change the merged bytes. CI runs this target; needs curl
+# and jq.
 fabric-smoke:
 	$(GO) build -o /tmp/gpuchard-fabric ./cmd/gpuchard
 	$(GO) build -o /tmp/gpuchard-promlint ./cmd/promlint
@@ -102,8 +102,8 @@ lint-device:
 # Attribution smoke: two runs of `gpuchar -exp attrib` against one launch-
 # trace directory (cold capture, then warm replay from disk) must print
 # byte-identical breakdowns, and the warm process must not simulate at all —
-# attribution is a post-processing pass over replayed traces. Mirrors the
-# CI attrib-smoke job; needs jq.
+# attribution is a post-processing pass over replayed traces. CI runs this
+# target; needs jq.
 attrib-smoke:
 	$(GO) build -o /tmp/gpuchar-attrib ./cmd/gpuchar
 	rm -rf /tmp/gpuchar-attrib-traces
@@ -116,7 +116,7 @@ attrib-smoke:
 
 # Cross-device smoke: the three shipped profiles (K20c, GTX1080, JetsonTX2)
 # measure one n-body program and the comparison table must match the
-# checked-in expectation byte for byte. Mirrors the CI device-smoke job.
+# checked-in expectation byte for byte. CI runs this target.
 device-smoke:
 	$(GO) build -o /tmp/gpuchar-device ./cmd/gpuchar
 	/tmp/gpuchar-device -exp devices -programs NB -reps 1 >/tmp/gpuchar-device-smoke.txt

@@ -97,17 +97,17 @@ func BenchmarkAblationSensorSwitch(b *testing.B) {
 		{Start: 3, Duration: 8, Watts: 38}, // below the 44 W switch level
 		{Start: 11, Duration: 3, Watts: 25},
 	}
+	k20c := kepler.K20cDevice()
+	model10 := k20c.Sensor
+	model10.SwitchW = 0 // always active-rate
 	var realistic, always10 int
 	for i := 0; i < b.N; i++ {
-		opt := sensor.DefaultOptions(7)
-		samples := sensor.Record(segs, opt)
-		if _, err := k20power.Analyze(samples, k20power.DefaultOptions()); err != nil {
+		samples := sensor.Record(segs, k20c.Sensor, 7)
+		if _, err := k20power.Analyze(samples, k20c); err != nil {
 			realistic++
 		}
-		opt10 := opt
-		opt10.SwitchW = 0 // always active-rate
-		samples10 := sensor.Record(segs, opt10)
-		if _, err := k20power.Analyze(samples10, k20power.DefaultOptions()); err == nil {
+		samples10 := sensor.Record(segs, model10, 7)
+		if _, err := k20power.Analyze(samples10, k20c); err == nil {
 			always10++
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *emit != "" {
-		if err := emitLog(*emit, *seed); err != nil {
+		if err := emitLog(os.Stdout, *emit, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "k20power:", err)
 			os.Exit(1)
 		}
@@ -51,21 +52,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "k20power:", err)
 		os.Exit(1)
 	}
-	m, err := k20power.Analyze(samples, k20power.DefaultOptions())
-	if err != nil {
+	if _, err := report(os.Stdout, samples); err != nil {
 		fmt.Fprintln(os.Stderr, "k20power:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("samples:        %d\n", len(samples))
-	fmt.Printf("idle level:     %.2f W\n", m.IdleW)
-	fmt.Printf("threshold:      %.2f W\n", m.ThresholdW)
-	fmt.Printf("active samples: %d\n", m.ActiveSamples)
-	fmt.Printf("active runtime: %.3f s\n", m.ActiveTime)
-	fmt.Printf("energy:         %.2f J\n", m.Energy)
-	fmt.Printf("average power:  %.2f W\n", m.AvgPower)
 }
 
-func emitLog(spec string, seed uint64) error {
+// report analyzes a sensor log recorded on the K20c and writes the
+// measurement to w.
+func report(w io.Writer, samples []sensor.Sample) (k20power.Measurement, error) {
+	m, err := k20power.Analyze(samples, kepler.K20cDevice())
+	if err != nil {
+		return m, err
+	}
+	fmt.Fprintf(w, "samples:        %d\n", len(samples))
+	fmt.Fprintf(w, "idle level:     %.2f W\n", m.IdleW)
+	fmt.Fprintf(w, "threshold:      %.2f W\n", m.ThresholdW)
+	fmt.Fprintf(w, "active samples: %d\n", m.ActiveSamples)
+	fmt.Fprintf(w, "active runtime: %.3f s\n", m.ActiveTime)
+	fmt.Fprintf(w, "energy:         %.2f J\n", m.Energy)
+	fmt.Fprintf(w, "average power:  %.2f W\n", m.AvgPower)
+	return m, nil
+}
+
+// emitLog runs the PROGRAM[,INPUT[,CONFIG]] spec on the K20c and writes its
+// sensor log to w as CSV.
+func emitLog(w io.Writer, spec string, seed uint64) error {
 	parts := strings.Split(spec, ",")
 	p, err := suites.ByName(parts[0])
 	if err != nil {
@@ -86,7 +98,7 @@ func emitLog(spec string, seed uint64) error {
 	if err != nil && samples == nil {
 		return err
 	}
-	return sensor.WriteCSV(os.Stdout, samples)
+	return sensor.WriteCSV(w, samples)
 }
 
 func readCSV(path string) ([]sensor.Sample, error) {

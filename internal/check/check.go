@@ -254,19 +254,17 @@ func (r *Report) add(vs []Violation, n int) {
 	r.Violations = append(r.Violations, vs...)
 }
 
-// coreSensitivity derives the program's core-clock sensitivity exactly like
-// core.Classify: the runtime increase at the 614-role clock relative to the
-// device's ~13% frequency drop. NaN when either configuration is
+// coreSensitivity is core.CoreSensitivity over the program's results on the
+// device's default and 614-role configurations; NaN when either is
 // unmeasurable.
 func coreSensitivity(byConfig map[string]*core.Result, dev *kepler.Device) float64 {
-	def, ok1 := byConfig[kepler.Default.Name]
-	f614, ok2 := byConfig[kepler.F614.Name]
+	cfgs := dev.Configurations()
+	def, ok1 := byConfig[cfgs[0].Name]
+	f614, ok2 := byConfig[cfgs[1].Name]
 	if !ok1 || !ok2 {
 		return math.NaN()
 	}
-	cfgs := dev.Configurations()
-	freqDrop := float64(cfgs[0].CoreMHz)/float64(cfgs[1].CoreMHz) - 1
-	return (f614.ActiveTime/def.ActiveTime - 1) / freqDrop
+	return core.CoreSensitivity(cfgs, def.ActiveTime, f614.ActiveTime)
 }
 
 // checkEnergyConservation evaluates the per-result energy invariants. It
@@ -348,7 +346,7 @@ func checkEnergyConservation(res *core.Result, st *Stats) ([]Violation, int) {
 // is an independent recomputation of the reported energy from the same
 // samples (raw instead of compensated, hence the tolerance).
 func trapezoidActive(trace []sensor.Sample, m k20power.Measurement) float64 {
-	comp := k20power.Compensate(trace, k20power.DefaultOptions().Tau)
+	comp := k20power.Compensate(trace)
 	first, last := -1, -1
 	for i, s := range comp {
 		if s.W >= m.ThresholdW {

@@ -37,6 +37,15 @@ type Class struct {
 	Measurable324 bool
 }
 
+// CoreSensitivity is a program's core-clock sensitivity on a device with
+// canonical configurations cfgs: the runtime increase from the default
+// (defTime) to the 614-role clock (f614Time), relative to the core-clock
+// drop between them (~0.148 on the K20c).
+func CoreSensitivity(cfgs []kepler.Clocks, defTime, f614Time float64) float64 {
+	freqDrop := float64(cfgs[0].CoreMHz)/float64(cfgs[1].CoreMHz) - 1
+	return (f614Time/defTime - 1) / freqDrop
+}
+
 // Classify measures each program at the device's four canonical
 // configurations and derives its behavioural class. Programs that cannot be
 // measured at the default configuration are skipped. A nil dev selects the
@@ -59,9 +68,8 @@ func Classify(ctx context.Context, r *Runner, programs []Program, dev *kepler.De
 			AvgPowerW: def.AvgPower,
 			Irregular: p.Irregular(),
 		}
-		freqDrop := float64(cDef.CoreMHz)/float64(c614.CoreMHz) - 1 // ~0.148 on the K20c
 		if f614, err := r.Measure(ctx, p, p.DefaultInput(), c614); err == nil {
-			c.CoreSensitivity = (f614.ActiveTime/def.ActiveTime - 1) / freqDrop
+			c.CoreSensitivity = CoreSensitivity(cfgs, def.ActiveTime, f614.ActiveTime)
 		} else if !IsInsufficient(err) {
 			return nil, err
 		}

@@ -365,8 +365,8 @@ func Profile(ctx context.Context, p Program, input string, clk kepler.Clocks, se
 	if err := RunProgram(ctx, p, dev, input); err != nil {
 		return nil, k20power.Measurement{}, err
 	}
-	samples := sensor.Record(power.Timeline(dev), sensorOptions(clk.Device(), seed))
-	m, err := k20power.Analyze(samples, analysisOptions(clk.Device()))
+	samples := sensor.Record(power.Timeline(dev), clk.Device().Sensor, seed)
+	m, err := k20power.Analyze(samples, clk.Device())
 	return samples, m, err
 }
 

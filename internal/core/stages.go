@@ -302,30 +302,9 @@ func (r *Runner) stageRecord(st *measureState) error {
 		st.samples = reps(&st.buf.samples, len(st.perturbed))
 	}
 	for rep := range st.perturbed {
-		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], sensorOptions(dev, st.seeds[rep]))
+		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], dev.Sensor, st.seeds[rep])
 	}
 	return nil
-}
-
-// sensorOptions configures the sensor model for one recording on the device:
-// the sampling switch level, noise and drift come from the device's sensor
-// description (the defaults are the K20c's values).
-func sensorOptions(dev *kepler.Device, seed uint64) sensor.Options {
-	opt := sensor.DefaultOptions(seed)
-	opt.SwitchW = dev.Sensor.SwitchW
-	opt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
-	opt.DriftAmpW = dev.Sensor.DriftAmpW
-	return opt
-}
-
-// analysisOptions configures the K20Power analysis for the device. The tail
-// guard separates active power from the driver's persistence level; its
-// default is sized for a 200 W-class board, so it scales with the device's
-// power envelope (EnergyScale is 1 for the Kepler boards).
-func analysisOptions(dev *kepler.Device) k20power.Options {
-	opt := k20power.DefaultOptions()
-	opt.TailGuardW *= dev.Power.EnergyScale
-	return opt
 }
 
 // stageAnalyze runs the K20Power analysis on each repetition's trace and
@@ -333,10 +312,10 @@ func analysisOptions(dev *kepler.Device) k20power.Options {
 // repetitions may fail (insufficient samples); the stage fails only when
 // none survive, reporting the first per-repetition error.
 func (r *Runner) stageAnalyze(st *measureState) error {
-	opt := analysisOptions(st.clk.Device())
+	dev := st.clk.Device()
 	var firstErr error
 	for rep := range st.samples {
-		m, err := st.buf.analyzer.Analyze(st.samples[rep], opt)
+		m, err := st.buf.analyzer.Analyze(st.samples[rep], dev)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

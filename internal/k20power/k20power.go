@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/kepler"
 	"repro/internal/sensor"
 )
 
@@ -24,29 +25,24 @@ var ErrInsufficientSamples = errors.New("k20power: insufficient power samples in
 // ErrNoActivity reports that no sample exceeded the activity threshold.
 var ErrNoActivity = errors.New("k20power: no sample above activity threshold")
 
-// Options configure the analysis.
-type Options struct {
-	// Tau is the sensor time constant assumed for lag compensation.
-	Tau float64
-	// ThresholdFrac places the activity threshold this fraction of the way
+// The calibrated analysis parameters.
+const (
+	// thresholdFrac places the activity threshold this fraction of the way
 	// from the idle level to the peak level.
-	ThresholdFrac float64
-	// TailGuardW keeps the threshold at least this far above idle so the
-	// driver's tail power is not mistaken for activity.
-	TailGuardW float64
-	// MinSamples is the minimum number of samples the active region must
+	thresholdFrac = 0.25
+	// tailGuardW keeps the threshold at least this far above idle on a
+	// 200 W-class board, so the driver's tail power is not mistaken for
+	// activity. Analyze scales it with the device's power envelope
+	// (Power.EnergyScale, 1 on the Kepler boards).
+	tailGuardW = 4.0
+	// minSamples is the minimum number of samples the active region must
 	// contain.
-	MinSamples int
-	// MinSamples1Hz is the minimum when the active region was sampled at
+	minSamples = 12
+	// minSamples1Hz is the minimum when the active region was sampled at
 	// the slow idle rate (the sensor never switched to 10 Hz): the paper
 	// found such runs too inconsistent to use below this length.
-	MinSamples1Hz int
-}
-
-// DefaultOptions returns the calibrated analysis parameters.
-func DefaultOptions() Options {
-	return Options{Tau: 0.7, ThresholdFrac: 0.25, TailGuardW: 4.0, MinSamples: 12, MinSamples1Hz: 30}
-}
+	minSamples1Hz = 30
+)
 
 // Measurement is the result of analyzing one run.
 type Measurement struct {
@@ -68,15 +64,11 @@ func (m Measurement) String() string {
 		m.ActiveTime, m.Energy, m.AvgPower, m.IdleW, m.ThresholdW, m.ActiveSamples)
 }
 
-// Analyze processes a sample log.
-//
-// Zero-valued Tau, ThresholdFrac and MinSamples fall back to the calibrated
-// DefaultOptions values, so a partially-filled Options never silently
-// diverges from the documented defaults. TailGuardW and MinSamples1Hz keep
-// their zero values: zero disables the tail guard and the stricter 1 Hz bar.
-func Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
+// Analyze processes a sample log recorded on the device; the device sets
+// the tail guard.
+func Analyze(samples []sensor.Sample, dev *kepler.Device) (Measurement, error) {
 	var a Analyzer
-	return a.Analyze(samples, opt)
+	return a.Analyze(samples, dev)
 }
 
 // Analyzer runs Analyze with work buffers (the compensated log and the
@@ -89,22 +81,12 @@ type Analyzer struct {
 }
 
 // Analyze is the package-level Analyze, reusing a's buffers.
-func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, error) {
-	def := DefaultOptions()
-	if opt.Tau <= 0 {
-		opt.Tau = def.Tau
-	}
-	if opt.ThresholdFrac <= 0 {
-		opt.ThresholdFrac = def.ThresholdFrac
-	}
-	if opt.MinSamples <= 0 {
-		opt.MinSamples = def.MinSamples
-	}
+func (a *Analyzer) Analyze(samples []sensor.Sample, dev *kepler.Device) (Measurement, error) {
 	if len(samples) < 3 {
 		return Measurement{}, ErrInsufficientSamples
 	}
 
-	a.comp = compensate(a.comp[:0], samples, opt.Tau)
+	a.comp = compensate(a.comp[:0], samples)
 	comp := a.comp
 
 	// The log starts and ends at driver idle, but a long run at the active
@@ -118,8 +100,11 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, e
 	}
 	idle := nthSmallest(samples, idleRank)
 	peak := percentile(comp, 0.999)
-	threshold := idle + opt.ThresholdFrac*(peak-idle)
-	if min := idle + opt.TailGuardW; threshold < min {
+	threshold := idle + thresholdFrac*(peak-idle)
+	// The conversion rounds the scaled guard before the add (no fused
+	// multiply-add), so the threshold is bit-stable across platforms.
+	guard := float64(tailGuardW * dev.Power.EnergyScale)
+	if min := idle + guard; threshold < min {
 		threshold = min
 	}
 
@@ -137,15 +122,15 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, e
 		return m, ErrNoActivity
 	}
 	m.ActiveSamples = last - first + 1
-	need := opt.MinSamples
-	if opt.MinSamples1Hz > need && last > first {
+	need := minSamples
+	if last > first {
 		// Median sampling interval above half a second means the sensor
 		// stayed at the idle 1 Hz rate throughout. The median — not the
 		// mean — is load-bearing here: a single long sensor dropout inside
 		// an otherwise 10 Hz run must not reclassify the whole run as
 		// 1 Hz-sampled and exclude it.
 		if a.medianInterval(comp[first:last+1]) > 0.5 {
-			need = opt.MinSamples1Hz
+			need = minSamples1Hz
 		}
 	}
 	if m.ActiveSamples < need {
@@ -174,27 +159,28 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, opt Options) (Measurement, e
 }
 
 // Compensate undoes the sensor's first-order running average: for a
-// low-pass y' = (x - y)/tau, the input is x = y + tau * dy/dt.
+// low-pass y' = (x - y)/tau, the input is x = y + tau * dy/dt, with the
+// sensor's time constant sensor.Tau.
 //
 // Samples whose time step is below sensor.MinDT (a duplicated,
 // non-monotonic or near-duplicate timestamp, as real sensor logs
 // occasionally contain) carry no derivative information, so they are left at
 // their raw reported value rather than dividing by a zero, negative or
 // rounding-sized dt.
-func Compensate(samples []sensor.Sample, tau float64) []sensor.Sample {
-	return compensate(nil, samples, tau)
+func Compensate(samples []sensor.Sample) []sensor.Sample {
+	return compensate(nil, samples)
 }
 
 // compensate is Compensate writing into dst's storage when it is large
 // enough.
-func compensate(dst, samples []sensor.Sample, tau float64) []sensor.Sample {
+func compensate(dst, samples []sensor.Sample) []sensor.Sample {
 	out := append(dst[:0], samples...)
 	for i := 1; i < len(samples); i++ {
 		dt := samples[i].T - samples[i-1].T
 		if dt < sensor.MinDT {
 			continue
 		}
-		x := samples[i].W + tau*(samples[i].W-samples[i-1].W)/dt
+		x := samples[i].W + sensor.Tau*(samples[i].W-samples[i-1].W)/dt
 		if x < 0 {
 			x = 0
 		}

@@ -16,11 +16,14 @@ import (
 // cleanSensor records a timeline without noise so analysis accuracy can be
 // checked tightly.
 func cleanSensor(segs []power.Segment, seed uint64) []sensor.Sample {
-	opt := sensor.DefaultOptions(seed)
-	opt.NoiseSigmaW = 0
-	opt.DriftAmpW = 0
-	return sensor.Record(segs, opt)
+	quiet := k20c.Sensor
+	quiet.NoiseSigmaW = 0
+	quiet.DriftAmpW = 0
+	return sensor.Record(segs, quiet, seed)
 }
+
+// k20c is the paper's board, whose description the analysis is calibrated on.
+var k20c = kepler.K20cDevice()
 
 func plateau(watts, dur float64) []power.Segment {
 	return []power.Segment{
@@ -34,7 +37,7 @@ func plateau(watts, dur float64) []power.Segment {
 func TestAnalyzeRecoversRuntimeEnergyPower(t *testing.T) {
 	const w, dur = 110.0, 20.0
 	samples := cleanSensor(plateau(w, dur), 5)
-	m, err := Analyze(samples, DefaultOptions())
+	m, err := Analyze(samples, k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestAnalyzeRecoversRuntimeEnergyPower(t *testing.T) {
 
 func TestAnalyzeIdleDetection(t *testing.T) {
 	samples := cleanSensor(plateau(90, 15), 2)
-	m, err := Analyze(samples, DefaultOptions())
+	m, err := Analyze(samples, k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +68,11 @@ func TestAnalyzeIdleDetection(t *testing.T) {
 }
 
 func TestThresholdLowerForLowerPlateau(t *testing.T) {
-	high, err := Analyze(cleanSensor(plateau(120, 15), 1), DefaultOptions())
+	high, err := Analyze(cleanSensor(plateau(120, 15), 1), k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := Analyze(cleanSensor(plateau(50, 15), 1), DefaultOptions())
+	low, err := Analyze(cleanSensor(plateau(50, 15), 1), k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestThresholdLowerForLowerPlateau(t *testing.T) {
 func TestInsufficientSamplesShortRun(t *testing.T) {
 	// A 0.4 s kernel yields only ~4 active samples even at 10 Hz.
 	samples := cleanSensor(plateau(110, 0.4), 3)
-	_, err := Analyze(samples, DefaultOptions())
+	_, err := Analyze(samples, k20c)
 	if err == nil {
 		t.Fatal("expected insufficient-samples error")
 	}
@@ -94,13 +97,13 @@ func TestInsufficientSamplesShortRun(t *testing.T) {
 func TestInsufficientAt1HzLowPower(t *testing.T) {
 	// A 38 W plateau stays at 1 Hz; 8 s of it -> ~8 samples < 12.
 	samples := cleanSensor(plateau(38, 8), 3)
-	_, err := Analyze(samples, DefaultOptions())
+	_, err := Analyze(samples, k20c)
 	if err == nil || (!errors.Is(err, ErrInsufficientSamples) && !errors.Is(err, ErrNoActivity)) {
 		t.Errorf("want insufficiency for short low-power run, got %v", err)
 	}
 	// But a long one is measurable at 1 Hz.
 	samples = cleanSensor(plateau(38, 60), 3)
-	m, err := Analyze(samples, DefaultOptions())
+	m, err := Analyze(samples, k20c)
 	if err != nil {
 		t.Fatalf("long low-power run should be measurable: %v", err)
 	}
@@ -112,7 +115,7 @@ func TestInsufficientAt1HzLowPower(t *testing.T) {
 func TestNoActivityFlatIdle(t *testing.T) {
 	segs := []power.Segment{{Start: 0, Duration: 30, Watts: 25}}
 	samples := cleanSensor(segs, 4)
-	_, err := Analyze(samples, DefaultOptions())
+	_, err := Analyze(samples, k20c)
 	if err == nil {
 		t.Error("flat idle log should not contain activity")
 	}
@@ -120,7 +123,7 @@ func TestNoActivityFlatIdle(t *testing.T) {
 
 func TestCompensateRecoversStep(t *testing.T) {
 	// Build an EMA-filtered step by hand and check Compensate sharpens it.
-	tau := 0.7
+	tau := sensor.Tau
 	var samples []sensor.Sample
 	y := 25.0
 	for i := 0; i < 100; i++ {
@@ -132,7 +135,7 @@ func TestCompensateRecoversStep(t *testing.T) {
 		y += (x - y) * (1 - math.Exp(-0.1/tau))
 		samples = append(samples, sensor.Sample{T: tm, W: y})
 	}
-	comp := Compensate(samples, tau)
+	comp := Compensate(samples)
 	// Shortly after the step, the compensated value must be much closer to
 	// 100 than the raw EMA value.
 	idx := 25 // t = 2.5 s
@@ -145,7 +148,7 @@ func TestCompensateRecoversStep(t *testing.T) {
 }
 
 func TestAnalyzeTooFewSamplesInput(t *testing.T) {
-	_, err := Analyze([]sensor.Sample{{T: 0, W: 25}}, DefaultOptions())
+	_, err := Analyze([]sensor.Sample{{T: 0, W: 25}}, k20c)
 	if !errors.Is(err, ErrInsufficientSamples) {
 		t.Errorf("want ErrInsufficientSamples, got %v", err)
 	}
@@ -169,28 +172,28 @@ func TestAnalyzeRobustToNonMonotonicTimes(t *testing.T) {
 	// A duplicated timestamp (dt = 0) must not divide by zero.
 	samples := cleanSensor(plateau(90, 15), 2)
 	samples = append(samples[:10], append([]sensor.Sample{samples[9]}, samples[10:]...)...)
-	if _, err := Analyze(samples, DefaultOptions()); err != nil {
+	if _, err := Analyze(samples, k20c); err != nil {
 		t.Fatalf("duplicate timestamp broke analysis: %v", err)
 	}
 }
 
 func TestAnalyzeEmptyLog(t *testing.T) {
-	if _, err := Analyze(nil, DefaultOptions()); err == nil {
+	if _, err := Analyze(nil, k20c); err == nil {
 		t.Fatal("empty log accepted")
 	}
 }
 
 func TestAnalyze1HzNeedsMoreSamples(t *testing.T) {
-	// 20 s of 38 W plateau at 1 Hz: 20 samples passes MinSamples but not
-	// MinSamples1Hz.
+	// 20 s of 38 W plateau at 1 Hz: 20 samples passes minSamples but not
+	// minSamples1Hz.
 	samples := cleanSensor(plateau(38, 20), 3)
-	_, err := Analyze(samples, DefaultOptions())
+	_, err := Analyze(samples, k20c)
 	if err == nil {
 		t.Fatal("short 1 Hz run accepted; want the paper's stricter bar")
 	}
 	// 40 s is enough.
 	samples = cleanSensor(plateau(38, 40), 3)
-	if _, err := Analyze(samples, DefaultOptions()); err != nil {
+	if _, err := Analyze(samples, k20c); err != nil {
 		t.Fatalf("long 1 Hz run rejected: %v", err)
 	}
 }
@@ -198,11 +201,11 @@ func TestAnalyze1HzNeedsMoreSamples(t *testing.T) {
 func TestPropertyAnalyzeScalesLinearly(t *testing.T) {
 	// Doubling the plateau power should roughly double energy and power but
 	// keep the active time.
-	a, err := Analyze(cleanSensor(plateau(60, 20), 5), DefaultOptions())
+	a, err := Analyze(cleanSensor(plateau(60, 20), 5), k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(cleanSensor(plateau(120, 20), 5), DefaultOptions())
+	b, err := Analyze(cleanSensor(plateau(120, 20), 5), k20c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +227,6 @@ func TestPropertyAnalyzeScalesLinearly(t *testing.T) {
 // active region to the end of the log.
 func TestPropertyPulseNoSliverSample(t *testing.T) {
 	for _, dev := range kepler.Devices() {
-		sopt := sensor.DefaultOptions(0)
-		sopt.SwitchW = dev.Sensor.SwitchW
-		sopt.NoiseSigmaW = dev.Sensor.NoiseSigmaW
-		sopt.DriftAmpW = dev.Sensor.DriftAmpW
-		aopt := DefaultOptions()
-		aopt.TailGuardW *= dev.Power.EnergyScale
 		idle := dev.Power.IdleW
 		for _, width := range []float64{2.8, 6, 20} {
 			for _, rise := range []float64{1.5, 4} {
@@ -241,15 +238,14 @@ func TestPropertyPulseNoSliverSample(t *testing.T) {
 						{Start: lead, Duration: width, Watts: watts},
 						{Start: lead + width, Duration: 3, Watts: idle},
 					}
-					sopt.Seed = uint64(k)
-					samples := sensor.Record(segs, sopt)
+					samples := sensor.Record(segs, dev.Sensor, uint64(k))
 					name := fmt.Sprintf("%s width=%g W=%.2f phase=%d", dev.Name, width, watts, k)
 					for i := 1; i < len(samples); i++ {
 						if dt := samples[i].T - samples[i-1].T; dt < sensor.MinDT {
 							t.Fatalf("%s: sample %d follows the previous by %g s", name, i, dt)
 						}
 					}
-					m, err := Analyze(samples, aopt)
+					m, err := Analyze(samples, dev)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -272,7 +268,7 @@ func TestSingleSensorGapDoesNotReclassifyAs1Hz(t *testing.T) {
 	// 10 Hz run with one long mid-run sensor dropout. The MEAN inter-sample
 	// interval of the active region exceeds 0.5 s (span ~12 s over ~20
 	// samples), which the old code treated as "sampled at 1 Hz throughout"
-	// and excluded (~20 < MinSamples1Hz). The MEDIAN interval is still the
+	// and excluded (~20 < minSamples1Hz). The MEDIAN interval is still the
 	// 10 Hz 0.1 s, so the run must remain measurable.
 	samples := cleanSensor(plateau(110, 12), 7)
 	kept := samples[:0:0]
@@ -282,16 +278,15 @@ func TestSingleSensorGapDoesNotReclassifyAs1Hz(t *testing.T) {
 		}
 		kept = append(kept, s)
 	}
-	m, err := Analyze(kept, DefaultOptions())
+	m, err := Analyze(kept, k20c)
 	if err != nil {
 		t.Fatalf("single-gap 10 Hz run excluded: %v", err)
 	}
 	// Confirm the log actually exercises the regression: fewer active
 	// samples than the 1 Hz bar, spread over a span whose mean interval is
 	// above the 0.5 s classification cut.
-	def := DefaultOptions()
-	if m.ActiveSamples >= def.MinSamples1Hz {
-		t.Fatalf("scenario too dense: %d active samples >= MinSamples1Hz %d", m.ActiveSamples, def.MinSamples1Hz)
+	if m.ActiveSamples >= minSamples1Hz {
+		t.Fatalf("scenario too dense: %d active samples >= minSamples1Hz %d", m.ActiveSamples, minSamples1Hz)
 	}
 	if mean := m.ActiveTime / float64(m.ActiveSamples-1); mean <= 0.5 {
 		t.Fatalf("scenario too short: mean interval %.3f s <= 0.5 s would not have triggered the old bug", mean)
@@ -305,25 +300,8 @@ func TestAll1HzRunStillClassifiedAs1Hz(t *testing.T) {
 	// The median fix must not weaken the genuine 1 Hz exclusion: a short
 	// low-power plateau sampled at 1 Hz throughout stays excluded.
 	samples := cleanSensor(plateau(38, 20), 3)
-	if _, err := Analyze(samples, DefaultOptions()); err == nil {
-		t.Fatal("20 s 1 Hz run accepted; the stricter MinSamples1Hz bar must still apply")
-	}
-}
-
-func TestZeroOptionsMatchCalibratedDefaults(t *testing.T) {
-	// A zero-valued Options must fall back to the calibrated defaults:
-	// with a log where neither TailGuardW nor MinSamples1Hz binds (strong
-	// 10 Hz plateau), Analyze(Options{}) must equal
-	// Analyze(DefaultOptions()) exactly. Before the fix the ThresholdFrac
-	// fallback was 0.40 while DefaultOptions documents 0.25.
-	samples := cleanSensor(plateau(110, 20), 9)
-	a, errA := Analyze(samples, Options{})
-	b, errB := Analyze(samples, DefaultOptions())
-	if errA != nil || errB != nil {
-		t.Fatalf("errors: zero=%v default=%v", errA, errB)
-	}
-	if a != b {
-		t.Errorf("Analyze(Options{}) = %+v,\nwant DefaultOptions result %+v", a, b)
+	if _, err := Analyze(samples, k20c); err == nil {
+		t.Fatal("20 s 1 Hz run accepted; the stricter minSamples1Hz bar must still apply")
 	}
 }
 
@@ -333,7 +311,7 @@ func TestCompensateNonMonotonicTimestampsStayRaw(t *testing.T) {
 	samples := []sensor.Sample{
 		{T: 0, W: 25}, {T: 1, W: 60}, {T: 1, W: 90}, {T: 0.5, W: 95}, {T: 2, W: 100},
 	}
-	comp := Compensate(samples, 0.7)
+	comp := Compensate(samples)
 	if comp[2].W != samples[2].W {
 		t.Errorf("duplicate-timestamp sample compensated: %.1f, want raw %.1f", comp[2].W, samples[2].W)
 	}
@@ -356,7 +334,7 @@ func TestCompensateSliverIntervalStaysRaw(t *testing.T) {
 	// A sample a rounding sliver after its predecessor carries no
 	// derivative either: dividing by ~1e-15 s would read ~1e13 W.
 	samples := []sensor.Sample{{T: 0, W: 25}, {T: 0.1, W: 60}, {T: 0.1 + 1e-15, W: 61}}
-	comp := Compensate(samples, 0.7)
+	comp := Compensate(samples)
 	if comp[2].W != samples[2].W {
 		t.Errorf("sliver-interval sample compensated: %g, want raw %g", comp[2].W, samples[2].W)
 	}

@@ -110,46 +110,48 @@ type SensorModel struct {
 }
 
 // Device is the full description of one simulated GPU. Values are loaded
-// from the embedded data files under devices/ and validated; the timing,
-// power and sensor models read every architectural number from here.
+// from the embedded data files under devices/, whose schema is this
+// struct's JSON tags plus the "canonical" list (see ParseDevice), and
+// validated; the timing, power and sensor models read every architectural
+// number from here.
 type Device struct {
 	// Name identifies the device ("K20c", "GTX1080", ...). It keys the
 	// measurement cache, the result store and captured launch traces.
-	Name string
+	Name string `json:"name"`
 	// Class is the architecture family ("Kepler", "Pascal", "Jetson").
-	Class string
+	Class string `json:"class"`
 
 	// SM geometry.
-	SMs                int // streaming multiprocessors
-	PEsPerSM           int // processing elements (CUDA cores) per SM
-	SchedulersPerSM    int // warp schedulers per SM
-	MaxThreadsPerSM    int // resident-thread bound per SM
-	MaxBlocksPerSM     int // resident-block bound per SM
-	MaxThreadsPerBlock int // block-size bound
-	SharedMemPerSM     int // shared-memory bytes per SM
-	SharedBanks        int // shared-memory banks
+	SMs                int `json:"sms"`                // streaming multiprocessors
+	PEsPerSM           int `json:"pesPerSM"`           // processing elements (CUDA cores) per SM
+	SchedulersPerSM    int `json:"schedulersPerSM"`    // warp schedulers per SM
+	MaxThreadsPerSM    int `json:"maxThreadsPerSM"`    // resident-thread bound per SM
+	MaxBlocksPerSM     int `json:"maxBlocksPerSM"`     // resident-block bound per SM
+	MaxThreadsPerBlock int `json:"maxThreadsPerBlock"` // block-size bound
+	SharedMemPerSM     int `json:"sharedMemPerSM"`     // shared-memory bytes per SM
+	SharedBanks        int `json:"sharedBanks"`        // shared-memory banks
 
 	// Memory hierarchy.
-	SegmentBytes          int   // coalescing segment size in bytes
-	DRAMBytes             int64 // global-memory capacity
-	BusBytesPerMemClock   int   // DRAM bus width per effective memory clock
-	DRAMLatencyMemClocks  int   // DRAM access latency in memory clocks
-	MaxOutstandingPerWarp int   // memory-level parallelism per warp
+	SegmentBytes          int   `json:"segmentBytes"`          // coalescing segment size in bytes
+	DRAMBytes             int64 `json:"dramBytes"`             // global-memory capacity
+	BusBytesPerMemClock   int   `json:"busBytesPerMemClock"`   // DRAM bus width per effective memory clock
+	DRAMLatencyMemClocks  int   `json:"dramLatencyMemClocks"`  // DRAM access latency in memory clocks
+	MaxOutstandingPerWarp int   `json:"maxOutstandingPerWarp"` // memory-level parallelism per warp
 
 	// DefaultCoreMHz and DefaultMemMHz are the board's default application
 	// clocks (the static-power model's frequency reference).
-	DefaultCoreMHz int
-	DefaultMemMHz  int
+	DefaultCoreMHz int `json:"defaultCoreMHz"`
+	DefaultMemMHz  int `json:"defaultMemMHz"`
 
-	Rates  RateTable
-	ECC    ECCModel
-	Energy EnergyTable
-	Power  PowerModel
-	Sensor SensorModel
+	Rates  RateTable   `json:"rates"`
+	ECC    ECCModel    `json:"ecc"`
+	Energy EnergyTable `json:"energy"`
+	Power  PowerModel  `json:"power"`
+	Sensor SensorModel `json:"sensor"`
 
 	// Settings lists the board's application-clock settings; sorted by core
 	// clock they form the DVFS voltage ladder VoltageFor interpolates.
-	Settings []Clocks
+	Settings []Clocks `json:"settings"`
 
 	// canonical holds the board's analogues of the paper's four evaluated
 	// configurations, in the paper's order and under the role names
@@ -158,7 +160,7 @@ type Device struct {
 	canonical []Clocks
 
 	// GridSpec is the board's dense-DVFS-grid bounds (see Grid).
-	GridSpec GridSpec
+	GridSpec GridSpec `json:"grid"`
 
 	// ladder is Settings reduced to ascending (coreMHz, volts) rungs.
 	ladder []ladderRung
@@ -172,43 +174,6 @@ type ladderRung struct {
 // canonicalRoles are the required role names of a device's canonical
 // configurations, in the paper's order.
 var canonicalRoles = [numCanonicalConfigs]string{"default", "614", "324", "ecc"}
-
-// deviceFile is the on-disk JSON schema of a device description.
-type deviceFile struct {
-	Name                  string      `json:"name"`
-	Class                 string      `json:"class"`
-	SMs                   int         `json:"sms"`
-	PEsPerSM              int         `json:"pesPerSM"`
-	SchedulersPerSM       int         `json:"schedulersPerSM"`
-	MaxThreadsPerSM       int         `json:"maxThreadsPerSM"`
-	MaxBlocksPerSM        int         `json:"maxBlocksPerSM"`
-	MaxThreadsPerBlock    int         `json:"maxThreadsPerBlock"`
-	SharedMemPerSM        int         `json:"sharedMemPerSM"`
-	SharedBanks           int         `json:"sharedBanks"`
-	SegmentBytes          int         `json:"segmentBytes"`
-	DRAMBytes             int64       `json:"dramBytes"`
-	BusBytesPerMemClock   int         `json:"busBytesPerMemClock"`
-	DRAMLatencyMemClocks  int         `json:"dramLatencyMemClocks"`
-	MaxOutstandingPerWarp int         `json:"maxOutstandingPerWarp"`
-	DefaultCoreMHz        int         `json:"defaultCoreMHz"`
-	DefaultMemMHz         int         `json:"defaultMemMHz"`
-	Rates                 RateTable   `json:"rates"`
-	ECC                   ECCModel    `json:"ecc"`
-	Energy                EnergyTable `json:"energy"`
-	Power                 PowerModel  `json:"power"`
-	Sensor                SensorModel `json:"sensor"`
-	Settings              []clockFile `json:"settings"`
-	Canonical             []clockFile `json:"canonical"`
-	Grid                  GridSpec    `json:"grid"`
-}
-
-type clockFile struct {
-	Name     string  `json:"name"`
-	CoreMHz  int     `json:"coreMHz"`
-	MemMHz   int     `json:"memMHz"`
-	VoltageV float64 `json:"voltageV"`
-	ECC      bool    `json:"ecc,omitempty"`
-}
 
 //go:embed devices/*.json
 var deviceFS embed.FS
@@ -227,7 +192,13 @@ var (
 func ParseDevice(data []byte) (*Device, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
-	var f deviceFile
+	d := &Device{}
+	// The file is the Device's own fields plus the canonical list, which
+	// Device keeps unexported.
+	f := struct {
+		*Device
+		Canonical []Clocks `json:"canonical"`
+	}{Device: d}
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("kepler: device file: %w", err)
 	}
@@ -235,50 +206,19 @@ func ParseDevice(data []byte) (*Device, error) {
 	if err := dec.Decode(&trailing); err == nil {
 		return nil, fmt.Errorf("kepler: device file: trailing data after device object")
 	}
-	d := &Device{
-		Name:                  f.Name,
-		Class:                 f.Class,
-		SMs:                   f.SMs,
-		PEsPerSM:              f.PEsPerSM,
-		SchedulersPerSM:       f.SchedulersPerSM,
-		MaxThreadsPerSM:       f.MaxThreadsPerSM,
-		MaxBlocksPerSM:        f.MaxBlocksPerSM,
-		MaxThreadsPerBlock:    f.MaxThreadsPerBlock,
-		SharedMemPerSM:        f.SharedMemPerSM,
-		SharedBanks:           f.SharedBanks,
-		SegmentBytes:          f.SegmentBytes,
-		DRAMBytes:             f.DRAMBytes,
-		BusBytesPerMemClock:   f.BusBytesPerMemClock,
-		DRAMLatencyMemClocks:  f.DRAMLatencyMemClocks,
-		MaxOutstandingPerWarp: f.MaxOutstandingPerWarp,
-		DefaultCoreMHz:        f.DefaultCoreMHz,
-		DefaultMemMHz:         f.DefaultMemMHz,
-		Rates:                 f.Rates,
-		ECC:                   f.ECC,
-		Energy:                f.Energy,
-		Power:                 f.Power,
-		Sensor:                f.Sensor,
-		GridSpec:              f.Grid,
-	}
-	for _, c := range f.Settings {
-		d.Settings = append(d.Settings, d.clock(c))
-	}
-	for _, c := range f.Canonical {
-		d.canonical = append(d.canonical, d.clock(c))
+	d.canonical = f.Canonical
+	// The paper's K20c stays the zero device on its Clocks values so that
+	// every package-level configuration compares (and hashes) exactly as
+	// before the device backend existed.
+	for _, cs := range [][]Clocks{d.Settings, d.canonical} {
+		for i := range cs {
+			cs[i].dev = d.ref()
+		}
 	}
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// clock converts one on-disk clock entry into a Clocks value bound to this
-// device. The paper's K20c stays the zero device on its Clocks values so
-// that every pre-existing package-level configuration compares (and hashes)
-// exactly as before the device backend existed.
-func (d *Device) clock(c clockFile) Clocks {
-	return Clocks{Name: c.Name, CoreMHz: c.CoreMHz, MemMHz: c.MemMHz,
-		VoltageV: c.VoltageV, ECC: c.ECC, dev: d.ref()}
 }
 
 // ref returns the pointer non-K20c Clocks values carry; the K20c itself is

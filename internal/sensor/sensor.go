@@ -2,7 +2,10 @@
 // not report instantaneous power: it applies a running-average (first-order
 // low-pass) response, samples at 1 Hz while the reading is near idle and at
 // 10 Hz once the reading exceeds a switch level, quantizes to milliwatts,
-// and is subject to gaussian noise plus a slow thermal drift. Programs whose
+// and is subject to gaussian noise plus a slow thermal drift. The switch
+// level, noise and drift come from the device description
+// (kepler.SensorModel); the time constant and the sampling rates are this
+// package's constants. Programs whose
 // power never reaches the switch level are sampled only at 1 Hz, which is
 // why short runs at the 324 MHz configuration yield too few samples to
 // analyze — exactly the effect the paper reports.
@@ -11,6 +14,7 @@ package sensor
 import (
 	"math"
 
+	"repro/internal/kepler"
 	"repro/internal/power"
 	"repro/internal/xrand"
 )
@@ -27,59 +31,32 @@ type Sample struct {
 // sliver, not a sample period.
 const MinDT = 1e-9
 
-// Options configure the sensor simulation.
-type Options struct {
-	// Seed distinguishes repeated experiments (noise and drift phase).
-	Seed uint64
-	// Tau is the time constant of the sensor's running average in seconds.
-	Tau float64
-	// SwitchW is the reported power above which the sensor samples at the
-	// active 10 Hz rate instead of the idle 1 Hz rate.
-	SwitchW float64
-	// NoiseSigmaW is the standard deviation of the per-sample noise.
-	NoiseSigmaW float64
-	// DriftAmpW is the amplitude of the slow thermal drift.
-	DriftAmpW float64
-	// IdleDT and ActiveDT are the sampling intervals in seconds.
-	IdleDT, ActiveDT float64
-}
+// Tau is the time constant of the sensor's running average in seconds. The
+// analyzer inverts the running average with this same constant.
+const Tau = 0.7
 
-// DefaultOptions returns the calibrated sensor behaviour.
-func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:        seed,
-		Tau:         0.7,
-		SwitchW:     44.0,
-		NoiseSigmaW: 0.35,
-		DriftAmpW:   0.55,
-		IdleDT:      1.0,
-		ActiveDT:    0.1,
-	}
-}
+// The sampling intervals in seconds: the idle rate while the reading is
+// below the device's switch level, the active rate at or above it.
+const (
+	idleDT   = 1.0
+	activeDT = 0.1
+)
 
-// Record samples the true-power timeline the way the on-board sensor would,
-// returning the reported samples.
-func Record(segs []power.Segment, opt Options) []Sample {
-	return AppendRecord(nil, segs, opt)
+// Record samples the true-power timeline the way the device's on-board
+// sensor would, returning the reported samples. The seed distinguishes
+// repeated experiments (noise and drift phase).
+func Record(segs []power.Segment, model kepler.SensorModel, seed uint64) []Sample {
+	return AppendRecord(nil, segs, model, seed)
 }
 
 // AppendRecord is Record appending the samples to dst, so a caller that
 // records many timelines can reuse one buffer (pass dst[:0]).
-func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
-	if opt.Tau <= 0 {
-		opt.Tau = 0.7
-	}
-	if opt.IdleDT <= 0 {
-		opt.IdleDT = 1.0
-	}
-	if opt.ActiveDT <= 0 {
-		opt.ActiveDT = 0.1
-	}
+func AppendRecord(dst []Sample, segs []power.Segment, model kepler.SensorModel, seed uint64) []Sample {
 	if len(segs) == 0 {
 		return dst
 	}
 	end := segs[len(segs)-1].End()
-	rng := xrand.New(opt.Seed ^ 0x2545f4914f6cdd1d)
+	rng := xrand.New(seed ^ 0x2545f4914f6cdd1d)
 	driftPhase := rng.Float64() * 2 * math.Pi
 
 	samples := dst
@@ -87,9 +64,9 @@ func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 	t := 0.0
 	segIdx := 0
 	for end-t >= MinDT {
-		dt := opt.IdleDT
-		if reported >= opt.SwitchW {
-			dt = opt.ActiveDT
+		dt := idleDT
+		if reported >= model.SwitchW {
+			dt = activeDT
 		}
 		next := t + dt
 		if next > end {
@@ -97,13 +74,13 @@ func AppendRecord(dst []Sample, segs []power.Segment, opt Options) []Sample {
 		}
 		avg, newIdx := avgPower(segs, segIdx, t, next)
 		segIdx = newIdx
-		alpha := 1 - math.Exp(-(next-t)/opt.Tau)
+		alpha := 1 - math.Exp(-(next-t)/Tau)
 		reported += (avg - reported) * alpha
 		t = next
 
 		w := reported
-		w += rng.Norm() * opt.NoiseSigmaW
-		w += opt.DriftAmpW * math.Sin(2*math.Pi*t/300+driftPhase)
+		w += rng.Norm() * model.NoiseSigmaW
+		w += model.DriftAmpW * math.Sin(2*math.Pi*t/300+driftPhase)
 		if w < 0 {
 			w = 0
 		}

@@ -6,8 +6,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kepler"
 	"repro/internal/power"
 )
+
+// k20c is the paper's sensor: the K20c device description's model.
+var k20c = kepler.K20cDevice().Sensor
 
 // stepTimeline returns idle -> plateau -> idle.
 func stepTimeline(plateauW, plateauDur float64) []power.Segment {
@@ -20,7 +24,7 @@ func stepTimeline(plateauW, plateauDur float64) []power.Segment {
 
 func TestHighPowerSwitchesTo10Hz(t *testing.T) {
 	segs := stepTimeline(100, 10)
-	samples := Record(segs, DefaultOptions(1))
+	samples := Record(segs, k20c, 1)
 	// 10 s plateau at 10 Hz plus ~6 s idle at 1 Hz: expect roughly 100+ samples.
 	if len(samples) < 80 {
 		t.Errorf("samples = %d, want ~100+", len(samples))
@@ -39,7 +43,7 @@ func TestHighPowerSwitchesTo10Hz(t *testing.T) {
 
 func TestLowPowerStaysAt1Hz(t *testing.T) {
 	segs := stepTimeline(38, 10) // below the 44 W switch level
-	samples := Record(segs, DefaultOptions(1))
+	samples := Record(segs, k20c, 1)
 	for i := 1; i < len(samples); i++ {
 		if samples[i].T-samples[i-1].T < 0.5 {
 			t.Fatalf("sensor switched to 10 Hz on a 38 W plateau (interval %f)",
@@ -53,10 +57,10 @@ func TestLowPowerStaysAt1Hz(t *testing.T) {
 
 func TestEMATracksPlateau(t *testing.T) {
 	segs := stepTimeline(100, 20)
-	opt := DefaultOptions(7)
-	opt.NoiseSigmaW = 0
-	opt.DriftAmpW = 0
-	samples := Record(segs, opt)
+	quiet := k20c
+	quiet.NoiseSigmaW = 0
+	quiet.DriftAmpW = 0
+	samples := Record(segs, quiet, 7)
 	// Late in the plateau the reported value must be close to 100.
 	var late float64
 	for _, s := range samples {
@@ -82,8 +86,8 @@ func TestEMATracksPlateau(t *testing.T) {
 
 func TestNoiseDeterministicPerSeed(t *testing.T) {
 	segs := stepTimeline(80, 5)
-	a := Record(segs, DefaultOptions(42))
-	b := Record(segs, DefaultOptions(42))
+	a := Record(segs, k20c, 42)
+	b := Record(segs, k20c, 42)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic sample count")
 	}
@@ -92,7 +96,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 			t.Fatal("non-deterministic samples for fixed seed")
 		}
 	}
-	c := Record(segs, DefaultOptions(43))
+	c := Record(segs, k20c, 43)
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -109,7 +113,7 @@ func TestNoiseDeterministicPerSeed(t *testing.T) {
 
 func TestQuantizationMilliwatts(t *testing.T) {
 	segs := stepTimeline(80, 5)
-	for _, s := range Record(segs, DefaultOptions(3)) {
+	for _, s := range Record(segs, k20c, 3) {
 		scaled := s.W * 1000
 		if math.Abs(scaled-math.Round(scaled)) > 1e-6 {
 			t.Fatalf("sample %f not quantized to mW", s.W)
@@ -136,7 +140,7 @@ func TestPropertySamplesNonNegativeAndOrdered(t *testing.T) {
 	f := func(seed uint64, w8 uint8) bool {
 		w := float64(w8%120) + 20
 		segs := stepTimeline(w, 6)
-		samples := Record(segs, DefaultOptions(seed))
+		samples := Record(segs, k20c, seed)
 		prev := -1.0
 		for _, s := range samples {
 			if s.W < 0 || s.T <= prev {
@@ -152,7 +156,7 @@ func TestPropertySamplesNonNegativeAndOrdered(t *testing.T) {
 }
 
 func TestEmptyTimeline(t *testing.T) {
-	if s := Record(nil, DefaultOptions(1)); s != nil {
+	if s := Record(nil, k20c, 1); s != nil {
 		t.Error("nil timeline should produce no samples")
 	}
 }

@@ -70,10 +70,15 @@ func TestFleetMeasureParity(t *testing.T) {
 func TestFleetFrontierParity(t *testing.T) {
 	sa, co, _, workers := newParityPair(t)
 	body := `{"program":"FB","spec":` + smallSpec + `}`
-	want := runResultJob(t, sa, "/v1/frontier", body).Result
+	want := runResultJob(t, sa, "/v1/frontier", body)
 	got := runResultJob(t, co, "/v1/frontier", body)
-	if !bytes.Equal(got.Result, want) {
-		t.Errorf("coordinator frontier result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want, got.Result)
+	if !bytes.Equal(got.Result, want.Result) {
+		t.Errorf("coordinator frontier result differs:\n--- standalone ---\n%s\n--- coordinator ---\n%s", want.Result, got.Result)
+	}
+	// Progress reads the same on both roles: a finished job did every point.
+	if got.Done != want.Done || want.Done != want.Combinations {
+		t.Errorf("finished frontier job done: standalone %d, coordinator %d, want both %d (combinations)",
+			want.Done, got.Done, want.Combinations)
 	}
 	assertOneShard(t, got, workers)
 }

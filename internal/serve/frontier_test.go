@@ -50,9 +50,9 @@ func pollFrontierJob(t *testing.T, base, id string) frontierJobView {
 }
 
 // TestFrontierJobLifecycle: submit → progress via obs deltas → fetch. The
-// completed job carries the frontier summary, its Done progress equals the
-// replayed grid-point count from the obs registry, and the whole grid cost
-// exactly one simulation (the trace capture).
+// completed job carries the frontier summary, its Done progress equals its
+// combination count, and the whole grid cost exactly one simulation (the
+// trace capture).
 func TestFrontierJobLifecycle(t *testing.T) {
 	s, runner := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
 	ts := httptest.NewServer(s.Handler())
@@ -90,13 +90,15 @@ func TestFrontierJobLifecycle(t *testing.T) {
 	if sum.Optimizer.Best == "" || sum.Optimizer.Evals == 0 {
 		t.Errorf("summary missing optimizer outcome: %+v", sum)
 	}
-	// Progress came from the obs registry: Done is the replayed point count.
-	snap := runner.Metrics().Snapshot()
-	if got := snap.Counters["frontier_replays"]; got != jv.Done {
-		t.Errorf("job Done = %d, want the frontier_replays delta %d", jv.Done, got)
+	// A finished job reports every grid point done; the replay counter
+	// behind its running progress counts every measurable point but the
+	// capture.
+	if jv.Done != jv.Combinations {
+		t.Errorf("job Done = %d, want %d (combinations)", jv.Done, jv.Combinations)
 	}
-	if got := int64(sum.Measurable - 1); jv.Done != got {
-		t.Errorf("job Done = %d, want %d (every measurable point but the capture)", jv.Done, got)
+	snap := runner.Metrics().Snapshot()
+	if got, want := snap.Counters["frontier_replays"], int64(sum.Measurable-1); got != want {
+		t.Errorf("frontier_replays = %d, want %d (every measurable point but the capture)", got, want)
 	}
 	// The whole grid cost one trace capture; everything else replayed
 	// (replays pass through the simulate stage too, so the capture counter

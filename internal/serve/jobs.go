@@ -220,7 +220,10 @@ func (r *jobRegistry) execute(ctx context.Context, j *job, sp jobSpec) (any, err
 	cancDelta := canc - startCanc
 	switch {
 	case err == nil:
-		j.finish(jobDone, nil, result, doneDelta, cancDelta)
+		// A finished job has settled every combination, whatever its
+		// progress source counted (a frontier's replay counter skips the
+		// captured point), so every role reports done == combinations.
+		j.finish(jobDone, nil, result, int64(sp.combos), cancDelta)
 	case ctx.Err() != nil:
 		j.finish(jobCanceled, err, nil, doneDelta, cancDelta)
 	default:
