@@ -36,18 +36,23 @@ selfcheck:
 golden:
 	$(GO) run ./cmd/goldengen -v
 
+# Each smoke run works in its own temporary directory ($$tmp), removed on
+# exit whether the run passes or fails. A recipe using it is one shell
+# command, so its lines are joined with backslashes.
+SMOKE_TMP = set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT
+
 # Store round-trip smoke: the second run must serve every measurement from
 # the cache (hit counter > 0, zero misses, zero simulations) and print
 # byte-identical output. CI runs this target; needs jq.
 smoke:
-	$(GO) build -o /tmp/gpuchar-smoke ./cmd/gpuchar
-	rm -f /tmp/gpuchar-smoke-store.json
-	/tmp/gpuchar-smoke -exp table2 -store /tmp/gpuchar-smoke-store.json -metrics >/tmp/gpuchar-smoke-1.txt 2>/tmp/gpuchar-smoke-1.json
-	/tmp/gpuchar-smoke -exp table2 -store /tmp/gpuchar-smoke-store.json -metrics >/tmp/gpuchar-smoke-2.txt 2>/tmp/gpuchar-smoke-2.json
-	cmp /tmp/gpuchar-smoke-1.txt /tmp/gpuchar-smoke-2.txt
-	jq -e '.counters.measure_cache_hits > 0' /tmp/gpuchar-smoke-2.json
-	jq -e '.counters.measure_cache_misses == 0' /tmp/gpuchar-smoke-2.json
-	jq -e '.histograms.stage_simulate_seconds.count == 0' /tmp/gpuchar-smoke-2.json
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchar-smoke ./cmd/gpuchar; \
+	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store.json -metrics >$$tmp/gpuchar-smoke-1.txt 2>$$tmp/gpuchar-smoke-1.json; \
+	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store.json -metrics >$$tmp/gpuchar-smoke-2.txt 2>$$tmp/gpuchar-smoke-2.json; \
+	cmp $$tmp/gpuchar-smoke-1.txt $$tmp/gpuchar-smoke-2.txt; \
+	jq -e '.counters.measure_cache_hits > 0' $$tmp/gpuchar-smoke-2.json; \
+	jq -e '.counters.measure_cache_misses == 0' $$tmp/gpuchar-smoke-2.json; \
+	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-smoke-2.json
 
 # Dense-grid frontier golden-diff smoke: two runs of `gpuchar -exp frontier`
 # (cold, then warm from the same store) must print byte-identical frontier
@@ -56,22 +61,23 @@ smoke:
 # ~100-config grid without a single simulation. CI runs this
 # target; needs jq.
 frontier-smoke:
-	$(GO) build -o /tmp/gpuchar-frontier ./cmd/gpuchar
-	rm -f /tmp/gpuchar-frontier-store.json
-	/tmp/gpuchar-frontier -exp frontier -reps 1 -store /tmp/gpuchar-frontier-store.json -metrics >/tmp/gpuchar-frontier-1.txt 2>/tmp/gpuchar-frontier-1.json
-	/tmp/gpuchar-frontier -exp frontier -reps 1 -store /tmp/gpuchar-frontier-store.json -metrics >/tmp/gpuchar-frontier-2.txt 2>/tmp/gpuchar-frontier-2.json
-	cmp /tmp/gpuchar-frontier-1.txt /tmp/gpuchar-frontier-2.txt
-	jq -e '(.counters.frontier_interpolated // 0) == 0 and (.counters.trace_cache_sensitive_runs // 0) == 0' /tmp/gpuchar-frontier-1.json
-	jq -e '.histograms.stage_simulate_seconds.count == 0' /tmp/gpuchar-frontier-2.json
-	jq -e '.counters.frontier_replays > 0' /tmp/gpuchar-frontier-2.json
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchar-frontier ./cmd/gpuchar; \
+	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-1.txt 2>$$tmp/gpuchar-frontier-1.json; \
+	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-2.txt 2>$$tmp/gpuchar-frontier-2.json; \
+	cmp $$tmp/gpuchar-frontier-1.txt $$tmp/gpuchar-frontier-2.txt; \
+	jq -e '(.counters.frontier_interpolated // 0) == 0 and (.counters.trace_cache_sensitive_runs // 0) == 0' $$tmp/gpuchar-frontier-1.json; \
+	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-frontier-2.json; \
+	jq -e '.counters.frontier_replays > 0' $$tmp/gpuchar-frontier-2.json
 
 # gpuchard coalescing + graceful-shutdown smoke: N concurrent identical
 # measure requests against the real server must cost exactly one simulation
 # and return byte-identical bodies; SIGTERM must save the store. CI runs
 # this target; needs curl and jq.
 serve-smoke:
-	$(GO) build -o /tmp/gpuchard-smoke ./cmd/gpuchard
-	./scripts/serve_smoke.sh /tmp/gpuchard-smoke /tmp/gpuchard-smoke-store.json
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchard-smoke ./cmd/gpuchard; \
+	./scripts/serve_smoke.sh $$tmp/gpuchard-smoke $$tmp/gpuchard-smoke-store.json
 
 # Sweep-fabric smoke: a 1-coordinator + 3-worker fleet must merge the
 # byte-identical /v1/results a standalone server produces and return its
@@ -80,9 +86,10 @@ serve-smoke:
 # worker must not change the merged bytes. CI runs this target; needs curl
 # and jq.
 fabric-smoke:
-	$(GO) build -o /tmp/gpuchard-fabric ./cmd/gpuchard
-	$(GO) build -o /tmp/gpuchard-promlint ./cmd/promlint
-	PROMLINT=/tmp/gpuchard-promlint ./scripts/fabric_smoke.sh /tmp/gpuchard-fabric
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchard-fabric ./cmd/gpuchard; \
+	$(GO) build -o $$tmp/gpuchard-promlint ./cmd/promlint; \
+	PROMLINT=$$tmp/gpuchard-promlint ./scripts/fabric_smoke.sh $$tmp/gpuchard-fabric
 
 # Re-baseline the committed BENCH_<workload>.jsonl records: the four
 # bench/ workloads over seeds 1-5 (about 9 minutes on 2 vCPUs).
@@ -105,21 +112,22 @@ lint-device:
 # attribution is a post-processing pass over replayed traces. CI runs this
 # target; needs jq.
 attrib-smoke:
-	$(GO) build -o /tmp/gpuchar-attrib ./cmd/gpuchar
-	rm -rf /tmp/gpuchar-attrib-traces
-	/tmp/gpuchar-attrib -exp attrib -programs NB -traces /tmp/gpuchar-attrib-traces -metrics >/tmp/gpuchar-attrib-1.txt 2>/tmp/gpuchar-attrib-1.json
-	/tmp/gpuchar-attrib -exp attrib -programs NB -traces /tmp/gpuchar-attrib-traces -metrics >/tmp/gpuchar-attrib-2.txt 2>/tmp/gpuchar-attrib-2.json
-	cmp /tmp/gpuchar-attrib-1.txt /tmp/gpuchar-attrib-2.txt
-	jq -e '(.counters.simulate_runs_device_K20c // 0) == 0' /tmp/gpuchar-attrib-2.json
-	jq -e '.counters.trace_broker_fetch_hits > 0' /tmp/gpuchar-attrib-2.json
-	/tmp/gpuchar-attrib -exp attrib -programs NB -traces /tmp/gpuchar-attrib-traces -json | jq -e '.[0].program == "NB" and (.[0].attribution.classes | length) == 9' >/dev/null
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchar-attrib ./cmd/gpuchar; \
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-1.txt 2>$$tmp/gpuchar-attrib-1.json; \
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-2.txt 2>$$tmp/gpuchar-attrib-2.json; \
+	cmp $$tmp/gpuchar-attrib-1.txt $$tmp/gpuchar-attrib-2.txt; \
+	jq -e '(.counters.simulate_runs_device_K20c // 0) == 0' $$tmp/gpuchar-attrib-2.json; \
+	jq -e '.counters.trace_broker_fetch_hits > 0' $$tmp/gpuchar-attrib-2.json; \
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -json | jq -e '.[0].program == "NB" and (.[0].attribution.classes | length) == 9' >/dev/null
 
 # Cross-device smoke: the three shipped profiles (K20c, GTX1080, JetsonTX2)
 # measure one n-body program and the comparison table must match the
 # checked-in expectation byte for byte. CI runs this target.
 device-smoke:
-	$(GO) build -o /tmp/gpuchar-device ./cmd/gpuchar
-	/tmp/gpuchar-device -exp devices -programs NB -reps 1 >/tmp/gpuchar-device-smoke.txt
-	cmp internal/check/testdata/device_smoke_NB.txt /tmp/gpuchar-device-smoke.txt
+	$(SMOKE_TMP); \
+	$(GO) build -o $$tmp/gpuchar-device ./cmd/gpuchar; \
+	$$tmp/gpuchar-device -exp devices -programs NB -reps 1 >$$tmp/gpuchar-device-smoke.txt; \
+	cmp internal/check/testdata/device_smoke_NB.txt $$tmp/gpuchar-device-smoke.txt
 
 ci: vet lint-launch lint-device build race test fuzz

@@ -48,9 +48,6 @@ func main() {
 	programs := suites.All()
 
 	start := time.Now()
-	if err := runner.MeasureAll(ctx, programs, kepler.Configs, false); err != nil {
-		fail(err)
-	}
 	files, err := check.Snapshot(ctx, runner, programs, kepler.Configs)
 	if err != nil {
 		fail(err)

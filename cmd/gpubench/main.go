@@ -16,9 +16,11 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/power"
 	"repro/internal/report"
+	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/suites"
 	"repro/internal/trace"
@@ -97,8 +99,9 @@ func main() {
 	fmt.Printf("%-28s %9s %12.3f %12.1f %9.1f\n\n", "TOTAL (simulator truth)", "",
 		dev.ActiveTime(), power.ActiveEnergy(dev), power.ActiveEnergy(dev)/dev.ActiveTime())
 
-	// Measurement through the sensor stack.
-	samples, m, err := core.Profile(ctx, p, in, clk, 1)
+	// Measurement through the sensor stack, from the device simulated above.
+	samples := sensor.Record(power.Timeline(dev), clk.Device().Sensor, 1)
+	m, err := k20power.Analyze(samples, clk.Device())
 	if err != nil {
 		fmt.Printf("measurement: %v\n", err)
 		fmt.Println("(the paper excludes such runs from its results)")

@@ -21,6 +21,10 @@
 // that device's canonical ladder. 'devices' always compares the three
 // representative profiles regardless of -device.
 //
+// Each experiment measures the combinations it reads in parallel, within
+// the -workers budget; a combination another experiment already measured
+// is served from the runner's cache.
+//
 // The sweep is cancelable: SIGINT (and -timeout) cancel the measurement
 // context, in-flight simulations abort at the next thread-block boundary,
 // and everything measured so far is still saved to -store before exit.
@@ -168,34 +172,6 @@ func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progF
 	} else {
 		for _, e := range strings.Split(expFlag, ",") {
 			want[strings.TrimSpace(e)] = true
-		}
-	}
-
-	// Pre-warm the measurement cache: default inputs across all four
-	// configurations, plus the alternate inputs at the default clocks
-	// (all Figure 5 needs). The experiments below then assemble their
-	// tables from cached results.
-	if len(want) > 1 || want["fig2"] || want["fig3"] || want["fig4"] || want["fig6"] {
-		if err := runner.MeasureAll(ctx, programs, cfgs, false); err != nil {
-			return err
-		}
-	}
-	if want["fig5"] {
-		if err := runner.MeasureAll(ctx, programs, []kepler.Clocks{cfgs[0]}, true); err != nil {
-			return err
-		}
-	}
-	if want["table3"] {
-		lbfs, err := suites.ByName("L-BFS")
-		if err != nil {
-			return err
-		}
-		sssp, err := suites.ByName("SSSP")
-		if err != nil {
-			return err
-		}
-		if err := runner.MeasureAll(ctx, append(suites.Variants(), lbfs, sssp), cfgs, false); err != nil {
-			return err
 		}
 	}
 

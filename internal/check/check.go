@@ -173,27 +173,22 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepl
 	configs := dev.Configurations()
 
 	r.KeepTraces = true
-	if err := r.MeasureAll(ctx, programs, configs, false); err != nil {
+	results, err := r.MeasureEach(ctx, core.EnumerateCombos(programs, configs, false))
+	if err != nil {
 		return nil, fmt.Errorf("check: sweep failed: %w", err)
 	}
 
 	rep := &Report{Programs: len(programs), Combos: len(programs) * len(configs)}
-	measured := make(map[string]map[string]*core.Result, len(programs))
-	for _, p := range programs {
+	for pi, p := range programs {
 		byConfig := make(map[string]*core.Result, len(configs))
-		for _, clk := range configs {
-			res, err := r.Measure(ctx, p, p.DefaultInput(), clk)
-			switch {
-			case err == nil:
+		for ci, clk := range configs {
+			if res := results[pi*len(configs)+ci]; res != nil {
 				byConfig[clk.Name] = res
 				rep.Measured++
-			case core.IsInsufficient(err):
+			} else {
 				rep.Excluded++
-			default:
-				return nil, fmt.Errorf("check: %s@%s: %w", p.Name(), clk.Name, err)
 			}
 		}
-		measured[p.Name()] = byConfig
 
 		for _, res := range byConfig {
 			vs, n := checkEnergyConservation(res, &rep.Stats)
@@ -491,38 +486,36 @@ func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, co
 	fresh.Repetitions = r.Repetitions
 	fresh.KeepTraces = r.KeepTraces
 	fresh.NoReplay = noReplay
-	if err := fresh.MeasureAll(ctx, programs, configs, false); err != nil {
+	combos := core.EnumerateCombos(programs, configs, false)
+	want, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, 0, fmt.Errorf("check: %s sweep failed: %w", invariant, err)
+	}
+	got, err := fresh.MeasureEach(ctx, combos)
+	if err != nil {
 		return nil, 0, fmt.Errorf("check: %s sweep failed: %w", invariant, err)
 	}
 	var vs []Violation
-	n := 0
-	for _, p := range programs {
-		for _, clk := range configs {
-			n++
-			a, errA := r.Measure(ctx, p, p.DefaultInput(), clk)
-			b, errB := fresh.Measure(ctx, p, p.DefaultInput(), clk)
-			bad := func(format string, args ...any) {
-				vs = append(vs, Violation{
-					Invariant: invariant,
-					Program:   p.Name(), Input: p.DefaultInput(), Config: clk.Name,
-					Detail: fmt.Sprintf(format, args...),
-				})
-			}
-			switch {
-			case errA != nil && errB != nil:
-				if core.IsInsufficient(errA) != core.IsInsufficient(errB) {
-					bad("error class differs from the fresh runner's: %v vs %v", errA, errB)
-				}
-			case (errA == nil) != (errB == nil):
-				bad("measurability differs from the fresh runner's: %v vs %v", errA, errB)
-			default:
-				if d := diffResults(a, b); d != "" {
-					bad("fresh runner diverged: %s", d)
-				}
+	for i, c := range combos {
+		a, b := want[i], got[i]
+		bad := func(format string, args ...any) {
+			vs = append(vs, Violation{
+				Invariant: invariant,
+				Program:   c.Program.Name(), Input: c.Input, Config: c.Clocks.Name,
+				Detail: fmt.Sprintf(format, args...),
+			})
+		}
+		switch {
+		case a == nil && b == nil:
+		case a == nil || b == nil:
+			bad("measurability differs from the fresh runner's: measurable %v vs %v", a != nil, b != nil)
+		default:
+			if d := diffResults(a, b); d != "" {
+				bad("fresh runner diverged: %s", d)
 			}
 		}
 	}
-	return vs, n, nil
+	return vs, len(combos), nil
 }
 
 // diffResults compares two Results bitwise, returning a description of the

@@ -49,33 +49,33 @@ func SuiteFileName(s core.Suite) string {
 }
 
 // Snapshot measures every program (default input) at every configuration
-// through the runner and groups the snapshots by suite. Cached runner
-// entries are reused, so snapshotting after a sweep is free.
+// through the runner, in parallel within its worker budget, and groups the
+// snapshots by suite. Combinations already in the runner's cache are reused.
 func Snapshot(ctx context.Context, r *core.Runner, programs []core.Program, configs []kepler.Clocks) (map[core.Suite]*GoldenFile, error) {
+	combos := core.EnumerateCombos(programs, configs, false)
+	results, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, fmt.Errorf("check: snapshot: %w", err)
+	}
 	out := make(map[core.Suite]*GoldenFile)
-	for _, p := range programs {
-		gf := out[p.Suite()]
+	for i, c := range combos {
+		suite := c.Program.Suite()
+		gf := out[suite]
 		if gf == nil {
-			gf = &GoldenFile{StoreVersion: core.StoreVersion, Suite: string(p.Suite())}
-			out[p.Suite()] = gf
+			gf = &GoldenFile{StoreVersion: core.StoreVersion, Suite: string(suite)}
+			out[suite] = gf
 		}
-		for _, clk := range configs {
-			e := GoldenEntry{Program: p.Name(), Input: p.DefaultInput(), Config: clk.Name}
-			res, err := r.Measure(ctx, p, p.DefaultInput(), clk)
-			switch {
-			case err == nil:
-				e.ActiveTime = res.ActiveTime
-				e.Energy = res.Energy
-				e.AvgPower = res.AvgPower
-				e.TrueActiveTime = res.TrueActiveTime
-				e.TrueEnergy = res.TrueEnergy
-			case core.IsInsufficient(err):
-				e.Insufficient = true
-			default:
-				return nil, fmt.Errorf("check: snapshot %s@%s: %w", p.Name(), clk.Name, err)
-			}
-			gf.Entries = append(gf.Entries, e)
+		e := GoldenEntry{Program: c.Program.Name(), Input: c.Input, Config: c.Clocks.Name}
+		if res := results[i]; res != nil {
+			e.ActiveTime = res.ActiveTime
+			e.Energy = res.Energy
+			e.AvgPower = res.AvgPower
+			e.TrueActiveTime = res.TrueActiveTime
+			e.TrueEnergy = res.TrueEnergy
+		} else {
+			e.Insufficient = true
 		}
+		gf.Entries = append(gf.Entries, e)
 	}
 	for _, gf := range out {
 		sortEntries(gf.Entries)

@@ -48,8 +48,10 @@ type ProgramAttribution struct {
 // configuration, in deterministic (program, config) order. On a warm
 // launch-trace cache (or through a broker) the clock-insensitive programs
 // cost zero simulations — attribution is a post-processing pass over
-// replayed traces.
+// replayed traces. Each finished row bumps the runner's attrib_rows
+// counter, the progress source of attribution jobs.
 func AttributionSweep(ctx context.Context, r *Runner, programs []Program, configs []kepler.Clocks) ([]ProgramAttribution, error) {
+	done := r.Metrics().Counter("attrib_rows")
 	var rows []ProgramAttribution
 	for _, p := range programs {
 		for _, clk := range configs {
@@ -62,6 +64,7 @@ func AttributionSweep(ctx context.Context, r *Runner, programs []Program, config
 				Input:       p.DefaultInput(),
 				Attribution: power.Attribute(dev),
 			})
+			done.Inc()
 		}
 	}
 	return rows, nil

@@ -52,15 +52,16 @@ func CoreSensitivity(cfgs []kepler.Clocks, defTime, f614Time float64) float64 {
 // paper's K20c.
 func Classify(ctx context.Context, r *Runner, programs []Program, dev *kepler.Device) ([]Class, error) {
 	cfgs := deviceOrK20c(dev).Configurations()
-	cDef, c614, c324, cECC := cfgs[0], cfgs[1], cfgs[2], cfgs[3]
+	cDef, c324 := cfgs[0], cfgs[2]
+	results, err := r.MeasureEach(ctx, EnumerateCombos(programs, cfgs, false))
+	if err != nil {
+		return nil, err
+	}
 	var out []Class
-	for _, p := range programs {
-		def, err := r.Measure(ctx, p, p.DefaultInput(), cDef)
-		if err != nil {
-			if IsInsufficient(err) {
-				continue
-			}
-			return nil, err
+	for i, p := range programs {
+		def, f614, f324, ecc := results[4*i], results[4*i+1], results[4*i+2], results[4*i+3]
+		if def == nil {
+			continue
 		}
 		c := Class{
 			Program:   p.Name(),
@@ -68,25 +69,19 @@ func Classify(ctx context.Context, r *Runner, programs []Program, dev *kepler.De
 			AvgPowerW: def.AvgPower,
 			Irregular: p.Irregular(),
 		}
-		if f614, err := r.Measure(ctx, p, p.DefaultInput(), c614); err == nil {
+		if f614 != nil {
 			c.CoreSensitivity = CoreSensitivity(cfgs, def.ActiveTime, f614.ActiveTime)
-		} else if !IsInsufficient(err) {
-			return nil, err
 		}
-		if f324, err := r.Measure(ctx, p, p.DefaultInput(), c324); err == nil {
+		if f324 != nil {
 			c.Measurable324 = true
 			// Total 324-analogue slowdown, minus what the core clock alone
 			// explains.
 			coreShare := 1 + c.CoreSensitivity*(float64(cDef.CoreMHz)/float64(c324.CoreMHz)-1)
 			total := f324.ActiveTime / def.ActiveTime
 			c.MemSensitivity = (total - coreShare) / (float64(cDef.MemMHz)/float64(c324.MemMHz) - 1) * 2
-		} else if !IsInsufficient(err) {
-			return nil, err
 		}
-		if ecc, err := r.Measure(ctx, p, p.DefaultInput(), cECC); err == nil {
+		if ecc != nil {
 			c.ECCSlowdown = ecc.ActiveTime/def.ActiveTime - 1
-		} else if !IsInsufficient(err) {
-			return nil, err
 		}
 
 		// Label: the 614 response separates compute- from memory-bound

@@ -54,16 +54,15 @@ type Table2Row struct {
 // "Overall"). A nil dev selects the paper's K20c.
 func Table2(ctx context.Context, r *Runner, programs []Program, dev *kepler.Device) ([]Table2Row, error) {
 	def := deviceOrK20c(dev).DefaultConfig()
+	results, err := r.MeasureEach(ctx, EnumerateCombos(programs, []kepler.Clocks{def}, false))
+	if err != nil {
+		return nil, err
+	}
 	perSuite := map[Suite][]*Result{}
-	for _, p := range programs {
-		res, err := r.Measure(ctx, p, p.DefaultInput(), def)
-		if err != nil {
-			if IsInsufficient(err) {
-				continue
-			}
-			return nil, err
+	for i, p := range programs {
+		if res := results[i]; res != nil {
+			perSuite[p.Suite()] = append(perSuite[p.Suite()], res)
 		}
-		perSuite[p.Suite()] = append(perSuite[p.Suite()], res)
 	}
 	var rows []Table2Row
 	var allT, allE []float64
@@ -131,23 +130,16 @@ func FigureRatios(ctx context.Context, r *Runner, programs []Program, from, to k
 		order = append(order, s)
 		return row
 	}
-	for _, p := range programs {
+	results, err := r.MeasureEach(ctx, EnumerateCombos(programs, []kepler.Clocks{from, to}, false))
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range programs {
 		row := get(p.Suite())
-		a, err := r.Measure(ctx, p, p.DefaultInput(), from)
-		if err != nil {
-			if IsInsufficient(err) {
-				row.Excluded = append(row.Excluded, p.Name())
-				continue
-			}
-			return nil, err
-		}
-		b, err := r.Measure(ctx, p, p.DefaultInput(), to)
-		if err != nil {
-			if IsInsufficient(err) {
-				row.Excluded = append(row.Excluded, p.Name())
-				continue
-			}
-			return nil, err
+		a, b := results[2*i], results[2*i+1]
+		if a == nil || b == nil {
+			row.Excluded = append(row.Excluded, p.Name())
+			continue
 		}
 		row.Entries = append(row.Entries, RatioEntry{
 			Program: p.Name(),
@@ -190,21 +182,28 @@ type Table3Row struct {
 // in the returned exclusions, mirroring the paper's wlw/wlc BFS footnote.
 // A nil dev selects the paper's K20c.
 func Table3(ctx context.Context, r *Runner, base Program, variants []Program, input string, dev *kepler.Device) ([]Table3Row, []string, error) {
+	cfgs := deviceOrK20c(dev).Configurations()
+	var combos []Combo
+	for _, p := range append([]Program{base}, variants...) {
+		for _, clk := range cfgs {
+			combos = append(combos, Combo{p, input, clk})
+		}
+	}
+	results, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, nil, err
+	}
 	var rows []Table3Row
 	var excluded []string
-	for _, v := range variants {
-		for _, clk := range deviceOrK20c(dev).Configurations() {
-			b, err := r.Measure(ctx, base, input, clk)
-			if err != nil {
-				return nil, nil, fmt.Errorf("base %s: %w", base.Name(), err)
+	for vi, v := range variants {
+		for ci, clk := range cfgs {
+			b, vr := results[ci], results[(vi+1)*len(cfgs)+ci]
+			if b == nil {
+				return nil, nil, fmt.Errorf("base %s: %w", base.Name(), exclusionError(combos[ci]))
 			}
-			vr, err := r.Measure(ctx, v, input, clk)
-			if err != nil {
-				if IsInsufficient(err) {
-					excluded = append(excluded, v.Name()+"@"+clk.Name)
-					continue
-				}
-				return nil, nil, err
+			if vr == nil {
+				excluded = append(excluded, v.Name()+"@"+clk.Name)
+				continue
 			}
 			name := v.Name()
 			if vv, ok := v.(Variant); ok {
@@ -237,18 +236,23 @@ type Table4Row struct {
 // configuration, normalizing by processed items. Programs must implement
 // ItemCounts. A nil dev selects the paper's K20c.
 func Table4(ctx context.Context, r *Runner, bfs []Program, dev *kepler.Device) ([]Table4Row, error) {
-	def := deviceOrK20c(dev).DefaultConfig()
-	var rows []Table4Row
 	for _, p := range bfs {
-		ic, ok := p.(ItemCounts)
-		if !ok {
+		if _, ok := p.(ItemCounts); !ok {
 			return nil, fmt.Errorf("%s does not report item counts", p.Name())
 		}
-		res, err := r.Measure(ctx, p, p.DefaultInput(), def)
-		if err != nil {
-			return nil, err
+	}
+	combos := EnumerateCombos(bfs, []kepler.Clocks{deviceOrK20c(dev).DefaultConfig()}, false)
+	results, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table4Row
+	for i, p := range bfs {
+		res := results[i]
+		if res == nil {
+			return nil, exclusionError(combos[i])
 		}
-		v, e := ic.Items(p.DefaultInput())
+		v, e := p.(ItemCounts).Items(p.DefaultInput())
 		if v <= 0 || e <= 0 {
 			return nil, fmt.Errorf("%s: no items", p.Name())
 		}
@@ -281,27 +285,23 @@ type Fig5Row struct {
 // default configuration and reports the power ratio of each input step.
 // A nil dev selects the paper's K20c.
 func Figure5(ctx context.Context, r *Runner, programs []Program, dev *kepler.Device) ([]Fig5Row, error) {
-	def := deviceOrK20c(dev).DefaultConfig()
-	var rows []Fig5Row
+	var multi []Program
 	for _, p := range programs {
-		inputs := p.Inputs()
-		if len(inputs) < 2 {
-			continue
+		if len(p.Inputs()) >= 2 {
+			multi = append(multi, p)
 		}
+	}
+	results, err := r.MeasureEach(ctx, EnumerateCombos(multi, []kepler.Clocks{deviceOrK20c(dev).DefaultConfig()}, true))
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig5Row
+	for _, p := range multi {
+		inputs := p.Inputs()
 		for i := 1; i < len(inputs); i++ {
-			a, err := r.Measure(ctx, p, inputs[i-1], def)
-			if err != nil {
-				if IsInsufficient(err) {
-					continue
-				}
-				return nil, err
-			}
-			b, err := r.Measure(ctx, p, inputs[i], def)
-			if err != nil {
-				if IsInsufficient(err) {
-					continue
-				}
-				return nil, err
+			a, b := results[i-1], results[i]
+			if a == nil || b == nil {
+				continue
 			}
 			rows = append(rows, Fig5Row{
 				Program: p.Name(),
@@ -311,6 +311,7 @@ func Figure5(ctx context.Context, r *Runner, programs []Program, dev *kepler.Dev
 				Power:   b.AvgPower / a.AvgPower,
 			})
 		}
+		results = results[len(inputs):]
 	}
 	return rows, nil
 }
@@ -329,21 +330,19 @@ type Fig6Row struct {
 // the paper's K20c.
 func Figure6(ctx context.Context, r *Runner, programs []Program, dev *kepler.Device) ([]Fig6Row, error) {
 	cfgs := deviceOrK20c(dev).Configurations()
+	results, err := r.MeasureEach(ctx, EnumerateCombos(programs, cfgs, false))
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig6Row
 	for _, s := range Suites {
-		for _, clk := range cfgs {
+		for ci, clk := range cfgs {
 			var ps []float64
 			var names []string
-			for _, p := range programs {
-				if p.Suite() != s {
+			for pi, p := range programs {
+				res := results[pi*len(cfgs)+ci]
+				if p.Suite() != s || res == nil {
 					continue
-				}
-				res, err := r.Measure(ctx, p, p.DefaultInput(), clk)
-				if err != nil {
-					if IsInsufficient(err) {
-						continue
-					}
-					return nil, err
 				}
 				ps = append(ps, res.AvgPower)
 				names = append(names, p.Name())
@@ -394,24 +393,21 @@ type CrossGPURow struct {
 // findings (ratio shapes) should agree across boards even though absolute
 // power differs.
 func CrossGPU(ctx context.Context, r *Runner, programs []Program) ([]CrossGPURow, error) {
+	var combos []Combo
+	for _, m := range kepler.Models {
+		combos = append(combos, EnumerateCombos(programs, m.Configurations()[:2], false)...)
+	}
+	results, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, err
+	}
 	var rows []CrossGPURow
 	for _, m := range kepler.Models {
-		cfgs := m.Configurations()
-		def, low := cfgs[0], cfgs[1]
 		for _, p := range programs {
-			a, err := r.Measure(ctx, p, p.DefaultInput(), def)
-			if err != nil {
-				if IsInsufficient(err) {
-					continue
-				}
-				return nil, err
-			}
-			b, err := r.Measure(ctx, p, p.DefaultInput(), low)
-			if err != nil {
-				if IsInsufficient(err) {
-					continue
-				}
-				return nil, err
+			a, b := results[0], results[1]
+			results = results[2:]
+			if a == nil || b == nil {
+				continue
 			}
 			rows = append(rows, CrossGPURow{
 				Board:        m.Name,
@@ -451,22 +447,24 @@ func DeviceCompare(ctx context.Context, r *Runner, programs []Program, devices [
 	if len(devices) == 0 {
 		devices = kepler.Profiles()
 	}
+	var combos []Combo
+	for _, d := range devices {
+		combos = append(combos, EnumerateCombos(programs, []kepler.Clocks{d.DefaultConfig()}, false)...)
+	}
+	results, err := r.MeasureEach(ctx, combos)
+	if err != nil {
+		return nil, err
+	}
 	var rows []DeviceCompareRow
 	for _, d := range devices {
-		def := d.DefaultConfig()
 		for _, p := range programs {
 			row := DeviceCompareRow{Device: d.Name, Class: d.Class, Program: p.Name()}
-			res, err := r.Measure(ctx, p, p.DefaultInput(), def)
-			switch {
-			case err == nil:
+			// A nil result is excluded on this device, reported as a dash.
+			if res := results[len(rows)]; res != nil {
 				row.Measurable = true
 				row.Time = res.ActiveTime
 				row.Energy = res.Energy
 				row.Power = res.AvgPower
-			case IsInsufficient(err):
-				// excluded on this device, reported as a dash
-			default:
-				return nil, err
 			}
 			rows = append(rows, row)
 		}
@@ -490,24 +488,24 @@ type FreqPoint struct {
 // dropped. A nil dev selects the paper's K20c.
 func FreqSweep(ctx context.Context, r *Runner, p Program, dev *kepler.Device) ([]FreqPoint, error) {
 	d := deviceOrK20c(dev)
-	base, err := r.Measure(ctx, p, p.DefaultInput(), d.DefaultConfig())
+	combos := EnumerateCombos([]Program{p}, append([]kepler.Clocks{d.DefaultConfig()}, d.Settings...), false)
+	results, err := r.MeasureEach(ctx, combos)
 	if err != nil {
 		return nil, err
 	}
+	base := results[0]
+	if base == nil {
+		return nil, exclusionError(combos[0])
+	}
 	var points []FreqPoint
-	for _, clk := range d.Settings {
+	for i, clk := range d.Settings {
 		pt := FreqPoint{Config: clk.Name, CoreMHz: clk.CoreMHz, MemMHz: clk.MemMHz}
-		res, err := r.Measure(ctx, p, p.DefaultInput(), clk)
-		switch {
-		case err == nil:
+		// A nil result keeps the point, unmeasurable.
+		if res := results[i+1]; res != nil {
 			pt.Measurable = true
 			pt.Time = res.ActiveTime / base.ActiveTime
 			pt.Energy = res.Energy / base.Energy
 			pt.Power = res.AvgPower / base.AvgPower
-		case IsInsufficient(err):
-			// keep the point, unmeasurable
-		default:
-			return nil, err
 		}
 		points = append(points, pt)
 	}

@@ -19,7 +19,7 @@ type runnerMetrics struct {
 	cacheMisses       *obs.Counter
 	singleflightWaits *obs.Counter
 
-	// Sweep progress of MeasureAll.
+	// Sweep progress of MeasureList.
 	sweepJobsTotal    *obs.Counter
 	sweepJobsDone     *obs.Counter
 	sweepJobsCanceled *obs.Counter

@@ -360,9 +360,9 @@ func EnumerateCombos(programs []Program, configs []kepler.Clocks, allInputs bool
 }
 
 // MeasureList measures the given combinations in parallel with the same
-// semantics as MeasureAll (it is MeasureAll's engine): insufficient-sample
-// failures are the paper's exclusions and not errors, other failures are
-// joined, cancellation is reported once.
+// semantics as MeasureAll (it is the engine of MeasureAll and MeasureEach):
+// insufficient-sample failures are the paper's exclusions and not errors,
+// other failures are joined, cancellation is reported once.
 func (r *Runner) MeasureList(ctx context.Context, combos []Combo) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -415,6 +415,42 @@ func (r *Runner) MeasureList(ctx context.Context, combos []Combo) error {
 		}
 	}
 	return errors.Join(failures...)
+}
+
+// MeasureEach measures the combinations in parallel with MeasureList, then
+// reads each one back from the cache in list order: the results are
+// index-aligned with combos, and an exclusion (too few samples) is nil. The
+// error is the first hard failure in combo order, or the context error, so
+// it does not depend on the worker count or the completion order.
+func (r *Runner) MeasureEach(ctx context.Context, combos []Combo) ([]*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Failures resurface below, in combo order, as cached outcomes.
+	_ = r.MeasureList(ctx, combos)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(combos))
+	for i, c := range combos {
+		res, err := r.Measure(ctx, c.Program, c.Input, c.Clocks)
+		switch {
+		case err == nil:
+			out[i] = res
+		case IsInsufficient(err):
+			// excluded, like the paper's dashes
+		default:
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// exclusionError is the error of a caller that cannot do without a
+// measurement MeasureEach reported as an exclusion; IsInsufficient
+// recognizes it.
+func exclusionError(c Combo) error {
+	return fmt.Errorf("%s/%s@%s: %w", c.Program.Name(), c.Input, c.Clocks.Name, k20power.ErrInsufficientSamples)
 }
 
 // sweepJob measures one combination while holding a worker slot.

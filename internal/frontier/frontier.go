@@ -274,31 +274,27 @@ func (pt *Point) derive() {
 
 // sweepDense measures every grid point. For a clock-insensitive program the
 // trace cache serves every configuration after the capture by replay, so
-// the whole grid costs one simulation. The points are measured in parallel
-// by Runner.MeasureList, within the runner's worker budget; the pass then
-// reads them back from the measurement cache in grid order, so the points,
-// the error returned and the replay count do not depend on the worker
-// count or the completion order.
+// the whole grid costs one simulation. Runner.MeasureEach measures the
+// points in parallel, within the runner's worker budget, and returns them
+// in grid order, so the points, the error returned and the replay count do
+// not depend on the worker count or the completion order.
 func (r *Result) sweepDense(ctx context.Context, run *core.Runner, p core.Program, input string, m metrics) error {
 	combos := make([]core.Combo, len(r.Points))
 	for i := range r.Points {
 		combos[i] = core.Combo{Program: p, Input: input, Clocks: r.Points[i].Config}
 	}
-	// Failures resurface below, in grid order, as cached outcomes.
-	_ = run.MeasureList(ctx, combos)
-	for i := range r.Points {
-		pt := &r.Points[i]
-		res, err := run.Measure(ctx, p, input, pt.Config)
-		switch {
-		case err == nil:
-			pt.fill(res)
+	results, err := run.MeasureEach(ctx, combos)
+	if err != nil {
+		return err
+	}
+	// A nil result is excluded at this configuration, like the paper's
+	// dashes.
+	for i, res := range results {
+		if res != nil {
+			r.Points[i].fill(res)
 			if i != r.DefaultIdx {
 				m.replays.Inc()
 			}
-		case core.IsInsufficient(err):
-			// excluded at this configuration, like the paper's dashes
-		default:
-			return err
 		}
 	}
 	return nil

@@ -32,7 +32,7 @@ var promHelp = map[string]string{
 	"measure_cache_hits":           "Measure calls served from the resolved result cache.",
 	"measure_cache_misses":         "Measure calls that created a cache entry and computed it.",
 	"measure_singleflight_waits":   "Measure calls that joined an in-flight computation of the same key.",
-	"sweep_jobs_total":             "Sweep combinations enqueued by MeasureAll.",
+	"sweep_jobs_total":             "Sweep combinations enqueued by MeasureList (sweeps, experiments, checks, frontier grids).",
 	"sweep_jobs_done":              "Sweep combinations completed (measured, cached or excluded).",
 	"sweep_jobs_canceled":          "Sweep combinations aborted by cancellation.",
 	"trace_cache_captures":         "Launch traces captured by full simulation.",
@@ -49,6 +49,7 @@ var promHelp = map[string]string{
 	"pool_workers_in_use":          "Worker-pool slots currently held.",
 	"pool_workers_in_use_peak":     "High-water mark of held worker-pool slots.",
 	"frontier_replays":             "Frontier grid configurations priced by trace replay.",
+	"attrib_rows":                  "Attribution rows (program x configuration) priced by AttributionSweep.",
 	"fabric_workers_ready":         "Workers currently passing the coordinator's readiness probe.",
 	"fabric_shards_dispatched":     "Shards (sweep slices, frontier and attribution jobs) dispatched to workers.",
 	"fabric_shard_redispatches":    "Shards and measures moved to another worker after one could not answer.",

@@ -8,21 +8,22 @@ import (
 	"repro/internal/obs"
 )
 
-// jobStatus is a sweep job's lifecycle state.
+// jobStatus is a job's lifecycle state. A job is a sweep, a frontier, an
+// attribution or a coordinator-dispatched shard of one of them.
 type jobStatus string
 
 const (
-	// jobQueued means the job is waiting for the single sweep executor.
+	// jobQueued means the job is waiting for the single job executor.
 	jobQueued jobStatus = "queued"
-	// jobRunning means the job's MeasureAll is in flight.
+	// jobRunning means the job's work is in flight on the executor.
 	jobRunning jobStatus = "running"
-	// jobDone means the sweep completed (exclusions included; they are
+	// jobDone means the job completed (exclusions included; they are
 	// results, not failures).
 	jobDone jobStatus = "done"
-	// jobCanceled means the sweep was aborted by server shutdown or an
+	// jobCanceled means the job was aborted by server shutdown or an
 	// explicit DELETE /v1/jobs/{id}.
 	jobCanceled jobStatus = "canceled"
-	// jobFailed means the sweep reported a hard failure.
+	// jobFailed means the job reported a hard failure.
 	jobFailed jobStatus = "failed"
 )
 
@@ -92,7 +93,8 @@ type jobSpec struct {
 	run func(ctx context.Context, id string) (any, error)
 }
 
-// job is one asynchronous sweep or frontier run. Progress is derived from
+// job is one sweep, frontier, attribution or shard run, asynchronous or
+// inline (runSync). Progress is derived from
 // the runner's counters in the observability registry through the job's
 // jobProgress source.
 type job struct {
@@ -137,13 +139,14 @@ func (j *job) view() jobView {
 	return v
 }
 
-// jobRegistry tracks sweep jobs and serializes their execution.
+// jobRegistry tracks jobs of every kind and serializes their execution.
 type jobRegistry struct {
 	mu   sync.Mutex
 	jobs map[string]*job
 	next int
 
-	// execMu is the single sweep executor: one MeasureAll at a time.
+	// execMu is the single job executor: one job's work at a time, which
+	// keeps each job's counter-delta progress exact.
 	execMu sync.Mutex
 
 	sweepDone *obs.Counter
@@ -153,7 +156,7 @@ type jobRegistry struct {
 }
 
 // newJobRegistry builds the registry against the runner's registry (the
-// sweep counters must be the same handles MeasureAll increments).
+// sweep counters must be the same handles MeasureList increments).
 func newJobRegistry(reg *obs.Registry) *jobRegistry {
 	return &jobRegistry{
 		jobs:      make(map[string]*job),
@@ -164,7 +167,7 @@ func newJobRegistry(reg *obs.Registry) *jobRegistry {
 	}
 }
 
-// sweepProgress is the progress source for MeasureAll jobs.
+// sweepProgress is the progress source for sweep jobs (MeasureList).
 func (r *jobRegistry) sweepProgress() (int64, int64) {
 	return r.sweepDone.Value(), r.sweepCanc.Value()
 }

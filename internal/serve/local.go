@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/frontier"
 	"repro/internal/kepler"
-	"repro/internal/power"
 	"repro/internal/promtext"
 )
 
@@ -65,32 +63,21 @@ func (l *local) frontier(fw frontierWork) jobSpec {
 }
 
 // attrib prices each (program, config) of the matrix at the program's
-// default input. Attribution is a post-processing pass over the launch-trace
-// cache: on a warm store every clock-insensitive combination replays
-// instead of simulating.
+// default input with core.AttributionSweep. Attribution is a post-processing
+// pass over the launch-trace cache: on a warm store every clock-insensitive
+// combination replays instead of simulating. Progress is the attrib_rows
+// delta from the obs registry.
 func (l *local) attrib(aw attribWork) jobSpec {
-	var done atomic.Int64
+	rows := l.runner.Metrics().Counter("attrib_rows")
 	return jobSpec{
 		combos:   len(aw.programs) * len(aw.configs),
-		progress: func() (int64, int64) { return done.Load(), 0 },
+		progress: func() (int64, int64) { return rows.Value(), 0 },
 		run: func(ctx context.Context, _ string) (any, error) {
-			sum := &attribSummary{Device: aw.dev.Name}
-			for _, p := range aw.programs {
-				for _, clk := range aw.configs {
-					d, err := l.runner.SimulatedDevice(ctx, p, p.DefaultInput(), clk)
-					if err != nil {
-						return nil, err
-					}
-					sum.Rows = append(sum.Rows, core.ProgramAttribution{
-						Program:     p.Name(),
-						Input:       p.DefaultInput(),
-						Attribution: power.Attribute(d),
-					})
-					done.Add(1)
-				}
+			res, err := core.AttributionSweep(ctx, l.runner, aw.programs, aw.configs)
+			if err != nil {
+				return nil, err
 			}
-			sum.Combos = len(sum.Rows)
-			return sum, nil
+			return &attribSummary{Device: aw.dev.Name, Combos: len(res), Rows: res}, nil
 		},
 	}
 }
