@@ -19,10 +19,12 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/... ./internal/sdk/...
 
-# Short fuzz smoke over the warp merge (against its reference
-# implementation); seeds plus 10s of mutation.
+# Short fuzz smokes, seeds plus 10s of mutation each: the warp merge
+# against its reference implementation, and the launch-trace decoder on
+# mutated real encodings.
 fuzz:
 	$(GO) test -fuzz=FuzzMergeWarp -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/sim
 
 # Full physics-invariant verification sweep + golden corpus diff.
 check:

@@ -117,32 +117,47 @@ func TestDirBrokerRoundTripAndMisses(t *testing.T) {
 // replayable capture, so the program simulates once instead of at every
 // configuration.
 func TestDirBrokerRecapturesPreviousVersionTombstone(t *testing.T) {
-	dir := t.TempDir()
-	b := NewDirBroker(dir)
-	const prog = "toy-ordered-v1"
+	calls := 0
+	old := `{"version":1,"device":"` + kepler.Default.Device().Name + `","sensitive":true,"reason":"ordered launch \"relax\""}`
+	recaptureOver(t, orderedToy("toy-ordered-v1", &calls), &calls, old)
+}
+
+// TestDirBrokerRecapturesVersion2JSON: a directory written before traces
+// travelled as binary holds version-2 JSON documents. Such a file is a
+// miss, and the next store overwrites it with the binary encoding.
+func TestDirBrokerRecapturesVersion2JSON(t *testing.T) {
+	calls := 0
+	old := `{"version":2,"device":"` + kepler.Default.Device().Name + `","events":[{"kind":"pause","pause":0.001}]}`
+	recaptureOver(t, insensitiveToy("toy-json-v2", &calls), &calls, old)
+}
+
+// recaptureOver stores old as p's trace file, checks the broker misses it,
+// then measures p at every configuration: p must run once, and its file
+// must then hold a replayable capture.
+func recaptureOver(t *testing.T, p Program, calls *int, old string) {
+	t.Helper()
+	b := NewDirBroker(t.TempDir())
 	dev := kepler.Default.Device().Name
-	path := b.path(dev, prog, "default")
+	path := b.path(dev, p.Name(), "default")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	old := `{"version":1,"device":"` + dev + `","sensitive":true,"reason":"ordered launch \"relax\""}`
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if tr := b.FetchTrace(dev, prog, "default"); tr != nil {
-		t.Fatal("version-1 tombstone served a trace, want miss")
+	if tr := b.FetchTrace(dev, p.Name(), "default"); tr != nil {
+		t.Fatalf("stale trace file %s served a trace, want miss", old)
 	}
 
-	calls := 0
 	r := NewRunner()
 	r.Broker = b
-	measureConfigs(t, r, orderedToy(prog, &calls))
-	if calls != 1 {
-		t.Errorf("ordered program ran %d times, want 1", calls)
+	measureConfigs(t, r, p)
+	if *calls != 1 {
+		t.Errorf("program ran %d times, want 1", *calls)
 	}
-	tr := b.FetchTrace(dev, prog, "default")
+	tr := b.FetchTrace(dev, p.Name(), "default")
 	if tr == nil {
-		t.Fatal("runner did not overwrite the version-1 tombstone")
+		t.Fatal("runner did not overwrite the stale trace file")
 	}
 	if tr.ClockSensitive() || tr.Launches() == 0 {
 		t.Errorf("stored trace: sensitive=%v launches=%d, want a replayable capture",

@@ -64,6 +64,29 @@ func TestMeasureEachIndexAligned(t *testing.T) {
 	}
 }
 
+// MeasureEach's read-back is not a cache lookup: a cold call counts one miss
+// per combination and no hit, and a second call counts one hit per
+// combination, all of them MeasureList's.
+func TestMeasureEachCountsOnlyMeasureList(t *testing.T) {
+	combos := []Combo{
+		{computeBoundToy(4000), "default", kepler.Default},
+		{computeBoundToy(4000), "default", kepler.F614},
+		{memoryBoundToy(3000), "default", kepler.Default},
+		{tinyToy("toy-tiny-counted"), "default", kepler.Default},
+	}
+	r := NewRunner()
+	n := int64(len(combos))
+	for call, want := range []struct{ hits, misses int64 }{{0, n}, {n, n}} {
+		if _, err := r.MeasureEach(context.Background(), combos); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Metrics().Snapshot()
+		if hits, misses := snap.Counters["measure_cache_hits"], snap.Counters["measure_cache_misses"]; hits != want.hits || misses != want.misses {
+			t.Errorf("after call %d: hits %d misses %d, want %d and %d", call+1, hits, misses, want.hits, want.misses)
+		}
+	}
+}
+
 // The error is the first hard failure in combo order, whatever the worker
 // count and whichever failure finished first.
 func TestMeasureEachFirstErrorInComboOrder(t *testing.T) {

@@ -272,10 +272,19 @@ func (r *Runner) Measure(ctx context.Context, p Program, input string, clk keple
 // it without simulating. Used by cost-policy decisions (e.g. the frontier
 // sweep choosing its strategy on a warm-started cache).
 func (r *Runner) Cached(p Program, input string, clk kepler.Clocks) bool {
+	return r.resolvedEntry(Combo{p, input, clk}) != nil
+}
+
+// resolvedEntry returns the combination's resolved cache entry, or nil,
+// without counting a cache lookup.
+func (r *Runner) resolvedEntry(c Combo) *cacheEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.cache[resultKey{p.Name(), input, clk.Name, clk.Device().Name}]
-	return ok && e.resolved.Load()
+	e := r.cache[resultKey{c.Program.Name(), c.Input, c.Clocks.Name, c.Clocks.Device().Name}]
+	if e == nil || !e.resolved.Load() {
+		return nil
+	}
+	return e
 }
 
 // measure drives the staged pipeline: simulate once (execution is
@@ -421,7 +430,9 @@ func (r *Runner) MeasureList(ctx context.Context, combos []Combo) error {
 // reads each one back from the cache in list order: the results are
 // index-aligned with combos, and an exclusion (too few samples) is nil. The
 // error is the first hard failure in combo order, or the context error, so
-// it does not depend on the worker count or the completion order.
+// it does not depend on the worker count or the completion order. The
+// read-back is not a cache lookup: measure_cache_hits and _misses count
+// what MeasureList found.
 func (r *Runner) MeasureEach(ctx context.Context, combos []Combo) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -433,7 +444,14 @@ func (r *Runner) MeasureEach(ctx context.Context, combos []Combo) ([]*Result, er
 	}
 	out := make([]*Result, len(combos))
 	for i, c := range combos {
-		res, err := r.Measure(ctx, c.Program, c.Input, c.Clocks)
+		var res *Result
+		var err error
+		if e := r.resolvedEntry(c); e != nil && !isCtxErr(e.err) {
+			res, err = e.res, e.err
+		} else {
+			// Evicted: the run was canceled by another caller that shared it.
+			res, err = r.Measure(ctx, c.Program, c.Input, c.Clocks)
+		}
 		switch {
 		case err == nil:
 			out[i] = res

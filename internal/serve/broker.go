@@ -93,7 +93,7 @@ func (b *HTTPTraceBroker) StoreTrace(device, program, input string, tr *sim.Laun
 		b.errs.Inc()
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := b.client.Do(req)
 	if err != nil {
 		b.errs.Inc()
@@ -107,5 +107,7 @@ func (b *HTTPTraceBroker) StoreTrace(device, program, input string, tr *sim.Laun
 }
 
 // maxTraceBytes bounds a single trace payload (store PUTs and broker GETs).
-// 64 MiB is ~8M block-cycle samples — far beyond any served program.
+// Block cycles travel run-length encoded, so the payload no longer bounds
+// the decoded trace: sim.DecodeTrace's own bound (8M block cycles, what
+// 64 MiB held as JSON) does.
 const maxTraceBytes = 64 << 20

@@ -667,7 +667,7 @@ func (f *fleet) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.m.traceStoreHits.Inc()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -230,6 +231,41 @@ func TestListScheduleHeapMatchesLinear(t *testing.T) {
 		if got != want {
 			t.Errorf("blocks=%d slots=%d: heap makespan %v != linear %v",
 				sh.blocks, sh.slots, got, want)
+		}
+	}
+
+	// A leading run of equal costs skips the heap a full round at a time:
+	// whole and partial rounds, zero costs, more slots than blocks, a
+	// single slot, and a negative run, which must not take the shortcut.
+	runs := []struct {
+		run, tail, slots int
+		c                float64
+	}{
+		{1040, 100, 208, 3.5}, {1057, 0, 208, 0.1}, {208, 1, 208, 7},
+		{50, 50, 13, 0}, {39, 0, 13, 0}, {40, 5, 13, math.Copysign(0, -1)},
+		{5, 0, 13, 2}, {5, 3, 13, 2}, {100, 20, 1, 1.25}, {1, 30, 7, 9},
+		{12, 12, 4, 1e-300}, {26, 30, 13, -1},
+	}
+	for _, r := range runs {
+		costs := make([]float64, r.run, r.run+r.tail)
+		for i := range costs {
+			costs[i] = r.c
+		}
+		for i := 0; i < r.tail; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				costs = append(costs, float64(rng.Intn(3))) // ties and zeros
+			case 1:
+				costs = append(costs, r.c*float64(1+rng.Intn(2)))
+			default:
+				costs = append(costs, rng.ExpFloat64()*50)
+			}
+		}
+		got := listSchedule(costs, r.slots)
+		want := listScheduleLinear(costs, r.slots)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("run=%d of %v, tail=%d, slots=%d: heap makespan %v != linear %v",
+				r.run, r.c, r.tail, r.slots, got, want)
 		}
 	}
 }

@@ -2,6 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,8 +68,8 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The encoding itself is deterministic (stable JSON field order,
-	// bit-exact float round trip), so re-encoding reproduces the document.
+	// The encoding itself is deterministic (fixed field order, floats as
+	// raw bits), so re-encoding reproduces the document.
 	data2, err := EncodeTrace(got)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +110,9 @@ func TestTraceCodecSensitiveTombstone(t *testing.T) {
 	}
 
 	// A document claiming both sensitivity and a timeline is rejected.
-	bad := strings.Replace(string(data), `"sensitive":true`,
-		`"sensitive":true,"events":[{"kind":"pause","pause":1}]`, 1)
-	if _, err := DecodeTrace([]byte(bad)); err == nil {
+	bad := encodeRaw(&LaunchTrace{device: tr.device, sensitive: true, reason: tr.reason,
+		events: []captureEvent{pauseEvent(1)}})
+	if _, err := DecodeTrace(bad); err == nil {
 		t.Error("decoder accepted a sensitive trace with events")
 	}
 }
@@ -138,48 +142,218 @@ func TestTraceCodecCrossDeviceRefusal(t *testing.T) {
 	}
 }
 
-// scaledLaunchDoc is a one-launch K20c trace document with the given
-// launch scale.
-func scaledLaunchDoc(scale string) string {
-	return `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"Occ":{"BlocksPerSM":1},"BlockCycles":[1],"Scale":` + scale + `}}]}`
+// encodeRaw encodes a hand-built trace. EncodeTrace writes whatever it is
+// given, so a malformed trace reaches the decoder exactly as built.
+func encodeRaw(tr *LaunchTrace) []byte {
+	data, err := EncodeTrace(tr)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
-// TestTraceCodecRejectsMalformed: the decoder is strict — structural
-// violations fail cleanly instead of producing a corrupt replay.
+// k20Doc encodes a K20c trace of the given events.
+func k20Doc(events ...captureEvent) []byte {
+	return encodeRaw(&LaunchTrace{device: "K20c", events: events})
+}
+
+// launchEvent is a well-formed one-block launch, changed by edit.
+func launchEvent(edit func(*CapturedLaunch)) captureEvent {
+	cl := &CapturedLaunch{
+		Spec:        LaunchSpec{Name: "k", Grid: 1, Block: 128},
+		Occ:         kepler.Occupancy{BlocksPerSM: 1},
+		BlockCycles: []float64{1},
+		Scale:       1,
+	}
+	if edit != nil {
+		edit(cl)
+	}
+	return captureEvent{kind: evLaunch, launch: cl}
+}
+
+func pauseEvent(dt float64) captureEvent { return captureEvent{kind: evPause, pause: dt} }
+
+func repeatEvent(index, n int) captureEvent {
+	return captureEvent{kind: evRepeat, repeatIndex: index, repeatN: n}
+}
+
+func withScale(scale float64) captureEvent {
+	return launchEvent(func(cl *CapturedLaunch) { cl.Scale = scale })
+}
+
+func withCycles(cycles ...float64) captureEvent {
+	return launchEvent(func(cl *CapturedLaunch) { cl.BlockCycles = cycles })
+}
+
+// patched returns a copy of doc with the bytes from off replaced by b.
+func patched(doc []byte, off int, b ...byte) []byte {
+	out := append([]byte(nil), doc...)
+	copy(out[off:], b)
+	return out
+}
+
+// TestTraceCodecRejectsMalformed: the decoder is as strict as capture —
+// structural violations and values capture never produces fail cleanly
+// instead of producing a corrupt replay.
 func TestTraceCodecRejectsMalformed(t *testing.T) {
-	cases := []struct{ name, doc string }{
-		{"not JSON", `{`},
-		{"wrong version", `{"version":99,"device":"K20c"}`},
-		{"no device", `{"version":2}`},
-		{"unknown field", `{"version":2,"device":"K20c","frobnicate":1}`},
-		{"unknown event kind", `{"version":2,"device":"K20c","events":[{"kind":"warp"}]}`},
-		{"launch without body", `{"version":2,"device":"K20c","events":[{"kind":"launch"}]}`},
-		{"zero grid", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":0,"Block":128},"BlockCycles":[],"Scale":1}}]}`},
-		{"block cycles mismatch", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":2,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
-		{"previous version", `{"version":1,"device":"K20c","sensitive":true,"reason":"ordered launch \"k\""}`},
-		{"repeat of future launch", `{"version":2,"device":"K20c","events":[{"kind":"repeat","index":0,"n":3}]}`},
-		{"negative repeat", `{"version":2,"device":"K20c","events":[{"kind":"pause","pause":1},{"kind":"repeat","index":0,"n":-1}]}`},
-		{"no resident blocks", `{"version":2,"device":"K20c","events":[{"kind":"launch","launch":{"Spec":{"Name":"k","Grid":1,"Block":128},"BlockCycles":[1],"Scale":1}}]}`},
-		{"unknown device", `{"version":2,"device":"RivaTNT","events":[{"kind":"pause","pause":1}]}`},
-		{"unknown device tombstone", `{"version":2,"device":"RivaTNT","sensitive":true,"reason":"mid-run Now() read"}`},
-		{"zero scale", scaledLaunchDoc("0")},
-		{"fractional scale", scaledLaunchDoc("0.5")},
-		{"negative scale", scaledLaunchDoc("-2")},
+	// An event-free K20c header ends in its sensitive flag, the empty
+	// reason's length and the event count; in a document with fewer than
+	// 128 events the first event's kind byte follows at len(hdr).
+	hdr := k20Doc()
+	flagAt, countAt := len(hdr)-3, len(hdr)-1
+	oneLaunch := k20Doc(launchEvent(nil))
+	onePause := k20Doc(pauseEvent(1))
+	// A one-launch document ends in its run count (1), the run's cycles
+	// float and the run's block count (1).
+	runsAt, runLenAt := len(oneLaunch)-10, len(oneLaunch)-1
+
+	cases := []struct {
+		name string
+		doc  []byte
+	}{
+		{"not a trace", []byte(`{`)},
+		{"wrong version", patched(hdr, len(traceMagic), 99)},
+		{"no device", encodeRaw(&LaunchTrace{})},
+		{"unknown header flag", patched(hdr, flagAt, 2)},
+		{"unknown event kind", patched(onePause, len(hdr), 0x7f)},
+		{"launch without body", append(patched(hdr, countAt, 1), wireLaunch)},
+		{"zero grid", k20Doc(launchEvent(func(cl *CapturedLaunch) { cl.Spec.Grid, cl.BlockCycles = 0, nil }))},
+		{"block cycles mismatch", k20Doc(launchEvent(func(cl *CapturedLaunch) { cl.Spec.Grid = 2 }))},
+		{"previous version", []byte(`{"version":1,"device":"K20c","sensitive":true,"reason":"ordered launch \"k\""}`)},
+		{"JSON version 2", []byte(`{"version":2,"device":"K20c","events":[{"kind":"pause","pause":1}]}`)},
+		{"repeat of future launch", k20Doc(repeatEvent(0, 3))},
+		{"negative repeat", k20Doc(launchEvent(nil), repeatEvent(0, -1))},
+		{"no resident blocks", k20Doc(launchEvent(func(cl *CapturedLaunch) { cl.Occ.BlocksPerSM = 0 }))},
+		{"unknown device", encodeRaw(&LaunchTrace{device: "RivaTNT", events: []captureEvent{pauseEvent(1)}})},
+		{"unknown device tombstone", encodeRaw(&LaunchTrace{device: "RivaTNT", sensitive: true, reason: "mid-run Now() read"})},
+		{"zero scale", k20Doc(withScale(0))},
+		{"fractional scale", k20Doc(withScale(0.5))},
+		{"negative scale", k20Doc(withScale(-2))},
+		{"infinite scale", k20Doc(withScale(math.Inf(1)))},
+		{"negative block cycles", k20Doc(withCycles(-1))},
+		{"infinite block cycles", k20Doc(withCycles(math.Inf(1)))},
+		{"NaN block cycles", k20Doc(withCycles(math.NaN()))},
+		{"zero pause", k20Doc(pauseEvent(0))},
+		{"negative pause", k20Doc(pauseEvent(-1))},
+		{"infinite pause", k20Doc(pauseEvent(math.Inf(1)))},
+		{"NaN pause", k20Doc(pauseEvent(math.NaN()))},
+		{"trailing bytes", append(k20Doc(pauseEvent(1)), 0)},
+		{"trailing bytes after tombstone", append(encodeRaw(&LaunchTrace{device: "K20c", sensitive: true}), 0)},
+		{"truncated", oneLaunch[:len(oneLaunch)-1]},
+		{"event count beyond input", binary.AppendUvarint(bytes.Clone(hdr[:countAt]), 1<<28)},
+		{"device length beyond input", patched(hdr, len(traceMagic)+1, 100)},
+		{"run count beyond input", patched(oneLaunch, runsAt, 2)},
+		{"empty run", patched(oneLaunch, runLenAt, 0)},
+		{"run beyond grid", patched(oneLaunch, runLenAt, 2)},
+		{"block cycles beyond the trace bound", k20Doc(launchEvent(func(cl *CapturedLaunch) { cl.Spec.Grid = maxTraceBlockCycles + 1 }))},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeTrace([]byte(tc.doc)); err == nil {
-			t.Errorf("%s: decoder accepted %s", tc.name, tc.doc)
+		if _, err := DecodeTrace(tc.doc); err == nil {
+			t.Errorf("%s: decoder accepted %q", tc.name, tc.doc)
 		}
 	}
 
-	// The scale rows differ from a well-formed launch only in the scale.
-	if _, err := DecodeTrace([]byte(scaledLaunchDoc("1"))); err != nil {
-		t.Errorf("decoder rejected a well-formed launch with scale 1: %v", err)
+	// The edited rows differ from these well-formed documents only in the
+	// edited value.
+	for _, doc := range [][]byte{oneLaunch, onePause, k20Doc(withScale(1)), k20Doc(withCycles(0)), k20Doc(launchEvent(nil), repeatEvent(0, 3))} {
+		if _, err := DecodeTrace(doc); err != nil {
+			t.Errorf("decoder rejected a well-formed document %q: %v", doc, err)
+		}
+	}
+
+	// A JSON document of an earlier generation is refused by its version,
+	// which brokers treat as a miss.
+	_, err := DecodeTrace([]byte(`{"version":2,"device":"K20c"}`))
+	if err == nil || !strings.Contains(err.Error(), "wire version 2, want 3") {
+		t.Errorf("version-2 refusal %v does not name both versions", err)
+	}
+
+	// The trace bound is checked before the grid's block cycles are
+	// allocated, and the refusal names it.
+	_, err = DecodeTrace(k20Doc(launchEvent(func(cl *CapturedLaunch) { cl.Spec.Grid = maxTraceBlockCycles + 1 })))
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxTraceBlockCycles)) {
+		t.Errorf("over-bound refusal %v does not name the bound", err)
 	}
 
 	// An unknown device is reported with the devices this build knows.
-	_, err := DecodeTrace([]byte(`{"version":2,"device":"RivaTNT"}`))
+	_, err = DecodeTrace(encodeRaw(&LaunchTrace{device: "RivaTNT"}))
 	if err == nil || !strings.Contains(err.Error(), "RivaTNT") || !strings.Contains(err.Error(), "K20c") {
 		t.Errorf("unknown-device refusal %v does not name the device and the known list", err)
 	}
+}
+
+// TestTraceCodecRejectsEveryTruncation: no proper prefix of a real capture
+// decodes.
+func TestTraceCodecRejectsEveryTruncation(t *testing.T) {
+	dev := NewDevice(kepler.Default)
+	dev.BeginCapture()
+	captureProgram(dev)
+	data := encodeRaw(dev.EndCapture())
+	for n := 0; n < len(data); n++ {
+		if _, err := DecodeTrace(data[:n]); err == nil {
+			t.Fatalf("decoder accepted the first %d of %d bytes", n, len(data))
+		}
+	}
+}
+
+// TestTraceCodecCarriesEveryStat: every KernelStats counter survives the
+// wire, so a counter added to KernelStats and forgotten by the codec fails
+// here.
+func TestTraceCodecCarriesEveryStat(t *testing.T) {
+	ev := launchEvent(nil)
+	v := reflect.ValueOf(&ev.launch.Stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int64 {
+			t.Fatalf("KernelStats.%s is a %s; the codec carries int64 counters", v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(i+1) * 1_000_003)
+	}
+	got, err := DecodeTrace(k20Doc(ev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := got.events[0].launch.Stats; stats != ev.launch.Stats {
+		t.Errorf("stats %+v, want %+v", stats, ev.launch.Stats)
+	}
+}
+
+// FuzzDecodeTrace: decoding never panics, and a document the decoder
+// accepts re-encodes to bytes that decode to an identical trace.
+func FuzzDecodeTrace(f *testing.F) {
+	for _, program := range []func(*Device){captureProgram, orderedProgram, irregularProgram} {
+		dev := NewDevice(kepler.Default)
+		dev.BeginCapture()
+		program(dev)
+		f.Add(encodeRaw(dev.EndCapture()))
+	}
+	f.Add(encodeRaw(&LaunchTrace{device: "K20c", sensitive: true, reason: "mid-run Now() read"}))
+	f.Add(k20Doc(launchEvent(nil), pauseEvent(1), repeatEvent(0, 3)))
+	f.Add([]byte(`{"version":2,"device":"K20c"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := DecodeTrace(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeTrace(first)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted trace: %v", err)
+		}
+		second, err := DecodeTrace(enc)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		// Floats travel as raw bits, so equal encodings mean equal traces.
+		if again := encodeRaw(second); !bytes.Equal(enc, again) {
+			t.Fatal("re-encoded trace decodes to a different trace")
+		}
+		if first.Bytes() != second.Bytes() || len(first.events) != len(second.events) {
+			t.Fatalf("footprint %d/%d events, want %d/%d", second.Bytes(), len(second.events), first.Bytes(), len(first.events))
+		}
+		for i := range first.events {
+			if a, b := first.events[i].launch, second.events[i].launch; a != nil && !sameSchedule(a.sched, b.sched) {
+				t.Fatalf("event %d: schedule %+v, want %+v", i, b.sched, a.sched)
+			}
+		}
+	})
 }

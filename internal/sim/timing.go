@@ -145,6 +145,16 @@ func kernelTime(clk kepler.Clocks, occ kepler.Occupancy, s *trace.KernelStats, s
 // listScheduleLinear and TestListScheduleHeapMatchesLinear). Grids run to
 // tens of thousands of blocks over up to 208 slots on every launch, so the
 // log(p) update matters.
+//
+// A launch's leading run of equal costs skips the heap a full round at a
+// time. From p equal loads L, placing p equal costs c >= 0 leaves every
+// load at L+c again: for L+c > L each placement fills the lowest-index slot
+// still at L (round robin), and for L+c == L every slot already holds L+c.
+// So each full round of the run adds c to one base load, the same float
+// addition the heap would make on every slot, and the heap starts after the
+// last full round with every load at that base. Which slot the heap picks
+// next depends only on the (load, index) pairs, never on their positions in
+// the heap array, so the rest of the schedule is unchanged.
 func listSchedule(costs []float64, p int) float64 {
 	if p < 1 {
 		p = 1
@@ -162,14 +172,26 @@ func listSchedule(costs []float64, p int) float64 {
 		}
 		return sum
 	}
+	var base float64
+	start := 0
+	if c := costs[0]; c >= 0 {
+		run := 1
+		for run < len(costs) && math.Float64bits(costs[run]) == math.Float64bits(c) {
+			run++
+		}
+		for ; start+p <= run; start += p {
+			base += c
+		}
+	}
 	h := slotHeap{load: make([]float64, p), idx: make([]int32, p)}
 	for i := range h.idx {
-		// All-zero loads with ascending indices: a valid (load, idx) min-heap
+		// Equal loads with ascending indices: a valid (load, idx) min-heap
 		// by construction, since a parent's array position — and therefore
 		// its index — is always below its children's.
+		h.load[i] = base
 		h.idx[i] = int32(i)
 	}
-	for _, c := range costs {
+	for _, c := range costs[start:] {
 		h.load[0] += c // root is the least-loaded slot
 		h.siftDown()
 	}
