@@ -16,12 +16,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/sensor"
-	"repro/internal/sim"
 	"repro/internal/suites"
 	"repro/internal/trace"
 )
@@ -59,9 +56,12 @@ func main() {
 		in = p.DefaultInput()
 	}
 
-	ctx := context.Background()
-	dev := sim.NewDevice(clk)
-	fatal(core.RunProgram(ctx, p, dev, in))
+	// A run too short or too weak for the sensor is still broken down below;
+	// only its measurement is excluded.
+	dev, samples, m, err := core.Profile(context.Background(), p, in, clk, 1)
+	if err != nil && !core.IsInsufficient(err) {
+		fatal(err)
+	}
 
 	fmt.Printf("%s / input %s / %s\n\n", p.Name(), in, clk)
 
@@ -99,9 +99,7 @@ func main() {
 	fmt.Printf("%-28s %9s %12.3f %12.1f %9.1f\n\n", "TOTAL (simulator truth)", "",
 		dev.ActiveTime(), power.ActiveEnergy(dev), power.ActiveEnergy(dev)/dev.ActiveTime())
 
-	// Measurement through the sensor stack, from the device simulated above.
-	samples := sensor.Record(power.Timeline(dev), clk.Device().Sensor, 1)
-	m, err := k20power.Analyze(samples, clk.Device())
+	// The measurement through the sensor stack, from the run broken down above.
 	if err != nil {
 		fmt.Printf("measurement: %v\n", err)
 		fmt.Println("(the paper excludes such runs from its results)")

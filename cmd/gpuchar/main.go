@@ -12,9 +12,15 @@
 //	gpuchar -exp devices  # same programs on every GPU profile, side by side
 //	gpuchar -exp attrib   # instruction-level energy attribution by op class x kernel
 //	gpuchar -exp attrib -traces traces/ -json    # replay-backed, machine-readable
+//	gpuchar -exp all,frontier -reps 1    # the battery, then the frontier
 //	gpuchar -device GTX1080 -exp table2,fig2    # the battery on another profile
 //	gpuchar -selfcheck    # physics-invariant verification sweep (internal/check)
 //	gpuchar -selfcheck -device JetsonTX2    # invariants on another profile
+//
+// The experiments run in the order -exp names them; 'all' expands in place
+// to the paper's battery (every experiment except frontier, devices and
+// attrib), and a name given twice runs once. An unknown name is refused
+// with the list of valid ones (exit code 2) before anything is measured.
 //
 // -device selects the GPU profile (see internal/kepler/devices); the default
 // is the paper's K20c. Every experiment then reads its operating points from
@@ -54,7 +60,7 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table4,fig1,fig2,fig3,fig4,fig5,fig6,crossgpu,classify,freqsweep,findings or 'all'; 'frontier' (dense DVFS grid), 'devices' (cross-profile comparison) and 'attrib' (instruction-level energy attribution) run only when requested explicitly")
+		expFlag   = flag.String("exp", "all", expUsage())
 		device    = flag.String("device", "", "GPU profile the experiments run on (empty = the paper's K20c); see internal/kepler/devices for the known profiles")
 		progFlag  = flag.String("programs", "", "comma-separated program names to restrict the sweep to (empty = all 34)")
 		reps      = flag.Int("reps", 3, "measurement repetitions per configuration (the paper uses 3)")
@@ -69,6 +75,9 @@ func main() {
 	flag.Parse()
 
 	dev, err := kepler.DeviceByName(*device)
+	if err == nil {
+		_, err = selectExperiments(*expFlag)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuchar:", err)
 		os.Exit(2)
@@ -138,6 +147,10 @@ var errViolations = errors.New("selfcheck found invariant violations")
 // given device profile and returns instead of exiting, so main can always
 // save the store and dump metrics afterwards.
 func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progFlag string, selfcheck, jsonOut bool, dev *kepler.Device) error {
+	selected, err := selectExperiments(expFlag)
+	if err != nil {
+		return err
+	}
 	programs := suites.All()
 	if progFlag != "" {
 		programs = programs[:0]
@@ -162,76 +175,78 @@ func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progF
 		return nil
 	}
 
-	cfgs := dev.Configurations()
-
-	want := map[string]bool{}
-	if expFlag == "all" {
-		for _, e := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "table3", "table4", "fig5", "fig6", "classify", "findings", "freqsweep", "crossgpu"} {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(expFlag, ",") {
-			want[strings.TrimSpace(e)] = true
+	e := &env{ctx: ctx, runner: runner, out: out, programs: programs, dev: dev, cfgs: dev.Configurations(), jsonOut: jsonOut}
+	for _, x := range selected {
+		if err := x.run(e); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	if want["table1"] {
-		report.Table1(out, core.Table1(programs))
-		fmt.Fprintln(out)
-	}
-	if want["table2"] {
-		rows, err := core.Table2(ctx, runner, programs, dev)
+// env is what an experiment reads: the measurement context and runner, the
+// output, and the selected programs and device.
+type env struct {
+	ctx      context.Context
+	runner   *core.Runner
+	out      io.Writer
+	programs []core.Program
+	dev      *kepler.Device
+	cfgs     []kepler.Clocks // dev's canonical ladder (default, 614, 324, ECC on the K20c)
+	jsonOut  bool
+}
+
+// experiment is one -exp name: inAll marks the paper's battery, the
+// experiments 'all' runs.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(*env) error
+}
+
+// experiments lists every experiment in the order 'all' prints them.
+// frontier, devices and attrib stay out of 'all', which keeps the
+// battery's stdout pinned to the paper's tables and figures on the
+// selected device: the frontier sweeps ~25x the paper's configurations,
+// devices measures every program on three profiles, and attrib is a
+// replay-backed pass over the launch traces.
+var experiments = []experiment{
+	{"table1", true, func(e *env) error {
+		report.Table1(e.out, core.Table1(e.programs))
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"table2", true, func(e *env) error {
+		rows, err := core.Table2(e.ctx, e.runner, e.programs, e.dev)
 		if err != nil {
 			return err
 		}
-		report.Table2(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want["fig1"] {
+		report.Table2(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"fig1", true, func(e *env) error {
 		p, err := suites.ByName("LBM")
 		if err != nil {
 			return err
 		}
-		samples, m, err := core.Profile(ctx, p, "3000", cfgs[0], 7)
+		_, samples, m, err := core.Profile(e.ctx, p, "3000", e.cfgs[0], 7)
 		if err != nil {
 			return fmt.Errorf("fig1 profile: %w", err)
 		}
-		report.Figure1(out, samples, m)
-		fmt.Fprintln(out)
-	}
-	if want["fig2"] {
-		rows, err := core.FigureRatios(ctx, runner, programs, cfgs[0], cfgs[1])
-		if err != nil {
-			return err
-		}
-		report.FigureRatios(out, "Figure 2: 614 configuration relative to default", rows)
-		report.BoxPlot(out, "Figure 2 as box plots", rows)
-		fmt.Fprintln(out)
-	}
-	if want["fig3"] {
-		rows, err := core.FigureRatios(ctx, runner, programs, cfgs[1], cfgs[2])
-		if err != nil {
-			return err
-		}
-		report.FigureRatios(out, "Figure 3: 324 configuration relative to 614", rows)
-		report.BoxPlot(out, "Figure 3 as box plots", rows)
-		fmt.Fprintln(out)
-	}
-	if want["fig4"] {
-		rows, err := core.FigureRatios(ctx, runner, programs, cfgs[0], cfgs[3])
-		if err != nil {
-			return err
-		}
-		report.FigureRatios(out, "Figure 4: ECC relative to default", rows)
-		report.BoxPlot(out, "Figure 4 as box plots", rows)
-		fmt.Fprintln(out)
-	}
-	if want["table3"] {
+		report.Figure1(e.out, samples, m)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"fig2", true, figureRatios("Figure 2", "614 configuration relative to default", 0, 1)},
+	{"fig3", true, figureRatios("Figure 3", "324 configuration relative to 614", 1, 2)},
+	{"fig4", true, figureRatios("Figure 4", "ECC relative to default", 0, 3)},
+	{"table3", true, func(e *env) error {
 		lbfs, err := suites.ByName("L-BFS")
 		if err != nil {
 			return err
 		}
-		rows, excluded, err := core.Table3(ctx, runner, lbfs, suites.LBFSVariants(), "usa", dev)
+		rows, excluded, err := core.Table3(e.ctx, e.runner, lbfs, suites.LBFSVariants(), "usa", e.dev)
 		if err != nil {
 			return err
 		}
@@ -239,123 +254,191 @@ func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progF
 		if err != nil {
 			return err
 		}
-		rows2, excl2, err := core.Table3(ctx, runner, sssp, suites.SSSPVariants(), "usa", dev)
+		rows2, excl2, err := core.Table3(e.ctx, e.runner, sssp, suites.SSSPVariants(), "usa", e.dev)
 		if err != nil {
 			return err
 		}
-		report.Table3(out, append(rows, rows2...), append(excluded, excl2...))
-		fmt.Fprintln(out)
-	}
-	if want["table4"] {
-		rows, err := core.Table4(ctx, runner, suites.BFSCross(), dev)
+		report.Table3(e.out, append(rows, rows2...), append(excluded, excl2...))
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"table4", true, func(e *env) error {
+		rows, err := core.Table4(e.ctx, e.runner, suites.BFSCross(), e.dev)
 		if err != nil {
 			return err
 		}
-		report.Table4(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want["fig5"] {
-		rows, err := core.Figure5(ctx, runner, programs, dev)
+		report.Table4(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"fig5", true, func(e *env) error {
+		rows, err := core.Figure5(e.ctx, e.runner, e.programs, e.dev)
 		if err != nil {
 			return err
 		}
-		report.Figure5(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want["fig6"] {
-		rows, err := core.Figure6(ctx, runner, programs, dev)
+		report.Figure5(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"fig6", true, func(e *env) error {
+		rows, err := core.Figure6(e.ctx, e.runner, e.programs, e.dev)
 		if err != nil {
 			return err
 		}
-		report.Figure6(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want["classify"] {
-		classes, err := core.Classify(ctx, runner, programs, dev)
+		report.Figure6(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"classify", true, func(e *env) error {
+		classes, err := core.Classify(e.ctx, e.runner, e.programs, e.dev)
 		if err != nil {
 			return err
 		}
-		report.Classification(out, classes, core.RecommendSubset(classes))
-		fmt.Fprintln(out)
-	}
-	if want["findings"] {
-		findings, err := core.VerifyFindings(ctx, runner, programs, suites.LBFSVariants(), suites.SSSPVariants(), dev)
+		report.Classification(e.out, classes, core.RecommendSubset(classes))
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"findings", true, func(e *env) error {
+		findings, err := core.VerifyFindings(e.ctx, e.runner, e.programs, suites.LBFSVariants(), suites.SSSPVariants(), e.dev)
 		if err != nil {
 			return err
 		}
-		report.Findings(out, findings)
-		fmt.Fprintln(out)
-	}
-	if want["freqsweep"] {
-		for _, name := range []string{"NB", "STEN", "MST"} {
-			p, err := suites.ByName(name)
+		report.Findings(e.out, findings)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"freqsweep", true, func(e *env) error {
+		picks, err := sweepPicks()
+		if err != nil {
+			return err
+		}
+		for _, p := range picks {
+			points, err := core.FreqSweep(e.ctx, e.runner, p, e.dev)
 			if err != nil {
 				return err
 			}
-			points, err := core.FreqSweep(ctx, runner, p, dev)
-			if err != nil {
-				return err
-			}
-			report.FreqSweep(out, p.Name(), cfgs[0], points)
+			report.FreqSweep(e.out, p.Name(), e.cfgs[0], points)
 		}
-		fmt.Fprintln(out)
-	}
-	// The dense-grid frontier is deliberately NOT part of 'all': it sweeps
-	// ~25x the paper's configuration count, and keeping it out preserves the
-	// byte-identical stdout of the existing experiment set.
-	if want["frontier"] {
-		results, err := frontier.SweepAll(ctx, runner, programs, frontier.Options{Device: dev})
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"frontier", false, func(e *env) error {
+		results, err := frontier.SweepAll(e.ctx, e.runner, e.programs, frontier.Options{Device: e.dev})
 		if err != nil {
 			return err
 		}
 		for _, res := range results {
-			report.Frontier(out, res)
+			report.Frontier(e.out, res)
 		}
-		fmt.Fprintln(out)
-	}
-	// The cross-device comparison is likewise NOT part of 'all': it measures
-	// every program on all three representative profiles (K20c, Pascal-class,
-	// Jetson-class), and the 'all' battery is pinned to the selected device's
-	// output alone.
-	if want["devices"] {
-		rows, err := core.DeviceCompare(ctx, runner, programs, kepler.Profiles())
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"devices", false, func(e *env) error {
+		rows, err := core.DeviceCompare(e.ctx, e.runner, e.programs, kepler.Profiles())
 		if err != nil {
 			return err
 		}
-		report.DeviceCompare(out, rows)
-		fmt.Fprintln(out)
-	}
-	// Attribution is likewise NOT part of 'all': it is a replay-backed
-	// post-processing pass over the launch traces, additive to the pinned
-	// experiment battery.
-	if want["attrib"] {
-		rows, err := core.AttributionSweep(ctx, runner, programs, cfgs)
+		report.DeviceCompare(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+	{"attrib", false, func(e *env) error {
+		rows, err := core.AttributionSweep(e.ctx, e.runner, e.programs, e.cfgs)
 		if err != nil {
 			return err
 		}
-		if jsonOut {
-			if err := report.AttributionJSON(out, rows); err != nil {
-				return err
+		if e.jsonOut {
+			return report.AttributionJSON(e.out, rows)
+		}
+		report.Attribution(e.out, rows)
+		return nil
+	}},
+	{"crossgpu", true, func(e *env) error {
+		picks, err := sweepPicks()
+		if err != nil {
+			return err
+		}
+		rows, err := core.CrossGPU(e.ctx, e.runner, picks)
+		if err != nil {
+			return err
+		}
+		report.CrossGPU(e.out, rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}},
+}
+
+// figureRatios is the body of Figures 2-4: every program at config alt
+// relative to config base of the device's ladder, as ratio table and box
+// plots.
+func figureRatios(figure, caption string, base, alt int) func(*env) error {
+	return func(e *env) error {
+		rows, err := core.FigureRatios(e.ctx, e.runner, e.programs, e.cfgs[base], e.cfgs[alt])
+		if err != nil {
+			return err
+		}
+		report.FigureRatios(e.out, figure+": "+caption, rows)
+		report.BoxPlot(e.out, figure+" as box plots", rows)
+		fmt.Fprintln(e.out)
+		return nil
+	}
+}
+
+// sweepPicks returns the three programs freqsweep and crossgpu follow
+// across clock settings and boards: compute-bound NB, memory-bound STEN
+// and irregular MST.
+func sweepPicks() ([]core.Program, error) {
+	var picks []core.Program
+	for _, name := range []string{"NB", "STEN", "MST"} {
+		p, err := suites.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		picks = append(picks, p)
+	}
+	return picks, nil
+}
+
+// selectExperiments resolves an -exp value to the experiments it names, in
+// the order named: 'all' expands in place to the battery, a repeated name
+// runs once, and an unknown name is an error listing the valid ones.
+func selectExperiments(expFlag string) ([]experiment, error) {
+	var selected []experiment
+	seen := map[string]bool{}
+	for _, name := range strings.Split(expFlag, ",") {
+		name = strings.TrimSpace(name)
+		matched := false
+		for _, x := range experiments {
+			if x.name != name && !(name == "all" && x.inAll) {
+				continue
 			}
-		} else {
-			report.Attribution(out, rows)
-		}
-	}
-	if want["crossgpu"] {
-		var picks []core.Program
-		for _, name := range []string{"NB", "STEN", "MST"} {
-			p, err := suites.ByName(name)
-			if err != nil {
-				return err
+			matched = true
+			if !seen[x.name] {
+				seen[x.name] = true
+				selected = append(selected, x)
 			}
-			picks = append(picks, p)
 		}
-		rows, err := core.CrossGPU(ctx, runner, picks)
-		if err != nil {
-			return err
+		if !matched {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s or all", name, strings.Join(experimentNames(false), ","))
 		}
-		report.CrossGPU(out, rows)
-		fmt.Fprintln(out)
 	}
-	return nil
+	return selected, nil
+}
+
+// experimentNames lists the experiments in table order: those 'all' runs,
+// or every one.
+func experimentNames(battery bool) []string {
+	var names []string
+	for _, x := range experiments {
+		if x.inAll || !battery {
+			names = append(names, x.name)
+		}
+	}
+	return names
+}
+
+// expUsage is the -exp flag's help text.
+func expUsage() string {
+	return "comma-separated experiments, run in the order named: " + strings.Join(experimentNames(false), ",") +
+		"; 'all' expands in place to " + strings.Join(experimentNames(true), ",")
 }

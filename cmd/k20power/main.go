@@ -94,7 +94,7 @@ func emitLog(w io.Writer, spec string, seed uint64) error {
 			return err
 		}
 	}
-	samples, _, err := core.Profile(context.Background(), p, input, clk, seed)
+	_, samples, _, err := core.Profile(context.Background(), p, input, clk, seed)
 	if err != nil && samples == nil {
 		return err
 	}

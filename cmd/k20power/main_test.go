@@ -39,7 +39,7 @@ func TestEmitAnalyzeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, want, err := core.Profile(context.Background(), p, input, kepler.Default, seed)
+	_, raw, want, err := core.Profile(context.Background(), p, input, kepler.Default, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,6 @@
 //   - internal/core: the characterization framework and the experiment
 //     drivers that regenerate every table and figure.
 //
-// The root-level benchmarks (bench_test.go) regenerate each of the paper's
-// tables and figures; cmd/gpuchar prints them.
+// cmd/gpuchar regenerates and prints each of the paper's tables and
+// figures; bench/ is the repository's benchmark.
 package repro

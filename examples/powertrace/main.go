@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	samples, m, err := core.Profile(ctx, p, "3000", kepler.Default, 42)
+	_, samples, m, err := core.Profile(ctx, p, "3000", kepler.Default, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

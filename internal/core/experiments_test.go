@@ -169,7 +169,7 @@ func TestFigure6Toy(t *testing.T) {
 
 func TestProfileToy(t *testing.T) {
 	p := computeBoundToy(4000)
-	samples, m, err := Profile(context.Background(), p, "default", kepler.Default, 3)
+	_, samples, m, err := Profile(context.Background(), p, "default", kepler.Default, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,39 +160,6 @@ func UniformRandom(n, degree int, seed uint64) *Graph {
 	return b.build()
 }
 
-// ScaleFree generates a directed scale-free-ish graph via an RMAT-style
-// recursive partition (used for the points-to constraint structures and the
-// paper's skewed inputs).
-func ScaleFree(n, m int, seed uint64) *Graph {
-	rng := xrand.New(seed)
-	b := newBuilder(n, false)
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for i := 0; i < bits; i++ {
-			p := rng.Float64()
-			switch {
-			case p < 0.45: // a: top-left
-			case p < 0.67: // b
-				v |= 1 << i
-			case p < 0.89: // c
-				u |= 1 << i
-			default: // d
-				u |= 1 << i
-				v |= 1 << i
-			}
-		}
-		if u >= n || v >= n || u == v {
-			continue
-		}
-		b.addEdge(u, v, 0)
-	}
-	return b.build()
-}
-
 // BFSLevels is the sequential reference BFS, returning each node's level
 // from src (-1 if unreachable).
 func BFSLevels(g *Graph, src int) []int32 {
@@ -373,36 +340,4 @@ func sortEdges(edges []wedge) {
 			copy(edges[lo:hi], buf[lo:hi])
 		}
 	}
-}
-
-// Components returns the number of connected components (treating edges as
-// undirected).
-func Components(g *Graph) int {
-	parent := make([]int32, g.N)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			ru, rv := find(int32(u)), find(v)
-			if ru != rv {
-				parent[ru] = rv
-			}
-		}
-	}
-	count := 0
-	for i := range parent {
-		if find(int32(i)) == int32(i) {
-			count++
-		}
-	}
-	return count
 }

@@ -68,24 +68,6 @@ func TestUniformRandomDegree(t *testing.T) {
 	}
 }
 
-func TestScaleFreeSkew(t *testing.T) {
-	g := ScaleFree(1<<12, 1<<15, 5)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Scale-free: the max degree should far exceed the average.
-	maxDeg := 0
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	avg := float64(g.M()) / float64(g.N)
-	if float64(maxDeg) < 8*avg {
-		t.Errorf("max degree %d vs avg %.1f: distribution not skewed", maxDeg, avg)
-	}
-}
-
 func TestBFSLevelsSmall(t *testing.T) {
 	// Path graph 0-1-2-3.
 	b := newBuilder(4, false)
@@ -153,16 +135,6 @@ func TestMSTWeightSmall(t *testing.T) {
 	g := b.build()
 	if w := MSTWeight(g); w != 6 {
 		t.Errorf("MST weight = %d, want 6", w)
-	}
-}
-
-func TestComponents(t *testing.T) {
-	b := newBuilder(5, false)
-	b.addBoth(0, 1, 0)
-	b.addBoth(2, 3, 0)
-	g := b.build()
-	if c := Components(g); c != 3 {
-		t.Errorf("components = %d, want 3", c)
 	}
 }
 

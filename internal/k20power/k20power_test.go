@@ -101,6 +101,15 @@ func TestInsufficientAt1HzLowPower(t *testing.T) {
 	if err == nil || (!errors.Is(err, ErrInsufficientSamples) && !errors.Is(err, ErrNoActivity)) {
 		t.Errorf("want insufficiency for short low-power run, got %v", err)
 	}
+	// The 1 Hz idle rate is the cause: a sensor that never leaves its
+	// 10 Hz active rate (SwitchW = 0) measures the same run.
+	always10 := k20c.Sensor
+	always10.NoiseSigmaW, always10.DriftAmpW, always10.SwitchW = 0, 0, 0
+	m10, err := Analyze(sensor.Record(plateau(38, 8), always10, 3), k20c)
+	if err != nil {
+		t.Fatalf("8 s at 38 W from an always-10 Hz sensor should be measurable: %v", err)
+	}
+	t.Logf("always-10 Hz sensor: %d active samples, active time %.2f s", m10.ActiveSamples, m10.ActiveTime)
 	// But a long one is measurable at 1 Hz.
 	samples = cleanSensor(plateau(38, 60), 3)
 	m, err := Analyze(samples, k20c)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,10 +217,4 @@ func promHistogram(name, help string, h *Histogram, base []promtext.Label) promt
 		},
 	)
 	return f
-}
-
-// WriteProm writes the registry in the Prometheus text exposition format
-// 0.0.4, with the given labels on every sample.
-func (r *Registry) WriteProm(w io.Writer, labels ...promtext.Label) error {
-	return promtext.Write(w, r.PromFamilies(labels...))
 }

@@ -25,7 +25,7 @@ func TestPromExposition(t *testing.T) {
 	h.Observe(2 * time.Second)
 
 	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
+	if err := promtext.Write(&buf, reg.PromFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -57,7 +57,7 @@ func TestPromExposition(t *testing.T) {
 
 	// Families are emitted sorted, so the exposition is deterministic.
 	var buf2 bytes.Buffer
-	if err := reg.WriteProm(&buf2); err != nil {
+	if err := promtext.Write(&buf2, reg.PromFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -117,7 +117,7 @@ func TestPromLabels(t *testing.T) {
 	reg.Counter("simulate_runs_device_K20c").Inc()
 
 	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf, promtext.Label{Name: "worker", Value: "w0"}); err != nil {
+	if err := promtext.Write(&buf, reg.PromFamilies(promtext.Label{Name: "worker", Value: "w0"})); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -143,7 +143,7 @@ func TestPromJSONUnchanged(t *testing.T) {
 	}
 	// Rendering the text exposition is read-only.
 	var promBuf bytes.Buffer
-	if err := reg.WriteProm(&promBuf); err != nil {
+	if err := promtext.Write(&promBuf, reg.PromFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer
@@ -151,7 +151,7 @@ func TestPromJSONUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Error("WriteProm changed the JSON snapshot")
+		t.Error("rendering the exposition changed the JSON snapshot")
 	}
 	if !bytes.HasPrefix(before.Bytes(), []byte("{\n  \"counters\":")) {
 		t.Errorf("JSON snapshot shape drifted: %s", before.Bytes())

@@ -180,15 +180,6 @@ func Timeline(dev *sim.Device) []Segment {
 	return segs
 }
 
-// TotalEnergy integrates a timeline (for tests and sanity checks).
-func TotalEnergy(segs []Segment) float64 {
-	var e float64
-	for _, s := range segs {
-		e += s.Watts * s.Duration
-	}
-	return e
-}
-
 // ActiveEnergy returns the energy of the device's kernel executions only
 // (the ground truth the measurement stack tries to recover).
 func ActiveEnergy(dev *sim.Device) float64 {

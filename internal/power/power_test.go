@@ -77,6 +77,17 @@ func TestVoltageScalingSuperlinearPowerDrop(t *testing.T) {
 	if drop <= freqDrop {
 		t.Errorf("power drop %.3f not superlinear vs frequency drop %.3f", drop, freqDrop)
 	}
+	// Frequency-only ablation: 614 MHz at the default voltage must drop
+	// power less than the real 614 setting, whose voltage falls too.
+	freqOnly := kepler.F614
+	freqOnly.Name = "614-novdrop"
+	freqOnly.VoltageV = kepler.Default.VoltageV
+	_, lFlat := computeLaunch(freqOnly)
+	flatDrop := 1 - LaunchPower(freqOnly, lFlat)/pDef
+	t.Logf("power drop at 614: %.3f with voltage scaling, %.3f frequency only", drop, flatDrop)
+	if flatDrop >= drop {
+		t.Errorf("frequency-only power drop %.3f >= real 614 drop %.3f: voltage scaling contributes nothing", flatDrop, drop)
+	}
 }
 
 func TestEnergyRoughlyConstantUnderCoreScaling(t *testing.T) {
@@ -153,8 +164,10 @@ func TestTimelineShape(t *testing.T) {
 
 func TestTimelineEnergyConservation(t *testing.T) {
 	d, l := computeLaunch(kepler.Default)
-	segs := Timeline(d)
-	total := TotalEnergy(segs)
+	var total float64
+	for _, s := range Timeline(d) {
+		total += s.Watts * s.Duration
+	}
 	active := ActiveEnergy(d)
 	if active <= 0 {
 		t.Fatal("no active energy")

@@ -223,9 +223,6 @@ func (d *Device) SetTimeScale(k float64) {
 	d.timeScale = k
 }
 
-// TimeScale returns the current surrogate factor.
-func (d *Device) TimeScale() float64 { return d.timeScale }
-
 // HostPause advances the simulated clock by dt seconds of host-side work
 // (no kernel running, GPU at idle/tail power).
 func (d *Device) HostPause(dt float64) {

@@ -170,6 +170,9 @@ func TestMemoryKernelInsensitiveToCoreClock(t *testing.T) {
 	}
 }
 
+// TestECCSlowsMemoryBound: ECC costs a coalesced stream about its 12.5%
+// bandwidth loss, and a scattered gather more — the mechanism behind
+// Lonestar's outsized ECC cost.
 func TestECCSlowsMemoryBound(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
 		d := NewDevice(clk)
@@ -182,6 +185,46 @@ func TestECCSlowsMemoryBound(t *testing.T) {
 	slow := run(kepler.ECCDefault) / run(kepler.Default)
 	if slow < 1.05 || slow > 1.15 {
 		t.Errorf("ECC slowdown (coalesced) = %.3f, want ~1.125", slow)
+	}
+	gather := func(clk kepler.Clocks) float64 {
+		d := NewDevice(clk)
+		src := d.NewArray(1<<20, 4)
+		l := d.Launch("gather", 1<<12, 256, func(c *Ctx) {
+			h := uint64(c.TID()) * 2654435761 % (1 << 20)
+			for k := 0; k < 8; k++ {
+				c.Load(src.At(int(h)), 4)
+				h = (h*6364136223846793005 + 12345) % (1 << 20)
+			}
+		})
+		return l.Duration
+	}
+	scattered := gather(kepler.ECCDefault) / gather(kepler.Default)
+	t.Logf("ECC slowdown: coalesced %.3f, scattered %.3f", slow, scattered)
+	if scattered <= slow {
+		t.Errorf("ECC slowdown (scattered) = %.3f, want above the coalesced %.3f", scattered, slow)
+	}
+}
+
+// TestRaggedLoopCostsLongestLane: a warp whose lanes run 2..64 loop trips
+// costs about its longest lane (masked execution), not the sum of its
+// lanes' trips (~8x for this spread), which a path-serialized model would
+// charge.
+func TestRaggedLoopCostsLongestLane(t *testing.T) {
+	run := func(ragged bool) float64 {
+		d := NewDevice(kepler.Default)
+		l := d.Launch("loop", 512, 256, func(c *Ctx) {
+			n := 64
+			if ragged {
+				n = 2 + (c.TID()%32)*62/31
+			}
+			c.IntOps(n)
+		})
+		return l.Duration
+	}
+	r := run(true) / run(false)
+	t.Logf("ragged/uniform launch duration = %.3f", r)
+	if r > 1.5 {
+		t.Errorf("ragged loops cost %.3fx the uniform ones; masked-lane costing broken", r)
 	}
 }
 
@@ -296,10 +339,8 @@ func TestTimeScale(t *testing.T) {
 		t.Errorf("launch scale = %f", l50.Scale)
 	}
 	// Clamped below 1.
-	d := NewDevice(kepler.Default)
-	d.SetTimeScale(0.1)
-	if d.TimeScale() != 1 {
-		t.Error("time scale not clamped to >= 1")
+	if l := run(0.1); l.Scale != 1 || l.Duration != l1.Duration {
+		t.Errorf("time scale 0.1 gave launch scale %f, duration %g: not clamped to 1", l.Scale, l.Duration)
 	}
 }
 

@@ -108,19 +108,3 @@ func Mean(vals []float64) float64 {
 	}
 	return sum / float64(len(vals))
 }
-
-// GeoMean returns the geometric mean of positive values (NaN if empty or if
-// any value is non-positive).
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range vals {
-		if v <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
-}

@@ -60,15 +60,9 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("mean wrong")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("geomean = %f", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("geomean of negative should be NaN")
 	}
 }
 
