@@ -58,17 +58,18 @@ smoke:
 
 # Dense-grid frontier golden-diff smoke: two runs of `gpuchar -exp frontier`
 # (cold, then warm from the same store) must print byte-identical frontier
-# tables. The cold run must replay every program's grid, interpolating no
-# point and re-simulating nothing, and the warm run must re-price the whole
-# ~100-config grid without a single simulation. CI runs this
-# target; needs jq.
+# tables. The cold run must simulate each program exactly once (one capture
+# per printed frontier, the whole grid replayed from it), and the warm run
+# must re-price the whole ~100-config grid without a single simulation. CI
+# runs this target; needs jq.
 frontier-smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchar-frontier ./cmd/gpuchar; \
 	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-1.txt 2>$$tmp/gpuchar-frontier-1.json; \
 	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-2.txt 2>$$tmp/gpuchar-frontier-2.json; \
 	cmp $$tmp/gpuchar-frontier-1.txt $$tmp/gpuchar-frontier-2.txt; \
-	jq -e '(.counters.frontier_interpolated // 0) == 0 and (.counters.trace_cache_sensitive_runs // 0) == 0' $$tmp/gpuchar-frontier-1.json; \
+	n=$$(grep -c '^Frontier for' $$tmp/gpuchar-frontier-1.txt); \
+	jq -e --argjson n "$$n" '$$n > 0 and .counters.simulate_runs_device_K20c == $$n' $$tmp/gpuchar-frontier-1.json; \
 	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-frontier-2.json; \
 	jq -e '.counters.frontier_replays > 0' $$tmp/gpuchar-frontier-2.json
 

@@ -33,9 +33,8 @@ const calibEntryTol = 1e-9 // recovered table entry vs its table value
 // That the classes sum to the dynamic energy needs no check: power defines
 // a launch's dynamic energy as that sum.
 //
-// The devices come from the launch-trace cache (replay for the
-// clock-insensitive programs), so on the selfcheck's warm cache this pass
-// re-simulates only the clock-sensitive programs.
+// The devices are replays from the launch-trace cache, so on the
+// selfcheck's warm cache this pass simulates nothing.
 func checkAttribution(ctx context.Context, r *core.Runner, p core.Program, configs []kepler.Clocks, byConfig map[string]*core.Result) ([]Violation, int, error) {
 	var vs []Violation
 	checks := 0

@@ -217,8 +217,8 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepl
 
 	// Determinism: a fresh runner reproduces the default configuration.
 	// Replay identity: a fresh runner that simulates every configuration
-	// from scratch reproduces the main sweep, which served most
-	// configurations by replaying launch traces.
+	// from scratch reproduces the main sweep, which priced every
+	// configuration by replaying launch traces.
 	vs, n, err = checkRerun(ctx, r, programs, []kepler.Clocks{dev.DefaultConfig()}, "determinism", false)
 	if err != nil {
 		return nil, err

@@ -37,8 +37,8 @@ func TestReplayedMeasureAllocs(t *testing.T) {
 		}
 		next++
 	})
-	if got := r.Metrics().Snapshot().Counters["trace_cache_replays"]; got != int64(next-1) {
-		t.Fatalf("%d replays, want %d: every timed Measure must replay", got, next-1)
+	if got := r.Metrics().Snapshot().Counters["trace_cache_replays"]; got != int64(next) {
+		t.Fatalf("%d replays, want %d: every Measure must replay", got, next)
 	}
 	const budget = 64
 	if allocs > budget {

@@ -11,13 +11,12 @@ import (
 )
 
 // SimulatedDevice returns the completed simulated device for one (program,
-// input, configuration) combination, through the same launch-trace cache
-// the measurement pipeline's simulate stage uses: a cached (or brokered)
-// clock-insensitive trace replays the timing model with zero simulation,
-// anything else is simulated fresh and captured for the next caller. The
-// result is bit-identical to the device a full measurement of the
-// combination would have produced; callers (the attribution pass, the
-// selfcheck tie-outs) consume it read-only.
+// input, configuration) combination through the measurement pipeline's
+// simulate stage: the pair's launch trace — cached, brokered or captured
+// now — replayed at the configuration. It is the very device a full
+// measurement of the combination prices, and it fails like one, e.g. on a
+// program that reads the simulated clock mid-run; callers (the attribution
+// pass, the selfcheck tie-outs) consume it read-only.
 func (r *Runner) SimulatedDevice(ctx context.Context, p Program, input string, clk kepler.Clocks) (*sim.Device, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -46,10 +45,10 @@ type ProgramAttribution struct {
 
 // AttributionSweep attributes every program's default input at every given
 // configuration, in deterministic (program, config) order. On a warm
-// launch-trace cache (or through a broker) the clock-insensitive programs
-// cost zero simulations — attribution is a post-processing pass over
-// replayed traces. Each finished row bumps the runner's attrib_rows
-// counter, the progress source of attribution jobs.
+// launch-trace cache (or through a broker) it costs zero simulations —
+// attribution is a post-processing pass over replayed traces. Each
+// finished row bumps the runner's attrib_rows counter, the progress source
+// of attribution jobs.
 func AttributionSweep(ctx context.Context, r *Runner, programs []Program, configs []kepler.Clocks) ([]ProgramAttribution, error) {
 	done := r.Metrics().Counter("attrib_rows")
 	var rows []ProgramAttribution

@@ -121,8 +121,8 @@ func TestTraceCacheDeviceKeying(t *testing.T) {
 		t.Fatalf("trace_cache_captures = %d after the K20c configs, want 1", got)
 	}
 	replaysAfterK20c := snap.Counters["trace_cache_replays"]
-	if replaysAfterK20c != int64(len(kepler.Configs)-1) {
-		t.Fatalf("trace_cache_replays = %d, want %d", replaysAfterK20c, len(kepler.Configs)-1)
+	if replaysAfterK20c != int64(len(kepler.Configs)) {
+		t.Fatalf("trace_cache_replays = %d, want %d", replaysAfterK20c, len(kepler.Configs))
 	}
 
 	// The Pascal request must capture its own trace, not replay the K20c's.
@@ -133,23 +133,23 @@ func TestTraceCacheDeviceKeying(t *testing.T) {
 	if got := snap.Counters["trace_cache_captures"]; got != 2 {
 		t.Errorf("trace_cache_captures = %d after the Pascal request, want 2 (per-device traces)", got)
 	}
-	if got := snap.Counters["trace_cache_replays"]; got != replaysAfterK20c {
-		t.Errorf("trace_cache_replays rose to %d on a cross-device request", got)
+	if got := snap.Counters["trace_cache_replays"]; got != replaysAfterK20c+1 {
+		t.Errorf("trace_cache_replays = %d after the Pascal request, want %d (its own capture's replay)", got, replaysAfterK20c+1)
 	}
 
-	// Both devices' traces are known independently.
-	if _, known := r.TraceClockSensitive(p, "default", kepler.Default); !known {
-		t.Error("K20c trace unknown after sweep")
-	}
-	if _, known := r.TraceClockSensitive(p, "default", gtxDef); !known {
-		t.Error("GTX1080 trace unknown after measurement")
-	}
+	// Both devices' traces are cached independently: pricing either device
+	// again captures nothing, and a first Jetson request captures its own.
 	jet, err := kepler.DeviceByName("JetsonTX2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, known := r.TraceClockSensitive(p, "default", jet.DefaultConfig()); known {
-		t.Error("Jetson trace reported known without any Jetson measurement")
+	for i, clk := range []kepler.Clocks{kepler.Default, gtxDef, jet.DefaultConfig()} {
+		if _, err := r.SimulatedDevice(ctx, p, "default", clk); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Metrics().Snapshot().Counters["trace_cache_captures"], int64(2+i/2); got != want {
+			t.Errorf("trace_cache_captures = %d after %s@%s, want %d", got, clk.Device().Name, clk.Name, want)
+		}
 	}
 
 	// The per-device simulate counters attribute the work correctly: one

@@ -12,7 +12,7 @@ import (
 // file per (device, program, input), written atomically. It gives a single
 // process a durable launch-trace store across runs (gpuchar -traces), the
 // filesystem analogue of the fleet's HTTP broker: a warm directory replays
-// every clock-insensitive program with zero simulations.
+// every program with zero simulations.
 //
 // Both methods follow the TraceBroker contract: a fetch that fails for any
 // reason (missing file, stale encoding, corruption) is a miss, and a store

@@ -25,16 +25,12 @@ type runnerMetrics struct {
 	sweepJobsCanceled *obs.Counter
 
 	// Launch-trace cache traffic of the simulate stage: a capture simulated
-	// with trace recording (a cache miss), a replay served a measurement
-	// from a captured trace instead of simulating (a hit), a sensitive run
-	// re-simulated because the program is clock-sensitive. traceSensitive
-	// counts captured traces that turned out sensitive; traceBytes
-	// accumulates the footprint of retained traces.
-	traceCaptures      *obs.Counter
-	traceReplays       *obs.Counter
-	traceSensitive     *obs.Counter
-	traceSensitiveRuns *obs.Counter
-	traceBytes         *obs.Counter
+	// the program with trace recording (a cache miss), a replay priced a
+	// trace at one measurement's configuration (every measured device is
+	// one). traceBytes accumulates the footprint of retained traces.
+	traceCaptures *obs.Counter
+	traceReplays  *obs.Counter
+	traceBytes    *obs.Counter
 
 	// Fleet trace-broker traffic (zero when no Broker is configured): a
 	// fetch hit adopted another worker's capture instead of simulating, a
@@ -79,23 +75,21 @@ func (r *Runner) metricsHandles() *runnerMetrics {
 	r.metricsOnce.Do(func() {
 		reg := obs.NewRegistry()
 		m := &runnerMetrics{
-			reg:                reg,
-			cacheHits:          reg.Counter("measure_cache_hits"),
-			cacheMisses:        reg.Counter("measure_cache_misses"),
-			singleflightWaits:  reg.Counter("measure_singleflight_waits"),
-			sweepJobsTotal:     reg.Counter("sweep_jobs_total"),
-			sweepJobsDone:      reg.Counter("sweep_jobs_done"),
-			sweepJobsCanceled:  reg.Counter("sweep_jobs_canceled"),
-			traceCaptures:      reg.Counter("trace_cache_captures"),
-			traceReplays:       reg.Counter("trace_cache_replays"),
-			traceSensitive:     reg.Counter("trace_cache_sensitive_traces"),
-			traceSensitiveRuns: reg.Counter("trace_cache_sensitive_runs"),
-			traceBytes:         reg.Counter("trace_cache_bytes"),
-			brokerFetchHits:    reg.Counter("trace_broker_fetch_hits"),
-			brokerFetchMisses:  reg.Counter("trace_broker_fetch_misses"),
-			brokerPuts:         reg.Counter("trace_broker_puts"),
-			stageHist:          make(map[string]*obs.Histogram, len(StageNames)),
-			deviceSim:          make(map[string]*obs.Counter),
+			reg:               reg,
+			cacheHits:         reg.Counter("measure_cache_hits"),
+			cacheMisses:       reg.Counter("measure_cache_misses"),
+			singleflightWaits: reg.Counter("measure_singleflight_waits"),
+			sweepJobsTotal:    reg.Counter("sweep_jobs_total"),
+			sweepJobsDone:     reg.Counter("sweep_jobs_done"),
+			sweepJobsCanceled: reg.Counter("sweep_jobs_canceled"),
+			traceCaptures:     reg.Counter("trace_cache_captures"),
+			traceReplays:      reg.Counter("trace_cache_replays"),
+			traceBytes:        reg.Counter("trace_cache_bytes"),
+			brokerFetchHits:   reg.Counter("trace_broker_fetch_hits"),
+			brokerFetchMisses: reg.Counter("trace_broker_fetch_misses"),
+			brokerPuts:        reg.Counter("trace_broker_puts"),
+			stageHist:         make(map[string]*obs.Histogram, len(StageNames)),
+			deviceSim:         make(map[string]*obs.Counter),
 		}
 		for _, name := range StageNames {
 			m.stageHist[name] = reg.Histogram("stage_" + name + "_seconds")

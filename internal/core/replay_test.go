@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kepler"
 	"repro/internal/sim"
@@ -68,27 +72,6 @@ func orderedToy(name string, calls *int) *toyProgram {
 	}
 }
 
-// clockReaderToy branches on the simulated clock mid-run, so its Go-side
-// evolution depends on the configuration: the capture layer must mark it
-// clock-sensitive.
-func clockReaderToy(name string, calls *int) *toyProgram {
-	return &toyProgram{
-		name:  name,
-		suite: SuiteLonestar,
-		run: func(dev *sim.Device) error {
-			if calls != nil {
-				*calls++
-			}
-			dev.SetTimeScale(100)
-			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(400) })
-			dev.Repeat(l, 4000)
-			grid := 64 + int(dev.Now()*1e3)%64
-			dev.Launch("k2", grid, 256, func(c *sim.Ctx) { c.IntOps(100) })
-			return nil
-		},
-	}
-}
-
 // measureConfigs measures p at every configuration on r, failing the test on
 // any error, and returns the results in kepler.Configs order.
 func measureConfigs(t *testing.T, r *Runner, p Program) []*Result {
@@ -105,8 +88,8 @@ func measureConfigs(t *testing.T, r *Runner, p Program) []*Result {
 }
 
 // TestReplayMatchesNoReplayBitIdentical is the core-layer soundness
-// contract: for a clock-insensitive program, a runner serving three of the
-// four configurations from the launch-trace cache must produce results
+// contract: a runner that simulates the program once and prices all four
+// configurations by replaying its launch trace must produce results
 // bit-identical to a runner that simulates every configuration from scratch.
 func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	calls := 0
@@ -131,8 +114,8 @@ func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	if c := m.traceCaptures.Value(); c != 1 {
 		t.Errorf("trace_cache_captures = %d, want 1", c)
 	}
-	if c := m.traceReplays.Value(); c != 3 {
-		t.Errorf("trace_cache_replays = %d, want 3", c)
+	if c := m.traceReplays.Value(); c != 4 {
+		t.Errorf("trace_cache_replays = %d, want 4 (one per measurement)", c)
 	}
 	if c := m.traceBytes.Value(); c <= 0 {
 		t.Errorf("trace_cache_bytes = %d, want > 0", c)
@@ -144,8 +127,8 @@ func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 }
 
 // TestOrderedProgramReplayed: a program with an Ordered launch simulates
-// once and replays at the other configurations, bit-identical to a
-// NoReplay runner.
+// once and replays at every configuration, bit-identical to a NoReplay
+// runner.
 func TestOrderedProgramReplayed(t *testing.T) {
 	calls := 0
 	r := NewRunner()
@@ -154,11 +137,8 @@ func TestOrderedProgramReplayed(t *testing.T) {
 		t.Errorf("ordered program ran %d times, want 1", calls)
 	}
 	m := r.metricsHandles()
-	if c := m.traceReplays.Value(); c != int64(len(kepler.Configs))-1 {
-		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs)-1)
-	}
-	if c := m.traceSensitiveRuns.Value(); c != 0 {
-		t.Errorf("trace_cache_sensitive_runs = %d, want 0", c)
+	if c := m.traceReplays.Value(); c != int64(len(kepler.Configs)) {
+		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs))
 	}
 
 	fresh := NewRunner()
@@ -167,41 +147,6 @@ func TestOrderedProgramReplayed(t *testing.T) {
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s: replayed ordered result differs from fresh simulation",
-				kepler.Configs[i].Name)
-		}
-	}
-}
-
-// TestClockSensitiveProgramNeverReplayed: a program that reads the
-// simulated clock mid-run must be re-simulated at every configuration —
-// never served from the trace cache — and still agree bit for bit with a
-// NoReplay runner.
-func TestClockSensitiveProgramNeverReplayed(t *testing.T) {
-	calls := 0
-	r := NewRunner()
-	got := measureConfigs(t, r, clockReaderToy("toy-clock-reader", &calls))
-	if calls != len(kepler.Configs) {
-		t.Errorf("clock-sensitive program ran %d times, want %d (one per config)",
-			calls, len(kepler.Configs))
-	}
-
-	m := r.metricsHandles()
-	if c := m.traceReplays.Value(); c != 0 {
-		t.Errorf("trace_cache_replays = %d for a clock-sensitive program, want 0", c)
-	}
-	if c := m.traceSensitive.Value(); c != 1 {
-		t.Errorf("trace_cache_sensitive_traces = %d, want 1", c)
-	}
-	if c := m.traceSensitiveRuns.Value(); c != int64(len(kepler.Configs))-1 {
-		t.Errorf("trace_cache_sensitive_runs = %d, want %d", c, len(kepler.Configs)-1)
-	}
-
-	fresh := NewRunner()
-	fresh.NoReplay = true
-	want := measureConfigs(t, fresh, clockReaderToy("toy-clock-reader", nil))
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: sensitive-path result differs from fresh simulation",
 				kepler.Configs[i].Name)
 		}
 	}
@@ -226,8 +171,8 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 		t.Fatalf("canceled capture left %d trace cache entries, want 0", n)
 	}
 
-	// Disarm the cancel: the rerun must recapture, and the other configs
-	// replay off the complete trace.
+	// Disarm the cancel: the rerun must recapture, and every config replays
+	// off the complete trace.
 	cancelFn = nil
 	got := measureConfigs(t, r, p)
 
@@ -235,8 +180,8 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 	if c := m.traceCaptures.Value(); c != 1 {
 		t.Errorf("trace_cache_captures = %d after rerun, want 1", c)
 	}
-	if c := m.traceReplays.Value(); c != int64(len(kepler.Configs))-1 {
-		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs)-1)
+	if c := m.traceReplays.Value(); c != int64(len(kepler.Configs)) {
+		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs))
 	}
 
 	fresh := NewRunner()
@@ -251,9 +196,102 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestTraceCacheWaiterReclaimsCanceledCapture: a capture canceled while a
+// measurement of the same pair at another configuration, with a live
+// context, waits on it. The waiter must claim the pair itself, capture it
+// once and replay it, bit-identical to a NoReplay runner.
+func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
+	var runs atomic.Int32
+	started, proceed := make(chan struct{}), make(chan struct{})
+	p := &toyProgram{
+		name:  "toy-reclaim",
+		suite: SuiteSDK,
+		run: func(dev *sim.Device) error {
+			dev.SetTimeScale(100)
+			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
+			dev.Repeat(l, 4000)
+			if runs.Add(1) == 1 {
+				// The first run (the doomed capture) holds here.
+				close(started)
+				<-proceed
+			}
+			l2 := dev.Launch("k2", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
+			dev.Repeat(l2, 2000)
+			return nil
+		},
+	}
+	waiterClk := kepler.Configs[1]
+
+	r := NewRunner()
+	ctx, cancel := context.WithCancel(context.Background())
+	capErr := make(chan error, 1)
+	go func() {
+		_, err := r.Measure(ctx, p, "default", kepler.Default)
+		capErr <- err
+	}()
+	<-started
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		res, err := r.Measure(context.Background(), p, "default", waiterClk)
+		waited <- outcome{res, err}
+	}()
+	waitForTraceWaiter(t)
+
+	cancel()
+	close(proceed)
+	if err := <-capErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled capture = %v, want context.Canceled", err)
+	}
+	got := <-waited
+	if got.err != nil {
+		t.Fatalf("waiter: %v", got.err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("program ran %d times, want 2 (the canceled capture and the waiter's)", n)
+	}
+	m := r.metricsHandles()
+	if c := m.traceCaptures.Value(); c != 1 {
+		t.Errorf("trace_cache_captures = %d, want 1", c)
+	}
+
+	fresh := NewRunner()
+	fresh.NoReplay = true
+	want, err := fresh.Measure(context.Background(), p, "default", waiterClk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.res, want) {
+		t.Errorf("waiter's result differs from a NoReplay runner's:\ngot  %+v\nwant %+v", got.res, want)
+	}
+}
+
+// waitForTraceWaiter blocks until some goroutine is parked in the trace
+// cache's wait for another measurement's capture.
+func waitForTraceWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			header, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[select") && strings.HasPrefix(frames, "repro/internal/core.(*Runner).trace(") {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("no measurement waited on the in-flight capture")
+}
+
 // TestTraceCacheConcurrentConfigs: four configurations measured in parallel
 // must share a single capture — the waiters block on the capturing
-// goroutine's entry and replay, they never duplicate the simulation.
+// goroutine's entry, they never duplicate the simulation — and all four
+// replay it.
 func TestTraceCacheConcurrentConfigs(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
@@ -290,7 +328,7 @@ func TestTraceCacheConcurrentConfigs(t *testing.T) {
 		t.Errorf("program ran %d times across concurrent configs, want 1", calls)
 	}
 	m := r.metricsHandles()
-	if c, rp := m.traceCaptures.Value(), m.traceReplays.Value(); c != 1 || rp != 3 {
-		t.Errorf("captures=%d replays=%d, want 1/3", c, rp)
+	if c, rp := m.traceCaptures.Value(), m.traceReplays.Value(); c != 1 || rp != 4 {
+		t.Errorf("captures=%d replays=%d, want 1/4", c, rp)
 	}
 }

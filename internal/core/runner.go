@@ -85,7 +85,9 @@ type Runner struct {
 	// (replayed timelines are bit-identical to fresh simulations), and this
 	// is the reference path that proves it: internal/check's replay-identity
 	// invariant re-measures the sweep on a NoReplay runner and compares the
-	// results bitwise.
+	// results bitwise. That rerun also catches what the capture's clock-read
+	// detector cannot see: a program branching on dev.Clocks, or on the
+	// Duration or Start of a Launch it was handed.
 	NoReplay bool
 	// Broker, when set, extends the launch-trace cache across a fleet: the
 	// simulate stage consults it before paying for a capture and publishes
@@ -99,9 +101,9 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[resultKey]*cacheEntry
 
-	// traceMu guards traces, the per-(program, input) launch-trace cache the
-	// simulate stage consults: clock-insensitive programs simulate once at
-	// the first requested configuration and replay everywhere else.
+	// traceMu guards traces, the per-(program, input, device) launch-trace
+	// cache the simulate stage consults: a program simulates once, at the
+	// first requested configuration, and every measurement replays.
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
 
@@ -133,41 +135,13 @@ func (r *Runner) workerPool() *sim.WorkerPool {
 // bounded budget and never oversubscribe the machine.
 func (r *Runner) WorkerPool() *sim.WorkerPool { return r.workerPool() }
 
-// TraceClockSensitive reports whether the cached launch trace for the
-// (program, input) pair is clock-sensitive — i.e. replay across clock
-// configurations would be unsound and every configuration pays for its own
-// simulation. known is false when no completed capture exists yet (nothing
-// measured, capture in flight, or capture failed); callers that need the
-// answer should Measure the pair at one configuration first. The frontier
-// sweep uses this to route programs: insensitive traces replay across the
-// dense grid, sensitive ones get the coarse-grid + interpolation fallback.
-// clk identifies the device whose trace is consulted — traces are cached per
-// device, since block statistics and issue cycles are device-dependent.
-func (r *Runner) TraceClockSensitive(p Program, input string, clk kepler.Clocks) (sensitive, known bool) {
-	r.traceMu.Lock()
-	e := r.traces[traceKeyOf(p, input, clk)]
-	r.traceMu.Unlock()
-	if e == nil {
-		return false, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return false, false
-	}
-	if e.trace == nil {
-		return false, false
-	}
-	return e.trace.ClockSensitive(), true
-}
-
 // TraceBroker shares launch traces across a fleet of runners. FetchTrace
 // returns the fleet's capture for the (device, program, input) pair, or nil
 // when none exists (or the broker is unreachable — a miss, never an error:
 // the caller falls back to capturing locally). StoreTrace publishes a local
-// capture, including clock-sensitive tombstones so other workers skip the
-// doomed capture attempt; it is best-effort and must not block measurement
-// correctness. Implementations must be safe for concurrent use.
+// capture; it is best-effort and must not block measurement correctness.
+// Only replayable traces are published. Implementations must be safe for
+// concurrent use.
 type TraceBroker interface {
 	FetchTrace(device, program, input string) *sim.LaunchTrace
 	StoreTrace(device, program, input string, tr *sim.LaunchTrace)
@@ -185,10 +159,10 @@ func traceKeyOf(p Program, input string, clk kepler.Clocks) traceKey {
 
 // traceEntry is one slot of the launch-trace cache. The first goroutine to
 // need a (program, input) pair claims the entry and simulates with capture;
-// concurrent measurements of the same pair at other configurations wait on
-// done and replay. A failed or canceled capture publishes a nil trace and
-// removes the entry, so nothing partial is ever cached and the next
-// measurement recaptures.
+// concurrent measurements of the same pair wait on done. A failed or
+// canceled capture publishes a nil trace and removes the entry, so nothing
+// partial is ever cached and the next measurement (a waiter included)
+// recaptures.
 type traceEntry struct {
 	done  chan struct{}    // closed when trace is published (or capture failed)
 	trace *sim.LaunchTrace // nil if the capture failed
@@ -269,8 +243,7 @@ func (r *Runner) Measure(ctx context.Context, p Program, input string, clk keple
 
 // Cached reports whether the (program, input, config) combination is
 // already resolved in the measurement cache — a hit means Measure returns
-// it without simulating. Used by cost-policy decisions (e.g. the frontier
-// sweep choosing its strategy on a warm-started cache).
+// it without simulating.
 func (r *Runner) Cached(p Program, input string, clk kepler.Clocks) bool {
 	return r.resolvedEntry(Combo{p, input, clk}) != nil
 }
@@ -486,8 +459,8 @@ func (r *Runner) sweepJob(ctx context.Context, pool *sim.WorkerPool, j Combo) er
 // captures the launch trace — comes first, then every other combination,
 // each part in its original order. The dispatchers thus capture distinct
 // programs side by side instead of one waiting on another's in-flight
-// capture, and the replays (or, for clock-sensitive programs, the parallel
-// re-simulations) follow once the traces exist.
+// capture, and the other configurations' replays follow once the traces
+// exist.
 func capturesFirst(combos []Combo) []Combo {
 	queue := make([]Combo, 0, len(combos))
 	var rest []Combo

@@ -125,143 +125,118 @@ func (r *Runner) runStages(ctx context.Context, st *measureState) error {
 }
 
 // stageSimulate produces the completed device for this (program, input,
-// config) — by full warp-level simulation or, when the launch-trace cache
-// holds a clock-insensitive trace of the pair, by replaying only the timing
-// model against it (sim.LaunchTrace.Replay; bit-identical to a fresh
-// simulation, so every downstream stage is oblivious to which path ran).
-// Execution is deterministic per configuration; cancellation aborts between
-// thread blocks and surfaces as the context error.
+// config) in two steps: get the pair's launch trace (trace), then price it
+// at the configuration (sim.LaunchTrace.Replay, bit-identical to a fresh
+// simulation), so every measured device — the capture configuration's
+// included — is a replay. Only a NoReplay runner simulates every
+// configuration afresh, as the reference replay is checked against.
+// Cancellation aborts between thread blocks and surfaces as the context
+// error.
 func (r *Runner) stageSimulate(st *measureState) error {
+	var err error
 	if r.NoReplay {
-		_, err := r.simulateFresh(st, false)
+		st.dev, err = r.simulateFresh(st, false)
 		return err
 	}
-	m := r.metricsHandles()
-	key := traceKeyOf(st.p, st.input, st.clk)
-
-	r.traceMu.Lock()
-	if r.traces == nil {
-		r.traces = make(map[traceKey]*traceEntry)
-	}
-	e, ok := r.traces[key]
-	if !ok {
-		// First measurement of this (program, input) on this runner: claim
-		// the entry. Before paying for a capture, ask the fleet broker (if
-		// any) whether another worker already captured the pair — adopting
-		// its trace replays bit-identically to simulating here.
-		e = &traceEntry{done: make(chan struct{})}
-		r.traces[key] = e
-		r.traceMu.Unlock()
-
-		if r.Broker != nil {
-			dev := st.clk.Device().Name
-			if tr := r.Broker.FetchTrace(dev, st.p.Name(), st.input); tr != nil && tr.DeviceName() == dev {
-				m.brokerFetchHits.Inc()
-				e.trace = tr
-				close(e.done)
-				m.traceBytes.Add(tr.Bytes())
-				if tr.ClockSensitive() {
-					m.traceSensitive.Inc()
-				}
-				return r.consumeTrace(st, tr)
-			}
-			m.brokerFetchMisses.Inc()
-		}
-
-		published := false
-		defer func() {
-			if !published {
-				// Failed (or panicking) capture: never publish a partial
-				// trace — evict the entry so the next measurement
-				// recaptures, and wake waiters to simulate on their own.
-				r.traceMu.Lock()
-				if r.traces[key] == e {
-					delete(r.traces, key)
-				}
-				r.traceMu.Unlock()
-				close(e.done)
-			}
-		}()
-		tr, err := r.simulateFresh(st, true)
-		if err != nil {
-			return err
-		}
-		e.trace = tr
-		published = true
-		close(e.done)
-		m.traceCaptures.Inc()
-		m.traceBytes.Add(tr.Bytes())
-		if tr.ClockSensitive() {
-			m.traceSensitive.Inc()
-		}
-		if r.Broker != nil {
-			r.Broker.StoreTrace(st.clk.Device().Name, st.p.Name(), st.input, tr)
-			m.brokerPuts.Inc()
-		}
-		return nil
-	}
-	r.traceMu.Unlock()
-
-	// Another measurement of the pair is capturing (or has captured): wait
-	// for the trace rather than simulating the same work in parallel.
-	select {
-	case <-e.done:
-	case <-st.ctx.Done():
-		return st.ctx.Err()
-	}
-	if e.trace == nil {
-		// The capture failed (typically canceled). Its entry is already
-		// evicted; simulate independently without touching the cache.
-		_, err := r.simulateFresh(st, false)
-		return err
-	}
-	return r.consumeTrace(st, e.trace)
-}
-
-// consumeTrace produces the measurement's device from a published trace:
-// replay when the trace is insensitive, a fresh per-configuration
-// simulation when it is clock-sensitive (or the replay is refused — e.g. a
-// mismatched device, impossible for cache-keyed traces but kept as a
-// defense in depth).
-func (r *Runner) consumeTrace(st *measureState, tr *sim.LaunchTrace) error {
-	m := r.metricsHandles()
-	if tr.ClockSensitive() {
-		// A mid-run clock read makes the program's Go state evolve per
-		// configuration: replay would be unsound, so every configuration
-		// pays for its own simulation.
-		m.traceSensitiveRuns.Inc()
-		_, err := r.simulateFresh(st, false)
-		return err
-	}
-	dev, err := tr.Replay(st.clk)
+	tr, err := r.trace(st)
 	if err != nil {
-		_, err := r.simulateFresh(st, false)
 		return err
 	}
-	dev.SetWorkerPool(r.workerPool())
-	st.dev = dev
-	m.traceReplays.Inc()
+	if st.dev, err = tr.Replay(st.clk); err != nil {
+		return err
+	}
+	r.metricsHandles().traceReplays.Inc()
 	return nil
 }
 
-// simulateFresh runs the program on a fresh device, optionally capturing
-// the clock-independent launch trace. On error the device (and any partial
-// capture) is discarded.
-func (r *Runner) simulateFresh(st *measureState, capture bool) (*sim.LaunchTrace, error) {
+// trace returns the launch trace of st's (program, input, device) pair from
+// the runner's cache, waiting while another measurement captures it. The
+// first measurement of a pair claims its cache entry and fills it; a waiter
+// whose capturer failed (the entry is then evicted) claims the pair anew.
+func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
+	key := traceKeyOf(st.p, st.input, st.clk)
+	for {
+		r.traceMu.Lock()
+		if r.traces == nil {
+			r.traces = make(map[traceKey]*traceEntry)
+		}
+		e, ok := r.traces[key]
+		if !ok {
+			e = &traceEntry{done: make(chan struct{})}
+			r.traces[key] = e
+			r.traceMu.Unlock()
+			return r.fill(st, key, e)
+		}
+		r.traceMu.Unlock()
+		select {
+		case <-e.done:
+		case <-st.ctx.Done():
+			return nil, st.ctx.Err()
+		}
+		if e.trace != nil {
+			return e.trace, nil
+		}
+	}
+}
+
+// fill obtains the trace for a claimed entry — the fleet broker's, if it
+// holds a replayable one, else a local capture — and publishes it to the
+// entry's waiters. A failed (or panicking) capture publishes nothing: the
+// entry is evicted so the next measurement of the pair recaptures.
+func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.LaunchTrace, err error) {
+	defer func() {
+		if tr == nil {
+			r.traceMu.Lock()
+			if r.traces[key] == e {
+				delete(r.traces, key)
+			}
+			r.traceMu.Unlock()
+		}
+		e.trace = tr
+		close(e.done)
+	}()
+	m := r.metricsHandles()
+	device := st.clk.Device().Name
+	if r.Broker != nil {
+		// Adopting another worker's capture replays bit-identically to
+		// capturing here.
+		if tr := r.Broker.FetchTrace(device, st.p.Name(), st.input); tr != nil && tr.DeviceName() == device && !tr.ClockSensitive() {
+			m.brokerFetchHits.Inc()
+			m.traceBytes.Add(tr.Bytes())
+			return tr, nil
+		}
+		m.brokerFetchMisses.Inc()
+	}
+	dev, err := r.simulateFresh(st, true)
+	if err != nil {
+		return nil, err
+	}
+	tr = dev.EndCapture()
+	if tr.ClockSensitive() {
+		// A mid-run clock read makes the program's Go state evolve per
+		// configuration, so no trace of it can be replayed.
+		return nil, fmt.Errorf("clock-sensitive program (%s): its launch trace cannot be replayed", tr.SensitiveReason())
+	}
+	m.traceCaptures.Inc()
+	m.traceBytes.Add(tr.Bytes())
+	if r.Broker != nil {
+		r.Broker.StoreTrace(device, st.p.Name(), st.input, tr)
+		m.brokerPuts.Inc()
+	}
+	return tr, nil
+}
+
+// simulateFresh runs the program on a fresh device at st's configuration,
+// recording its launch trace when capture is set (the caller ends the
+// capture).
+func (r *Runner) simulateFresh(st *measureState, capture bool) (*sim.Device, error) {
 	r.metricsHandles().simulateRun(st.clk.Device().Name)
 	dev := sim.NewDevice(st.clk)
 	dev.SetWorkerPool(r.workerPool())
-	st.dev = dev
 	if capture {
 		dev.BeginCapture()
 	}
-	if err := RunProgram(st.ctx, st.p, dev, st.input); err != nil {
-		return nil, err
-	}
-	if capture {
-		return dev.EndCapture(), nil
-	}
-	return nil, nil
+	return dev, RunProgram(st.ctx, st.p, dev, st.input)
 }
 
 // stageTimeline derives the power timeline and ground truth from the

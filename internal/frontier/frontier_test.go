@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/frontier"
 	"repro/internal/kepler"
-	"repro/internal/sim"
 	"repro/internal/suites"
 )
 
@@ -70,13 +69,6 @@ func TestSweepCoversGrid(t *testing.T) {
 		}
 		if measurable == 0 {
 			t.Errorf("%s: no measurable points", res.Program)
-		}
-		if res.Sensitive {
-			if res.Interpolated() == 0 {
-				t.Errorf("%s: sensitive but nothing interpolated", res.Program)
-			}
-		} else if res.Interpolated() != 0 {
-			t.Errorf("%s: insensitive but %d interpolated points", res.Program, res.Interpolated())
 		}
 	}
 }
@@ -203,40 +195,11 @@ func TestDefaultNeverDominatesSweetSpots(t *testing.T) {
 	}
 }
 
-// clockReader wraps a program with a read of the simulated clock during
-// its run. That makes its Go-side evolution configuration-dependent as far
-// as the capture layer can tell, so its trace is a clock-sensitive
-// tombstone. No shipped program reads the clock mid-run.
-type clockReader struct{ core.Program }
-
-func (c clockReader) Name() string { return c.Program.Name() + "-clock" }
-
-func (c clockReader) Run(ctx context.Context, dev *sim.Device, input string) error {
-	if err := c.Program.Run(ctx, dev, input); err != nil {
-		return err
-	}
-	_ = dev.Now()
-	return nil
-}
-
-// newClockReader wraps NN, a cheap program, in a clockReader.
-func newClockReader(t *testing.T) core.Program {
-	t.Helper()
-	p, err := suites.ByName("NN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return clockReader{p}
-}
-
 // TestSweepObsCounters proves the sweep's cost model through the obs
-// counters: a clock-insensitive program covers the whole ≥80-config grid
-// with exactly one simulation (one trace capture, N-1 replays, nothing
-// interpolated); a clock-sensitive program (one that reads the simulated
-// clock mid-run) triggers the interpolation fallback, flags the
-// interpolated points, and simulates only the coarse anchors. Uses fresh
-// runners so the counters are exact, and cheap programs so it stays
-// affordable outside -short too.
+// counters: a program covers the whole ≥80-config grid with exactly one
+// simulation (one trace capture), and every measurable point is a replay.
+// Uses a fresh runner so the counters are exact, and a cheap program so it
+// stays affordable outside -short too.
 func TestSweepObsCounters(t *testing.T) {
 	ctx := context.Background()
 
@@ -251,9 +214,6 @@ func TestSweepObsCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Sensitive {
-			t.Fatalf("NN swept as sensitive")
-		}
 		if len(res.Points) < 80 {
 			t.Fatalf("grid has %d configs, want >= 80", len(res.Points))
 		}
@@ -261,90 +221,30 @@ func TestSweepObsCounters(t *testing.T) {
 		if got := snap.Counters["trace_cache_captures"]; got != 1 {
 			t.Errorf("trace_cache_captures = %d, want 1: the dense sweep must cost one simulation per (program, input)", got)
 		}
-		// Every measurable point except the default (the capture) was priced
-		// by replay; sensor-excluded configs replay too but yield no point.
+		// Every measurable point was priced by replay; sensor-excluded
+		// configs replay too but yield no point.
 		measurable := 0
 		for i := range res.Points {
 			if res.Points[i].Measurable {
 				measurable++
 			}
 		}
-		if got, want := snap.Counters["frontier_replays"], int64(measurable-1); got != want {
-			t.Errorf("frontier_replays = %d, want %d (measurable %d of %d)", got, want, measurable, len(res.Points))
+		if got, want := snap.Counters["frontier_replays"], int64(measurable); got != want {
+			t.Errorf("frontier_replays = %d, want %d (measurable of %d)", got, want, len(res.Points))
 		}
-		if got := snap.Counters["frontier_interpolated"]; got != 0 {
-			t.Errorf("frontier_interpolated = %d, want 0", got)
+		if got, want := snap.Counters["trace_cache_replays"], int64(len(res.Points)); got != want {
+			t.Errorf("trace_cache_replays = %d, want %d (one per grid point)", got, want)
 		}
 		if got := snap.Counters["frontier_optimizer_evals"]; got != int64(res.Opt.Evals) || got == 0 {
 			t.Errorf("frontier_optimizer_evals = %d, want %d (> 0)", got, res.Opt.Evals)
 		}
 	})
-
-	t.Run("sensitive", func(t *testing.T) {
-		r := core.NewRunner()
-		r.Repetitions = 1
-		res, err := frontier.Sweep(ctx, r, newClockReader(t), frontier.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Sensitive {
-			t.Fatalf("mid-run clock reader swept as insensitive")
-		}
-		interpolated := res.Interpolated()
-		if interpolated == 0 {
-			t.Fatal("sensitive sweep interpolated nothing")
-		}
-		snap := r.Metrics().Snapshot()
-		if got := snap.Counters["frontier_interpolated"]; got != int64(interpolated) {
-			t.Errorf("frontier_interpolated = %d, want %d", got, interpolated)
-		}
-		// Only the coarse anchors simulate; everything else interpolates.
-		if sims := res.Simulated(); sims >= len(res.Points)/2 {
-			t.Errorf("sensitive sweep simulated %d of %d points, want the coarse fallback to bound it", sims, len(res.Points))
-		}
-		for _, row := range res.Rows {
-			for j, idx := range row {
-				pt := &res.Points[idx]
-				if !pt.Interpolated {
-					continue
-				}
-				if j == 0 || j == len(row)-1 {
-					t.Errorf("row endpoint %s interpolated; endpoints are always anchors", pt.Config.Name)
-				}
-				if pt.MeasTime != 0 || pt.MeasEnergy != 0 {
-					t.Errorf("interpolated point %s carries sensor measurements", pt.Config.Name)
-				}
-			}
-		}
-	})
-}
-
-// TestSweepSensitivitySplit pins the sweep-strategy routing: every shipped
-// program replays densely (ordered launches included), and only a program
-// that reads the simulated clock mid-run falls back to interpolation.
-func TestSweepSensitivitySplit(t *testing.T) {
-	for _, res := range sharedSweep(t) {
-		if res.Sensitive || res.Interpolated() != 0 {
-			t.Errorf("%s: swept as clock-sensitive (%d interpolated points); every shipped program replays",
-				res.Program, res.Interpolated())
-		}
-	}
-	r := core.NewRunner()
-	r.Repetitions = 1
-	res, err := frontier.Sweep(context.Background(), r, newClockReader(t), frontier.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Sensitive || res.Interpolated() == 0 {
-		t.Errorf("mid-run clock reader: sensitive=%v with %d interpolated points, want the coarse fallback",
-			res.Sensitive, res.Interpolated())
-	}
 }
 
 // TestSweepWarmStoreReplays: a store holding the canonical measurements
-// serves the default configuration without capturing a trace. The sweep
-// must still learn that the program is clock-insensitive and replay the
-// dense grid, matching a cold sweep exactly.
+// serves those points without capturing a trace. The sweep captures once,
+// for the first point the store lacks, replays the rest of the grid and
+// matches a cold sweep exactly.
 func TestSweepWarmStoreReplays(t *testing.T) {
 	ctx := context.Background()
 	p, err := suites.ByName("NN")
@@ -380,9 +280,8 @@ func TestSweepWarmStoreReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sensitive || res.Interpolated() != 0 {
-		t.Errorf("warm sweep: sensitive=%v with %d interpolated points, want a dense replay",
-			res.Sensitive, res.Interpolated())
+	if got := warm.Metrics().Snapshot().Counters["trace_cache_captures"]; got != 1 {
+		t.Errorf("warm sweep: trace_cache_captures = %d, want 1", got)
 	}
 	if !reflect.DeepEqual(res, cold) {
 		t.Error("warm-store sweep differs from a cold sweep")

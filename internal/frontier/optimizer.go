@@ -11,6 +11,27 @@ package frontier
 // Evals counts the unique points touched, which is what a hardware DVFS
 // chaser would pay in real measurements.
 
+import "repro/internal/kepler"
+
+// coarseStride is the optimizer's in-row sampling stride: its coarse pass
+// evaluates every 8th core clock per row plus both row endpoints.
+const coarseStride = 8
+
+// optimizerBudget caps the optimizer's evaluations as a fraction of the
+// grid size: 0.29, strictly under a 30%-of-grid bound.
+const optimizerBudget = 0.29
+
+// isCanonical reports whether name is one of the device's four evaluated
+// configurations (the paper's set, per device).
+func isCanonical(dev *kepler.Device, name string) bool {
+	for _, c := range dev.Configurations() {
+		if c.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // OptResult reports the optimizer's outcome.
 type OptResult struct {
 	// BestIdx is the optimizer's sweet-spot pick (index into Result.Points;
@@ -51,8 +72,8 @@ func chase(r *Result, opts Options) OptResult {
 	// Coarse pass: every stride-th core clock per row plus the row's last
 	// entry brackets each row's optimum. The canonical configurations are
 	// always evaluated too — a DVFS chaser starts from the settings the
-	// paper measured (and on interpolated grids they are real anchors that
-	// sit off the stride lattice, e.g. 705 and 614 MHz).
+	// paper measured, which may sit off the stride lattice (e.g. 705 and
+	// 614 MHz).
 	for _, row := range r.Rows {
 		for j, idx := range row {
 			if j%coarseStride == 0 || j == len(row)-1 || isCanonical(opts.Device, r.Points[idx].Config.Name) {

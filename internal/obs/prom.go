@@ -28,39 +28,37 @@ const deviceCounterPrefix = "simulate_runs_device_"
 // promHelp documents the metrics surfaced on dashboards; names not listed
 // get a generic docstring derived from the registry name.
 var promHelp = map[string]string{
-	"measure_cache_hits":           "Measure calls served from the resolved result cache.",
-	"measure_cache_misses":         "Measure calls that created a cache entry and computed it.",
-	"measure_singleflight_waits":   "Measure calls that joined an in-flight computation of the same key.",
-	"sweep_jobs_total":             "Sweep combinations enqueued by MeasureList (sweeps, experiments, checks, frontier grids).",
-	"sweep_jobs_done":              "Sweep combinations completed (measured, cached or excluded).",
-	"sweep_jobs_canceled":          "Sweep combinations aborted by cancellation.",
-	"trace_cache_captures":         "Launch traces captured by full simulation.",
-	"trace_cache_replays":          "Measurements served by replaying a captured launch trace.",
-	"trace_cache_sensitive_traces": "Captured traces that proved clock-sensitive (not replayable).",
-	"trace_cache_sensitive_runs":   "Re-simulations forced by clock-sensitive traces.",
-	"trace_cache_bytes":            "Bytes retained by the launch-trace cache.",
-	"trace_broker_fetch_hits":      "Launch traces fetched from the fleet trace broker instead of simulating.",
-	"trace_broker_fetch_misses":    "Trace broker fetches that found no fleet-wide capture.",
-	"trace_broker_puts":            "Launch traces published to the fleet trace broker.",
-	"trace_broker_errors":          "Trace broker transport or decode failures (fell back to local capture).",
-	"simulate_runs":                "Full warp-level simulations, by device.",
-	"pool_workers_budget":          "Size of the shared simulation worker pool.",
-	"pool_workers_in_use":          "Worker-pool slots currently held.",
-	"pool_workers_in_use_peak":     "High-water mark of held worker-pool slots.",
-	"frontier_replays":             "Frontier grid configurations priced by trace replay.",
-	"attrib_rows":                  "Attribution rows (program x configuration) priced by AttributionSweep.",
-	"fabric_workers_ready":         "Workers currently passing the coordinator's readiness probe.",
-	"fabric_shards_dispatched":     "Shards (sweep slices, frontier and attribution jobs) dispatched to workers.",
-	"fabric_shard_redispatches":    "Shards and measures moved to another worker after one could not answer.",
-	"fabric_sweep_fanouts":         "Sweep requests fanned out across the fleet.",
-	"fabric_frontier_proxied":      "Frontier jobs proxied to a worker.",
-	"fabric_attrib_proxied":        "Attribution jobs proxied to a worker.",
-	"fabric_measure_proxied":       "Measure requests proxied to a worker.",
-	"trace_store_traces":           "Launch traces held by the coordinator's broker store.",
-	"trace_store_bytes":            "Bytes held by the coordinator's broker store.",
-	"trace_store_gets":             "Trace fetches served by the broker store.",
-	"trace_store_hits":             "Trace fetches that found a stored capture.",
-	"trace_store_puts":             "Traces accepted into the broker store.",
+	"measure_cache_hits":         "Measure calls served from the resolved result cache.",
+	"measure_cache_misses":       "Measure calls that created a cache entry and computed it.",
+	"measure_singleflight_waits": "Measure calls that joined an in-flight computation of the same key.",
+	"sweep_jobs_total":           "Sweep combinations enqueued by MeasureList (sweeps, experiments, checks, frontier grids).",
+	"sweep_jobs_done":            "Sweep combinations completed (measured, cached or excluded).",
+	"sweep_jobs_canceled":        "Sweep combinations aborted by cancellation.",
+	"trace_cache_captures":       "Launch traces captured by full simulation.",
+	"trace_cache_replays":        "Measured devices priced by replaying a launch trace (every measurement is one).",
+	"trace_cache_bytes":          "Bytes retained by the launch-trace cache.",
+	"trace_broker_fetch_hits":    "Launch traces fetched from the fleet trace broker instead of simulating.",
+	"trace_broker_fetch_misses":  "Trace broker fetches that found no fleet-wide capture.",
+	"trace_broker_puts":          "Launch traces published to the fleet trace broker.",
+	"trace_broker_errors":        "Trace broker transport or decode failures (fell back to local capture).",
+	"simulate_runs":              "Full warp-level simulations, by device.",
+	"pool_workers_budget":        "Size of the shared simulation worker pool.",
+	"pool_workers_in_use":        "Worker-pool slots currently held.",
+	"pool_workers_in_use_peak":   "High-water mark of held worker-pool slots.",
+	"frontier_replays":           "Frontier grid configurations priced by trace replay.",
+	"attrib_rows":                "Attribution rows (program x configuration) priced by AttributionSweep.",
+	"fabric_workers_ready":       "Workers currently passing the coordinator's readiness probe.",
+	"fabric_shards_dispatched":   "Shards (sweep slices, frontier and attribution jobs) dispatched to workers.",
+	"fabric_shard_redispatches":  "Shards and measures moved to another worker after one could not answer.",
+	"fabric_sweep_fanouts":       "Sweep requests fanned out across the fleet.",
+	"fabric_frontier_proxied":    "Frontier jobs proxied to a worker.",
+	"fabric_attrib_proxied":      "Attribution jobs proxied to a worker.",
+	"fabric_measure_proxied":     "Measure requests proxied to a worker.",
+	"trace_store_traces":         "Launch traces held by the coordinator's broker store.",
+	"trace_store_bytes":          "Bytes held by the coordinator's broker store.",
+	"trace_store_gets":           "Trace fetches served by the broker store.",
+	"trace_store_hits":           "Trace fetches that found a stored capture.",
+	"trace_store_puts":           "Traces accepted into the broker store.",
 }
 
 func helpFor(name string) string {

@@ -252,9 +252,10 @@ func FreqSweep(w io.Writer, program string, def kepler.Clocks, points []core.Fre
 	}
 }
 
-// Frontier renders one program's dense-grid DVFS frontier: sweep strategy
-// and cost, the sweet spots with their trade-off versus the paper's default
-// configuration, the Pareto front, and the budgeted optimizer's convergence.
+// Frontier renders one program's dense-grid DVFS frontier: grid size and
+// measurable points, the sweet spots with their trade-off versus the paper's
+// default configuration, the Pareto front, and the budgeted optimizer's
+// convergence.
 func Frontier(w io.Writer, res *frontier.Result) {
 	measurable := 0
 	for i := range res.Points {
@@ -262,12 +263,8 @@ func Frontier(w io.Writer, res *frontier.Result) {
 			measurable++
 		}
 	}
-	strategy := "replayed"
-	if res.Sensitive {
-		strategy = "clock-sensitive: coarse grid + interpolation"
-	}
-	fmt.Fprintf(w, "Frontier for %s (%s): %d configs, %d measurable (%d simulated, %d interpolated; %s)\n",
-		res.Program, res.Input, len(res.Points), measurable, res.Simulated(), res.Interpolated(), strategy)
+	fmt.Fprintf(w, "Frontier for %s (%s): %d configs, %d measurable\n",
+		res.Program, res.Input, len(res.Points), measurable)
 
 	var def *frontier.Point
 	if res.DefaultIdx >= 0 {

@@ -79,9 +79,9 @@ func (b *HTTPTraceBroker) FetchTrace(device, program, input string) *sim.LaunchT
 	return tr
 }
 
-// StoreTrace publishes a locally captured trace (including clock-sensitive
-// tombstones — a sensitive verdict is itself fleet-wide knowledge: adopters
-// skip replay and simulate per configuration, exactly as the capturer does).
+// StoreTrace publishes a locally captured trace. Only replayable captures
+// are published: a program that reads the simulated clock mid-run fails
+// its measurement instead.
 func (b *HTTPTraceBroker) StoreTrace(device, program, input string, tr *sim.LaunchTrace) {
 	data, err := sim.EncodeTrace(tr)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -462,24 +463,90 @@ func TestFabricReadyzAndFederation(t *testing.T) {
 	}
 }
 
+// gatedProgs returns a constructor for one worker's programs: fake
+// programs of the given names sharing one runGate on release, so each
+// worker completes its first run and holds every later one.
+func gatedProgs(release <-chan struct{}, names ...string) func() []core.Program {
+	return func() []core.Program {
+		g := &runGate{release: release}
+		progs := make([]core.Program, len(names))
+		for i, name := range names {
+			p := newFakeProg(name, 2e5)
+			p.gate = g
+			progs[i] = p
+		}
+		return progs
+	}
+}
+
+// newRelease returns the gate channel of gatedProgs and its idempotent
+// release, which also runs at cleanup so no gated run outlives the test.
+func newRelease(t *testing.T) (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(release)
+	return ch, release
+}
+
+// pollJob fetches a job view from the server at base.
+func pollJob(t *testing.T, base, id string) jobView {
+	t.Helper()
+	code, data := getJSON(t, base+"/v1/jobs/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("job poll: status %d, body %s", code, data)
+	}
+	var v jobView
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// awaitMonotoneDone polls a coordinator job to completion, failing if its
+// done count ever steps backward or a re-dispatch never happened.
+func awaitMonotoneDone(t *testing.T, c *Server, base, id string) {
+	t.Helper()
+	var hi int64
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		v := pollJob(t, base, id)
+		if v.Done < hi {
+			t.Fatalf("parent progress stepped backward: %d after %d (shards: %+v)", v.Done, hi, v.Shards)
+		}
+		hi = v.Done
+		if v.Status == jobDone {
+			break
+		}
+		if v.Status == jobFailed || v.Status == jobCanceled {
+			t.Fatalf("job %s: %+v", id, v)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck: %+v", v)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c.runner.Metrics().Snapshot().Counters["fabric_shard_redispatches"] == 0 {
+		t.Error("worker death did not force a re-dispatch; the regression scenario was not exercised")
+	}
+}
+
 // TestFabricProgressMonotoneAcrossRedispatch kills the worker executing a
 // shard after that shard has reported forward progress, and asserts the
 // parent job's done count never steps backward: re-dispatching resets the
 // shard's own counter to zero (the replacement worker genuinely restarts
 // it), and the parent used to sum that reset straight into its progress.
 func TestFabricProgressMonotoneAcrossRedispatch(t *testing.T) {
-	// Slow enough that a shard is observably mid-run (the coordinator polls
-	// shard progress at 200ms granularity) for several poll cycles.
-	crawl := func() []core.Program {
-		p := newFakeProg("SLOW", 2e5)
-		p.sleepPerBlock = 150 * time.Millisecond
-		return []core.Program{p}
-	}
-	body := `{"programs":["SLOW"],"allInputs":true}`
-	ws, urls := newFabricWorkers(t, 3, crawl)
-	c, cts := newTestCoordinator(t, urls, crawl(), nil)
+	// Four programs at one configuration are four captures over three
+	// shards, so some shard holds two or more. The gate lets each worker
+	// finish one run and holds the rest: that shard sits at Done == 1
+	// until its worker is killed.
+	gate, release := newRelease(t)
+	progs := gatedProgs(gate, "G1", "G2", "G3", "G4")
+	ws, urls := newFabricWorkers(t, 3, progs)
+	c, cts := newTestCoordinator(t, urls, progs(), nil)
 
-	code, data := postJSON(t, cts.URL+"/v1/sweep", body)
+	code, data := postJSON(t, cts.URL+"/v1/sweep", `{"programs":["G1","G2","G3","G4"],"configs":["614"]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("sweep: status %d, body %s", code, data)
 	}
@@ -488,27 +555,18 @@ func TestFabricProgressMonotoneAcrossRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until some running shard has completed at least one combination,
-	// so its post-redispatch reset would be visible as a regression (the
-	// deterministic repro of the unclamped sum lives in
+	// The deterministic repro of the unclamped sum lives in
 	// TestShardRedispatchResetClampedByParent; this test exercises the
-	// whole fabric path).
+	// whole fabric path.
 	var victim shardView
 	deadline := time.Now().Add(60 * time.Second)
 	for victim.Worker == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("no shard reported mid-run progress before the deadline")
 		}
-		code, data := getJSON(t, cts.URL+"/v1/jobs/"+jv.ID)
-		if code != http.StatusOK {
-			t.Fatalf("job poll: status %d, body %s", code, data)
-		}
-		var v jobView
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatal(err)
-		}
+		v := pollJob(t, cts.URL, jv.ID)
 		for _, sh := range v.Shards {
-			if sh.Status == jobRunning && sh.Worker != "" && sh.Done > 0 && sh.Done < sh.Combinations {
+			if sh.Status == jobRunning && sh.Worker != "" && sh.Done == 1 && sh.Combinations >= 2 {
 				victim = sh
 				break
 			}
@@ -524,125 +582,54 @@ func TestFabricProgressMonotoneAcrossRedispatch(t *testing.T) {
 			w.ts.Close()
 		}
 	}
-
-	// Poll to completion, asserting the parent's done count is monotone
-	// non-decreasing through the kill and re-dispatch.
-	var hi int64
-	deadline = time.Now().Add(60 * time.Second)
-	for {
-		code, data := getJSON(t, cts.URL+"/v1/jobs/"+jv.ID)
-		if code != http.StatusOK {
-			t.Fatalf("job poll: status %d, body %s", code, data)
-		}
-		var v jobView
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatal(err)
-		}
-		if v.Done < hi {
-			t.Fatalf("parent progress stepped backward: %d after %d (shards: %+v)", v.Done, hi, v.Shards)
-		}
-		hi = v.Done
-		if v.Status == jobDone {
-			break
-		}
-		if v.Status == jobFailed || v.Status == jobCanceled {
-			t.Fatalf("job %s: %+v", jv.ID, v)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck: %+v", v)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if c.runner.Metrics().Snapshot().Counters["fabric_shard_redispatches"] == 0 {
-		t.Error("worker death did not force a re-dispatch; the regression scenario was not exercised")
-	}
+	release()
+	awaitMonotoneDone(t, c, cts.URL, jv.ID)
 }
 
-// TestFabricFrontierProgressMonotoneAcrossRedispatch kills the worker that
-// owns a proxied frontier job after the job has reported progress, and
+// TestFabricAttribProgressMonotoneAcrossRedispatch kills the worker that
+// owns a proxied attribution job after the job has reported progress, and
 // asserts the coordinator's done count never steps backward: the
 // replacement worker restarts the job from 0.
-func TestFabricFrontierProgressMonotoneAcrossRedispatch(t *testing.T) {
-	// A clock-sensitive program takes the frontier's coarse path, which
-	// simulates each grid row's anchors (slowly here) and reports progress
-	// row by row; the dense path reports all of it only at its end. Two
-	// memory rows leave the second row running after the first reported.
-	crawl := func() []core.Program {
-		p := newFakeProg("CLOCK", 2e5)
-		p.sleepPerBlock = 20 * time.Millisecond
-		p.readsClock = true
-		return []core.Program{p}
-	}
-	ws, urls := newFabricWorkers(t, 3, crawl)
-	c, cts := newTestCoordinator(t, urls, crawl(), nil)
+func TestFabricAttribProgressMonotoneAcrossRedispatch(t *testing.T) {
+	// The owner prices GA's rows off its one free run, then holds GB's
+	// capture at the gate: the job sits at GA's rows until the kill.
+	gate, release := newRelease(t)
+	progs := gatedProgs(gate, "GA", "GB")
+	ws, urls := newFabricWorkers(t, 3, progs)
+	c, cts := newTestCoordinator(t, urls, progs(), nil)
 
-	code, data := postJSON(t, cts.URL+"/v1/frontier",
-		`{"program":"CLOCK","spec":{"coreMinMHz":324,"coreMaxMHz":758,"coreStepMHz":62,"memMHz":[2600,324]}}`)
+	code, data := postJSON(t, cts.URL+"/v1/attrib", `{"programs":["GA","GB"]}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("frontier: status %d, body %s", code, data)
+		t.Fatalf("attrib: status %d, body %s", code, data)
 	}
 	var jv jobView
 	if err := json.Unmarshal(data, &jv); err != nil {
 		t.Fatal(err)
 	}
-	poll := func() jobView {
-		code, data := getJSON(t, cts.URL+"/v1/jobs/"+jv.ID)
-		if code != http.StatusOK {
-			t.Fatalf("job poll: status %d, body %s", code, data)
-		}
-		var v jobView
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
 
-	// Wait until the coordinator has seen progress, then kill the owner —
-	// the one worker whose frontier has interpolated a row.
 	deadline := time.Now().Add(60 * time.Second)
-	for v := poll(); v.Done == 0; v = poll() {
+	for v := pollJob(t, cts.URL, jv.ID); v.Done == 0; v = pollJob(t, cts.URL, jv.ID) {
 		if v.Status != jobQueued && v.Status != jobRunning {
 			t.Fatalf("job terminal before it reported progress: %+v", v)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("frontier reported no progress before the deadline")
+			t.Fatal("attribution reported no progress before the deadline")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	killed := 0
 	for _, w := range ws {
-		if w.runner.Metrics().Snapshot().Counters["frontier_interpolated"] > 0 {
+		if w.runner.Metrics().Snapshot().Counters["attrib_rows"] > 0 {
 			w.ts.CloseClientConnections()
 			w.ts.Close()
 			killed++
 		}
 	}
 	if killed != 1 {
-		t.Fatalf("%d workers ran the frontier, want 1", killed)
+		t.Fatalf("%d workers ran the attribution, want 1", killed)
 	}
-
-	var hi int64
-	deadline = time.Now().Add(60 * time.Second)
-	for {
-		v := poll()
-		if v.Done < hi {
-			t.Fatalf("frontier progress stepped backward: %d after %d", v.Done, hi)
-		}
-		hi = v.Done
-		if v.Status == jobDone {
-			break
-		}
-		if v.Status == jobFailed || v.Status == jobCanceled {
-			t.Fatalf("job %s: %+v", jv.ID, v)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck: %+v", v)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if c.runner.Metrics().Snapshot().Counters["fabric_shard_redispatches"] == 0 {
-		t.Error("worker death did not force a re-dispatch; the regression scenario was not exercised")
-	}
+	release()
+	awaitMonotoneDone(t, c, cts.URL, jv.ID)
 }
 
 // TestMonotoneProgressClamp pins the high-water behavior of the parent

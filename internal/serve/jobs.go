@@ -225,7 +225,8 @@ func (r *jobRegistry) execute(ctx context.Context, j *job, sp jobSpec) (any, err
 	case err == nil:
 		// A finished job has settled every combination, whatever its
 		// progress source counted (a frontier's replay counter skips the
-		// captured point), so every role reports done == combinations.
+		// points the sensor cannot measure), so every role reports
+		// done == combinations.
 		j.finish(jobDone, nil, result, int64(sp.combos), cancDelta)
 	case ctx.Err() != nil:
 		j.finish(jobCanceled, err, nil, doneDelta, cancDelta)

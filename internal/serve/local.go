@@ -43,15 +43,13 @@ func (l *local) sweep(_ context.Context, _ *kepler.Device, combos []core.Combo) 
 	}, nil
 }
 
-// frontier sweeps the grid; progress is the replayed + interpolated
-// grid-point count from the obs registry.
+// frontier sweeps the grid; progress is the replayed grid-point count from
+// the obs registry.
 func (l *local) frontier(fw frontierWork) jobSpec {
-	reg := l.runner.Metrics()
-	replays := reg.Counter("frontier_replays")
-	interp := reg.Counter("frontier_interpolated")
+	replays := l.runner.Metrics().Counter("frontier_replays")
 	return jobSpec{
 		combos:   fw.size,
-		progress: func() (int64, int64) { return replays.Value() + interp.Value(), 0 },
+		progress: func() (int64, int64) { return replays.Value(), 0 },
 		run: func(ctx context.Context, _ string) (any, error) {
 			res, err := frontier.Sweep(ctx, l.runner, fw.p, frontier.Options{Device: fw.dev, Spec: fw.spec, Input: fw.req.Input})
 			if err != nil {
@@ -64,8 +62,8 @@ func (l *local) frontier(fw frontierWork) jobSpec {
 
 // attrib prices each (program, config) of the matrix at the program's
 // default input with core.AttributionSweep. Attribution is a post-processing
-// pass over the launch-trace cache: on a warm store every clock-insensitive
-// combination replays instead of simulating. Progress is the attrib_rows
+// pass over the launch-trace cache: on a warm store every combination
+// replays instead of simulating. Progress is the attrib_rows
 // delta from the obs registry.
 func (l *local) attrib(aw attribWork) jobSpec {
 	rows := l.runner.Metrics().Counter("attrib_rows")

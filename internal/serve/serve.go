@@ -507,26 +507,22 @@ type frontierRequest struct {
 
 // frontierPointView is one grid configuration in the frontier summary.
 type frontierPointView struct {
-	Config       string  `json:"config"`
-	CoreMHz      int     `json:"coreMHz"`
-	MemMHz       int     `json:"memMHz"`
-	Time         float64 `json:"time"`
-	Energy       float64 `json:"energy"`
-	Power        float64 `json:"power"`
-	EDP          float64 `json:"edp"`
-	ED2P         float64 `json:"ed2p"`
-	Interpolated bool    `json:"interpolated,omitempty"`
+	Config  string  `json:"config"`
+	CoreMHz int     `json:"coreMHz"`
+	MemMHz  int     `json:"memMHz"`
+	Time    float64 `json:"time"`
+	Energy  float64 `json:"energy"`
+	Power   float64 `json:"power"`
+	EDP     float64 `json:"edp"`
+	ED2P    float64 `json:"ed2p"`
 }
 
 // frontierSummary is the frontier job's result payload.
 type frontierSummary struct {
-	Program      string `json:"program"`
-	Input        string `json:"input"`
-	Sensitive    bool   `json:"sensitive"`
-	GridConfigs  int    `json:"gridConfigs"`
-	Measurable   int    `json:"measurable"`
-	Simulated    int    `json:"simulated"`
-	Interpolated int    `json:"interpolated"`
+	Program     string `json:"program"`
+	Input       string `json:"input"`
+	GridConfigs int    `json:"gridConfigs"`
+	Measurable  int    `json:"measurable"`
 
 	Default *frontierPointView `json:"default,omitempty"`
 	EDP     *frontierPointView `json:"edpSweetSpot,omitempty"`
@@ -549,22 +545,19 @@ func frontierPoint(res *frontier.Result, idx int) *frontierPointView {
 	return &frontierPointView{
 		Config: pt.Config.Name, CoreMHz: pt.Config.CoreMHz, MemMHz: pt.Config.MemMHz,
 		Time: pt.Time, Energy: pt.Energy, Power: pt.Power,
-		EDP: pt.EDP, ED2P: pt.ED2P, Interpolated: pt.Interpolated,
+		EDP: pt.EDP, ED2P: pt.ED2P,
 	}
 }
 
 func summarizeFrontier(res *frontier.Result) *frontierSummary {
 	sum := &frontierSummary{
-		Program:      res.Program,
-		Input:        res.Input,
-		Sensitive:    res.Sensitive,
-		GridConfigs:  len(res.Points),
-		Simulated:    res.Simulated(),
-		Interpolated: res.Interpolated(),
-		Default:      frontierPoint(res, res.DefaultIdx),
-		EDP:          frontierPoint(res, res.EDPIdx),
-		ED2P:         frontierPoint(res, res.ED2PIdx),
-		Pareto:       make([]string, 0, len(res.Pareto)),
+		Program:     res.Program,
+		Input:       res.Input,
+		GridConfigs: len(res.Points),
+		Default:     frontierPoint(res, res.DefaultIdx),
+		EDP:         frontierPoint(res, res.EDPIdx),
+		ED2P:        frontierPoint(res, res.ED2PIdx),
+		Pareto:      make([]string, 0, len(res.Pareto)),
 	}
 	for i := range res.Points {
 		if res.Points[i].Measurable {

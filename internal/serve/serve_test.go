@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,13 +27,33 @@ import (
 // simulated duration is stretched by the input surrogate factor, so tests
 // get multi-second simulated runs (plenty of 10 Hz sensor samples) at
 // sub-millisecond wall-clock cost. sleepPerBlock optionally makes the
-// simulation wall-clock slow, for drain tests; readsClock makes the program
-// read the simulated clock mid-run, so its launch trace is clock-sensitive.
+// simulation wall-clock slow, for drain tests; gate, when set, holds runs
+// until the test releases them.
 type fakeProg struct {
 	core.Meta
 	scale         float64
 	sleepPerBlock time.Duration
-	readsClock    bool
+	gate          *runGate
+}
+
+// runGate holds every run after the first until release is closed. One
+// gate serves all of a worker's programs, so a worker completes exactly one
+// run and then sits still until the test lets it go.
+type runGate struct {
+	runs    atomic.Int32
+	release <-chan struct{}
+}
+
+func (g *runGate) wait(ctx context.Context) error {
+	if g.runs.Add(1) == 1 {
+		return nil
+	}
+	select {
+	case <-g.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 func newFakeProg(name string, scale float64) *fakeProg {
@@ -53,6 +74,11 @@ func (p *fakeProg) Run(ctx context.Context, dev *sim.Device, input string) error
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
+	if p.gate != nil {
+		if err := p.gate.wait(ctx); err != nil {
+			return err
+		}
+	}
 	scale := p.scale
 	if input == "big" {
 		scale *= 2
@@ -66,9 +92,6 @@ func (p *fakeProg) Run(ctx context.Context, dev *sim.Device, input string) error
 		c.FP32Ops(4000)
 		c.IntOps(800)
 	})
-	if p.readsClock {
-		dev.Now()
-	}
 	return nil
 }
 

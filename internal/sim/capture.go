@@ -25,8 +25,8 @@ import (
 // the simulated clock: a program that branches on Now() or ActiveTime()
 // while capturing sees config-dependent values, so both methods mark the
 // trace clock-sensitive when a capture is active. A clock-sensitive trace
-// refuses to Replay; callers fall back to a fresh simulation (core.Runner
-// does exactly that).
+// refuses to Replay, and core.Runner, which prices every measurement by
+// replay, fails such a program's measurement naming the read.
 
 // captureEventKind tags the entries of a captured launch timeline.
 type captureEventKind uint8
