@@ -20,11 +20,14 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/serve/... ./internal/frontier/... ./internal/sdk/...
 
 # Short fuzz smokes, seeds plus 10s of mutation each: the warp merge
-# against its reference implementation, and the launch-trace decoder on
-# mutated real encodings.
+# against its reference implementation (FuzzMergeWarp), the launch-trace
+# decoder on mutated real encodings (FuzzDecodeTrace), and the sensor
+# recorder's memoized step factor against the unmemoized reference on
+# mutated replayed timelines (FuzzAppendRecord).
 fuzz:
 	$(GO) test -fuzz=FuzzMergeWarp -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/sim
+	$(GO) test -fuzz=FuzzAppendRecord -fuzztime=10s ./internal/sensor
 
 # Full physics-invariant verification sweep + golden corpus diff.
 check:

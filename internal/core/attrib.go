@@ -18,13 +18,19 @@ import (
 // program that reads the simulated clock mid-run; callers (the attribution
 // pass, the selfcheck tie-outs) consume it read-only.
 func (r *Runner) SimulatedDevice(ctx context.Context, p Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	return r.simulatedDevice(ctx, nil, p, input, clk)
+}
+
+// simulatedDevice is SimulatedDevice replaying into dst's storage (see
+// sim.LaunchTrace.ReplayInto); nil dst hands out a fresh device.
+func (r *Runner) simulatedDevice(ctx context.Context, dst *sim.Device, p Program, input string, clk kepler.Clocks) (*sim.Device, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st := &measureState{ctx: ctx, p: p, input: input, clk: clk}
+	st := &measureState{ctx: ctx, p: p, input: input, clk: clk, dev: dst}
 	m := r.metricsHandles()
 	start := time.Now()
 	err := r.stageSimulate(st)
@@ -48,14 +54,16 @@ type ProgramAttribution struct {
 // launch-trace cache (or through a broker) it costs zero simulations —
 // attribution is a post-processing pass over replayed traces. Each
 // finished row bumps the runner's attrib_rows counter, the progress source
-// of attribution jobs.
+// of attribution jobs. An attribution keeps nothing of its device, so the
+// sweep replays every combination into one.
 func AttributionSweep(ctx context.Context, r *Runner, programs []Program, configs []kepler.Clocks) ([]ProgramAttribution, error) {
 	done := r.Metrics().Counter("attrib_rows")
 	var rows []ProgramAttribution
+	var dev *sim.Device
+	var err error
 	for _, p := range programs {
 		for _, clk := range configs {
-			dev, err := r.SimulatedDevice(ctx, p, p.DefaultInput(), clk)
-			if err != nil {
+			if dev, err = r.simulatedDevice(ctx, dev, p, p.DefaultInput(), clk); err != nil {
 				return nil, err
 			}
 			rows = append(rows, ProgramAttribution{

@@ -47,7 +47,9 @@ func (b *recordingBroker) StoreTrace(device, program, input string, tr *sim.Laun
 // TestClockReadFailsMeasurement: every measured device is a replay, so a
 // program that reads the simulated clock mid-run cannot be measured. Each
 // entry point fails naming the read, and the unreplayable trace is neither
-// cached nor published.
+// cached nor published. The verdict is: after the one capture that found
+// the read, every configuration of the program fails with it without
+// simulating again.
 func TestClockReadFailsMeasurement(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -95,6 +97,27 @@ func TestClockReadFailsMeasurement(t *testing.T) {
 			}
 			_, err = frontier.Sweep(ctx, r, p, frontier.Options{})
 			failsNamingRead("frontier.Sweep", err)
+			if got := r.Metrics().Snapshot().Counters["simulate_runs_device_K20c"]; got != 1 {
+				t.Errorf("simulate_runs_device_K20c = %d after every entry point, want 1", got)
+			}
+
+			// A sweep on a fresh runner: one simulation, and every point of
+			// the grid fails naming the read.
+			fresh := core.NewRunner()
+			fresh.Repetitions = 1
+			_, err = frontier.Sweep(ctx, fresh, p, frontier.Options{})
+			failsNamingRead("fresh frontier.Sweep", err)
+			grid, gerr := kepler.K20cDevice().Grid(kepler.K20cDevice().DefaultGrid())
+			if gerr != nil {
+				t.Fatal(gerr)
+			}
+			for _, clk := range grid {
+				_, err := fresh.Measure(ctx, p, "default", clk)
+				failsNamingRead("Measure@"+clk.Name+" after the sweep", err)
+			}
+			if got := fresh.Metrics().Snapshot().Counters["simulate_runs_device_K20c"]; got != 1 {
+				t.Errorf("a frontier sweep and %d Measure calls ran %d simulations, want 1", len(grid), got)
+			}
 		})
 	}
 }

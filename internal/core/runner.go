@@ -159,13 +159,16 @@ func traceKeyOf(p Program, input string, clk kepler.Clocks) traceKey {
 
 // traceEntry is one slot of the launch-trace cache. The first goroutine to
 // need a (program, input) pair claims the entry and simulates with capture;
-// concurrent measurements of the same pair wait on done. A failed or
-// canceled capture publishes a nil trace and removes the entry, so nothing
-// partial is ever cached and the next measurement (a waiter included)
-// recaptures.
+// concurrent measurements of the same pair wait on done. A capture that
+// read the simulated clock publishes its error, which stays: every later
+// measurement of the pair fails with it without simulating. Any other
+// failed or canceled capture publishes neither and removes the entry, so
+// nothing partial is ever cached and the next measurement (a waiter
+// included) recaptures.
 type traceEntry struct {
-	done  chan struct{}    // closed when trace is published (or capture failed)
+	done  chan struct{}    // closed when trace or err is published (or capture failed)
 	trace *sim.LaunchTrace // nil if the capture failed
+	err   error            // the clock-read verdict of a clock-sensitive capture
 }
 
 type cacheEntry struct {
@@ -265,7 +268,8 @@ func (r *Runner) resolvedEntry(c Combo) *cacheEntry {
 // sensor recordings, mirroring repeated wall-clock runs. See stages.go for
 // the stage inventory.
 func (r *Runner) measure(ctx context.Context, p Program, input string, clk kepler.Clocks) (*Result, error) {
-	st := &measureState{ctx: ctx, p: p, input: input, clk: clk}
+	buf := repBufferPool.Get().(*repBuffers)
+	st := &measureState{ctx: ctx, p: p, input: input, clk: clk, buf: buf, dev: buf.dev}
 	defer st.release()
 	if err := r.runStages(ctx, st); err != nil {
 		return nil, err

@@ -20,7 +20,8 @@ import (
 // no measured value — it is the same computation as the former monolithic
 // measure, cut at its natural seams.
 const (
-	// StageSimulate executes the program on a fresh simulated device.
+	// StageSimulate gets the program's launch trace and replays it at the
+	// configuration.
 	StageSimulate = "simulate"
 	// StageTimeline converts the device's launch record into a power
 	// timeline and captures the simulator's ground truth.
@@ -52,18 +53,22 @@ type measureState struct {
 	samples   [][]sensor.Sample
 	res       *Result
 
-	// buf lends the per-repetition buffers; nil until stagePerturb
-	// borrows it, and returned to repBufferPool by release.
+	// buf lends the measurement's work buffers; Runner.measure borrows it
+	// from repBufferPool and release returns it. Nil on the SimulatedDevice
+	// path, whose callers keep the device.
 	buf *repBuffers
 }
 
-// repBuffers are one measurement's per-repetition work buffers: the
-// perturbed timelines, the sensor logs and the analysis scratch. A
-// measurement borrows them from repBufferPool and returns them when it
-// finishes, so a grid of replays reuses a few sets instead of allocating
-// every repetition's buffers afresh. Sensor logs that Runner.KeepTraces
-// hands out in Result.Traces never come from here.
+// repBuffers are one measurement's work buffers: the replayed device, the
+// timeline, the perturbed timelines, the sensor logs and the analysis
+// scratch. A measurement borrows them from repBufferPool and returns them
+// when it finishes, so a grid of replays reuses a few sets instead of
+// allocating every launch record and every repetition's buffers afresh.
+// Sensor logs that Runner.KeepTraces hands out in Result.Traces never come
+// from here.
 type repBuffers struct {
+	dev       *sim.Device
+	segs      []power.Segment
 	perturbed [][]power.Segment
 	samples   [][]sensor.Sample
 	analyzer  k20power.Analyzer
@@ -71,12 +76,15 @@ type repBuffers struct {
 
 var repBufferPool = sync.Pool{New: func() any { return new(repBuffers) }}
 
-// release returns the borrowed buffers to the pool. The measurement's
-// Result holds no reference into them.
+// release returns the borrowed buffers, the measured device among them, to
+// the pool. The measurement's Result holds no reference into them.
 func (st *measureState) release() {
 	if st.buf != nil {
+		if st.dev != nil {
+			st.buf.dev = st.dev
+		}
 		repBufferPool.Put(st.buf)
-		st.buf, st.perturbed, st.samples = nil, nil, nil
+		st.buf, st.dev, st.segs, st.perturbed, st.samples = nil, nil, nil, nil, nil
 	}
 }
 
@@ -126,10 +134,11 @@ func (r *Runner) runStages(ctx context.Context, st *measureState) error {
 
 // stageSimulate produces the completed device for this (program, input,
 // config) in two steps: get the pair's launch trace (trace), then price it
-// at the configuration (sim.LaunchTrace.Replay, bit-identical to a fresh
-// simulation), so every measured device — the capture configuration's
-// included — is a replay. Only a NoReplay runner simulates every
-// configuration afresh, as the reference replay is checked against.
+// at the configuration (sim.LaunchTrace.ReplayInto, bit-identical to a
+// fresh simulation), so every measured device — the capture configuration's
+// included — is a replay. The replay reuses the storage of st.dev, a device
+// nobody uses any more, when there is one. Only a NoReplay runner simulates
+// every configuration afresh, as the reference replay is checked against.
 // Cancellation aborts between thread blocks and surfaces as the context
 // error.
 func (r *Runner) stageSimulate(st *measureState) error {
@@ -142,7 +151,7 @@ func (r *Runner) stageSimulate(st *measureState) error {
 	if err != nil {
 		return err
 	}
-	if st.dev, err = tr.Replay(st.clk); err != nil {
+	if st.dev, err = tr.ReplayInto(st.dev, st.clk); err != nil {
 		return err
 	}
 	r.metricsHandles().traceReplays.Inc()
@@ -151,8 +160,11 @@ func (r *Runner) stageSimulate(st *measureState) error {
 
 // trace returns the launch trace of st's (program, input, device) pair from
 // the runner's cache, waiting while another measurement captures it. The
-// first measurement of a pair claims its cache entry and fills it; a waiter
-// whose capturer failed (the entry is then evicted) claims the pair anew.
+// first measurement of a pair claims its cache entry and fills it. A
+// capture that read the simulated clock leaves its verdict on the entry,
+// and every later measurement of the pair fails with it; a waiter whose
+// capturer failed otherwise (the entry is then evicted) claims the pair
+// anew.
 func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
 	key := traceKeyOf(st.p, st.input, st.clk)
 	for {
@@ -173,26 +185,30 @@ func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
 		case <-st.ctx.Done():
 			return nil, st.ctx.Err()
 		}
-		if e.trace != nil {
-			return e.trace, nil
+		if e.trace != nil || e.err != nil {
+			return e.trace, e.err
 		}
 	}
 }
 
 // fill obtains the trace for a claimed entry — the fleet broker's, if it
 // holds a replayable one, else a local capture — and publishes it to the
-// entry's waiters. A failed (or panicking) capture publishes nothing: the
-// entry is evicted so the next measurement of the pair recaptures.
+// entry's waiters. A capture that read the simulated clock publishes its
+// error instead: the program is deterministic, so capturing it again would
+// read the clock again. Any other failed (or canceled, or panicking) capture
+// publishes nothing: the entry is evicted so the next measurement of the
+// pair recaptures.
 func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.LaunchTrace, err error) {
+	var verdict error
 	defer func() {
-		if tr == nil {
+		if tr == nil && verdict == nil {
 			r.traceMu.Lock()
 			if r.traces[key] == e {
 				delete(r.traces, key)
 			}
 			r.traceMu.Unlock()
 		}
-		e.trace = tr
+		e.trace, e.err = tr, verdict
 		close(e.done)
 	}()
 	m := r.metricsHandles()
@@ -215,7 +231,8 @@ func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.La
 	if tr.ClockSensitive() {
 		// A mid-run clock read makes the program's Go state evolve per
 		// configuration, so no trace of it can be replayed.
-		return nil, fmt.Errorf("clock-sensitive program (%s): its launch trace cannot be replayed", tr.SensitiveReason())
+		verdict = fmt.Errorf("clock-sensitive program (%s): its launch trace cannot be replayed", tr.SensitiveReason())
+		return nil, verdict
 	}
 	m.traceCaptures.Inc()
 	m.traceBytes.Add(tr.Bytes())
@@ -242,13 +259,15 @@ func (r *Runner) simulateFresh(st *measureState, capture bool) (*sim.Device, err
 // stageTimeline derives the power timeline and ground truth from the
 // completed simulation.
 func (r *Runner) stageTimeline(st *measureState) error {
-	st.segs = power.Timeline(st.dev)
+	var energy float64
+	st.buf.segs, energy = power.AppendTimeline(st.buf.segs[:0], st.dev)
+	st.segs = st.buf.segs
 	st.res = &Result{
 		Program:        st.p.Name(),
 		Input:          st.input,
 		Config:         st.clk.Name,
 		TrueActiveTime: st.dev.ActiveTime(),
-		TrueEnergy:     power.ActiveEnergy(st.dev),
+		TrueEnergy:     energy,
 	}
 	return nil
 }
@@ -257,7 +276,6 @@ func (r *Runner) stageTimeline(st *measureState) error {
 // mirroring repeated wall-clock runs on a real machine.
 func (r *Runner) stagePerturb(st *measureState) error {
 	n := max(r.Repetitions, 1)
-	st.buf = repBufferPool.Get().(*repBuffers)
 	st.seeds = make([]uint64, n)
 	st.perturbed = reps(&st.buf.perturbed, n)
 	for rep := 0; rep < n; rep++ {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/kepler"
 	"repro/internal/sensor"
@@ -71,13 +70,12 @@ func Analyze(samples []sensor.Sample, dev *kepler.Device) (Measurement, error) {
 	return a.Analyze(samples, dev)
 }
 
-// Analyzer runs Analyze with work buffers (the compensated log and the
-// sampling intervals) that it keeps between calls, so a stream of analyses
-// stops allocating once the buffers have grown to the longest log. The zero
-// value is ready to use; an Analyzer is not safe for concurrent use.
+// Analyzer runs Analyze with a work buffer (the compensated log) that it
+// keeps between calls, so a stream of analyses stops allocating once the
+// buffer has grown to the longest log. The zero value is ready to use; an
+// Analyzer is not safe for concurrent use.
 type Analyzer struct {
 	comp []sensor.Sample
-	gaps []float64
 }
 
 // Analyze is the package-level Analyze, reusing a's buffers.
@@ -129,7 +127,7 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, dev *kepler.Device) (Measure
 		// mean — is load-bearing here: a single long sensor dropout inside
 		// an otherwise 10 Hz run must not reclassify the whole run as
 		// 1 Hz-sampled and exclude it.
-		if a.medianInterval(comp[first:last+1]) > 0.5 {
+		if slowlySampled(comp[first : last+1]) {
 			need = minSamples1Hz
 		}
 	}
@@ -209,23 +207,44 @@ func nthSmallest(samples []sensor.Sample, n int) float64 {
 	return orderStat(samples, n)
 }
 
-// medianInterval returns the median inter-sample time gap, or 0 for fewer
-// than two samples.
-func (a *Analyzer) medianInterval(samples []sensor.Sample) float64 {
-	if len(samples) < 2 {
-		return 0
+// slowlySampled reports whether the median inter-sample time gap exceeds
+// half a second (false for fewer than two samples). It counts the gaps that
+// sort at or below 0.5 s (NaN sorts first, as in sort.Float64s) instead of
+// sorting them: the count alone places the median on one side of 0.5 s,
+// except for an even number of gaps whose two middle ones straddle it. Then
+// the median is the mean of the largest gap at or below 0.5 s and the
+// smallest above it, computed as the sorted median computes it. (Two gaps
+// above 0.5 s always average above it: their exact sum exceeds 1 by at
+// least 2⁻⁵², which 1's spacing represents, so rounding cannot pull it
+// down to 1.)
+func slowlySampled(samples []sensor.Sample) bool {
+	n := len(samples) - 1
+	if n < 1 {
+		return false
 	}
-	a.gaps = a.gaps[:0]
+	low := 0
+	lowMax, highMin := math.NaN(), math.Inf(1)
 	for i := 1; i < len(samples); i++ {
-		a.gaps = append(a.gaps, samples[i].T-samples[i-1].T)
+		g := samples[i].T - samples[i-1].T
+		if g > 0.5 {
+			if g < highMin {
+				highMin = g
+			}
+			continue
+		}
+		low++
+		if math.IsNaN(lowMax) || g > lowMax {
+			lowMax = g
+		}
 	}
-	gaps := a.gaps
-	sort.Float64s(gaps)
-	n := len(gaps)
-	if n%2 == 1 {
-		return gaps[n/2]
+	switch {
+	case n%2 == 1:
+		return low <= n/2
+	case low != n/2:
+		return low < n/2
+	default:
+		return (lowMax+highMin)/2 > 0.5
 	}
-	return (gaps[n/2-1] + gaps[n/2]) / 2
 }
 
 // percentile returns the p-quantile (0..1) of the sample powers, or 0 for an

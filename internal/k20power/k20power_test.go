@@ -349,19 +349,110 @@ func TestCompensateSliverIntervalStaysRaw(t *testing.T) {
 	}
 }
 
+// sortedMedianGap is the sort-based reference the counting 1 Hz test
+// replaced: the median inter-sample gap of the gaps sorted by
+// sort.Float64s, or 0 for fewer than two samples.
+func sortedMedianGap(samples []sensor.Sample) float64 {
+	if len(samples) < 2 {
+		return 0
+	}
+	gaps := make([]float64, 0, len(samples)-1)
+	for i := 1; i < len(samples); i++ {
+		gaps = append(gaps, samples[i].T-samples[i-1].T)
+	}
+	sort.Float64s(gaps)
+	n := len(gaps)
+	if n%2 == 1 {
+		return gaps[n/2]
+	}
+	return (gaps[n/2-1] + gaps[n/2]) / 2
+}
+
+// checkSlowlySampled fails t when slowlySampled disagrees with the sorted
+// median's comparison against half a second.
+func checkSlowlySampled(t *testing.T, what string, s []sensor.Sample) {
+	t.Helper()
+	if got, want := slowlySampled(s), sortedMedianGap(s) > 0.5; got != want {
+		t.Errorf("%s: slowlySampled = %v, sorted median %v > 0.5 is %v", what, got, sortedMedianGap(s), want)
+	}
+}
+
 func TestMedianInterval(t *testing.T) {
 	s := []sensor.Sample{{T: 0}, {T: 0.1}, {T: 0.2}, {T: 6.2}, {T: 6.3}}
-	// gaps .1 .1 6 .1 -> median (even count) = 0.1
-	var a Analyzer
-	if got := a.medianInterval(s); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("medianInterval = %v, want 0.1", got)
+	slow := []sensor.Sample{{T: 0}, {T: 1}, {T: 2}, {T: 2.1}, {T: 3.1}}
+	for _, c := range []struct {
+		name    string
+		samples []sensor.Sample
+		median  float64
+	}{
+		{"even", s, 0.1},         // gaps .1 .1 6 .1
+		{"odd", s[:4], 0.1},      // gaps .1 .1 6
+		{"one sample", s[:1], 0}, // no gap
+		{"empty", nil, 0},
+		{"even 1 Hz", slow, 1},    // gaps 1 1 .1 1
+		{"odd 1 Hz", slow[:4], 1}, // gaps 1 1 .1
+		{"even straddling", []sensor.Sample{{T: 0}, {T: 0.1}, {T: 1.1}, {T: 1.2}, {T: 2.2}}, 0.55}, // gaps .1 1 .1 1
+	} {
+		if got := sortedMedianGap(c.samples); math.Abs(got-c.median) > 1e-12 {
+			t.Errorf("%s: sorted median = %v, want %v", c.name, got, c.median)
+		}
+		checkSlowlySampled(t, c.name, c.samples)
 	}
-	// odd gap count: .1 .1 6 -> 0.1
-	if got := a.medianInterval(s[:4]); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("medianInterval(odd) = %v, want 0.1", got)
+}
+
+// TestSlowlySampledMatchesSortedMedian: counting the gaps at or below half
+// a second decides the 1 Hz test exactly as comparing the sorted median
+// does — for odd and even counts, gaps at 0.5 s and at its float
+// neighbours, duplicate gaps, and NaN and infinite gaps.
+func TestSlowlySampledMatchesSortedMedian(t *testing.T) {
+	below, above := math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)
+	pool := []float64{0.1, 0.1, 0.5, 0.5, below, above, math.Nextafter(above, 1), 1, 1, 6, 0.4, 0.6,
+		0, -0.1, math.Inf(1), math.NaN()}
+	// anchored returns a log whose odd gaps are exactly gs (the even ones
+	// step back to 0, below half a second).
+	anchored := func(gs ...float64) []sensor.Sample {
+		s := []sensor.Sample{{T: 0}}
+		for _, g := range gs {
+			s = append(s, sensor.Sample{T: g}, sensor.Sample{T: 0})
+		}
+		return s
 	}
-	if a.medianInterval(s[:1]) != 0 || a.medianInterval(nil) != 0 {
-		t.Error("medianInterval of <2 samples should be 0")
+	// Even gap counts whose middle pair straddles 0.5 s: the mean decides.
+	for _, c := range []struct {
+		name string
+		lo   float64
+		hi   float64
+		want bool
+	}{
+		{"0.5 and its successor", 0.5, above, false}, // (1+2⁻⁵³)/2 rounds to 0.5
+		{"predecessor and successor", below, above, false},
+		{"0.5 and two steps up", 0.5, math.Nextafter(above, 1), true},
+		{"0.4 and 0.6", 0.4, 0.6, false},
+		{"0.4 and 0.7", 0.4, 0.7, true},
+	} {
+		s := []sensor.Sample{{T: -c.lo}, {T: 0}, {T: c.hi}} // gaps exactly lo, hi
+		checkSlowlySampled(t, c.name, s)
+		if got := slowlySampled(s); got != c.want {
+			t.Errorf("%s: slowlySampled = %v, want %v", c.name, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(12)
+		gs := make([]float64, n)
+		for i := range gs {
+			gs[i] = pool[rng.Intn(len(pool))]
+		}
+		// A cumulative log (gaps rounded where t grows) and an anchored one
+		// (gaps exact, half of them negative).
+		s := []sensor.Sample{{T: 0}}
+		for _, g := range gs {
+			s = append(s, sensor.Sample{T: s[len(s)-1].T + g})
+		}
+		checkSlowlySampled(t, fmt.Sprintf("cumulative %v", gs), s)
+		a := anchored(gs...)
+		checkSlowlySampled(t, fmt.Sprintf("anchored %v", gs), a)
+		checkSlowlySampled(t, fmt.Sprintf("anchored %v, last gap dropped", gs), a[:len(a)-1])
 	}
 }
 

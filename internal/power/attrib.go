@@ -111,7 +111,12 @@ func (v *ClassVec) UnmarshalJSON(data []byte) error {
 // charges the run: each class of one execution, times the launch's timing
 // scale and repeat count.
 func AttributeLaunch(clk kepler.Clocks, l *sim.Launch) ClassVec {
-	vec := classEnergies(clk, &l.Stats)
+	return launchClasses(classEnergies(clk, &l.Stats), l)
+}
+
+// launchClasses scales the class energies of one execution to the whole
+// launch record: its timing scale and repeat count.
+func launchClasses(vec ClassVec, l *sim.Launch) ClassVec {
 	k := l.Scale * float64(l.Repeat)
 	for c := range vec {
 		vec[c] *= k
@@ -162,16 +167,20 @@ type Attribution struct {
 }
 
 // Attribute decomposes a completed (or replayed) device run. Launch order
-// is preserved, so TotalJ accumulates in exactly the order ActiveEnergy
-// sums.
+// is preserved, and each launch is priced once (priceLaunches), so TotalJ
+// is the very sum ActiveEnergy returns.
 func Attribute(dev *sim.Device) *Attribution {
 	clk := dev.Clocks
-	a := &Attribution{Device: clk.Device().Name, Config: clk.Name}
+	a := &Attribution{
+		Device:   clk.Device().Name,
+		Config:   clk.Name,
+		Launches: make([]LaunchAttribution, 0, len(dev.Launches)),
+	}
 	kernelIdx := make(map[string]int)
-	for _, l := range dev.Launches {
-		vec := AttributeLaunch(clk, l)
+	a.TotalJ = priceLaunches(dev, func(l *sim.Launch, classes ClassVec, exec float64) {
+		vec := launchClasses(classes, l)
 		dyn := vec.Total()
-		tot := LaunchEnergy(clk, l) * float64(l.Repeat)
+		tot := exec * float64(l.Repeat)
 		la := LaunchAttribution{
 			Kernel:    l.Name,
 			Seq:       l.Seq,
@@ -184,7 +193,6 @@ func Attribute(dev *sim.Device) *Attribution {
 		}
 		a.Launches = append(a.Launches, la)
 		a.DynamicJ += dyn
-		a.TotalJ += tot
 		a.Classes.AddVec(vec)
 
 		ki, ok := kernelIdx[l.Name]
@@ -200,7 +208,7 @@ func Attribute(dev *sim.Device) *Attribution {
 		k.DynamicJ += dyn
 		k.StaticJ += la.StaticJ
 		k.TotalJ += tot
-	}
+	})
 	a.StaticJ = a.TotalJ - a.DynamicJ
 	return a
 }

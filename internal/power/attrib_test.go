@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -215,5 +216,51 @@ func TestClassVecJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"flops": 1}`), &back); err == nil {
 		t.Error("unknown class name accepted")
+	}
+}
+
+// TestOnePassPricingMatchesReference: pricing each launch once changes no
+// bit. AppendTimeline's energy is ActiveEnergy's, which is the launch-order
+// sum of LaunchEnergy over the repeats, its segments are Timeline's, and
+// every Attribute row is the one AttributeLaunch and LaunchEnergy give the
+// launch on their own — on every device's canonical configurations.
+func TestOnePassPricingMatchesReference(t *testing.T) {
+	buf := make([]Segment, 3, 64) // a reused buffer's stale contents
+	for _, dev := range kepler.Devices() {
+		for _, clk := range dev.Configurations() {
+			d, _ := mixedLaunch(clk)
+			d.HostPause(0.02)
+			d.Launch("second", 64, 128, func(c *sim.Ctx) { c.FP32Ops(64) })
+			d.Launch("mixed", 8, 32, func(c *sim.Ctx) { c.IntOps(3) })
+
+			var want float64
+			for _, l := range d.Launches {
+				want += LaunchEnergy(clk, l) * float64(l.Repeat)
+			}
+			if got := ActiveEnergy(d); got != want {
+				t.Errorf("%s@%s: ActiveEnergy %v, launch-order LaunchEnergy sum %v", dev.Name, clk.Name, got, want)
+			}
+			segs, e := AppendTimeline(buf[:0], d)
+			if e != want {
+				t.Errorf("%s@%s: AppendTimeline energy %v != ActiveEnergy %v", dev.Name, clk.Name, e, want)
+			}
+			if ref := Timeline(d); !reflect.DeepEqual(segs, ref) {
+				t.Errorf("%s@%s: AppendTimeline segments differ from Timeline", dev.Name, clk.Name)
+			}
+
+			a := Attribute(d)
+			if a.TotalJ != want {
+				t.Errorf("%s@%s: TotalJ %v != ActiveEnergy %v", dev.Name, clk.Name, a.TotalJ, want)
+			}
+			for i, l := range d.Launches {
+				vec := AttributeLaunch(clk, l)
+				tot := LaunchEnergy(clk, l) * float64(l.Repeat)
+				ref := LaunchAttribution{Kernel: l.Name, Seq: l.Seq, Repeat: l.Repeat, DurationS: l.Duration,
+					Classes: vec, DynamicJ: vec.Total(), StaticJ: tot - vec.Total(), TotalJ: tot}
+				if a.Launches[i] != ref {
+					t.Errorf("%s@%s launch %d: row %+v, want %+v", dev.Name, clk.Name, i, a.Launches[i], ref)
+				}
+			}
+		}
 	}
 }

@@ -19,6 +19,8 @@
 package power
 
 import (
+	"slices"
+
 	"repro/internal/kepler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -65,7 +67,34 @@ func TailW(clk kepler.Clocks) float64 {
 // of the launch: its dynamic energy — the ordered sum of its class energies,
 // times the launch's timing scale — plus static power over its duration.
 func LaunchEnergy(clk kepler.Clocks, l *sim.Launch) float64 {
-	return classEnergies(clk, &l.Stats).Total()*l.Scale + StaticActiveW(clk)*l.Duration
+	return execEnergy(classEnergies(clk, &l.Stats), StaticActiveW(clk), l)
+}
+
+// execEnergy is LaunchEnergy from the class energies of one execution and
+// the configuration's static power.
+func execEnergy(classes ClassVec, static float64, l *sim.Launch) float64 {
+	return classes.Total()*l.Scale + static*l.Duration
+}
+
+// priceLaunches prices every launch of dev once, in launch order. It calls
+// visit, when non-nil, with each launch, the class energies of one
+// execution and that execution's energy, and returns the run's active
+// energy: each execution's energy times its repeats, summed in launch
+// order. It is the one launch-energy sum; ActiveEnergy, AppendTimeline and
+// Attribute all total through it, so their totals agree bit for bit.
+func priceLaunches(dev *sim.Device, visit func(l *sim.Launch, classes ClassVec, exec float64)) float64 {
+	clk := dev.Clocks
+	static := StaticActiveW(clk)
+	var e float64
+	for _, l := range dev.Launches {
+		classes := classEnergies(clk, &l.Stats)
+		exec := execEnergy(classes, static, l)
+		if visit != nil {
+			visit(l, classes, exec)
+		}
+		e += exec * float64(l.Repeat)
+	}
+	return e
 }
 
 // classEnergies prices one execution of a launch's statistics into the nine
@@ -128,10 +157,16 @@ func effectiveTxns(clk kepler.Clocks, s *trace.KernelStats) float64 {
 // LaunchPower returns the average power in watts during one execution of the
 // launch.
 func LaunchPower(clk kepler.Clocks, l *sim.Launch) float64 {
+	return execPower(LaunchEnergy(clk, l), StaticActiveW(clk), l)
+}
+
+// execPower is LaunchPower from one execution's energy and the
+// configuration's static power.
+func execPower(exec, static float64, l *sim.Launch) float64 {
 	if l.Duration <= 0 {
-		return StaticActiveW(clk)
+		return static
 	}
-	return LaunchEnergy(clk, l) / l.Duration
+	return exec / l.Duration
 }
 
 // Segment is a span of constant true power on the timeline.
@@ -147,45 +182,50 @@ func (s Segment) End() float64 { return s.Start + s.Duration }
 // leading idle, per-launch plateaus, tail-level host gaps, the driver tail
 // after the last kernel, and trailing idle. Segment times are shifted so the
 // timeline starts at zero.
+func Timeline(dev *sim.Device) []Segment {
+	segs, _ := AppendTimeline(nil, dev)
+	return segs
+}
+
+// AppendTimeline appends dev's Timeline to dst and returns it together with
+// ActiveEnergy(dev), pricing each launch once for both, so a caller that
+// converts many runs can reuse one buffer (pass dst[:0]).
 //
 // The device's launches and gaps are each in start order (Device.Repeat
 // shifts every later launch and gap by the same amount), so one linear
-// merge orders the timeline; on equal starts the launch comes first.
-func Timeline(dev *sim.Device) []Segment {
+// merge orders the timeline: before each launch come the gaps that start
+// strictly earlier, so on equal starts the launch comes first.
+func AppendTimeline(dst []Segment, dev *sim.Device) ([]Segment, float64) {
 	clk := dev.Clocks
-	segs := make([]Segment, 0, len(dev.Launches)+len(dev.Gaps)+4)
-	idle := IdleW(clk)
+	segs := slices.Grow(dst, len(dev.Launches)+len(dev.Gaps)+4)
+	idle, tail, static := IdleW(clk), TailW(clk), StaticActiveW(clk)
 	segs = append(segs, Segment{Start: 0, Duration: leadIdle, Watts: idle})
 
-	tail := TailW(clk)
 	end := leadIdle
-	launches, gaps := dev.Launches, dev.Gaps
-	for len(launches) > 0 || len(gaps) > 0 {
-		var start, dur, watts float64
-		if len(gaps) == 0 || (len(launches) > 0 && !(gaps[0].Start < launches[0].Start)) {
-			l := launches[0]
-			launches = launches[1:]
-			start, dur, watts = l.Start, l.TotalDuration(), LaunchPower(clk, l)
-		} else {
-			start, dur, watts = gaps[0].Start, gaps[0].Duration, tail
-			gaps = gaps[1:]
-		}
+	emit := func(start, dur, watts float64) {
 		if dur > 0 {
 			segs = append(segs, Segment{Start: leadIdle + start, Duration: dur, Watts: watts})
 		}
 		end = leadIdle + start + dur
 	}
+	gaps := dev.Gaps
+	energy := priceLaunches(dev, func(l *sim.Launch, _ ClassVec, exec float64) {
+		for len(gaps) > 0 && gaps[0].Start < l.Start {
+			emit(gaps[0].Start, gaps[0].Duration, tail)
+			gaps = gaps[1:]
+		}
+		emit(l.Start, l.TotalDuration(), execPower(exec, static, l))
+	})
+	for _, g := range gaps {
+		emit(g.Start, g.Duration, tail)
+	}
 	segs = append(segs, Segment{Start: end, Duration: tailDuration, Watts: tail})
 	segs = append(segs, Segment{Start: end + tailDuration, Duration: trailIdle, Watts: idle})
-	return segs
+	return segs, energy
 }
 
 // ActiveEnergy returns the energy of the device's kernel executions only
 // (the ground truth the measurement stack tries to recover).
 func ActiveEnergy(dev *sim.Device) float64 {
-	var e float64
-	for _, l := range dev.Launches {
-		e += LaunchEnergy(dev.Clocks, l) * float64(l.Repeat)
-	}
-	return e
+	return priceLaunches(dev, nil)
 }

@@ -63,6 +63,7 @@ func AppendRecord(dst []Sample, segs []power.Segment, model kepler.SensorModel, 
 	reported := segs[0].Watts
 	t := 0.0
 	segIdx := 0
+	var ema emaFactors
 	for end-t >= MinDT {
 		dt := idleDT
 		if reported >= model.SwitchW {
@@ -74,8 +75,7 @@ func AppendRecord(dst []Sample, segs []power.Segment, model kepler.SensorModel, 
 		}
 		avg, newIdx := avgPower(segs, segIdx, t, next)
 		segIdx = newIdx
-		alpha := 1 - math.Exp(-(next-t)/Tau)
-		reported += (avg - reported) * alpha
+		reported += (avg - reported) * ema.of(next-t)
 		t = next
 
 		w := reported
@@ -88,6 +88,39 @@ func AppendRecord(dst []Sample, segs []power.Segment, model kepler.SensorModel, 
 		samples = append(samples, Sample{T: t, W: w})
 	}
 	return samples
+}
+
+// emaFactors memoizes the running average's step factor 1 − exp(−Δt/Tau)
+// by the exact bits of Δt. A log's steps take few distinct values — the two
+// sampling intervals as rounding at each magnitude of t leaves them, and
+// the final sliver — so a small table serves almost every step without a
+// math.Exp call, and a factor it serves is the one the same expression
+// computed for the same Δt, bit for bit. It replaces the oldest entry when
+// full.
+type emaFactors struct {
+	n, oldest int
+	dtBits    [8]uint64
+	factor    [8]float64
+}
+
+// of returns 1 − exp(−dt/Tau).
+func (f *emaFactors) of(dt float64) float64 {
+	bits := math.Float64bits(dt)
+	for i := 0; i < f.n; i++ {
+		if f.dtBits[i] == bits {
+			return f.factor[i]
+		}
+	}
+	a := 1 - math.Exp(-dt/Tau)
+	i := f.n
+	if i == len(f.dtBits) {
+		i = f.oldest
+		f.oldest = (f.oldest + 1) % len(f.dtBits)
+	} else {
+		f.n++
+	}
+	f.dtBits[i], f.factor[i] = bits, a
+	return a
 }
 
 // avgPower integrates the true power over [t0, t1) starting the segment

@@ -203,15 +203,25 @@ func (t *LaunchTrace) recordRepeat(index, n int) {
 // same HostPause and Repeat. It fails on a clock-sensitive trace, whose
 // Go-side evolution the timing model alone cannot reproduce.
 func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
+	return t.ReplayInto(nil, clk)
+}
+
+// ReplayInto is Replay into dst's storage: it resets dst to a new device at
+// clk and reuses the launch block, Launches and Gaps of its former timeline,
+// so a caller that prices many configurations in turn allocates nothing per
+// launch once dst has held the longest timeline. dst must be a device the
+// caller no longer uses: every *Launch it held is overwritten. A nil dst
+// replays into a fresh device. On error dst is left unusable but may be
+// passed to ReplayInto again.
+func (t *LaunchTrace) ReplayInto(dst *Device, clk kepler.Clocks) (*Device, error) {
 	if t.sensitive {
 		return nil, fmt.Errorf("sim: trace is clock-sensitive (%s); replay would be unsound", t.reason)
 	}
 	if dev := clk.Device().Name; t.device != "" && dev != t.device {
 		return nil, fmt.Errorf("sim: trace captured on device %s cannot replay on %s: block statistics and issue cycles are device-dependent", t.device, dev)
 	}
-	d := NewDevice(clk)
-	// Size the timeline up front and allocate its launches in one block:
-	// every launch adds one record and at most one inter-launch gap.
+	// Size the timeline up front and keep its launches in one block: every
+	// launch adds one record and at most one inter-launch gap.
 	launches, gaps := 0, 0
 	for i := range t.events {
 		switch t.events[i].kind {
@@ -222,14 +232,27 @@ func (t *LaunchTrace) Replay(clk kepler.Clocks) (*Device, error) {
 			gaps++
 		}
 	}
-	block := make([]Launch, launches)
-	d.Launches = make([]*Launch, 0, launches)
-	d.Gaps = make([]Gap, 0, gaps)
+	d := dst
+	if d == nil {
+		d = new(Device)
+	}
+	block, ls, gs := d.replayed, d.Launches, d.Gaps
+	d.init(clk)
+	if cap(block) < launches {
+		block = make([]Launch, launches)
+	}
+	if cap(ls) < launches {
+		ls = make([]*Launch, 0, launches)
+	}
+	if cap(gs) < gaps {
+		gs = make([]Gap, 0, gaps)
+	}
+	d.replayed, d.Launches, d.Gaps = block[:launches], ls[:0], gs[:0]
 	for i := range t.events {
 		ev := &t.events[i]
 		switch ev.kind {
 		case evLaunch:
-			d.appendLaunch(ev.launch, d.seq, &block[len(d.Launches)])
+			d.appendLaunch(ev.launch, d.seq, &d.replayed[len(d.Launches)])
 			d.seq++
 		case evPause:
 			d.HostPause(ev.pause)

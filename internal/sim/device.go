@@ -108,6 +108,10 @@ type Device struct {
 	// capture, when non-nil, records the clock-independent launch timeline
 	// (see BeginCapture) and flags clock-sensitive behaviour.
 	capture *LaunchTrace
+
+	// replayed holds the launch records of a replayed timeline in one
+	// block (Launches points into it); ReplayInto reuses it.
+	replayed []Launch
 }
 
 // NewDevice creates a device at the given clock configuration. The seed
@@ -115,7 +119,14 @@ type Device struct {
 // configuration); it only distinguishes repeated experiments in the sensor
 // and power noise downstream.
 func NewDevice(clk kepler.Clocks) *Device {
-	d := &Device{
+	d := new(Device)
+	d.init(clk)
+	return d
+}
+
+// init sets *d to a new device at clk, keeping nothing of its former state.
+func (d *Device) init(clk kepler.Clocks) {
+	*d = Device{
 		Clocks:         clk,
 		desc:           clk.Device(),
 		nextAddr:       4096, // keep 0 unused so Addr(0) can mean "nil"
@@ -124,7 +135,6 @@ func NewDevice(clk kepler.Clocks) *Device {
 		pool:           defaultPool,
 		ctx:            context.Background(),
 	}
-	return d
 }
 
 // SetWorkerPool sets the pool this device draws extra block-simulation

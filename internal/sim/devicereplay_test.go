@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,4 +51,69 @@ func TestReplayRefusesCrossDevice(t *testing.T) {
 	if _, err := gtr.Replay(cfgs[1]); err != nil {
 		t.Fatalf("same-device replay failed: %v", err)
 	}
+}
+
+// TestReplayIntoMatchesReplay: replaying into a device that last held a
+// larger timeline, a smaller one, or a live run yields the timeline a
+// fresh Replay does, and once the device has held the trace a replay into
+// it allocates nothing.
+func TestReplayIntoMatchesReplay(t *testing.T) {
+	capture := func(run func(*Device)) *LaunchTrace {
+		d := NewDevice(kepler.Default)
+		d.BeginCapture()
+		run(d)
+		return d.EndCapture()
+	}
+	small := func(d *Device) {
+		l := d.Launch("only", 16, 64, func(c *Ctx) { c.FP32Ops(8) })
+		d.HostPause(0.003)
+		d.Repeat(l, 3)
+	}
+	big, little := capture(captureProgram), capture(small)
+	live := NewDevice(kepler.F614)
+	captureProgram(live)
+
+	for _, c := range []struct {
+		name string
+		dst  func() *Device
+		tr   *LaunchTrace
+	}{
+		{"larger into smaller", func() *Device { return mustReplay(t, little, kepler.F614) }, big},
+		{"smaller into larger", func() *Device { return mustReplay(t, big, kepler.F614) }, little},
+		{"into a live run", func() *Device { return live }, little},
+	} {
+		for _, clk := range []kepler.Clocks{kepler.Default, kepler.F324, kepler.ECCDefault} {
+			dst := c.dst()
+			got, err := c.tr.ReplayInto(dst, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != dst {
+				t.Errorf("%s@%s: ReplayInto returned a new device", c.name, clk.Name)
+			}
+			want := mustReplay(t, c.tr, clk)
+			if !reflect.DeepEqual(got.Launches, want.Launches) || !reflect.DeepEqual(got.Gaps, want.Gaps) ||
+				got.Now() != want.Now() || got.ActiveTime() != want.ActiveTime() || got.Clocks != want.Clocks {
+				t.Errorf("%s@%s: ReplayInto timeline differs from a fresh Replay", c.name, clk.Name)
+			}
+		}
+	}
+
+	dst := mustReplay(t, big, kepler.Default)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := big.ReplayInto(dst, kepler.F614); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ReplayInto a device that held the trace allocates %.0f times, want 0", allocs)
+	}
+}
+
+func mustReplay(t *testing.T, tr *LaunchTrace, clk kepler.Clocks) *Device {
+	t.Helper()
+	d, err := tr.Replay(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
