@@ -14,10 +14,6 @@
 //     energy, and its runtime penalty on compute-bound codes stays small;
 //   - determinism: a fresh Runner reproduces bit-identical Result structs
 //     for the same (program, input, configuration, seed);
-//   - replay-identity: the launch-trace replay engine (capture in
-//     internal/sim plus the core trace cache) produces Results
-//     bit-identical to a runner that simulates every configuration from
-//     scratch (NoReplay), across every program and configuration;
 //   - dense-grid frontier: the generated DVFS grid (internal/kepler.Grid,
 //     swept by internal/frontier) keeps per-row runtime monotone and
 //     energy valley-shaped in the core clock, and the default
@@ -88,8 +84,8 @@ const (
 type Violation struct {
 	// Invariant is the invariant class: "energy-conservation",
 	// "dvfs-monotonicity", "ecc-directionality", "determinism",
-	// "replay-identity", "dvfs-grid", "frontier-consistency",
-	// "energy-attribution" or "calibration".
+	// "dvfs-grid", "frontier-consistency", "energy-attribution" or
+	// "calibration".
 	Invariant string
 	Program   string
 	Input     string
@@ -161,8 +157,8 @@ func (r *Report) Format(w io.Writer) {
 // conservation, DVFS monotonicity, ECC directionality and energy
 // attribution; the microbenchmark calibration at the baseline
 // configuration; the frontier invariants on a reduced grid over
-// frontierSubsetSize programs; determinism at the default configuration; and
-// replay identity at every canonical configuration. dev is the GPU profile
+// frontierSubsetSize programs; and determinism at the default
+// configuration. dev is the GPU profile
 // the sweep runs on; nil means the K20c. Hard measurement failures
 // (validation errors, not sample insufficiency) abort with an error; physics
 // inconsistencies are returned as violations in the report.
@@ -216,15 +212,7 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepl
 	}
 
 	// Determinism: a fresh runner reproduces the default configuration.
-	// Replay identity: a fresh runner that simulates every configuration
-	// from scratch reproduces the main sweep, which priced every
-	// configuration by replaying launch traces.
-	vs, n, err = checkRerun(ctx, r, programs, []kepler.Clocks{dev.DefaultConfig()}, "determinism", false)
-	if err != nil {
-		return nil, err
-	}
-	rep.add(vs, n)
-	vs, n, err = checkRerun(ctx, r, programs, configs, "replay-identity", true)
+	vs, n, err = checkRerun(ctx, r, programs, dev.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -475,32 +463,28 @@ func checkECCDirectionality(byConfig map[string]*core.Result, dev *kepler.Device
 	return vs, n
 }
 
-// checkRerun re-measures every program at every given configuration on a
-// fresh Runner and compares the Results bitwise against r's, reporting each
-// difference as a violation of invariant. With noReplay the fresh runner
-// simulates every configuration from scratch, so any timing divergence
-// between the main sweep's launch-trace replays and a full simulation — at
-// any configuration, on any program — surfaces here.
-func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, configs []kepler.Clocks, invariant string, noReplay bool) ([]Violation, int, error) {
+// checkRerun is the determinism invariant: it re-measures every program at
+// clk on a fresh Runner and compares the Results bitwise against r's,
+// reporting each difference as a violation.
+func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, clk kepler.Clocks) ([]Violation, int, error) {
 	fresh := core.NewRunner()
 	fresh.Repetitions = r.Repetitions
 	fresh.KeepTraces = r.KeepTraces
-	fresh.NoReplay = noReplay
-	combos := core.EnumerateCombos(programs, configs, false)
+	combos := core.EnumerateCombos(programs, []kepler.Clocks{clk}, false)
 	want, err := r.MeasureEach(ctx, combos)
 	if err != nil {
-		return nil, 0, fmt.Errorf("check: %s sweep failed: %w", invariant, err)
+		return nil, 0, fmt.Errorf("check: determinism sweep failed: %w", err)
 	}
 	got, err := fresh.MeasureEach(ctx, combos)
 	if err != nil {
-		return nil, 0, fmt.Errorf("check: %s sweep failed: %w", invariant, err)
+		return nil, 0, fmt.Errorf("check: determinism sweep failed: %w", err)
 	}
 	var vs []Violation
 	for i, c := range combos {
 		a, b := want[i], got[i]
 		bad := func(format string, args ...any) {
 			vs = append(vs, Violation{
-				Invariant: invariant,
+				Invariant: "determinism",
 				Program:   c.Program.Name(), Input: c.Input, Config: c.Clocks.Name,
 				Detail: fmt.Sprintf(format, args...),
 			})

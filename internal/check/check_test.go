@@ -290,6 +290,6 @@ func newBrokenProgram() brokenProgram {
 	}}
 }
 
-func (brokenProgram) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (brokenProgram) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	return core.Validatef("BROKEN", "deliberate failure")
 }

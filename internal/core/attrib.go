@@ -10,13 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
-// SimulatedDevice returns the completed simulated device for one (program,
-// input, configuration) combination through the measurement pipeline's
-// simulate stage: the pair's launch trace — cached, brokered or captured
-// now — replayed at the configuration. It is the very device a full
-// measurement of the combination prices, and it fails like one, e.g. on a
-// program that reads the simulated clock mid-run; callers (the attribution
-// pass, the selfcheck tie-outs) consume it read-only.
+// SimulatedDevice returns the priced device for one (program, input,
+// configuration) combination through the measurement pipeline's simulate
+// stage: the pair's launch trace — cached, brokered or captured now —
+// replayed at the configuration. It is the very device a full measurement
+// of the combination prices, and it fails like one; callers (the
+// attribution pass, the selfcheck tie-outs) consume it read-only.
 func (r *Runner) SimulatedDevice(ctx context.Context, p Program, input string, clk kepler.Clocks) (*sim.Device, error) {
 	return r.simulatedDevice(ctx, nil, p, input, clk)
 }

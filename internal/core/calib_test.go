@@ -14,8 +14,8 @@ import (
 type toyProgram struct {
 	name     string
 	suite    Suite
-	run      func(dev *sim.Device) error
-	runInput func(dev *sim.Device, input string) error
+	run      func(dev *sim.GPU) error
+	runInput func(dev *sim.GPU, input string) error
 	inputs   []string
 	irregul  bool
 }
@@ -35,7 +35,7 @@ func (t *toyProgram) Inputs() []string {
 func (t *toyProgram) DefaultInput() string { return t.Inputs()[0] }
 func (t *toyProgram) Irregular() bool      { return t.irregul }
 
-func (t *toyProgram) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (t *toyProgram) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if t.runInput != nil {
 		return t.runInput(dev, input)
 	}
@@ -47,7 +47,7 @@ func computeBoundToy(iters int) *toyProgram {
 	return &toyProgram{
 		name:  "toy-compute",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			data := dev.NewArray(1<<20, 4)
 			l := dev.Launch("fma", 4096, 256, func(c *sim.Ctx) {
 				c.Load(data.At(c.TID()), 4)
@@ -65,7 +65,7 @@ func memoryBoundToy(iters int) *toyProgram {
 	return &toyProgram{
 		name:  "toy-memory",
 		suite: SuiteParboil,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			n := 1 << 22
 			src := dev.NewArray(n, 4)
 			dst := dev.NewArray(n, 4)
@@ -85,7 +85,7 @@ func irregularToy(iters int) *toyProgram {
 	return &toyProgram{
 		name:  "toy-irregular",
 		suite: SuiteLonestar,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			n := 1 << 20
 			src := dev.NewArray(n, 4)
 			l := dev.Launch("gather", n/256, 256, func(c *sim.Ctx) {

@@ -21,7 +21,7 @@ func cancelAfterFirstLaunch(name string, cancel *context.CancelFunc) *toyProgram
 	return &toyProgram{
 		name:  name,
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.SetTimeScale(100)
 			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
 			dev.Repeat(l, 4000)

@@ -46,7 +46,7 @@ func TestStoreDeviceKeying(t *testing.T) {
 	spy := &toyProgram{
 		name:  base.name,
 		suite: base.suite,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			calls++
 			return base.run(dev)
 		},

@@ -39,21 +39,16 @@ func TestDirBrokerWarmReplay(t *testing.T) {
 	}
 }
 
-// captureToy runs a small kernel under capture and returns its trace.
+// captureToy runs a small kernel on a K20c GPU and returns its trace.
 func captureToy(t *testing.T) *sim.LaunchTrace {
 	t.Helper()
-	d := sim.NewDevice(kepler.Default)
-	d.BeginCapture()
-	a := d.NewArray(1<<12, 4)
-	d.Launch("k", 16, 128, func(c *sim.Ctx) {
+	g := sim.NewGPU(kepler.K20cDevice())
+	a := g.NewArray(1<<12, 4)
+	g.Launch("k", 16, 128, func(c *sim.Ctx) {
 		c.Load(a.At(c.TID()), 4)
 		c.FP32Ops(10)
 	})
-	tr := d.EndCapture()
-	if tr == nil {
-		t.Fatal("EndCapture returned nil")
-	}
-	return tr
+	return g.Trace()
 }
 
 // TestDirBrokerRoundTripAndMisses: store/fetch round trip, miss semantics

@@ -13,12 +13,18 @@ import (
 	"repro/internal/sim"
 )
 
+// stubInputs are the inputs of every stub program. Each (program, input)
+// pair has a trace of its own, so a sweep over all of them at one
+// configuration runs the program once per combination.
+var stubInputs = []string{"a", "b", "c", "d"}
+
 // stubProgram is a toy whose Run is one tiny launch plus a hook.
 func stubProgram(name string, hook func() error) *toyProgram {
 	return &toyProgram{
-		name:  name,
-		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		name:   name,
+		suite:  SuiteSDK,
+		inputs: stubInputs,
+		run: func(dev *sim.GPU) error {
 			if err := hook(); err != nil {
 				return err
 			}
@@ -36,11 +42,12 @@ func sweepCounters(r *Runner) (total, done, canceled int64) {
 }
 
 // The dispatchers take the captures first: with two workers over N
-// programs x 4 configs, the first N Run calls are the N distinct programs.
-// Each program's first Run holds its worker until the next program's first
-// Run has begun, so the order is deterministic and a dispatcher that took a
-// second configuration of an in-flight program instead would stall the
-// chain (reported after a timeout rather than hanging).
+// programs x 4 configs, the N captures — one Run call per program — come
+// before every replay. Each program's Run holds its worker until the next
+// program's Run has begun, so a dispatcher that took a second
+// configuration of an in-flight program instead, and waited on that
+// capture, would stall the chain (reported after a timeout rather than
+// hanging).
 func TestMeasureListCapturesFirst(t *testing.T) {
 	const n = 6
 	var mu sync.Mutex
@@ -75,19 +82,21 @@ func TestMeasureListCapturesFirst(t *testing.T) {
 
 	r := NewRunner()
 	r.Workers = 2
-	r.NoReplay = true // every combination runs the program
 	if err := r.MeasureAll(context.Background(), progs, kepler.Configs, false); err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != n*len(kepler.Configs) {
-		t.Fatalf("%d Run calls, want %d", len(calls), n*len(kepler.Configs))
+	if len(calls) != n {
+		t.Fatalf("%d Run calls %v, want one per program (%d)", len(calls), calls, n)
 	}
 	seen := make(map[string]bool)
-	for _, c := range calls[:n] {
+	for _, c := range calls {
 		if seen[c] {
-			t.Fatalf("first %d Run calls %v repeat %s", n, calls[:n], c)
+			t.Fatalf("Run calls %v repeat %s", calls, c)
 		}
 		seen[c] = true
+	}
+	if _, done, _ := sweepCounters(r); done != n*int64(len(kepler.Configs)) {
+		t.Errorf("sweep_jobs_done = %d, want %d", done, n*len(kepler.Configs))
 	}
 }
 
@@ -110,10 +119,10 @@ func TestMeasureListBoundedGoroutines(t *testing.T) {
 		progs = append(progs, stubProgram(fmt.Sprintf("stub-%d", i), sample))
 	}
 
+	// Every combination runs the program: a distinct input each.
 	r := NewRunner()
 	r.Workers = 2
-	r.NoReplay = true
-	if err := r.MeasureAll(context.Background(), progs, kepler.Configs, false); err != nil {
+	if err := r.MeasureAll(context.Background(), progs, []kepler.Clocks{kepler.Default}, true); err != nil {
 		t.Fatal(err)
 	}
 	if total, _, _ := sweepCounters(r); total != 400 {
@@ -145,10 +154,10 @@ func TestMeasureListCancelAccountsEveryJob(t *testing.T) {
 		}))
 	}
 
+	// Every combination runs the program: a distinct input each.
 	r := NewRunner()
 	r.Workers = 2
-	r.NoReplay = true
-	err := r.MeasureAll(ctx, progs, kepler.Configs, false)
+	err := r.MeasureAll(ctx, progs, []kepler.Clocks{kepler.Default}, true)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureAll = %v, want context.Canceled", err)
 	}

@@ -356,14 +356,19 @@ func Figure6(ctx context.Context, r *Runner, programs []Program, dev *kepler.Dev
 	return rows, nil
 }
 
-// Profile runs a program once and returns the completed device, the raw
-// sensor samples and the K20Power analysis — the paper's Figure 1 view. The
-// sensor and analysis models come from the configuration's device
-// description. A failed run returns a nil device; a run whose analysis
-// fails returns the device and samples along with the analysis error.
+// Profile runs a program once, prices the run at clk and returns the priced
+// device, the raw sensor samples and the K20Power analysis — the paper's
+// Figure 1 view. The sensor and analysis models come from the
+// configuration's device description. A failed run returns a nil device; a
+// run whose analysis fails returns the device and samples along with the
+// analysis error.
 func Profile(ctx context.Context, p Program, input string, clk kepler.Clocks, seed uint64) (*sim.Device, []sensor.Sample, k20power.Measurement, error) {
-	dev := sim.NewDevice(clk)
-	if err := RunProgram(ctx, p, dev, input); err != nil {
+	gpu := sim.NewGPU(clk.Device())
+	if err := RunProgram(ctx, p, gpu, input); err != nil {
+		return nil, nil, k20power.Measurement{}, err
+	}
+	dev, err := gpu.Trace().Replay(clk)
+	if err != nil {
 		return nil, nil, k20power.Measurement{}, err
 	}
 	samples := sensor.Record(power.Timeline(dev), clk.Device().Sensor, seed)

@@ -91,7 +91,7 @@ func TestFigureRatiosExcludesInsufficient(t *testing.T) {
 	tiny := &toyProgram{
 		name:  "toy-tiny3",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 			return nil
 		},
@@ -122,7 +122,7 @@ func TestFigure5Toy(t *testing.T) {
 		inputs: []string{"small", "large"},
 		run:    nil,
 	}
-	multi.runInput = func(dev *sim.Device, input string) error {
+	multi.runInput = func(dev *sim.GPU, input string) error {
 		grid := 256
 		if input == "large" {
 			grid = 4096
@@ -233,7 +233,7 @@ func TestTable3Toy(t *testing.T) {
 		toyProgram: &toyProgram{
 			name:  "toy-compute-fast",
 			suite: SuiteSDK,
-			run: func(dev *sim.Device) error {
+			run: func(dev *sim.GPU) error {
 				data := dev.NewArray(1<<20, 4)
 				l := dev.Launch("fma", 4096, 256, func(c *sim.Ctx) {
 					c.Load(data.At(c.TID()), 4)

@@ -18,7 +18,7 @@ func tinyToy(name string) *toyProgram {
 	return &toyProgram{
 		name:  name,
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 			return nil
 		},
@@ -30,7 +30,7 @@ func brokenToy(name string) *toyProgram {
 	return &toyProgram{
 		name:  name,
 		suite: SuiteSDK,
-		run:   func(*sim.Device) error { return Validatef(name, "deliberate failure") },
+		run:   func(*sim.GPU) error { return Validatef(name, "deliberate failure") },
 	}
 }
 
@@ -149,7 +149,7 @@ func TestExperimentsMeasureWhatTheyRead(t *testing.T) {
 	fast := &toyVariant{toyProgram: computeBoundToy(2000), base: compute.Name()}
 	fast.name = "toy-compute-fast"
 	multi := &toyProgram{name: "toy-multi", suite: SuiteSDK, inputs: []string{"small", "large"}}
-	multi.runInput = func(dev *sim.Device, _ string) error {
+	multi.runInput = func(dev *sim.GPU, _ string) error {
 		l := dev.Launch("k", 1024, 256, func(c *sim.Ctx) { c.FP32Ops(800) })
 		dev.Repeat(l, 4000)
 		return nil

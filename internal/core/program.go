@@ -36,16 +36,21 @@ var Suites = []Suite{SuiteSDK, SuiteLonestar, SuiteParboil, SuiteRodinia, SuiteS
 
 // Program is one benchmark application. Implementations perform the real
 // computation of the original CUDA code (self-validating their results) on
-// the simulated device, launching one simulated kernel per CUDA kernel.
+// a simulated GPU, launching one simulated kernel per CUDA kernel.
 //
 // Run must be self-contained and reentrant: it builds its own input data
 // (deterministically, from the input name) and may be called concurrently
-// on different devices.
+// on different GPUs.
+//
+// The GPU a program runs on is clock-free (see sim.GPU): it records the
+// run's launch trace and exposes no simulated time, so a run cannot depend
+// on the clock configuration. The pipeline runs a program once per (input,
+// device) and prices the trace at each configuration by replay.
 //
 // The context carries cancellation only — it never influences the
 // computation, so a completed Run is bit-identical for any ctx. Programs
-// need not poll it themselves: the device checks it at block granularity
-// inside every launch (see sim.Device.SetContext), which callers arrange
+// need not poll it themselves: the GPU checks it at block granularity
+// inside every launch (see sim.GPU.SetContext), which callers arrange
 // before invoking Run. Long host-side phases may additionally honor ctx.
 type Program interface {
 	// Name is the program's short name as used in the paper (e.g. "BH").
@@ -63,15 +68,16 @@ type Program interface {
 	// Irregular reports whether the program has data-dependent control flow
 	// and memory-access behaviour (the paper's regular/irregular split).
 	Irregular() bool
-	// Run executes the program with the named input on the device.
-	Run(ctx context.Context, dev *sim.Device, input string) error
+	// Run executes the program with the named input on the GPU.
+	Run(ctx context.Context, dev *sim.GPU, input string) error
 }
 
-// RunProgram invokes p.Run with the context attached to the device and
+// RunProgram invokes p.Run with the context attached to the GPU and
 // converts a launch-cancellation unwind (see sim.CancelCause) back into the
 // context's error. Every direct Run call in the pipeline goes through it so
-// cancellation surfaces as a regular error, not a panic.
-func RunProgram(ctx context.Context, p Program, dev *sim.Device, input string) (err error) {
+// cancellation surfaces as a regular error, not a panic. The run's launch
+// trace is then dev.Trace().
+func RunProgram(ctx context.Context, p Program, dev *sim.GPU, input string) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

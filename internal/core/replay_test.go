@@ -21,7 +21,7 @@ func insensitiveToy(name string, calls *int) *toyProgram {
 	return &toyProgram{
 		name:  name,
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			if calls != nil {
 				*calls++
 			}
@@ -53,7 +53,7 @@ func orderedToy(name string, calls *int) *toyProgram {
 	return &toyProgram{
 		name:  name,
 		suite: SuiteLonestar,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			if calls != nil {
 				*calls++
 			}
@@ -87,10 +87,40 @@ func measureConfigs(t *testing.T, r *Runner, p Program) []*Result {
 	return out
 }
 
-// TestReplayMatchesNoReplayBitIdentical is the core-layer soundness
-// contract: a runner that simulates the program once and prices all four
-// configurations by replaying its launch trace must produce results
-// bit-identical to a runner that simulates every configuration from scratch.
+// measureFresh measures p at every configuration on a fresh default runner,
+// in reverse order, so its capture runs at another configuration than a
+// forward sweep's; it returns the results in kepler.Configs order.
+func measureFresh(t *testing.T, p Program) []*Result {
+	t.Helper()
+	r := NewRunner()
+	out := make([]*Result, len(kepler.Configs))
+	for i := len(kepler.Configs) - 1; i >= 0; i-- {
+		res, err := r.Measure(context.Background(), p, "default", kepler.Configs[i])
+		if err != nil {
+			t.Fatalf("%s@%s: %v", p.Name(), kepler.Configs[i].Name, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// diffFresh reports every configuration whose result differs from a fresh
+// runner's.
+func diffFresh(t *testing.T, what string, got, want []*Result) {
+	t.Helper()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: %s differs from a fresh runner's:\ngot  %+v\nwant %+v",
+				kepler.Configs[i].Name, what, got[i], want[i])
+		}
+	}
+}
+
+// TestReplayMatchesNoReplayBitIdentical: a runner simulates the program
+// once and prices all four configurations by replaying its launch trace, and
+// the results match, bit for bit, those of a fresh runner that has replayed
+// nothing of this runner's and captures at another configuration: they do
+// not depend on which configuration asked first.
 func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	calls := 0
 	r := NewRunner()
@@ -98,17 +128,7 @@ func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("replay runner ran the program %d times, want 1", calls)
 	}
-
-	fresh := NewRunner()
-	fresh.NoReplay = true
-	want := measureConfigs(t, fresh, insensitiveToy("toy-replay", nil))
-
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: replayed result differs from fresh simulation:\ngot  %+v\nwant %+v",
-				kepler.Configs[i].Name, got[i], want[i])
-		}
-	}
+	diffFresh(t, "replayed result", got, measureFresh(t, insensitiveToy("toy-replay", nil)))
 
 	m := r.metricsHandles()
 	if c := m.traceCaptures.Value(); c != 1 {
@@ -120,15 +140,11 @@ func TestReplayMatchesNoReplayBitIdentical(t *testing.T) {
 	if c := m.traceBytes.Value(); c <= 0 {
 		t.Errorf("trace_cache_bytes = %d, want > 0", c)
 	}
-	fm := fresh.metricsHandles()
-	if c, rp := fm.traceCaptures.Value(), fm.traceReplays.Value(); c != 0 || rp != 0 {
-		t.Errorf("NoReplay runner touched the trace cache: captures=%d replays=%d", c, rp)
-	}
 }
 
 // TestOrderedProgramReplayed: a program with an Ordered launch simulates
-// once and replays at every configuration, bit-identical to a NoReplay
-// runner.
+// once and replays at every configuration, bit-identical to a fresh
+// runner that captured it at another configuration.
 func TestOrderedProgramReplayed(t *testing.T) {
 	calls := 0
 	r := NewRunner()
@@ -141,20 +157,12 @@ func TestOrderedProgramReplayed(t *testing.T) {
 		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs))
 	}
 
-	fresh := NewRunner()
-	fresh.NoReplay = true
-	want := measureConfigs(t, fresh, orderedToy("toy-ordered", nil))
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: replayed ordered result differs from fresh simulation",
-				kepler.Configs[i].Name)
-		}
-	}
+	diffFresh(t, "replayed ordered result", got, measureFresh(t, orderedToy("toy-ordered", nil)))
 }
 
 // TestTraceCacheHonorsCancellation: a capture canceled mid-simulation must
 // not publish a partial trace. The rerun recaptures, and replays off the
-// recaptured trace stay bit-identical to fresh simulation.
+// recaptured trace stay bit-identical to a fresh runner's.
 func TestTraceCacheHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelFn := cancel
@@ -184,29 +192,21 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 		t.Errorf("trace_cache_replays = %d, want %d", c, len(kepler.Configs))
 	}
 
-	fresh := NewRunner()
-	fresh.NoReplay = true
 	var noCancel context.CancelFunc
-	want := measureConfigs(t, fresh, cancelAfterFirstLaunch("toy-trace-cancel", &noCancel))
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: post-cancel replayed result differs from fresh simulation",
-				kepler.Configs[i].Name)
-		}
-	}
+	diffFresh(t, "post-cancel replayed result", got, measureFresh(t, cancelAfterFirstLaunch("toy-trace-cancel", &noCancel)))
 }
 
 // TestTraceCacheWaiterReclaimsCanceledCapture: a capture canceled while a
 // measurement of the same pair at another configuration, with a live
 // context, waits on it. The waiter must claim the pair itself, capture it
-// once and replay it, bit-identical to a NoReplay runner.
+// once and replay it, bit-identical to a fresh runner's.
 func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
 	var runs atomic.Int32
 	started, proceed := make(chan struct{}), make(chan struct{})
 	p := &toyProgram{
 		name:  "toy-reclaim",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.SetTimeScale(100)
 			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
 			dev.Repeat(l, 4000)
@@ -259,14 +259,12 @@ func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
 		t.Errorf("trace_cache_captures = %d, want 1", c)
 	}
 
-	fresh := NewRunner()
-	fresh.NoReplay = true
-	want, err := fresh.Measure(context.Background(), p, "default", waiterClk)
+	want, err := NewRunner().Measure(context.Background(), p, "default", waiterClk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.res, want) {
-		t.Errorf("waiter's result differs from a NoReplay runner's:\ngot  %+v\nwant %+v", got.res, want)
+		t.Errorf("waiter's result differs from a fresh runner's:\ngot  %+v\nwant %+v", got.res, want)
 	}
 }
 
@@ -298,7 +296,7 @@ func TestTraceCacheConcurrentConfigs(t *testing.T) {
 	p := &toyProgram{
 		name:  "toy-concurrent",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			mu.Lock()
 			calls++
 			mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -60,9 +61,15 @@ func metric(ms []k20power.Measurement, f func(k20power.Measurement) float64) []f
 	return out
 }
 
-// medianOf reduces one metric of the repetitions to its median.
-func medianOf(ms []k20power.Measurement, f func(k20power.Measurement) float64) float64 {
-	return stats.Median(metric(ms, f))
+// medianOf reduces one metric of the repetitions to its median, using
+// *scratch as the metric's work slice.
+func medianOf(scratch *[]float64, ms []k20power.Measurement, f func(k20power.Measurement) float64) float64 {
+	vals := (*scratch)[:0]
+	for _, m := range ms {
+		vals = append(vals, f(m))
+	}
+	*scratch = vals
+	return stats.MedianInPlace(vals)
 }
 
 // Runner measures programs through the full stack and caches results.
@@ -79,16 +86,6 @@ type Runner struct {
 	// count never affects measured values (the engine is bit-identical for
 	// any worker count), only wall-clock time.
 	Workers int
-	// NoReplay disables the cross-config launch-trace cache: every
-	// measurement then pays for a full warp-level simulation, exactly as if
-	// the replay engine did not exist. Replay never changes measured values
-	// (replayed timelines are bit-identical to fresh simulations), and this
-	// is the reference path that proves it: internal/check's replay-identity
-	// invariant re-measures the sweep on a NoReplay runner and compares the
-	// results bitwise. That rerun also catches what the capture's clock-read
-	// detector cannot see: a program branching on dev.Clocks, or on the
-	// Duration or Start of a Launch it was handed.
-	NoReplay bool
 	// Broker, when set, extends the launch-trace cache across a fleet: the
 	// simulate stage consults it before paying for a capture and publishes
 	// successful captures back, so N workers measuring the same (device,
@@ -158,17 +155,14 @@ func traceKeyOf(p Program, input string, clk kepler.Clocks) traceKey {
 }
 
 // traceEntry is one slot of the launch-trace cache. The first goroutine to
-// need a (program, input) pair claims the entry and simulates with capture;
-// concurrent measurements of the same pair wait on done. A capture that
-// read the simulated clock publishes its error, which stays: every later
-// measurement of the pair fails with it without simulating. Any other
-// failed or canceled capture publishes neither and removes the entry, so
-// nothing partial is ever cached and the next measurement (a waiter
-// included) recaptures.
+// need a (program, input) pair claims the entry and captures the trace;
+// concurrent measurements of the same pair wait on done. A failed or
+// canceled capture publishes nothing and removes the entry, so nothing
+// partial is ever cached and the next measurement (a waiter included)
+// recaptures.
 type traceEntry struct {
-	done  chan struct{}    // closed when trace or err is published (or capture failed)
+	done  chan struct{}    // closed when trace is published (or capture failed)
 	trace *sim.LaunchTrace // nil if the capture failed
-	err   error            // the clock-read verdict of a clock-sensitive capture
 }
 
 type cacheEntry struct {
@@ -487,11 +481,12 @@ func IsInsufficient(err error) bool {
 }
 
 // seedFor derives the per-repetition noise seed from the measurement
-// identity (see internal/hashing; the Word step separates the fields).
-func seedFor(parts ...any) uint64 {
+// identity (see internal/hashing; the Word step separates the fields). The
+// repetition folds in as its decimal digits.
+func seedFor(program, input, device, config string, rep int) uint64 {
 	h := hashing.New()
-	for _, p := range parts {
-		h = h.String(fmt.Sprint(p)).Word(0x1f)
+	for _, part := range [...]string{program, input, device, config, strconv.Itoa(rep)} {
+		h = h.String(part).Word(0x1f)
 	}
 	return h.Sum()
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/hashing"
 	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/power"
@@ -48,7 +50,7 @@ func TestRunnerCaching(t *testing.T) {
 	p := &toyProgram{
 		name:  "toy-cache",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			calls++
 			dev.SetTimeScale(100)
 			l := dev.Launch("k", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
@@ -80,27 +82,13 @@ func TestRunnerCaching(t *testing.T) {
 		t.Errorf("program ran %d times after second config, want 1 (replayed)", calls)
 	}
 
-	// With the replay engine disabled, every configuration pays for its own
-	// simulation.
-	calls = 0
-	nr := NewRunner()
-	nr.NoReplay = true
-	if _, err := nr.Measure(context.Background(), p, "default", kepler.Default); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nr.Measure(context.Background(), p, "default", kepler.F614); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Errorf("NoReplay: program ran %d times across two configs, want 2", calls)
-	}
 }
 
 func TestRunnerPropagatesValidationError(t *testing.T) {
 	p := &toyProgram{
 		name:  "toy-broken",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			return Validatef("toy-broken", "deliberate failure")
 		},
 	}
@@ -115,7 +103,7 @@ func TestRunnerInsufficientSamples(t *testing.T) {
 	p := &toyProgram{
 		name:  "toy-tiny",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 			return nil
 		},
@@ -139,7 +127,7 @@ func TestMeasureAllSkipsInsufficient(t *testing.T) {
 		&toyProgram{
 			name:  "toy-tiny2",
 			suite: SuiteSDK,
-			run: func(dev *sim.Device) error {
+			run: func(dev *sim.GPU) error {
 				dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 				return nil
 			},
@@ -157,7 +145,7 @@ func TestMeasureAllAggregatesFailures(t *testing.T) {
 		return &toyProgram{
 			name:  name,
 			suite: SuiteSDK,
-			run: func(dev *sim.Device) error {
+			run: func(dev *sim.GPU) error {
 				return Validatef(name, "deliberate failure")
 			},
 		}
@@ -186,11 +174,40 @@ func TestMeasureAllAggregatesFailures(t *testing.T) {
 }
 
 func TestSeedForDistinct(t *testing.T) {
-	a := seedFor("p", "in", "cfg", 0)
-	b := seedFor("p", "in", "cfg", 1)
-	c := seedFor("p", "in2", "cfg", 0)
+	a := seedFor("p", "in", "dev", "cfg", 0)
+	b := seedFor("p", "in", "dev", "cfg", 1)
+	c := seedFor("p", "in2", "dev", "cfg", 0)
 	if a == b || a == c || b == c {
 		t.Error("seed collisions")
+	}
+}
+
+// seedForSprint is seedFor as it was first written, formatting every part
+// with fmt.Sprint. TestSeedForUnchanged holds seedFor to it.
+func seedForSprint(parts ...any) uint64 {
+	h := hashing.New()
+	for _, p := range parts {
+		h = h.String(fmt.Sprint(p)).Word(0x1f)
+	}
+	return h.Sum()
+}
+
+// TestSeedForUnchanged: seedFor hashes the bytes fmt.Sprint gave the
+// original variadic version, so every repetition's seed — and with it every
+// perturbed timeline and sensor log — is what it was.
+func TestSeedForUnchanged(t *testing.T) {
+	for _, id := range []struct {
+		program, input, device, config string
+	}{
+		{"p", "in", "dev", "cfg"}, {"NB", "1m", "K20c", "default"}, {"", "", "", ""},
+		{"SSSP-wln", "usa.ny", "GTX1080", "ecc"},
+	} {
+		for _, rep := range []int{0, 1, 2, 9, 10, 123, -1} {
+			got := seedFor(id.program, id.input, id.device, id.config, rep)
+			if want := seedForSprint(id.program, id.input, id.device, id.config, rep); got != want {
+				t.Errorf("seedFor(%v, %d) = %#x, fmt.Sprint version %#x", id, rep, got, want)
+			}
+		}
 	}
 }
 

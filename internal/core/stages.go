@@ -20,8 +20,8 @@ import (
 // no measured value — it is the same computation as the former monolithic
 // measure, cut at its natural seams.
 const (
-	// StageSimulate gets the program's launch trace and replays it at the
-	// configuration.
+	// StageSimulate gets the program's launch trace (capturing it on a GPU
+	// the first time) and prices it at the configuration by replay.
 	StageSimulate = "simulate"
 	// StageTimeline converts the device's launch record into a power
 	// timeline and captures the simulator's ground truth.
@@ -60,10 +60,11 @@ type measureState struct {
 }
 
 // repBuffers are one measurement's work buffers: the replayed device, the
-// timeline, the perturbed timelines, the sensor logs and the analysis
-// scratch. A measurement borrows them from repBufferPool and returns them
-// when it finishes, so a grid of replays reuses a few sets instead of
-// allocating every launch record and every repetition's buffers afresh.
+// timeline, the perturbed timelines, the sensor logs, the analysis scratch
+// and the repetitions' metric values the medians sort. A measurement
+// borrows them from repBufferPool and returns them when it finishes, so a
+// grid of replays reuses a few sets instead of allocating every launch
+// record and every repetition's buffers afresh.
 // Sensor logs that Runner.KeepTraces hands out in Result.Traces never come
 // from here.
 type repBuffers struct {
@@ -72,6 +73,7 @@ type repBuffers struct {
 	perturbed [][]power.Segment
 	samples   [][]sensor.Sample
 	analyzer  k20power.Analyzer
+	metric    []float64
 }
 
 var repBufferPool = sync.Pool{New: func() any { return new(repBuffers) }}
@@ -132,21 +134,14 @@ func (r *Runner) runStages(ctx context.Context, st *measureState) error {
 	return nil
 }
 
-// stageSimulate produces the completed device for this (program, input,
+// stageSimulate produces the priced device for this (program, input,
 // config) in two steps: get the pair's launch trace (trace), then price it
-// at the configuration (sim.LaunchTrace.ReplayInto, bit-identical to a
-// fresh simulation), so every measured device — the capture configuration's
-// included — is a replay. The replay reuses the storage of st.dev, a device
-// nobody uses any more, when there is one. Only a NoReplay runner simulates
-// every configuration afresh, as the reference replay is checked against.
-// Cancellation aborts between thread blocks and surfaces as the context
-// error.
+// at the configuration (sim.LaunchTrace.ReplayInto), so every measured
+// device — the capture configuration's included — is a replay. The replay
+// reuses the storage of st.dev, a device nobody uses any more, when there
+// is one. Cancellation aborts a capture between thread blocks and surfaces
+// as the context error.
 func (r *Runner) stageSimulate(st *measureState) error {
-	var err error
-	if r.NoReplay {
-		st.dev, err = r.simulateFresh(st, false)
-		return err
-	}
 	tr, err := r.trace(st)
 	if err != nil {
 		return err
@@ -160,11 +155,8 @@ func (r *Runner) stageSimulate(st *measureState) error {
 
 // trace returns the launch trace of st's (program, input, device) pair from
 // the runner's cache, waiting while another measurement captures it. The
-// first measurement of a pair claims its cache entry and fills it. A
-// capture that read the simulated clock leaves its verdict on the entry,
-// and every later measurement of the pair fails with it; a waiter whose
-// capturer failed otherwise (the entry is then evicted) claims the pair
-// anew.
+// first measurement of a pair claims its cache entry and fills it; a waiter
+// whose capturer failed (the entry is then evicted) claims the pair anew.
 func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
 	key := traceKeyOf(st.p, st.input, st.clk)
 	for {
@@ -185,79 +177,59 @@ func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
 		case <-st.ctx.Done():
 			return nil, st.ctx.Err()
 		}
-		if e.trace != nil || e.err != nil {
-			return e.trace, e.err
+		if e.trace != nil {
+			return e.trace, nil
 		}
 	}
 }
 
 // fill obtains the trace for a claimed entry — the fleet broker's, if it
 // holds a replayable one, else a local capture — and publishes it to the
-// entry's waiters. A capture that read the simulated clock publishes its
-// error instead: the program is deterministic, so capturing it again would
-// read the clock again. Any other failed (or canceled, or panicking) capture
-// publishes nothing: the entry is evicted so the next measurement of the
-// pair recaptures.
+// entry's waiters. A failed (or canceled, or panicking) capture publishes
+// nothing: the entry is evicted so the next measurement of the pair
+// recaptures.
 func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.LaunchTrace, err error) {
-	var verdict error
 	defer func() {
-		if tr == nil && verdict == nil {
+		if tr == nil {
 			r.traceMu.Lock()
 			if r.traces[key] == e {
 				delete(r.traces, key)
 			}
 			r.traceMu.Unlock()
 		}
-		e.trace, e.err = tr, verdict
+		e.trace = tr
 		close(e.done)
 	}()
 	m := r.metricsHandles()
-	device := st.clk.Device().Name
+	device := st.clk.Device()
 	if r.Broker != nil {
 		// Adopting another worker's capture replays bit-identically to
-		// capturing here.
-		if tr := r.Broker.FetchTrace(device, st.p.Name(), st.input); tr != nil && tr.DeviceName() == device && !tr.ClockSensitive() {
+		// capturing here. A fetched tombstone is a miss.
+		if tr := r.Broker.FetchTrace(device.Name, st.p.Name(), st.input); tr != nil && tr.DeviceName() == device.Name && !tr.ClockSensitive() {
 			m.brokerFetchHits.Inc()
 			m.traceBytes.Add(tr.Bytes())
 			return tr, nil
 		}
 		m.brokerFetchMisses.Inc()
 	}
-	dev, err := r.simulateFresh(st, true)
-	if err != nil {
+	m.simulateRun(device.Name)
+	gpu := sim.NewGPU(device)
+	gpu.SetWorkerPool(r.workerPool())
+	if err := RunProgram(st.ctx, st.p, gpu, st.input); err != nil {
 		return nil, err
 	}
-	tr = dev.EndCapture()
-	if tr.ClockSensitive() {
-		// A mid-run clock read makes the program's Go state evolve per
-		// configuration, so no trace of it can be replayed.
-		verdict = fmt.Errorf("clock-sensitive program (%s): its launch trace cannot be replayed", tr.SensitiveReason())
-		return nil, verdict
-	}
+	tr = gpu.Trace()
 	m.traceCaptures.Inc()
 	m.traceBytes.Add(tr.Bytes())
 	if r.Broker != nil {
-		r.Broker.StoreTrace(device, st.p.Name(), st.input, tr)
+		r.Broker.StoreTrace(device.Name, st.p.Name(), st.input, tr)
 		m.brokerPuts.Inc()
 	}
 	return tr, nil
 }
 
-// simulateFresh runs the program on a fresh device at st's configuration,
-// recording its launch trace when capture is set (the caller ends the
-// capture).
-func (r *Runner) simulateFresh(st *measureState, capture bool) (*sim.Device, error) {
-	r.metricsHandles().simulateRun(st.clk.Device().Name)
-	dev := sim.NewDevice(st.clk)
-	dev.SetWorkerPool(r.workerPool())
-	if capture {
-		dev.BeginCapture()
-	}
-	return dev, RunProgram(st.ctx, st.p, dev, st.input)
-}
-
 // stageTimeline derives the power timeline and ground truth from the
-// completed simulation.
+// priced device.
 func (r *Runner) stageTimeline(st *measureState) error {
 	var energy float64
 	st.buf.segs, energy = power.AppendTimeline(st.buf.segs[:0], st.dev)
@@ -323,8 +295,9 @@ func (r *Runner) stageAnalyze(st *measureState) error {
 	if len(st.res.Reps) == 0 {
 		return firstErr
 	}
-	st.res.ActiveTime = medianOf(st.res.Reps, func(m k20power.Measurement) float64 { return m.ActiveTime })
-	st.res.Energy = medianOf(st.res.Reps, func(m k20power.Measurement) float64 { return m.Energy })
-	st.res.AvgPower = medianOf(st.res.Reps, func(m k20power.Measurement) float64 { return m.AvgPower })
+	scratch := &st.buf.metric
+	st.res.ActiveTime = medianOf(scratch, st.res.Reps, func(m k20power.Measurement) float64 { return m.ActiveTime })
+	st.res.Energy = medianOf(scratch, st.res.Reps, func(m k20power.Measurement) float64 { return m.Energy })
+	st.res.AvgPower = medianOf(scratch, st.res.Reps, func(m k20power.Measurement) float64 { return m.AvgPower })
 	return nil
 }

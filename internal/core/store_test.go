@@ -34,7 +34,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	spy := &toyProgram{
 		name:  p.Name(),
 		suite: p.Suite(),
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			calls++
 			return nil
 		},
@@ -65,7 +65,7 @@ func TestStoreCachesInsufficiency(t *testing.T) {
 	tiny := &toyProgram{
 		name:  "toy-tiny-store",
 		suite: SuiteSDK,
-		run: func(dev *sim.Device) error {
+		run: func(dev *sim.GPU) error {
 			dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 			return nil
 		},
@@ -83,7 +83,7 @@ func TestStoreCachesInsufficiency(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	spy := &toyProgram{name: tiny.name, suite: tiny.suite, run: func(dev *sim.Device) error {
+	spy := &toyProgram{name: tiny.name, suite: tiny.suite, run: func(dev *sim.GPU) error {
 		calls++
 		dev.Launch("k", 16, 256, func(c *sim.Ctx) { c.FP32Ops(10) })
 		return nil
@@ -207,7 +207,7 @@ func TestSaveStoreConcurrentWithMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range progs {
-		spy := &toyProgram{name: p.name, suite: p.suite, run: func(dev *sim.Device) error {
+		spy := &toyProgram{name: p.name, suite: p.suite, run: func(dev *sim.GPU) error {
 			t.Errorf("%s re-ran despite persisted store", p.name)
 			return nil
 		}}

@@ -17,8 +17,15 @@ import (
 	"repro/internal/suites"
 )
 
-// simNewDefault builds a fresh default-configuration device.
-func simNewDefault() *sim.Device { return sim.NewDevice(kepler.Default) }
+// simulateDefault runs p with the input on a K20c GPU and prices the run at
+// the default configuration.
+func simulateDefault(p core.Program, input string) (*sim.Device, error) {
+	gpu := sim.NewGPU(kepler.K20cDevice())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(kepler.Default)
+}
 
 // sharedRunner caches measurements across the tests in this package.
 var sharedRunner = core.NewRunner()
@@ -317,8 +324,8 @@ func TestAllProgramsAllInputsValidate(t *testing.T) {
 			input := input
 			t.Run(p.Name()+"/"+input, func(t *testing.T) {
 				t.Parallel()
-				dev := simNewDefault()
-				if err := p.Run(context.Background(), dev, input); err != nil {
+				dev, err := simulateDefault(p, input)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if dev.ActiveTime() <= 0 {
@@ -337,8 +344,8 @@ func TestAllProgramsAllInputsValidate(t *testing.T) {
 func TestSimulationDeterminism(t *testing.T) {
 	p := mustProg(t, "DMR")
 	run := func() (float64, int) {
-		dev := simNewDefault()
-		if err := p.Run(context.Background(), dev, "250k"); err != nil {
+		dev, err := simulateDefault(p, "250k")
+		if err != nil {
 			t.Fatal(err)
 		}
 		return dev.ActiveTime(), len(dev.Launches)
@@ -362,9 +369,9 @@ func TestProgramStatsPlausible(t *testing.T) {
 	var aggs []agg
 	for _, p := range suites.All() {
 		p := p
-		dev := simNewDefault()
 		input := p.Inputs()[0] // smallest input keeps this test quick
-		if err := p.Run(context.Background(), dev, input); err != nil {
+		dev, err := simulateDefault(p, input)
+		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
 		var warps, txns, compute, bytes int64
@@ -422,8 +429,7 @@ func TestTooShortProgramsRejected(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			// The program itself must run and validate...
-			dev := simNewDefault()
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			if _, err := simulateDefault(p, p.DefaultInput()); err != nil {
 				t.Fatal(err)
 			}
 			// ...but measuring it must fail for lack of samples.

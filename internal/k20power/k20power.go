@@ -70,12 +70,14 @@ func Analyze(samples []sensor.Sample, dev *kepler.Device) (Measurement, error) {
 	return a.Analyze(samples, dev)
 }
 
-// Analyzer runs Analyze with a work buffer (the compensated log) that it
-// keeps between calls, so a stream of analyses stops allocating once the
-// buffer has grown to the longest log. The zero value is ready to use; an
-// Analyzer is not safe for concurrent use.
+// Analyzer runs Analyze with work buffers (the compensated log and the
+// order-statistic heap) that it keeps between calls, so a stream of
+// analyses stops allocating once the buffers have grown to the longest log.
+// The zero value is ready to use; an Analyzer is not safe for concurrent
+// use.
 type Analyzer struct {
 	comp []sensor.Sample
+	heap []rankedPower
 }
 
 // Analyze is the package-level Analyze, reusing a's buffers.
@@ -96,8 +98,8 @@ func (a *Analyzer) Analyze(samples []sensor.Sample, dev *kepler.Device) (Measure
 	if len(samples) > 4 {
 		idleRank = 1
 	}
-	idle := nthSmallest(samples, idleRank)
-	peak := percentile(comp, 0.999)
+	idle := a.nthSmallest(samples, idleRank)
+	peak := a.percentile(comp, 0.999)
 	threshold := idle + thresholdFrac*(peak-idle)
 	// The conversion rounds the scaled guard before the add (no fused
 	// multiply-add), so the threshold is bit-stable across platforms.
@@ -200,11 +202,11 @@ func halfGap(samples []sensor.Sample, i int) float64 {
 
 // nthSmallest returns the n-th smallest power (0-based), clamping n to the
 // largest.
-func nthSmallest(samples []sensor.Sample, n int) float64 {
+func (a *Analyzer) nthSmallest(samples []sensor.Sample, n int) float64 {
 	if n >= len(samples) {
 		n = len(samples) - 1
 	}
-	return orderStat(samples, n)
+	return a.orderStat(samples, n)
 }
 
 // slowlySampled reports whether the median inter-sample time gap exceeds
@@ -249,7 +251,7 @@ func slowlySampled(samples []sensor.Sample) bool {
 
 // percentile returns the p-quantile (0..1) of the sample powers, or 0 for an
 // empty log.
-func percentile(samples []sensor.Sample, p float64) float64 {
+func (a *Analyzer) percentile(samples []sensor.Sample, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -260,7 +262,7 @@ func percentile(samples []sensor.Sample, p float64) float64 {
 	if idx >= len(samples) {
 		idx = len(samples) - 1
 	}
-	return orderStat(samples, idx)
+	return a.orderStat(samples, idx)
 }
 
 // orderStat returns the power at 0-based position rank of the log sorted by
@@ -269,15 +271,18 @@ func percentile(samples []sensor.Sample, p float64) float64 {
 // place there. Both callers want a rank near one end of the log (the idle
 // rank is 0 or 1, the 0.999 percentile sits within ceil(n/1000)+1 of the
 // top), so instead of sorting it keeps the k powers nearest that end in a
-// bounded heap: O(n log k) time and O(k) space.
-func orderStat(samples []sensor.Sample, rank int) float64 {
+// bounded heap, held in a's buffer: O(n log k) time and O(k) space.
+func (a *Analyzer) orderStat(samples []sensor.Sample, rank int) float64 {
 	n := len(samples)
 	h := powerHeap{top: n-rank < rank+1}
 	k := rank + 1
 	if h.top {
 		k = n - rank
 	}
-	h.xs = make([]rankedPower, k)
+	if cap(a.heap) < k {
+		a.heap = make([]rankedPower, k)
+	}
+	h.xs = a.heap[:k]
 	for i := range h.xs {
 		h.xs[i] = rankedPower{samples[i].W, i}
 	}

@@ -172,7 +172,8 @@ func TestMeasurementString(t *testing.T) {
 
 func TestNthSmallest(t *testing.T) {
 	s := []sensor.Sample{{W: 5}, {W: 1}, {W: 3}}
-	if nthSmallest(s, 0) != 1 || nthSmallest(s, 1) != 3 || nthSmallest(s, 9) != 5 {
+	var a Analyzer
+	if a.nthSmallest(s, 0) != 1 || a.nthSmallest(s, 1) != 3 || a.nthSmallest(s, 9) != 5 {
 		t.Error("nthSmallest wrong")
 	}
 }
@@ -457,10 +458,11 @@ func TestSlowlySampledMatchesSortedMedian(t *testing.T) {
 }
 
 func TestPercentileEmptyLog(t *testing.T) {
-	if got := percentile(nil, 0.999); got != 0 {
+	var a Analyzer
+	if got := a.percentile(nil, 0.999); got != 0 {
 		t.Errorf("percentile(nil) = %v, want 0", got)
 	}
-	if got := percentile([]sensor.Sample{}, 0); got != 0 {
+	if got := a.percentile([]sensor.Sample{}, 0); got != 0 {
 		t.Errorf("percentile(empty) = %v, want 0", got)
 	}
 }
@@ -500,8 +502,10 @@ func randomPowerLog(rng *rand.Rand, n int) []sensor.Sample {
 
 // TestOrderStatMatchesSort: the bounded selection returns the bits the
 // stable sort reference holds at every rank, and the value sort.Float64s
-// itself holds there, on random logs with NaN, duplicates and ±0.
+// itself holds there, on random logs with NaN, duplicates and ±0. One
+// Analyzer serves every call, so its heap buffer is reused at every size.
 func TestOrderStatMatchesSort(t *testing.T) {
+	var a Analyzer
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(40)
@@ -523,7 +527,7 @@ func TestOrderStatMatchesSort(t *testing.T) {
 			if r < 0 || r >= n {
 				continue
 			}
-			got := orderStat(samples, r)
+			got := a.orderStat(samples, r)
 			if math.Float64bits(got) != math.Float64bits(ref[r]) {
 				t.Fatalf("trial %d n=%d rank %d: got %v (%#x), stable sort has %v (%#x)",
 					trial, n, r, got, math.Float64bits(got), ref[r], math.Float64bits(ref[r]))
@@ -533,12 +537,12 @@ func TestOrderStatMatchesSort(t *testing.T) {
 			}
 		}
 		idxP := int(0.999 * float64(n-1))
-		if got := percentile(samples, 0.999); math.Float64bits(got) != math.Float64bits(ref[idxP]) {
+		if got := a.percentile(samples, 0.999); math.Float64bits(got) != math.Float64bits(ref[idxP]) {
 			t.Fatalf("trial %d n=%d: percentile(0.999) = %v, reference %v", trial, n, got, ref[idxP])
 		}
 		for _, k := range []int{0, 1, n + 3} {
 			want := ref[min(k, n-1)]
-			if got := nthSmallest(samples, k); math.Float64bits(got) != math.Float64bits(want) {
+			if got := a.nthSmallest(samples, k); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d n=%d: nthSmallest(%d) = %v, reference %v", trial, n, k, got, want)
 			}
 		}

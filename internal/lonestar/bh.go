@@ -61,7 +61,7 @@ type octNode struct {
 
 // Run advances the system and validates the tree-walk forces against
 // direct summation within the Barnes-Hut approximation tolerance.
-func (p *BH) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *BH) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	n, realN, steps, err := bhInput(input)
 	if err != nil {
 		return err
@@ -98,6 +98,7 @@ func (p *BH) Run(ctx context.Context, dev *sim.Device, input string) error {
 	acc := make([][3]float64, n)
 	valPos := make([][3]float64, n) // force-time positions of the last step
 	const dt = 1e-3
+	var last sim.LaunchID // the final launch of the last simulated step
 	for step := 0; step < bhRealSteps; step++ {
 		// Kernel 1: bounding box reduction.
 		dev.Launch("BoundingBoxKernel", (n+511)/512, 512, func(c *sim.Ctx) {
@@ -221,7 +222,7 @@ func (p *BH) Run(ctx context.Context, dev *sim.Device, input string) error {
 				c.IntOps(4)
 			}
 		})
-		dev.Launch("EnergyKernel", (n+511)/512, 512, func(c *sim.Ctx) {
+		last = dev.Launch("EnergyKernel", (n+511)/512, 512, func(c *sim.Ctx) {
 			if c.TID() < n {
 				c.Load(dVel.At(c.TID()), 16)
 				c.FP32Ops(8)
@@ -230,10 +231,9 @@ func (p *BH) Run(ctx context.Context, dev *sim.Device, input string) error {
 		})
 	}
 	// Replay the per-timestep launch group for the remaining steps: repeat
-	// each of the last 9 launches.
+	// each of the last step's 9 launches (IDs are sequence numbers).
 	if extra := int(steps) - bhRealSteps; extra > 0 {
-		launches := dev.Launches
-		for _, l := range launches[len(launches)-9:] {
+		for l := last - 8; l <= last; l++ {
 			dev.Repeat(l, extra+1)
 		}
 	}

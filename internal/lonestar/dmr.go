@@ -55,7 +55,7 @@ func dmrInput(input string) (points int, realNodes float64, err error) {
 
 // Run refines the mesh until no bad triangles remain and validates mesh
 // consistency and final quality.
-func (p *DMR) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *DMR) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	points, realNodes, err := dmrInput(input)
 	if err != nil {
 		return err

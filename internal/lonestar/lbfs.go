@@ -78,7 +78,7 @@ func (p *LBFS) Items(input string) (int64, int64) {
 }
 
 // Run traverses the road graph and validates levels against the reference.
-func (p *LBFS) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *LBFS) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	g, ratio, err := roadInput(input)
 	if err != nil {
 		return err
@@ -139,7 +139,7 @@ type bfsMem struct {
 	wlCount                  sim.Array
 }
 
-func newBFSMem(dev *sim.Device, g *graph.Graph) *bfsMem {
+func newBFSMem(dev *sim.GPU, g *graph.Graph) *bfsMem {
 	return &bfsMem{
 		lev:     dev.NewArray(g.N, 4),
 		row:     dev.NewArray(g.N+1, 4),
@@ -152,7 +152,7 @@ func newBFSMem(dev *sim.Device, g *graph.Graph) *bfsMem {
 
 // runBFSTopology is the default flavor: Jacobi-style pull over all nodes
 // until a fixpoint; every iteration touches every edge.
-func runBFSTopology(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) error {
+func runBFSTopology(dev *sim.GPU, g *graph.Graph, lev []int32, mem *bfsMem) error {
 	next := make([]int32, g.N)
 	for {
 		changed := false
@@ -195,7 +195,7 @@ func runBFSTopology(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) e
 // levels propagate several hops per sweep in block-scheduling order. The
 // iteration count therefore drops well below the graph diameter — and
 // depends on the block order.
-func runBFSAtomic(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) error {
+func runBFSAtomic(dev *sim.GPU, g *graph.Graph, lev []int32, mem *bfsMem) error {
 	const inf = int32(1 << 30)
 	for {
 		changed := false
@@ -236,7 +236,7 @@ func runBFSAtomic(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) err
 // flag cannot be cleared precisely when its node is consumed, so nodes stay
 // flagged for an extra sweep and are processed redundantly — the price wla
 // pays for its simplicity.
-func runBFSWLA(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) error {
+func runBFSWLA(dev *sim.GPU, g *graph.Graph, lev []int32, mem *bfsMem) error {
 	flag := make([]int8, g.N) // sweeps the node remains flagged
 	flag[0] = 2
 	for {
@@ -293,7 +293,7 @@ func runBFSWLA(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem) error 
 // runBFSWorklist is the data-driven flavor: an explicit frontier queue,
 // node-per-thread (wlw) or edge-per-thread following Merrill's strategy
 // (wlc). Both do O(M) total work and finish very quickly.
-func runBFSWorklist(dev *sim.Device, g *graph.Graph, lev []int32, mem *bfsMem, edgePerThread bool) error {
+func runBFSWorklist(dev *sim.GPU, g *graph.Graph, lev []int32, mem *bfsMem, edgePerThread bool) error {
 	frontier := []int32{0}
 	for len(frontier) > 0 {
 		var next []int32

@@ -59,8 +59,8 @@ func TestAllRunAndValidate(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, smallInput(p)); err != nil {
+			dev, err := simulate(p, smallInput(p), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if dev.ActiveTime() <= 0 {
@@ -89,8 +89,8 @@ func TestIterationCountsConfigIndependent(t *testing.T) {
 	p := NewLBFSAtomic()
 	counts := map[string]int{}
 	for _, clk := range kepler.Configs {
-		dev := sim.NewDevice(clk)
-		if err := p.Run(context.Background(), dev, "lakes"); err != nil {
+		dev, err := simulate(p, "lakes", clk)
+		if err != nil {
 			t.Fatal(err)
 		}
 		counts[clk.Name] = len(dev.Launches)
@@ -110,8 +110,8 @@ func TestCalibrationDump(t *testing.T) {
 	progs := append(Programs(), Variants()...)
 	for _, p := range progs {
 		for _, clk := range kepler.Configs {
-			dev := sim.NewDevice(clk)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), clk)
+			if err != nil {
 				t.Fatalf("%s@%s: %v", p.Name(), clk.Name, err)
 			}
 			at := dev.ActiveTime()
@@ -120,4 +120,14 @@ func TestCalibrationDump(t *testing.T) {
 				p.Name(), clk.Name, at, e/at, len(dev.Launches))
 		}
 	}
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

@@ -38,7 +38,7 @@ func (p *MST) Items(input string) (int64, int64) {
 
 // Run computes the minimum spanning forest and validates its total weight
 // against the sequential Kruskal reference (exact match).
-func (p *MST) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *MST) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	g, ratio, err := roadInput(input)
 	if err != nil {
 		return err

@@ -92,7 +92,7 @@ const (
 // Run performs survey propagation with decimation and validates message
 // convergence, bounds, and that the decimated assignment (greedily
 // completed) satisfies nearly all clauses.
-func (p *NSP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *NSP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	nc, nv, k, ratio, err := nspInput(input)
 	if err != nil {
 		return err

@@ -85,7 +85,7 @@ func ptaInput(input string) (*ptaConstraints, float64, error) {
 
 // Run solves the constraints to a fixpoint and validates the result against
 // an independent sequential solver (exact set equality).
-func (p *PTA) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *PTA) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	cs, ratio, err := ptaInput(input)
 	if err != nil {
 		return err

@@ -70,7 +70,7 @@ func (p *SSSP) Items(input string) (int64, int64) {
 const ssspInf = int64(1) << 40
 
 // Run computes shortest paths and validates against Dijkstra.
-func (p *SSSP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *SSSP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	g, ratio, err := roadInput(input)
 	if err != nil {
 		return err

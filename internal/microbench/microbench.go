@@ -68,7 +68,7 @@ func pchaseNodes(input string) int {
 }
 
 // Run walks the permutation chain and validates the cycle structure.
-func (p *PointerChase) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *PointerChase) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func strideOf(input string) int {
 }
 
 // Run streams the strided store pattern and validates the written mirror.
-func (p *StridedStore) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *StridedStore) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -221,7 +221,7 @@ const (
 
 // Run iterates the multiply-add chain per thread and validates thread 0's
 // result against an independent recomputation.
-func (p *FMAChain) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *FMAChain) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -16,13 +16,12 @@ import (
 // computation (chain cycle, store mirror, FMA result), so a nil error is
 // the assertion.
 func TestMicrobenchRunAndSelfValidate(t *testing.T) {
-	ctx := context.Background()
 	for _, dev := range kepler.Devices() {
 		clk := dev.DefaultConfig()
 		for _, p := range microbench.Programs() {
 			for _, input := range p.Inputs() {
-				d := sim.NewDevice(clk)
-				if err := p.Run(ctx, d, input); err != nil {
+				d, err := simulate(p, input, clk)
+				if err != nil {
 					t.Errorf("%s/%s on %s: %v", p.Name(), input, dev.Name, err)
 					continue
 				}
@@ -38,8 +37,7 @@ func TestMicrobenchRunAndSelfValidate(t *testing.T) {
 // TestMicrobenchRejectsUnknownInput: the probes validate their input names.
 func TestMicrobenchRejectsUnknownInput(t *testing.T) {
 	for _, p := range microbench.Programs() {
-		d := sim.NewDevice(kepler.Default)
-		if err := p.Run(context.Background(), d, "bogus"); err == nil {
+		if _, err := simulate(p, "bogus", kepler.Default); err == nil {
 			t.Errorf("%s accepted input %q", p.Name(), "bogus")
 		}
 	}
@@ -66,4 +64,14 @@ func TestMicrobenchRegistryAdditive(t *testing.T) {
 			t.Errorf("%s leaked into the paper battery (suites.All)", p.Name())
 		}
 	}
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

@@ -39,7 +39,7 @@ const (
 
 // Run computes the potential and validates sampled grid points against a
 // cutoff-consistent brute-force reference.
-func (p *CUTCP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *CUTCP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ const (
 // Run histograms a synthetic image (gaussian-ish hot spot over a uniform
 // background, like the Parboil input) and validates against a sequential
 // saturating histogram.
-func (p *Histo) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Histo) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ var lbmWeights = [lbmQ]float64{
 }
 
 // Run advances the cavity and validates mass conservation.
-func (p *LBM) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *LBM) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func (p *LBM) Run(ctx context.Context, dev *sim.Device, input string) error {
 	dDst := dev.NewArray(n*lbmQ, 8)
 
 	idx := func(x, y, z int) int { return (z*lbmDim+y)*lbmDim + x }
-	var last *sim.Launch
+	var last sim.LaunchID
 	for step := 0; step < lbmReal; step++ {
 		cur, nxt := src, dst
 		if step%2 == 1 {

@@ -35,7 +35,7 @@ const (
 )
 
 // Run computes Q and validates sampled voxels against a float64 reference.
-func (p *MRIQ) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *MRIQ) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

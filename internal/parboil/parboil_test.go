@@ -36,8 +36,8 @@ func TestAllRunAndValidate(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if dev.ActiveTime() <= 0 {
@@ -49,12 +49,12 @@ func TestAllRunAndValidate(t *testing.T) {
 
 func TestLBMInputsDiffer(t *testing.T) {
 	p := NewLBM()
-	short := sim.NewDevice(kepler.Default)
-	long := sim.NewDevice(kepler.Default)
-	if err := p.Run(context.Background(), short, "100"); err != nil {
+	short, err := simulate(p, "100", kepler.Default)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(context.Background(), long, "3000"); err != nil {
+	long, err := simulate(p, "3000", kepler.Default)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The short input carries a 4x harness-loop boost so it stays
@@ -78,8 +78,8 @@ func TestCalibrationDump(t *testing.T) {
 	}
 	for _, p := range Programs() {
 		for _, clk := range kepler.Configs {
-			dev := sim.NewDevice(clk)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), clk)
+			if err != nil {
 				t.Fatalf("%s@%s: %v", p.Name(), clk.Name, err)
 			}
 			at := dev.ActiveTime()
@@ -87,4 +87,14 @@ func TestCalibrationDump(t *testing.T) {
 			fmt.Printf("%-6s %-8s active %8.2f s  power %7.2f W\n", p.Name(), clk.Name, at, e/at)
 		}
 	}
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

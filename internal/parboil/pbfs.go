@@ -44,7 +44,7 @@ func (p *PBFS) Items(input string) (int64, int64) {
 
 // Run performs the full traversal and validates the levels against the
 // sequential reference BFS.
-func (p *PBFS) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *PBFS) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ const (
 
 // Run computes motion-estimation SADs and validates the best candidate of
 // sampled macroblocks against a reference search.
-func (p *SAD) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *SAD) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ const (
 
 // Run multiplies random matrices and validates sampled rows against a
 // float64 reference.
-func (p *SGEMM) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *SGEMM) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

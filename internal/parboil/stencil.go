@@ -37,7 +37,7 @@ const (
 
 // Run smooths a random grid and validates two full sweeps against a
 // sequential reference.
-func (p *Stencil) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Stencil) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func (p *Stencil) Run(ctx context.Context, dev *sim.Device, input string) error 
 	dDst := dev.NewArray(n, 4)
 
 	idx := func(x, y, z int) int { return (z*stenDim+y)*stenDim + x }
-	var last *sim.Launch
+	var last sim.LaunchID
 	cur, nxt := src, dst
 	for it := 0; it < stenIters; it++ {
 		cc, nn := cur, nxt

@@ -35,7 +35,7 @@ const (
 )
 
 // Run histograms pair angles and validates against a sequential recompute.
-func (p *TPACF) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *TPACF) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -13,11 +13,11 @@ import (
 	"repro/internal/trace"
 )
 
-// mixedLaunch builds a launch exercising every attribution class at once.
-func mixedLaunch(clk kepler.Clocks) (*sim.Device, *sim.Launch) {
-	d := sim.NewDevice(clk)
-	a := d.NewArray(1<<20, 4)
-	l := d.Launch("mixed", 512, 256, func(c *sim.Ctx) {
+// mixedProgram launches a kernel exercising every attribution class at
+// once.
+func mixedProgram(g *sim.GPU) {
+	a := g.NewArray(1<<20, 4)
+	l := g.Launch("mixed", 512, 256, func(c *sim.Ctx) {
 		c.IntOps(40)
 		c.FP32Ops(120)
 		c.FP64Ops(8)
@@ -28,8 +28,12 @@ func mixedLaunch(clk kepler.Clocks) (*sim.Device, *sim.Launch) {
 		c.AtomicOp(0)
 		c.SyncThreads()
 	})
-	d.Repeat(l, 500)
-	return d, l
+	g.Repeat(l, 500)
+}
+
+// mixedLaunch prices mixedProgram at clk.
+func mixedLaunch(clk kepler.Clocks) (*sim.Device, *sim.Launch) {
+	return firstLaunch(clk, mixedProgram)
 }
 
 // TestAttributeLaunchTieOut: no class of any launch is charged a negative
@@ -89,8 +93,10 @@ func TestAttributeMixedCoversAllClasses(t *testing.T) {
 // bit-exactly, and the kernel rollup must account for every launch.
 func TestAttributeRunTotals(t *testing.T) {
 	for _, clk := range kepler.Configs {
-		d, _ := mixedLaunch(clk)
-		d.Launch("second", 64, 128, func(c *sim.Ctx) { c.FP32Ops(64) })
+		d := priced(clk, func(g *sim.GPU) {
+			mixedProgram(g)
+			g.Launch("second", 64, 128, func(c *sim.Ctx) { c.FP32Ops(64) })
+		})
 		a := Attribute(d)
 		if want := ActiveEnergy(d); a.TotalJ != want {
 			t.Errorf("%s: TotalJ %v != ActiveEnergy %v", clk.Name, a.TotalJ, want)
@@ -228,10 +234,12 @@ func TestOnePassPricingMatchesReference(t *testing.T) {
 	buf := make([]Segment, 3, 64) // a reused buffer's stale contents
 	for _, dev := range kepler.Devices() {
 		for _, clk := range dev.Configurations() {
-			d, _ := mixedLaunch(clk)
-			d.HostPause(0.02)
-			d.Launch("second", 64, 128, func(c *sim.Ctx) { c.FP32Ops(64) })
-			d.Launch("mixed", 8, 32, func(c *sim.Ctx) { c.IntOps(3) })
+			d := priced(clk, func(g *sim.GPU) {
+				mixedProgram(g)
+				g.HostPause(0.02)
+				g.Launch("second", 64, 128, func(c *sim.Ctx) { c.FP32Ops(64) })
+				g.Launch("mixed", 8, 32, func(c *sim.Ctx) { c.IntOps(3) })
+			})
 
 			var want float64
 			for _, l := range d.Launches {

@@ -16,19 +16,37 @@ import (
 // returns to (all configurations in these tests belong to the K20c).
 var idleW = IdleW(kepler.Default)
 
+// priced runs prog on a GPU of clk's device and prices the run at clk.
+func priced(clk kepler.Clocks, prog func(*sim.GPU)) *sim.Device {
+	g := sim.NewGPU(clk.Device())
+	prog(g)
+	d, err := g.Trace().Replay(clk)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// firstLaunch prices prog at clk and returns the device and its first
+// launch.
+func firstLaunch(clk kepler.Clocks, prog func(*sim.GPU)) (*sim.Device, *sim.Launch) {
+	d := priced(clk, prog)
+	return d, d.Launches[0]
+}
+
 func computeLaunch(clk kepler.Clocks) (*sim.Device, *sim.Launch) {
-	d := sim.NewDevice(clk)
-	l := d.Launch("fma", 1024, 256, func(c *sim.Ctx) { c.FP32Ops(800) })
-	return d, l
+	return firstLaunch(clk, func(g *sim.GPU) {
+		g.Launch("fma", 1024, 256, func(c *sim.Ctx) { c.FP32Ops(800) })
+	})
 }
 
 func memoryLaunch(clk kepler.Clocks) (*sim.Device, *sim.Launch) {
-	d := sim.NewDevice(clk)
-	a := d.NewArray(1<<22, 4)
-	l := d.Launch("stream", 1<<13, 256, func(c *sim.Ctx) {
-		c.LoadRep(a.At(c.TID()), 4, 32)
+	return firstLaunch(clk, func(g *sim.GPU) {
+		a := g.NewArray(1<<22, 4)
+		g.Launch("stream", 1<<13, 256, func(c *sim.Ctx) {
+			c.LoadRep(a.At(c.TID()), 4, 32)
+		})
 	})
-	return d, l
 }
 
 func TestStaticPowerOrdering(t *testing.T) {
@@ -114,14 +132,15 @@ func TestMemoryBoundPowerLowerThanComputeBound(t *testing.T) {
 
 func TestECCEnergyRiseExceedsRuntimeRiseOnScattered(t *testing.T) {
 	scattered := func(clk kepler.Clocks) (*sim.Launch, float64, float64) {
-		d := sim.NewDevice(clk)
-		a := d.NewArray(1<<20, 4)
-		l := d.Launch("gather", 1<<12, 256, func(c *sim.Ctx) {
-			h := uint64(c.TID()) * 2654435761 % (1 << 20)
-			for k := 0; k < 8; k++ {
-				c.Load(a.At(int(h)), 4)
-				h = (h*6364136223846793005 + 12345) % (1 << 20)
-			}
+		_, l := firstLaunch(clk, func(g *sim.GPU) {
+			a := g.NewArray(1<<20, 4)
+			g.Launch("gather", 1<<12, 256, func(c *sim.Ctx) {
+				h := uint64(c.TID()) * 2654435761 % (1 << 20)
+				for k := 0; k < 8; k++ {
+					c.Load(a.At(int(h)), 4)
+					h = (h*6364136223846793005 + 12345) % (1 << 20)
+				}
+			})
 		})
 		return l, l.Duration, LaunchEnergy(clk, l)
 	}
@@ -238,26 +257,30 @@ func stableSortTimeline(dev *sim.Device) []Segment {
 	return append(segs, Segment{Start: end + tailDuration, Duration: trailIdle, Watts: IdleW(clk)})
 }
 
-// TestTimelineMergeMatchesStableSort drives random devices through
-// launches, host pauses and Repeat calls on earlier (mid-timeline) launches,
-// and checks that Timeline's linear merge equals a stable sort of the
-// launches followed by the gaps, segment for segment and bit for bit.
+// TestTimelineMergeMatchesStableSort drives random runs through launches,
+// host pauses and Repeat calls on earlier (mid-timeline) launches, and
+// checks that Timeline's linear merge equals a stable sort of the launches
+// followed by the gaps, segment for segment and bit for bit.
 func TestTimelineMergeMatchesStableSort(t *testing.T) {
 	f := func(ops []uint16) bool {
-		d := sim.NewDevice(kepler.Default)
-		for _, op := range ops {
-			switch arg := int(op >> 2); op & 3 {
-			case 0, 1:
-				d.Launch("k", 1+arg%8, 32, func(c *sim.Ctx) { c.FP32Ops(1 + arg%50) })
-			case 2:
-				d.HostPause(float64(arg%7) * 1e-4)
-			case 3:
-				if len(d.Launches) > 0 {
-					l := d.Launches[arg%len(d.Launches)]
-					d.Repeat(l, l.Repeat+1+arg%3)
+		d := priced(kepler.Default, func(g *sim.GPU) {
+			var repeats []int // each launch's Repeat count so far
+			for _, op := range ops {
+				switch arg := int(op >> 2); op & 3 {
+				case 0, 1:
+					g.Launch("k", 1+arg%8, 32, func(c *sim.Ctx) { c.FP32Ops(1 + arg%50) })
+					repeats = append(repeats, 1)
+				case 2:
+					g.HostPause(float64(arg%7) * 1e-4)
+				case 3:
+					if len(repeats) > 0 {
+						l := arg % len(repeats)
+						repeats[l] += 1 + arg%3
+						g.Repeat(sim.LaunchID(l), repeats[l])
+					}
 				}
 			}
-		}
+		})
 		got, want := Timeline(d), stableSortTimeline(d)
 		if len(got) != len(want) {
 			t.Logf("%d segments, want %d", len(got), len(want))
@@ -302,9 +325,10 @@ func TestLaunchPowerZeroDuration(t *testing.T) {
 
 func TestTimeScalePreservesPower(t *testing.T) {
 	run := func(scale float64) (float64, float64) {
-		d := sim.NewDevice(kepler.Default)
-		d.SetTimeScale(scale)
-		l := d.Launch("fma", 1024, 256, func(c *sim.Ctx) { c.FP32Ops(800) })
+		_, l := firstLaunch(kepler.Default, func(g *sim.GPU) {
+			g.SetTimeScale(scale)
+			g.Launch("fma", 1024, 256, func(c *sim.Ctx) { c.FP32Ops(800) })
+		})
 		return LaunchPower(kepler.Default, l), LaunchEnergy(kepler.Default, l)
 	}
 	p1, e1 := run(1)
@@ -319,9 +343,9 @@ func TestTimeScalePreservesPower(t *testing.T) {
 
 func TestRepeatScalesEnergyLinearly(t *testing.T) {
 	mk := func(repeats int) (float64, float64) {
-		d := sim.NewDevice(kepler.Default)
-		l := d.Launch("fma", 512, 256, func(c *sim.Ctx) { c.FP32Ops(400) })
-		d.Repeat(l, repeats)
+		d := priced(kepler.Default, func(g *sim.GPU) {
+			g.Repeat(g.Launch("fma", 512, 256, func(c *sim.Ctx) { c.FP32Ops(400) }), repeats)
+		})
 		return ActiveEnergy(d), d.ActiveTime()
 	}
 	e1, t1 := mk(1)

@@ -13,13 +13,17 @@ import (
 
 // attribRow builds one real attribution row from a small mixed kernel.
 func attribRow() core.ProgramAttribution {
-	d := sim.NewDevice(kepler.Default)
-	a := d.NewArray(1<<16, 4)
-	l := d.Launch("mixedK", 64, 256, func(c *sim.Ctx) {
+	g := sim.NewGPU(kepler.K20cDevice())
+	a := g.NewArray(1<<16, 4)
+	l := g.Launch("mixedK", 64, 256, func(c *sim.Ctx) {
 		c.FP32Ops(200)
 		c.Load(a.At(c.TID()), 4)
 	})
-	d.Repeat(l, 100)
+	g.Repeat(l, 100)
+	d, err := g.Trace().Replay(kepler.Default)
+	if err != nil {
+		panic(err)
+	}
 	return core.ProgramAttribution{
 		Program:     "TOY",
 		Input:       "default",

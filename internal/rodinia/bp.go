@@ -37,7 +37,7 @@ const (
 
 // Run trains one step and validates the forward activations and weight
 // updates against a sequential reference.
-func (p *BP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *BP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ const (
 )
 
 // Run solves A x = b and validates the residual.
-func (p *GE) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *GE) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

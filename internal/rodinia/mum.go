@@ -37,7 +37,7 @@ const (
 
 // Run aligns the read set and validates maximal match lengths against the
 // brute-force reference.
-func (p *MUM) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *MUM) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

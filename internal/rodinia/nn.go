@@ -34,7 +34,7 @@ const (
 )
 
 // Run finds the k nearest records and validates against a sequential scan.
-func (p *NN) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *NN) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -42,7 +42,7 @@ func nwSize(input string) (simN int, realN float64) {
 
 // Run aligns two random sequences and validates the full DP matrix score
 // against a sequential reference.
-func (p *NW) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *NW) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -41,7 +41,7 @@ func pfShape(input string) (cols, rows, pyramid int, realCols float64, err error
 
 // Run computes the min-cost path values and validates against a sequential
 // DP.
-func (p *PF) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *PF) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	cols, rows, pyramid, realCols, err := pfShape(input)
 	if err != nil {
 		return err
@@ -63,13 +63,14 @@ func (p *PF) Run(ctx context.Context, dev *sim.Device, input string) error {
 	dResult := dev.NewArray(cols, 4)
 
 	// One kernel per pyramid step, each covering `pyramid` rows.
+	var last sim.LaunchID
 	for r := 1; r < rows; {
 		stepRows := pyramid
 		if r+stepRows > rows {
 			stepRows = rows - r
 		}
 		r0 := r
-		dev.LaunchShared("dynproc_kernel", (cols+255)/256, 256, 2*256*4, func(c *sim.Ctx) {
+		last = dev.LaunchShared("dynproc_kernel", (cols+255)/256, 256, 2*256*4, func(c *sim.Ctx) {
 			col := c.TID()
 			if col >= cols {
 				return
@@ -106,8 +107,7 @@ func (p *PF) Run(ctx context.Context, dev *sim.Device, input string) error {
 	}
 	// The Rodinia harness repeats the whole DP; replay the last launch to
 	// stand in for the remaining passes.
-	if n := len(dev.Launches); n > 0 {
-		last := dev.Launches[n-1]
+	if rows > 1 {
 		dev.Repeat(last, pfPasses)
 	}
 

@@ -48,7 +48,7 @@ func (p *RBFS) Items(input string) (int64, int64) {
 }
 
 // Run traverses the graph and validates against the reference BFS.
-func (p *RBFS) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *RBFS) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -35,8 +35,8 @@ func TestAllRunAndValidate(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if dev.ActiveTime() <= 0 {
@@ -55,12 +55,12 @@ func TestRBFSItems(t *testing.T) {
 
 func TestMUMInputsDiffer(t *testing.T) {
 	p := NewMUM()
-	short := sim.NewDevice(kepler.Default)
-	long := sim.NewDevice(kepler.Default)
-	if err := p.Run(context.Background(), short, "25bp"); err != nil {
+	short, err := simulate(p, "25bp", kepler.Default)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(context.Background(), long, "100bp"); err != nil {
+	long, err := simulate(p, "100bp", kepler.Default)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if long.ActiveTime() <= short.ActiveTime() {
@@ -74,8 +74,8 @@ func TestCalibrationDump(t *testing.T) {
 	}
 	for _, p := range Programs() {
 		for _, clk := range kepler.Configs {
-			dev := sim.NewDevice(clk)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), clk)
+			if err != nil {
 				t.Fatalf("%s@%s: %v", p.Name(), clk.Name, err)
 			}
 			at := dev.ActiveTime()
@@ -89,8 +89,8 @@ func TestShortProgramsRunAndValidate(t *testing.T) {
 	for _, p := range []core.Program{NewHotspot(), NewKmeans()} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			// The whole point: runtimes far too short for the sensor.
@@ -112,8 +112,7 @@ func TestAllInputVariantsOfMultiInputPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, spec.input); err != nil {
+			if _, err := simulate(p, spec.input, kepler.Default); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -128,4 +127,14 @@ func progByName(name string) (core.Program, error) {
 		}
 	}
 	return nil, fmt.Errorf("no program %q", name)
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

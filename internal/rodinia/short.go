@@ -37,7 +37,7 @@ const (
 )
 
 // Run simulates heat diffusion and validates against a sequential replay.
-func (p *Hotspot) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Hotspot) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -139,7 +139,7 @@ const (
 
 // Run clusters random points and validates that the final assignment is a
 // fixpoint (every point sits with its nearest centroid).
-func (p *Kmeans) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Kmeans) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ const (
 
 // Run draws points in the unit square and counts those inside the quarter
 // circle; the estimate must land near pi.
-func (p *EIP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *EIP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ func NewEP() *EP {
 }
 
 // Run generates point batches to memory, then counts hits from memory.
-func (p *EP) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *EP) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ const (
 
 // Run performs nbTimesteps leapfrog steps and validates momentum
 // conservation (total momentum of an isolated system must stay ~0).
-func (p *NBody) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *NBody) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	n, realN, loops, err := nbInput(input)
 	if err != nil {
 		return err

@@ -32,7 +32,7 @@ const (
 )
 
 // Run scans a random array and validates against a sequential prefix sum.
-func (p *Scan) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Scan) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

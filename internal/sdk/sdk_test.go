@@ -39,8 +39,8 @@ func TestAllRunAndValidate(t *testing.T) {
 	for _, p := range Programs() {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if len(dev.Launches) == 0 {
@@ -57,8 +57,8 @@ func TestNBodyAllInputs(t *testing.T) {
 	p := NewNBody()
 	var prev float64
 	for _, in := range p.Inputs() {
-		dev := sim.NewDevice(kepler.Default)
-		if err := p.Run(context.Background(), dev, in); err != nil {
+		dev, err := simulate(p, in, kepler.Default)
+		if err != nil {
 			t.Fatalf("%s: %v", in, err)
 		}
 		at := dev.ActiveTime()
@@ -71,8 +71,7 @@ func TestNBodyAllInputs(t *testing.T) {
 
 func TestUnknownInputRejected(t *testing.T) {
 	for _, p := range Programs() {
-		dev := sim.NewDevice(kepler.Default)
-		if err := p.Run(context.Background(), dev, "no-such-input"); err == nil {
+		if _, err := simulate(p, "no-such-input", kepler.Default); err == nil {
 			t.Errorf("%s: unknown input accepted", p.Name())
 		}
 	}
@@ -87,11 +86,10 @@ func TestMonteCarloShardInvariance(t *testing.T) {
 		var refTrace []byte
 		var refErr error
 		for _, workers := range []int{1, 4} {
-			dev := sim.NewDevice(kepler.Default)
-			dev.SetWorkerPool(sim.NewWorkerPool(workers))
-			dev.BeginCapture()
-			runErr := p.Run(context.Background(), dev, p.DefaultInput())
-			enc, err := sim.EncodeTrace(dev.EndCapture())
+			gpu := sim.NewGPU(kepler.K20cDevice())
+			gpu.SetWorkerPool(sim.NewWorkerPool(workers))
+			runErr := p.Run(context.Background(), gpu, p.DefaultInput())
+			enc, err := sim.EncodeTrace(gpu.Trace())
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", p.Name(), workers, err)
 			}
@@ -116,8 +114,8 @@ func TestCalibrationDump(t *testing.T) {
 	}
 	for _, p := range Programs() {
 		for _, clk := range kepler.Configs {
-			dev := sim.NewDevice(clk)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), clk)
+			if err != nil {
 				t.Fatalf("%s@%s: %v", p.Name(), clk.Name, err)
 			}
 			at := dev.ActiveTime()
@@ -125,4 +123,14 @@ func TestCalibrationDump(t *testing.T) {
 			fmt.Printf("%-4s %-8s active %8.2f s  power %7.2f W\n", p.Name(), clk.Name, at, e/at)
 		}
 	}
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

@@ -156,17 +156,16 @@ func TestEMAFactorsExact(t *testing.T) {
 // power timeline replayed at each canonical configuration: the timelines
 // the measurement pipeline feeds the recorder.
 func replayedTimelines(tb testing.TB) [][]power.Segment {
-	dev := sim.NewDevice(kepler.Default)
-	dev.BeginCapture()
-	dev.SetTimeScale(100)
-	l := dev.Launch("k1", 256, 256, func(c *sim.Ctx) { c.FP32Ops(400) })
-	dev.Repeat(l, 4000)
-	dev.HostPause(0.8)
-	l = dev.Launch("k2", 64, 128, func(c *sim.Ctx) { c.IntOps(50) })
-	dev.Repeat(l, 900)
-	dev.HostPause(2.5)
-	dev.Launch("k3", 32, 64, func(c *sim.Ctx) { c.IntOps(10) })
-	tr := dev.EndCapture()
+	g := sim.NewGPU(kepler.K20cDevice())
+	g.SetTimeScale(100)
+	l := g.Launch("k1", 256, 256, func(c *sim.Ctx) { c.FP32Ops(400) })
+	g.Repeat(l, 4000)
+	g.HostPause(0.8)
+	l = g.Launch("k2", 64, 128, func(c *sim.Ctx) { c.IntOps(50) })
+	g.Repeat(l, 900)
+	g.HostPause(2.5)
+	g.Launch("k3", 32, 64, func(c *sim.Ctx) { c.IntOps(10) })
+	tr := g.Trace()
 	var out [][]power.Segment
 	for _, clk := range kepler.K20cDevice().Configurations() {
 		d, err := tr.Replay(clk)

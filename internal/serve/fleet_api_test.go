@@ -173,7 +173,7 @@ func TestFleetAttribParity(t *testing.T) {
 // other worker can fix.
 type brokenProg struct{ *fakeProg }
 
-func (brokenProg) Run(context.Context, *sim.Device, string) error {
+func (brokenProg) Run(context.Context, *sim.GPU, string) error {
 	return errors.New("kernel launch failed")
 }
 

@@ -70,7 +70,7 @@ func newFakeProg(name string, scale float64) *fakeProg {
 	}
 }
 
-func (p *fakeProg) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *fakeProg) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

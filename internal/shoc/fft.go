@@ -36,7 +36,7 @@ const (
 // Run performs forward transforms in both precisions and validates the
 // single-precision result against a direct DFT on sampled bins plus a
 // round-trip inverse.
-func (p *FFT) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *FFT) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func (p *FFT) Run(ctx context.Context, dev *sim.Device, input string) error {
 	for s := 1; s < fftN; s <<= 1 {
 		stages++
 	}
-	launchStage := func(name string, arrS, arrD sim.Array, elem int, s int, fp64 bool) {
+	launchStage := func(name string, arrS, arrD sim.Array, elem int, s int, fp64 bool) sim.LaunchID {
 		half := fftN / 2
 		stride := s
 		l := dev.Launch(name, (half+127)/128, 128, func(c *sim.Ctx) {
@@ -89,30 +89,27 @@ func (p *FFT) Run(ctx context.Context, dev *sim.Device, input string) error {
 			c.Store(arrD.At(j*2*stride+k), elem)
 			c.Store(arrD.At(j*2*stride+k+stride), elem)
 		})
-		_ = l
 		src, dst = dst, src
+		return l
 	}
 
 	// Single-precision forward transform (values computed in float64 host
 	// mirror; the recorded ops are fp32).
+	var last sim.LaunchID
 	for s := 1; s < fftN; s <<= 1 {
-		launchStage("fft1D_512", dA, dB, 8, s, false)
+		last = launchStage("fft1D_512", dA, dB, 8, s, false)
 	}
 	result := append([]complex128(nil), src...)
 	// Repeat the last stage to stand in for SHOC's many passes.
-	if n := len(dev.Launches); n > 0 {
-		dev.Repeat(dev.Launches[n-1], fftPasses)
-	}
+	dev.Repeat(last, fftPasses)
 
 	// Double-precision pass over the same data (validates nothing new
 	// numerically; contributes the fp64 kernel the suite measures).
 	copy(src, orig)
 	for s := 1; s < fftN; s <<= 1 {
-		launchStage("fft1D_512_dp", dA64, dB64, 16, s, true)
+		last = launchStage("fft1D_512_dp", dA64, dB64, 16, s, true)
 	}
-	if n := len(dev.Launches); n > 0 {
-		dev.Repeat(dev.Launches[n-1], fftPasses)
-	}
+	dev.Repeat(last, fftPasses)
 
 	// Validate sampled bins against the direct DFT.
 	for _, k := range []int{0, 1, fftN / 2, fftN - 1} {

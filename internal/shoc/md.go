@@ -89,7 +89,7 @@ func mdSystem() (pos [][3]float64, neigh [][]int32) {
 
 // Run computes the forces and validates sampled atoms against a float64
 // recompute over the same neighbor lists.
-func (p *MD) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *MD) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

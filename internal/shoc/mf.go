@@ -37,7 +37,7 @@ const (
 
 // Run executes the microkernel series and validates that the arithmetic
 // chains produce the analytically expected values.
-func (p *MF) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *MF) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

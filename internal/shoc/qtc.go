@@ -39,7 +39,7 @@ const (
 
 // Run clusters the points and validates that every produced cluster
 // respects the diameter threshold and that the greedy choice was maximal.
-func (p *QTC) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *QTC) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

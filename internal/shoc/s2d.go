@@ -36,7 +36,7 @@ const (
 )
 
 // Run smooths the grid and validates against a sequential replay.
-func (p *S2D) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *S2D) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func (p *S2D) Run(ctx context.Context, dev *sim.Device, input string) error {
 	dB := dev.NewArray(n, 4)
 
 	idx := func(x, y int) int { return y*s2dDim + x }
-	var last *sim.Launch
+	var last sim.LaunchID
 	cur, nxt := grid, next
 	for it := 0; it < s2dIters; it++ {
 		cc, nn := cur, nxt

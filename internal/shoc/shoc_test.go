@@ -35,8 +35,8 @@ func TestAllRunAndValidate(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if dev.ActiveTime() <= 0 {
@@ -59,8 +59,8 @@ func TestCalibrationDump(t *testing.T) {
 	}
 	for _, p := range Programs() {
 		for _, clk := range kepler.Configs {
-			dev := sim.NewDevice(clk)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), clk)
+			if err != nil {
 				t.Fatalf("%s@%s: %v", p.Name(), clk.Name, err)
 			}
 			at := dev.ActiveTime()
@@ -74,8 +74,8 @@ func TestShortProgramsRunAndValidate(t *testing.T) {
 	for _, p := range []core.Program{NewTriad(), NewReduction()} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			dev := sim.NewDevice(kepler.Default)
-			if err := p.Run(context.Background(), dev, p.DefaultInput()); err != nil {
+			dev, err := simulate(p, p.DefaultInput(), kepler.Default)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if dev.ActiveTime() > 1.0 {
@@ -83,4 +83,14 @@ func TestShortProgramsRunAndValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// simulate runs p with the input on a GPU of clk's device and prices the
+// run at clk.
+func simulate(p core.Program, input string, clk kepler.Clocks) (*sim.Device, error) {
+	gpu := sim.NewGPU(clk.Device())
+	if err := p.Run(context.Background(), gpu, input); err != nil {
+		return nil, err
+	}
+	return gpu.Trace().Replay(clk)
 }

@@ -36,7 +36,7 @@ func NewTriad() *Triad {
 const triadN = 1 << 20
 
 // Run performs the triad and validates every element.
-func (p *Triad) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Triad) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func NewReduction() *Reduction {
 const reduceN = 1 << 20
 
 // Run reduces a random vector and validates the sum in float64.
-func (p *Reduction) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *Reduction) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

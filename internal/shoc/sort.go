@@ -34,7 +34,7 @@ const (
 )
 
 // Run sorts random key/value pairs and validates order and permutation.
-func (p *ST) Run(ctx context.Context, dev *sim.Device, input string) error {
+func (p *ST) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	if err := p.CheckInput(input); err != nil {
 		return err
 	}

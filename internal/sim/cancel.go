@@ -1,7 +1,7 @@
 package sim
 
 // launchCanceled is the panic payload a launch unwinds with when the
-// device's context is canceled. Kernel functions do not thread errors out
+// GPU's context is canceled. Kernel functions do not thread errors out
 // of simulated threads, so the engine aborts via panic at block boundaries
 // and the measurement layer (core.Runner) recovers it back into the context
 // error with CancelCause. A cancel lands between blocks, never inside one,
@@ -11,7 +11,7 @@ type launchCanceled struct{ err error }
 
 // CancelCause reports whether a recovered panic value is a launch
 // cancellation and, if so, returns the context error that caused it.
-// Callers that invoke Program.Run on a device with a cancelable context
+// Callers that invoke Program.Run on a GPU with a cancelable context
 // must recover this panic:
 //
 //	defer func() {
@@ -31,10 +31,10 @@ func CancelCause(r any) (error, bool) {
 	return lc.err, true
 }
 
-// checkCanceled aborts the current launch if the device's context has been
+// checkCanceled aborts the current launch if the GPU's context has been
 // canceled. It is called at block granularity by the launch loops.
-func (d *Device) checkCanceled() {
-	if err := d.ctx.Err(); err != nil {
+func (g *GPU) checkCanceled() {
+	if err := g.ctx.Err(); err != nil {
 		panic(launchCanceled{err})
 	}
 }

@@ -24,55 +24,62 @@ func recoverCancel(fn func()) (cause error) {
 	return nil
 }
 
-// A launch on a device whose context is already canceled must abort via the
-// sentinel panic before simulating any block, and the device must stay
-// usable for a later run with a live context.
+// A launch on a GPU whose context is already canceled must abort via the
+// sentinel panic before simulating any block, and the GPU must stay usable
+// for a later run with a live context.
 func TestLaunchAbortsOnCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	d := NewDevice(kepler.Default)
-	d.SetContext(ctx)
-	before := len(d.Launches)
+	g := NewGPU(kepler.K20cDevice())
+	g.SetContext(ctx)
 	err := recoverCancel(func() {
-		d.Launch("k", 512, 256, func(c *Ctx) { c.FP32Ops(100) })
+		g.Launch("k", 512, 256, func(c *Ctx) { c.FP32Ops(100) })
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("launch on canceled device: cause = %v, want context.Canceled", err)
+		t.Fatalf("launch on canceled GPU: cause = %v, want context.Canceled", err)
 	}
-	if len(d.Launches) != before {
-		t.Errorf("aborted launch left %d record(s)", len(d.Launches)-before)
+	if n := g.Trace().Launches(); n != 0 {
+		t.Errorf("aborted launch left %d record(s)", n)
 	}
 
-	// Reset to a live context: the same device completes the launch.
-	d.SetContext(context.Background())
+	// Reset to a live context: the same GPU completes the launch, and the
+	// aborted one took no launch ID.
+	g.SetContext(context.Background())
+	var id LaunchID
 	if err := recoverCancel(func() {
-		d.Launch("k", 512, 256, func(c *Ctx) { c.FP32Ops(100) })
+		id = g.Launch("k", 512, 256, func(c *Ctx) { c.FP32Ops(100) })
 	}); err != nil {
 		t.Fatalf("launch after context reset aborted: %v", err)
+	}
+	if n := g.Trace().Launches(); n != 1 || id != 0 {
+		t.Errorf("%d launches recorded after the reset, the last with ID %d; want 1 with ID 0", n, id)
 	}
 }
 
 // Cancellation between launches must not perturb the records of launches
-// that completed before it: a canceled-then-resumed device and a
-// never-canceled device produce bit-identical completed launches.
+// that completed before it: a canceled GPU's trace prices its completed
+// launch bit-identically to a never-canceled GPU's.
 func TestCancelPreservesCompletedLaunches(t *testing.T) {
-	run := func(d *Device) *Launch {
-		return d.Launch("fma", 512, 256, func(c *Ctx) { c.FP32Ops(200) })
+	run := func(g *GPU) {
+		g.Launch("fma", 512, 256, func(c *Ctx) { c.FP32Ops(200) })
 	}
 
-	clean := NewDevice(kepler.Default)
-	want := run(clean)
+	want := simulate(t, kepler.Default, run).Launches[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
-	d := NewDevice(kepler.Default)
-	d.SetContext(ctx)
-	got := run(d)
+	g := NewGPU(kepler.K20cDevice())
+	g.SetContext(ctx)
+	run(g)
 	cancel()
-	if err := recoverCancel(func() { run(d) }); !errors.Is(err, context.Canceled) {
+	if err := recoverCancel(func() { run(g) }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("post-cancel launch: cause = %v, want context.Canceled", err)
 	}
-	if got.Stats != want.Stats || got.Duration != want.Duration {
+	d := mustReplay(t, g.Trace(), kepler.Default)
+	if len(d.Launches) != 1 {
+		t.Fatalf("canceled run priced %d launches, want 1", len(d.Launches))
+	}
+	if got := d.Launches[0]; got.Stats != want.Stats || got.Duration != want.Duration {
 		t.Errorf("completed launch differs after cancel:\nclean    %+v\ncanceled %+v", want, got)
 	}
 }

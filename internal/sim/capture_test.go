@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,21 +9,20 @@ import (
 	"repro/internal/kepler"
 )
 
-// captureProgram is a synthetic clock-insensitive run exercising every
-// timeline construct replay must reproduce: plain and shared launches, a
-// surrogate scale change mid-run, host pauses, and both tail and
-// mid-timeline Repeat calls.
-func captureProgram(d *Device) {
-	data := d.NewArray(1<<14, 4)
-	d.Launch("init", 64, 256, func(c *Ctx) {
+// captureProgram is a synthetic run exercising every timeline construct
+// replay must reproduce: plain and shared launches, a surrogate scale change
+// mid-run, host pauses, and both tail and mid-timeline Repeat calls.
+func captureProgram(g *GPU) {
+	data := g.NewArray(1<<14, 4)
+	g.Launch("init", 64, 256, func(c *Ctx) {
 		c.Store(data.At(c.TID()), 4)
 		c.IntOps(4)
 	})
-	d.HostPause(0.01)
-	d.SetTimeScale(3)
-	var mid *Launch
+	g.HostPause(0.01)
+	g.SetTimeScale(3)
+	var mid LaunchID
 	for i := 0; i < 4; i++ {
-		l := d.LaunchShared("sweep", 96, 128, 4096, func(c *Ctx) {
+		l := g.LaunchShared("sweep", 96, 128, 4096, func(c *Ctx) {
 			c.Load(data.At(c.TID()), 4)
 			c.FP32Ops(48 + c.TID()%5)
 			c.SharedAccessRep(uint64(c.Thread*4), 2)
@@ -33,14 +33,26 @@ func captureProgram(d *Device) {
 			mid = l
 		}
 	}
-	d.HostPause(0.002)
-	last := d.Launch("reduce", 8, 256, func(c *Ctx) {
+	g.HostPause(0.002)
+	last := g.Launch("reduce", 8, 256, func(c *Ctx) {
 		c.Load(data.At(c.TID()), 4)
 		c.IntOps(32)
 	})
-	d.Repeat(last, 50)
+	g.Repeat(last, 50)
 	// Mid-timeline replay: shifts the launches and gaps after `mid`.
-	d.Repeat(mid, 7)
+	g.Repeat(mid, 7)
+}
+
+// capture runs prog on a fresh K20c GPU and returns its trace.
+func capture(prog func(*GPU)) *LaunchTrace {
+	return captureOn(kepler.K20cDevice(), prog)
+}
+
+// captureOn runs prog on a fresh GPU of desc and returns its trace.
+func captureOn(desc *kepler.Device, prog func(*GPU)) *LaunchTrace {
+	g := NewGPU(desc)
+	prog(g)
+	return g.Trace()
 }
 
 // diffDevices compares the timeline state replay promises to reproduce:
@@ -77,18 +89,32 @@ func diffDevices(a, b *Device) string {
 	return ""
 }
 
-// TestReplayBitIdenticalAcrossConfigs is the replay soundness contract: a
-// trace captured at one configuration, replayed at every configuration,
-// must reproduce the timeline state of a fresh simulation there bit for
-// bit — including for the capture configuration itself.
-func TestReplayBitIdenticalAcrossConfigs(t *testing.T) {
-	capDev := NewDevice(kepler.Default)
-	capDev.BeginCapture()
-	captureProgram(capDev)
-	tr := capDev.EndCapture()
+// checkRecaptureIdentical runs prog twice on fresh GPUs: the two traces
+// must encode to the same bytes, and replay to bit-identical timelines at
+// every configuration of the device. A run's trace, and so every priced
+// device, is a function of the program alone.
+func checkRecaptureIdentical(t *testing.T, desc *kepler.Device, prog func(*GPU)) *LaunchTrace {
+	t.Helper()
+	tr, again := captureOn(desc, prog), captureOn(desc, prog)
+	a, b := encodeRaw(tr), encodeRaw(again)
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: two captures of one program encode differently", desc.Name)
+	}
+	for _, clk := range desc.Configurations() {
+		if d := diffDevices(mustReplay(t, tr, clk), mustReplay(t, again, clk)); d != "" {
+			t.Errorf("%s: replays of two captures diverge: %s", clk.Name, d)
+		}
+	}
+	return tr
+}
 
+// TestReplayBitIdenticalAcrossConfigs: a capture records every launch, pause
+// and repeat, replays at every configuration, and a second capture of the
+// same program replays identically.
+func TestReplayBitIdenticalAcrossConfigs(t *testing.T) {
+	tr := checkRecaptureIdentical(t, kepler.K20cDevice(), captureProgram)
 	if tr.ClockSensitive() {
-		t.Fatalf("insensitive program marked sensitive: %s", tr.SensitiveReason())
+		t.Fatalf("capture marked sensitive: %s", tr.SensitiveReason())
 	}
 	if tr.Launches() != 6 {
 		t.Errorf("captured %d launches, want 6", tr.Launches())
@@ -96,35 +122,14 @@ func TestReplayBitIdenticalAcrossConfigs(t *testing.T) {
 	if tr.Bytes() <= 0 {
 		t.Error("trace reports zero footprint")
 	}
-
 	for _, clk := range kepler.Configs {
-		fresh := NewDevice(clk)
-		captureProgram(fresh)
-
-		replayed, err := tr.Replay(clk)
-		if err != nil {
-			t.Fatalf("%s: replay: %v", clk.Name, err)
+		d := mustReplay(t, tr, clk)
+		if len(d.Launches) != 6 || len(d.Gaps) != 7 {
+			t.Errorf("%s: %d launches and %d gaps, want 6 and 7", clk.Name, len(d.Launches), len(d.Gaps))
 		}
-		if d := diffDevices(fresh, replayed); d != "" {
-			t.Errorf("%s: replay diverged from fresh simulation: %s", clk.Name, d)
+		if got := []int{d.Launches[2].Repeat, d.Launches[5].Repeat}; got[0] != 7 || got[1] != 50 {
+			t.Errorf("%s: repeats %v, want [7 50]", clk.Name, got)
 		}
-	}
-}
-
-// TestCaptureLeavesSimulationUntouched: capturing must not perturb the
-// simulation it observes — the capture device's own timeline must equal a
-// capture-free run's.
-func TestCaptureLeavesSimulationUntouched(t *testing.T) {
-	plain := NewDevice(kepler.Default)
-	captureProgram(plain)
-
-	captured := NewDevice(kepler.Default)
-	captured.BeginCapture()
-	captureProgram(captured)
-	captured.EndCapture()
-
-	if d := diffDevices(plain, captured); d != "" {
-		t.Errorf("capture perturbed the simulation: %s", d)
 	}
 }
 
@@ -132,76 +137,46 @@ func TestCaptureLeavesSimulationUntouched(t *testing.T) {
 // work depends on a shared accumulator the earlier blocks advanced, and the
 // follow-up launch's grid depends on where the accumulator ended. Its
 // timeline is therefore a function of the block order.
-func orderedProgram(d *Device) {
+func orderedProgram(g *GPU) {
 	acc := 0
-	d.LaunchOrdered("relax", 32, 64, func(c *Ctx) {
+	g.LaunchOrdered("relax", 32, 64, func(c *Ctx) {
 		c.IntOps(1 + acc%7)
 		if c.Thread == 0 {
 			acc = (acc*31 + c.Block) % 1009
 		}
 	})
-	d.HostPause(0.001)
-	l := d.Launch("post", 8+acc%16, 128, func(c *Ctx) { c.FP32Ops(4) })
-	d.Repeat(l, 3)
+	g.HostPause(0.001)
+	l := g.Launch("post", 8+acc%16, 128, func(c *Ctx) { c.FP32Ops(4) })
+	g.Repeat(l, 3)
 }
 
-// TestOrderedLaunchReplays: the ordered block permutation reads no clock,
-// so an ordered capture at the default configuration replays at every
-// configuration to the timeline a fresh simulation there produces.
+// TestOrderedLaunchReplays: the ordered block permutation is a function of
+// the kernel name and sequence number, so two captures of a self-scheduling
+// program record the same trace, which replays at every configuration.
 func TestOrderedLaunchReplays(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	d.BeginCapture()
-	orderedProgram(d)
-	tr := d.EndCapture()
-	if tr.ClockSensitive() {
-		t.Fatalf("ordered launch marked the trace clock-sensitive: %s", tr.SensitiveReason())
-	}
+	tr := checkRecaptureIdentical(t, kepler.K20cDevice(), orderedProgram)
 	if tr.Launches() != 2 {
 		t.Fatalf("captured %d launches, want 2", tr.Launches())
 	}
-	for _, clk := range kepler.Configs {
-		replayed, err := tr.Replay(clk)
-		if err != nil {
-			t.Fatalf("%s: %v", clk.Name, err)
-		}
-		fresh := NewDevice(clk)
-		orderedProgram(fresh)
-		if diff := diffDevices(fresh, replayed); diff != "" {
-			t.Errorf("%s: replay vs fresh simulation: %s", clk.Name, diff)
-		}
-	}
 }
 
-// TestMidRunClockReadsMarkSensitive: Now() and ActiveTime() expose priced
-// (config-dependent) time, so reading them mid-capture must mark the trace.
-func TestMidRunClockReadsMarkSensitive(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		read func(*Device)
-	}{
-		{"Now", func(d *Device) { _ = d.Now() }},
-		{"ActiveTime", func(d *Device) { _ = d.ActiveTime() }},
-	} {
-		d := NewDevice(kepler.Default)
-		d.BeginCapture()
-		d.Launch("k", 8, 64, func(c *Ctx) { c.IntOps(1) })
-		tc.read(d)
-		tr := d.EndCapture()
-		if !tr.ClockSensitive() {
-			t.Errorf("mid-run %s() read did not mark the trace clock-sensitive", tc.name)
-		}
+// TestRepeatRecordsOnlyIncreases: a Repeat at or below a launch's current
+// count changes nothing, and the trace records only the ones that count.
+func TestRepeatRecordsOnlyIncreases(t *testing.T) {
+	tr := capture(func(g *GPU) {
+		l := g.Launch("k", 8, 64, func(c *Ctx) { c.IntOps(1) })
+		g.Repeat(l, 1)
+		g.Repeat(l, 5)
+		g.Repeat(l, 3)
+	})
+	want := capture(func(g *GPU) {
+		g.Repeat(g.Launch("k", 8, 64, func(c *Ctx) { c.IntOps(1) }), 5)
+	})
+	if !bytes.Equal(encodeRaw(tr), encodeRaw(want)) {
+		t.Error("non-increasing Repeat calls were recorded")
 	}
-
-	// Reads outside a capture window are free: the pipeline itself reads
-	// ActiveTime after EndCapture.
-	d := NewDevice(kepler.Default)
-	d.BeginCapture()
-	d.Launch("k", 8, 64, func(c *Ctx) { c.IntOps(1) })
-	tr := d.EndCapture()
-	_ = d.Now()
-	_ = d.ActiveTime()
-	if tr.ClockSensitive() {
-		t.Error("post-capture clock reads marked the trace sensitive")
+	if d := mustReplay(t, tr, kepler.Default); d.Launches[0].Repeat != 5 {
+		t.Errorf("priced repeat %d, want 5", d.Launches[0].Repeat)
 	}
 }
 
@@ -361,10 +336,7 @@ func TestExecutorReusableAfterTrim(t *testing.T) {
 // BenchmarkTraceReplay measures the replay path itself: pricing a captured
 // mid-size timeline at another configuration.
 func BenchmarkTraceReplay(b *testing.B) {
-	d := NewDevice(kepler.Default)
-	d.BeginCapture()
-	captureProgram(d)
-	tr := d.EndCapture()
+	tr := capture(captureProgram)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Replay(kepler.Configs[i%len(kepler.Configs)]); err != nil {

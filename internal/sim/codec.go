@@ -16,9 +16,11 @@ import (
 // inputs (per-block issue cycles, merged statistics, scales), and every
 // float travels as its raw IEEE-754 bits, so a decoded trace replays
 // bit-identically to the original by construction. Ordered launches travel
-// like any other launch. Tombstones (traces of runs that read the simulated
-// clock mid-capture) serialize as their sensitivity verdict alone,
-// mirroring markSensitive dropping the events in memory; the device tag
+// like any other launch. A tombstone is a document that records only a
+// sensitivity verdict and no events: the earlier engine wrote one for a run
+// that read the simulated clock mid-capture. A GPU cannot read the clock, so
+// no capture makes one any more, but the format still carries the flag and
+// the reason, and a decoded tombstone refuses to replay. The device tag
 // travels with the trace, so cross-device replay refusal carries over
 // unchanged. Each launch's block schedule is not on the wire: the decoder
 // re-derives it from the validated block cycles and the SM count of the
@@ -211,8 +213,8 @@ func decodeTrace(data []byte) (*LaunchTrace, error) {
 		return nil, err
 	}
 	if t.sensitive {
-		// Tombstone: events were dropped at capture time; refuse documents
-		// that claim both sensitivity and a timeline.
+		// Tombstone: refuse documents that claim both sensitivity and a
+		// timeline.
 		if n > 0 {
 			return nil, fmt.Errorf("sensitive trace with %d events", n)
 		}

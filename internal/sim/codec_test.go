@@ -17,17 +17,10 @@ import (
 // to the original at every configuration, report the same footprint, and
 // re-encode to the same bytes. Ordered launches travel like any other.
 func TestTraceCodecRoundTrip(t *testing.T) {
-	program := func(d *Device) {
-		captureProgram(d)
-		orderedProgram(d)
-	}
-	capDev := NewDevice(kepler.Default)
-	capDev.BeginCapture()
-	program(capDev)
-	tr := capDev.EndCapture()
-	if tr.ClockSensitive() {
-		t.Fatalf("capture program marked sensitive: %s", tr.SensitiveReason())
-	}
+	tr := capture(func(g *GPU) {
+		captureProgram(g)
+		orderedProgram(g)
+	})
 
 	data, err := EncodeTrace(tr)
 	if err != nil {
@@ -47,8 +40,8 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		t.Errorf("launches %d, want %d", got.Launches(), tr.Launches())
 	}
 
-	// Replay parity across every K20c configuration, against both the
-	// original trace and a fresh simulation.
+	// Replay parity with the original trace across every K20c
+	// configuration.
 	for _, clk := range kepler.Configs {
 		orig, err := tr.Replay(clk)
 		if err != nil {
@@ -60,11 +53,6 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		}
 		if diff := diffDevices(orig, decoded); diff != "" {
 			t.Errorf("%s: decoded replay diverges: %s", clk.Name, diff)
-		}
-		fresh := NewDevice(clk)
-		program(fresh)
-		if diff := diffDevices(fresh, decoded); diff != "" {
-			t.Errorf("%s: decoded replay vs fresh simulation: %s", clk.Name, diff)
 		}
 	}
 
@@ -79,17 +67,11 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCodecSensitiveTombstone: a clock-sensitive trace travels as its
-// verdict alone, and the decoder refuses contradictory documents.
+// TestTraceCodecSensitiveTombstone: a tombstone travels as its verdict
+// alone, refuses to replay, and the decoder refuses contradictory
+// documents.
 func TestTraceCodecSensitiveTombstone(t *testing.T) {
-	dev := NewDevice(kepler.Default)
-	dev.BeginCapture()
-	dev.Launch("k", 8, 128, func(c *Ctx) { c.IntOps(8) })
-	_ = dev.Now()
-	tr := dev.EndCapture()
-	if !tr.ClockSensitive() {
-		t.Fatal("mid-run Now() read did not mark the trace sensitive")
-	}
+	tr := &LaunchTrace{device: "K20c", sensitive: true, reason: "mid-run Now() read"}
 
 	data, err := EncodeTrace(tr)
 	if err != nil {
@@ -108,6 +90,9 @@ func TestTraceCodecSensitiveTombstone(t *testing.T) {
 	if got.Launches() != 0 {
 		t.Errorf("tombstone decoded with %d launches", got.Launches())
 	}
+	if _, err := got.Replay(kepler.Default); err == nil || !strings.Contains(err.Error(), "clock-sensitive") {
+		t.Errorf("decoded tombstone replay: %v, want a clock-sensitive refusal", err)
+	}
 
 	// A document claiming both sensitivity and a timeline is rejected.
 	bad := encodeRaw(&LaunchTrace{device: tr.device, sensitive: true, reason: tr.reason,
@@ -124,10 +109,7 @@ func TestTraceCodecCrossDeviceRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := NewDevice(kepler.Default)
-	dev.BeginCapture()
-	captureProgram(dev)
-	data, err := EncodeTrace(dev.EndCapture())
+	data, err := EncodeTrace(capture(captureProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +267,7 @@ func TestTraceCodecRejectsMalformed(t *testing.T) {
 // TestTraceCodecRejectsEveryTruncation: no proper prefix of a real capture
 // decodes.
 func TestTraceCodecRejectsEveryTruncation(t *testing.T) {
-	dev := NewDevice(kepler.Default)
-	dev.BeginCapture()
-	captureProgram(dev)
-	data := encodeRaw(dev.EndCapture())
+	data := encodeRaw(capture(captureProgram))
 	for n := 0; n < len(data); n++ {
 		if _, err := DecodeTrace(data[:n]); err == nil {
 			t.Fatalf("decoder accepted the first %d of %d bytes", n, len(data))
@@ -321,11 +300,8 @@ func TestTraceCodecCarriesEveryStat(t *testing.T) {
 // FuzzDecodeTrace: decoding never panics, and a document the decoder
 // accepts re-encodes to bytes that decode to an identical trace.
 func FuzzDecodeTrace(f *testing.F) {
-	for _, program := range []func(*Device){captureProgram, orderedProgram, irregularProgram} {
-		dev := NewDevice(kepler.Default)
-		dev.BeginCapture()
-		program(dev)
-		f.Add(encodeRaw(dev.EndCapture()))
+	for _, program := range []func(*GPU){captureProgram, orderedProgram, irregularProgram} {
+		f.Add(encodeRaw(capture(program)))
 	}
 	f.Add(encodeRaw(&LaunchTrace{device: "K20c", sensitive: true, reason: "mid-run Now() read"}))
 	f.Add(k20Doc(launchEvent(nil), pauseEvent(1), repeatEvent(0, 3)))

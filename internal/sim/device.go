@@ -1,25 +1,29 @@
 // Package sim is the execution engine of the simulated Kepler-class GPU.
-// Benchmarks allocate virtual device memory, launch kernels as per-thread Go
-// functions that both perform the real computation and record the hardware
-// operations they would issue, and the engine converts the recorded
-// warp-level statistics into kernel execution times on a simulated clock.
+// It has two halves that share no clock:
+//
+//   - A program runs on a GPU, a clock-free handle. Benchmarks allocate
+//     virtual device memory, launch kernels as per-thread Go functions that
+//     both perform the real computation and record the hardware operations
+//     they would issue, and mark host pauses and launch replays (Repeat).
+//     The handle records the launch trace — per-block statistics and issue
+//     cycles, which no clock influences — and exposes no simulated time:
+//     nothing a program can read depends on the clock configuration.
+//   - A Device is one run priced at one clock configuration: the launch
+//     timeline with every duration, start and gap. The only way to build
+//     one is LaunchTrace.ReplayInto, which runs the timing model over the
+//     recorded trace (see capture.go).
 //
 // The engine is deterministic. Kernels launched with LaunchOrdered execute
 // their thread blocks sequentially in an order derived from a hash of the
 // kernel name and the launch sequence number only; irregular programs that
 // self-schedule work through atomics therefore observe a scrambled but fixed
-// ordering, the same at every clock configuration, so their data evolution
-// (and with it every counter the timing model prices) does not depend on the
-// clocks. Kernels launched with Launch declare their blocks independent and
+// ordering. Kernels launched with Launch declare their blocks independent and
 // may have them sharded across a worker pool (see WorkerPool) — with
 // bit-identical results, because the statistics merge is associative and
 // commutative and per-block timing is indexed by block id (see LaunchSpec).
 package sim
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/hashing"
 	"repro/internal/kepler"
 	"repro/internal/trace"
@@ -28,12 +32,13 @@ import (
 // Addr is a virtual device-memory address.
 type Addr = uint64
 
-// Launch records one kernel launch: its shape, merged statistics, computed
-// duration and position on the simulated timeline.
+// Launch records one priced kernel launch: its shape, merged statistics,
+// computed duration and position on the simulated timeline.
 type Launch struct {
 	// Name is the kernel name (for reports and scheduling hashes).
 	Name string
-	// Seq is the launch sequence number within the device's lifetime.
+	// Seq is the launch sequence number within the run (the LaunchID the
+	// program got for it).
 	Seq int
 	// Grid and Block are the launch shape (blocks, threads per block).
 	Grid, Block int
@@ -69,110 +74,29 @@ type Gap struct {
 	Start, Duration float64
 }
 
-// Device is one simulated GPU in a fixed clock configuration.
+// Device is one program run priced at a fixed clock configuration. It is
+// built only by LaunchTrace.ReplayInto, after the run.
 type Device struct {
-	// Clocks is the DVFS/ECC configuration the device runs at.
+	// Clocks is the DVFS/ECC configuration the run was priced at.
 	Clocks kepler.Clocks
-
-	// desc is the GPU description the configuration belongs to (geometry,
-	// throughputs, memory hierarchy); cached from Clocks.Device().
-	desc *kepler.Device
 
 	// Launches is the ordered record of every kernel launch.
 	Launches []*Launch
 	// Gaps records host-side pauses between launches.
 	Gaps []Gap
 
-	nextAddr Addr
-	now      float64
-	seq      int
+	now float64
 
-	// interLaunchGap is the host-side time between consecutive launches.
-	interLaunchGap float64
-	// timeScale is applied to every subsequent launch (see Launch.Scale).
-	timeScale float64
-
-	// exec is the caller-goroutine block executor, created by the first
-	// launch and reused by later ones (a replayed device never needs one);
-	// parallel launches borrow additional executors from a shared pool.
-	exec *blockExecutor
-	// pool is the worker budget parallel launches draw extra workers from.
-	pool *WorkerPool
-	// blockCycles is reused across launches for per-block issue cycles.
-	blockCycles []float64
-
-	// ctx is the cancellation signal the launch loops poll at block
-	// granularity; Background when the device was not given one.
-	ctx context.Context
-
-	// capture, when non-nil, records the clock-independent launch timeline
-	// (see BeginCapture) and flags clock-sensitive behaviour.
-	capture *LaunchTrace
-
-	// replayed holds the launch records of a replayed timeline in one
-	// block (Launches points into it); ReplayInto reuses it.
+	// replayed holds the launch records in one block (Launches points into
+	// it); ReplayInto reuses it.
 	replayed []Launch
 }
 
-// NewDevice creates a device at the given clock configuration. The seed
-// perturbs nothing in the engine itself (execution is deterministic per
-// configuration); it only distinguishes repeated experiments in the sensor
-// and power noise downstream.
-func NewDevice(clk kepler.Clocks) *Device {
-	d := new(Device)
-	d.init(clk)
-	return d
-}
+// Now returns the simulated time in seconds at the end of the run.
+func (d *Device) Now() float64 { return d.now }
 
-// init sets *d to a new device at clk, keeping nothing of its former state.
-func (d *Device) init(clk kepler.Clocks) {
-	*d = Device{
-		Clocks:         clk,
-		desc:           clk.Device(),
-		nextAddr:       4096, // keep 0 unused so Addr(0) can mean "nil"
-		interLaunchGap: 40e-6,
-		timeScale:      1,
-		pool:           defaultPool,
-		ctx:            context.Background(),
-	}
-}
-
-// SetWorkerPool sets the pool this device draws extra block-simulation
-// workers from; nil disables intra-launch sharding entirely. Measurements
-// that already run many devices concurrently (core.Runner) pass their own
-// pool so cross-job and intra-launch parallelism share one budget.
-func (d *Device) SetWorkerPool(p *WorkerPool) { d.pool = p }
-
-// SetContext attaches a cancellation context to the device. Launch loops
-// poll it at block granularity: when ctx is canceled, the in-flight launch
-// aborts between blocks by unwinding with a cancellation panic (see
-// CancelCause), so completed launches remain bit-identical to an uncanceled
-// run and no partial launch is ever recorded. A nil ctx resets to
-// Background (never canceled).
-func (d *Device) SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	d.ctx = ctx
-}
-
-// Now returns the simulated time in seconds. Reading it during a capture
-// marks the trace clock-sensitive: simulated time is priced per
-// configuration, so a program that branches on it evolves config-dependent
-// Go state and cannot be replayed across configurations.
-func (d *Device) Now() float64 {
-	if d.capture != nil {
-		d.capture.markSensitive("mid-run Now() read")
-	}
-	return d.now
-}
-
-// ActiveTime returns the total simulated time spent executing kernels. Like
-// Now, a mid-capture read marks the trace clock-sensitive.
+// ActiveTime returns the total simulated time spent executing kernels.
 func (d *Device) ActiveTime() float64 {
-	if d.capture != nil {
-		d.capture.markSensitive("mid-run ActiveTime() read")
-	}
 	var t float64
 	for _, l := range d.Launches {
 		t += l.TotalDuration()
@@ -180,34 +104,11 @@ func (d *Device) ActiveTime() float64 {
 	return t
 }
 
-// Alloc reserves n bytes of device memory aligned to 256 bytes and returns
-// the base address. It panics if the allocation exceeds the usable DRAM of
-// the current configuration (ECC reduces capacity by 12.5%).
-func (d *Device) Alloc(n int64) Addr {
-	if n < 0 {
-		panic("sim: negative allocation")
-	}
-	base := (d.nextAddr + 255) &^ 255
-	d.nextAddr = base + Addr(n)
-	if int64(d.nextAddr) > d.Clocks.UsableDRAM() {
-		panic(fmt.Sprintf("sim: out of device memory: %d bytes requested, %d usable", n, d.Clocks.UsableDRAM()))
-	}
-	return base
-}
-
 // Array is a typed view of a device allocation.
 type Array struct {
 	Base Addr
 	Elem int // element size in bytes
 	Len  int
-}
-
-// NewArray allocates an array of n elements of elem bytes each.
-func (d *Device) NewArray(n, elem int) Array {
-	if n < 0 || elem <= 0 {
-		panic("sim: invalid array shape")
-	}
-	return Array{Base: d.Alloc(int64(n) * int64(elem)), Elem: elem, Len: n}
 }
 
 // At returns the address of element i. Out-of-range indices are clamped into
@@ -220,62 +121,6 @@ func (a Array) At(i int) Addr {
 		i = a.Len - 1
 	}
 	return a.Base + Addr(i*a.Elem)
-}
-
-// SetTimeScale sets the input surrogate factor applied to subsequent
-// launches: the simulated input stands in for a k-times-larger real input.
-// Durations and dynamic energy scale by k; average power, occupancy and all
-// configuration ratios are unaffected. k must be >= 1.
-func (d *Device) SetTimeScale(k float64) {
-	if k < 1 {
-		k = 1
-	}
-	d.timeScale = k
-}
-
-// HostPause advances the simulated clock by dt seconds of host-side work
-// (no kernel running, GPU at idle/tail power).
-func (d *Device) HostPause(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	if d.capture != nil {
-		d.capture.recordPause(dt)
-	}
-	d.Gaps = append(d.Gaps, Gap{Start: d.now, Duration: dt})
-	d.now += dt
-}
-
-// Repeat marks the launch as standing for n back-to-back identical
-// executions and advances the simulated clock for the additional n-1. Use it
-// for iterative kernels whose per-iteration behaviour is identical (e.g.
-// fixed-point stencil sweeps, n-body timesteps): one iteration is simulated
-// and the remaining ones replay its measured statistics. Launches and gaps
-// that already follow l on the timeline are shifted right, so replaying a
-// mid-timeline launch keeps the timeline non-overlapping.
-func (d *Device) Repeat(l *Launch, n int) {
-	if l == nil || n <= l.Repeat {
-		return
-	}
-	if d.capture != nil {
-		// Launches[i].Seq == i by construction (every launch appends one
-		// record and takes the next sequence number), so Seq doubles as the
-		// timeline index replay needs.
-		d.capture.recordRepeat(l.Seq, n)
-	}
-	extra := float64(n-l.Repeat) * l.Duration
-	l.Repeat = n
-	for _, other := range d.Launches {
-		if other != l && other.Start > l.Start {
-			other.Start += extra
-		}
-	}
-	for i := range d.Gaps {
-		if d.Gaps[i].Start > l.Start {
-			d.Gaps[i].Start += extra
-		}
-	}
-	d.now += extra
 }
 
 // launchSeed derives the deterministic block-scheduling seed for a launch

@@ -18,10 +18,7 @@ func TestReplayRefusesCrossDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k20dev := NewDevice(kepler.Default)
-	k20dev.BeginCapture()
-	captureProgram(k20dev)
-	k20tr := k20dev.EndCapture()
+	k20tr := capture(captureProgram)
 	if k20tr.DeviceName() != "K20c" {
 		t.Errorf("K20c trace tagged %q", k20tr.DeviceName())
 	}
@@ -37,10 +34,7 @@ func TestReplayRefusesCrossDevice(t *testing.T) {
 	}
 
 	// And the reverse direction.
-	gdev := NewDevice(gtx.DefaultConfig())
-	gdev.BeginCapture()
-	captureProgram(gdev)
-	gtr := gdev.EndCapture()
+	gtr := captureOn(gtx, captureProgram)
 	if gtr.DeviceName() != "GTX1080" {
 		t.Errorf("GTX1080 trace tagged %q", gtr.DeviceName())
 	}
@@ -54,24 +48,16 @@ func TestReplayRefusesCrossDevice(t *testing.T) {
 }
 
 // TestReplayIntoMatchesReplay: replaying into a device that last held a
-// larger timeline, a smaller one, or a live run yields the timeline a
-// fresh Replay does, and once the device has held the trace a replay into
-// it allocates nothing.
+// larger timeline or a smaller one yields the timeline a fresh Replay does,
+// and once the device has held the trace a replay into it allocates
+// nothing.
 func TestReplayIntoMatchesReplay(t *testing.T) {
-	capture := func(run func(*Device)) *LaunchTrace {
-		d := NewDevice(kepler.Default)
-		d.BeginCapture()
-		run(d)
-		return d.EndCapture()
-	}
-	small := func(d *Device) {
-		l := d.Launch("only", 16, 64, func(c *Ctx) { c.FP32Ops(8) })
-		d.HostPause(0.003)
-		d.Repeat(l, 3)
+	small := func(g *GPU) {
+		l := g.Launch("only", 16, 64, func(c *Ctx) { c.FP32Ops(8) })
+		g.HostPause(0.003)
+		g.Repeat(l, 3)
 	}
 	big, little := capture(captureProgram), capture(small)
-	live := NewDevice(kepler.F614)
-	captureProgram(live)
 
 	for _, c := range []struct {
 		name string
@@ -80,7 +66,6 @@ func TestReplayIntoMatchesReplay(t *testing.T) {
 	}{
 		{"larger into smaller", func() *Device { return mustReplay(t, little, kepler.F614) }, big},
 		{"smaller into larger", func() *Device { return mustReplay(t, big, kepler.F614) }, little},
-		{"into a live run", func() *Device { return live }, little},
 	} {
 		for _, clk := range []kepler.Clocks{kepler.Default, kepler.F324, kepler.ECCDefault} {
 			dst := c.dst()
@@ -109,7 +94,7 @@ func TestReplayIntoMatchesReplay(t *testing.T) {
 	}
 }
 
-func mustReplay(t *testing.T, tr *LaunchTrace, clk kepler.Clocks) *Device {
+func mustReplay(t testing.TB, tr *LaunchTrace, clk kepler.Clocks) *Device {
 	t.Helper()
 	d, err := tr.Replay(clk)
 	if err != nil {

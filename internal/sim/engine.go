@@ -26,7 +26,7 @@ type LaunchSpec struct {
 	Ordered bool
 }
 
-// Launch executes a kernel of grid x block threads and returns its record.
+// Launch executes a kernel of grid x block threads and returns its ID.
 // The kernel function performs the real computation and records hardware
 // operations through the Ctx. Blocks of an unordered launch may be simulated
 // concurrently, so fn must not mutate Go state shared between threads of
@@ -34,13 +34,13 @@ type LaunchSpec struct {
 // safe pattern); kernels that need the sequential block schedule declare it
 // via LaunchOrdered. Within a block, warps run in order and the 32 lanes of
 // a warp run lane 0 first.
-func (d *Device) Launch(name string, grid, block int, fn ThreadFunc) *Launch {
-	return d.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block}, fn)
+func (g *GPU) Launch(name string, grid, block int, fn ThreadFunc) LaunchID {
+	return g.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block}, fn)
 }
 
 // LaunchShared is Launch with a shared-memory allocation per block.
-func (d *Device) LaunchShared(name string, grid, block, sharedPerBlock int, fn ThreadFunc) *Launch {
-	return d.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, SharedPerBlock: sharedPerBlock}, fn)
+func (g *GPU) LaunchShared(name string, grid, block, sharedPerBlock int, fn ThreadFunc) LaunchID {
+	return g.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, SharedPerBlock: sharedPerBlock}, fn)
 }
 
 // LaunchOrdered executes a kernel whose Go-side effects are block-order
@@ -48,74 +48,71 @@ func (d *Device) LaunchShared(name string, grid, block, sharedPerBlock int, fn T
 // kernel name and launch sequence number (launchSeed), the same at every
 // clock configuration. Irregular kernels that self-schedule through shared
 // state belong here.
-func (d *Device) LaunchOrdered(name string, grid, block int, fn ThreadFunc) *Launch {
-	return d.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, Ordered: true}, fn)
+func (g *GPU) LaunchOrdered(name string, grid, block int, fn ThreadFunc) LaunchID {
+	return g.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, Ordered: true}, fn)
 }
 
 // LaunchSharedOrdered is LaunchOrdered with a shared-memory allocation per
 // block.
-func (d *Device) LaunchSharedOrdered(name string, grid, block, sharedPerBlock int, fn ThreadFunc) *Launch {
-	return d.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, SharedPerBlock: sharedPerBlock, Ordered: true}, fn)
+func (g *GPU) LaunchSharedOrdered(name string, grid, block, sharedPerBlock int, fn ThreadFunc) LaunchID {
+	return g.LaunchSpec(LaunchSpec{Name: name, Grid: grid, Block: block, SharedPerBlock: sharedPerBlock, Ordered: true}, fn)
 }
 
-// LaunchSpec executes a kernel described by spec.
+// LaunchSpec executes a kernel described by spec and records it in the
+// run's trace.
 //
-// Determinism contract: the Launch record is bit-identical no matter how
+// Determinism contract: the recorded launch is bit-identical no matter how
 // many workers simulate the blocks, because (a) every KernelStats field is
 // an int64 counter, so merging per-worker partials is exactly associative
 // and commutative; (b) per-block issue cycles are stored indexed by block
 // id, so the timing model never observes completion order; and (c) partials
 // are folded in ascending worker index (trace.MergePartials), fixing the
 // reduction order by construction.
-func (d *Device) LaunchSpec(spec LaunchSpec, fn ThreadFunc) *Launch {
+func (g *GPU) LaunchSpec(spec LaunchSpec, fn ThreadFunc) LaunchID {
 	if spec.Grid <= 0 || spec.Block <= 0 {
 		panic("sim: launch with empty grid or block")
 	}
-	d.checkCanceled()
-	if spec.Block > d.desc.MaxThreadsPerBlock {
+	g.checkCanceled()
+	if spec.Block > g.desc.MaxThreadsPerBlock {
 		panic("sim: block size exceeds device limit")
 	}
 
-	seq := d.seq
-	d.seq++
-	occ := d.desc.ComputeOccupancy(spec.Block, spec.SharedPerBlock)
+	seq := len(g.repeats)
+	occ := g.desc.ComputeOccupancy(spec.Block, spec.SharedPerBlock)
 
-	if cap(d.blockCycles) < spec.Grid {
-		d.blockCycles = make([]float64, spec.Grid)
+	if cap(g.blockCycles) < spec.Grid {
+		g.blockCycles = make([]float64, spec.Grid)
 	}
-	blockCycles := d.blockCycles[:spec.Grid]
+	blockCycles := g.blockCycles[:spec.Grid]
 
-	if d.exec == nil {
-		d.exec = newBlockExecutor()
+	if g.exec == nil {
+		g.exec = newBlockExecutor()
 	}
 	cl := &CapturedLaunch{Spec: spec, Occ: occ, BlockCycles: blockCycles}
 	if spec.Ordered {
-		d.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &cl.Stats)
+		g.runOrdered(spec, fn, launchSeed(spec.Name, seq), blockCycles, &cl.Stats)
 	} else {
-		d.runSharded(spec, fn, blockCycles, &cl.Stats)
+		g.runSharded(spec, fn, blockCycles, &cl.Stats)
 	}
-	// The block schedule is clock-independent: derive it once and hand the
-	// same value to the capture and the pricing.
-	cl.sched = blockSchedule(d.desc.SMs, occ, blockCycles)
-	cl.Scale = d.timeScale
-	if d.capture != nil {
-		d.capture.recordLaunch(cl)
-	}
-	l := new(Launch)
-	d.appendLaunch(cl, seq, l)
-	return l
+	// The block schedule is clock-independent: derive it once here, and
+	// every replay prices the same value.
+	cl.sched = blockSchedule(g.desc.SMs, occ, blockCycles)
+	cl.Scale = g.timeScale
+	g.trace.recordLaunch(cl)
+	g.repeats = append(g.repeats, 1)
+	return LaunchID(seq)
 }
 
 // runOrdered simulates the blocks sequentially on the caller, visiting them
 // in the seed-derived permutation. This is the path order-dependent kernels
 // take; it is byte-for-byte the pre-parallel engine.
-func (d *Device) runOrdered(spec LaunchSpec, fn ThreadFunc, seed uint64, blockCycles []float64, stats *trace.KernelStats) {
+func (g *GPU) runOrdered(spec LaunchSpec, fn ThreadFunc, seed uint64, blockCycles []float64, stats *trace.KernelStats) {
 	stride, offset := scheduleParams(seed, spec.Grid)
 	b := offset
 	for i := 0; i < spec.Grid; i++ {
-		d.checkCanceled()
-		bs := d.exec.runBlock(spec, fn, b)
-		blockCycles[b] = issueCycles(d.desc, &bs)
+		g.checkCanceled()
+		bs := g.exec.runBlock(spec, fn, b)
+		blockCycles[b] = issueCycles(g.desc, &bs)
 		stats.Add(&bs)
 
 		b += stride
@@ -137,13 +134,13 @@ const (
 )
 
 // runSharded simulates the blocks of an unordered launch, sharded across
-// extra workers from the device's pool when any are free. Workers pull
+// extra workers from the GPU's pool when any are free. Workers pull
 // block ids from an atomic counter (dynamic load balancing — irregular
 // kernels have heavily imbalanced blocks); each accumulates a private
 // partial KernelStats, and the partials are merged in worker-index order.
-func (d *Device) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float64, stats *trace.KernelStats) {
+func (g *GPU) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float64, stats *trace.KernelStats) {
 	extra := 0
-	if pool := d.pool; pool != nil && spec.Grid >= minShardBlocks && spec.Grid*spec.Block >= minShardThreads {
+	if pool := g.pool; pool != nil && spec.Grid >= minShardBlocks && spec.Grid*spec.Block >= minShardThreads {
 		want := spec.Grid / minBlocksPerWorker
 		if b := pool.Budget(); want > b {
 			want = b
@@ -160,9 +157,9 @@ func (d *Device) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float6
 		// kernels never observe the schedule permutation, so worker
 		// availability cannot change what fn computes.
 		for b := 0; b < spec.Grid; b++ {
-			d.checkCanceled()
-			bs := d.exec.runBlock(spec, fn, b)
-			blockCycles[b] = issueCycles(d.desc, &bs)
+			g.checkCanceled()
+			bs := g.exec.runBlock(spec, fn, b)
+			blockCycles[b] = issueCycles(g.desc, &bs)
 			stats.Add(&bs)
 		}
 		return
@@ -176,7 +173,7 @@ func (d *Device) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float6
 			// work when it fires; the caller turns the abort into a
 			// cancellation panic after every worker has parked, so no
 			// goroutine unwinds on its own.
-			if d.ctx.Err() != nil {
+			if g.ctx.Err() != nil {
 				return
 			}
 			b := int(next.Add(1)) - 1
@@ -184,7 +181,7 @@ func (d *Device) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float6
 				return
 			}
 			bs := e.runBlock(spec, fn, b)
-			blockCycles[b] = issueCycles(d.desc, &bs)
+			blockCycles[b] = issueCycles(g.desc, &bs)
 			partials[w].Add(&bs)
 		}
 	}
@@ -198,9 +195,9 @@ func (d *Device) runSharded(spec LaunchSpec, fn ThreadFunc, blockCycles []float6
 			work(w, e)
 		}(w)
 	}
-	work(0, d.exec)
+	work(0, g.exec)
 	wg.Wait()
-	d.checkCanceled()
+	g.checkCanceled()
 	trace.MergePartials(stats, partials)
 }
 

@@ -10,8 +10,8 @@ import (
 
 // launchBench builds a mid-size kernel with mixed op classes whose threads
 // write disjoint slice elements — the canonical parallel-safe shape.
-func launchBench(d *Device, ordered bool, grid, block int) *Launch {
-	data := d.NewArray(grid*block, 4)
+func launchBench(g *GPU, ordered bool, grid, block int) {
+	data := g.NewArray(grid*block, 4)
 	out := make([]float64, grid*block)
 	fn := func(c *Ctx) {
 		i := c.TID()
@@ -27,9 +27,10 @@ func launchBench(d *Device, ordered bool, grid, block int) *Launch {
 		c.Store(data.At(i), 4)
 	}
 	if ordered {
-		return d.LaunchOrdered("par", grid, block, fn)
+		g.LaunchOrdered("par", grid, block, fn)
+	} else {
+		g.Launch("par", grid, block, fn)
 	}
-	return d.Launch("par", grid, block, fn)
 }
 
 // TestParallelMatchesOrderedStats is the determinism contract end to end:
@@ -37,14 +38,17 @@ func launchBench(d *Device, ordered bool, grid, block int) *Launch {
 // Launch record bit-identical to the sequential ordered path — same stats,
 // same duration — at every clock configuration.
 func TestParallelMatchesOrderedStats(t *testing.T) {
-	for _, clk := range kepler.Configs {
-		dSeq := NewDevice(clk)
-		dSeq.SetWorkerPool(nil) // force the inline path
-		lSeq := launchBench(dSeq, true, 512, 256)
+	gSeq := NewGPU(kepler.K20cDevice())
+	gSeq.SetWorkerPool(nil) // force the inline path
+	launchBench(gSeq, true, 512, 256)
 
-		dPar := NewDevice(clk)
-		dPar.SetWorkerPool(NewWorkerPool(8))
-		lPar := launchBench(dPar, false, 512, 256)
+	gPar := NewGPU(kepler.K20cDevice())
+	gPar.SetWorkerPool(NewWorkerPool(8))
+	launchBench(gPar, false, 512, 256)
+
+	for _, clk := range kepler.Configs {
+		lSeq := mustReplay(t, gSeq.Trace(), clk).Launches[0]
+		lPar := mustReplay(t, gPar.Trace(), clk).Launches[0]
 
 		if lSeq.Stats != lPar.Stats {
 			t.Errorf("%s: stats differ:\nordered %+v\nparallel %+v", clk.Name, lSeq.Stats, lPar.Stats)
@@ -61,9 +65,10 @@ func TestParallelMatchesOrderedStats(t *testing.T) {
 func TestParallelWorkerCountInvariance(t *testing.T) {
 	var ref *Launch
 	for _, workers := range []int{1, 2, 3, 5, 16} {
-		d := NewDevice(kepler.Default)
-		d.SetWorkerPool(NewWorkerPool(workers))
-		l := launchBench(d, false, 384, 128)
+		g := NewGPU(kepler.K20cDevice())
+		g.SetWorkerPool(NewWorkerPool(workers))
+		launchBench(g, false, 384, 128)
+		l := mustReplay(t, g.Trace(), kepler.Default).Launches[0]
 		if ref == nil {
 			ref = l
 			continue
@@ -78,11 +83,11 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 // fully regardless of sharding: every thread's disjoint write happens
 // exactly once.
 func TestParallelGoEffects(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	d.SetWorkerPool(NewWorkerPool(8))
+	g := NewGPU(kepler.K20cDevice())
+	g.SetWorkerPool(NewWorkerPool(8))
 	const grid, block = 256, 64
 	counts := make([]int32, grid*block)
-	d.Launch("effects", grid, block, func(c *Ctx) {
+	g.Launch("effects", grid, block, func(c *Ctx) {
 		counts[c.TID()]++
 		c.IntOps(1)
 	})
@@ -93,7 +98,7 @@ func TestParallelGoEffects(t *testing.T) {
 	}
 }
 
-// TestParallelLaunchRaceStress drives many concurrent devices, each sharding
+// TestParallelLaunchRaceStress drives many concurrent GPUs, each sharding
 // large-grid launches across a shared pool, with threads writing disjoint
 // elements of shared slices. It exists for the CI -race job: a kernel
 // misclassified as unordered, or engine state leaking between workers, shows
@@ -105,12 +110,12 @@ func TestParallelLaunchRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(devID int) {
 			defer wg.Done()
-			d := NewDevice(kepler.Configs[devID%len(kepler.Configs)])
-			d.SetWorkerPool(pool)
-			data := d.NewArray(1<<16, 4)
+			g := NewGPU(kepler.Models[devID%len(kepler.Models)])
+			g.SetWorkerPool(pool)
+			data := g.NewArray(1<<16, 4)
 			acc := make([]int64, 1<<16)
 			for rep := 0; rep < 3; rep++ {
-				d.Launch("stress", 256, 256, func(c *Ctx) {
+				g.Launch("stress", 256, 256, func(c *Ctx) {
 					i := c.TID()
 					acc[i] += int64(i + rep)
 					c.Load(data.At(i), 4)
@@ -167,14 +172,14 @@ func TestWorkerPoolAccounting(t *testing.T) {
 // request workers (they would lose more to traffic than they gain).
 func TestSmallLaunchStaysInline(t *testing.T) {
 	p := NewWorkerPool(4)
-	d := NewDevice(kepler.Default)
-	d.SetWorkerPool(p)
+	g := NewGPU(kepler.K20cDevice())
+	g.SetWorkerPool(p)
 	// grid*block below minShardThreads: the pool must stay untouched, which
 	// we observe by saturating it first — TryAcquire(0 free) is fine — and
 	// instead simply by the launch not deadlocking and producing 1-exec
 	// semantics.
 	seen := make([]int32, 2*64)
-	d.Launch("tiny", 2, 64, func(c *Ctx) {
+	g.Launch("tiny", 2, 64, func(c *Ctx) {
 		seen[c.TID()]++
 		c.IntOps(1)
 	})

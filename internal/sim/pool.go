@@ -160,6 +160,6 @@ func (p *WorkerPool) Release(n int) {
 	p.cond.Broadcast()
 }
 
-// defaultPool is the process-wide pool used by devices that were not given
-// an explicit one (standalone NewDevice callers, tests, examples).
+// defaultPool is the process-wide pool used by GPUs that were not given an
+// explicit one (standalone NewGPU callers, tests, examples).
 var defaultPool = NewWorkerPool(runtime.GOMAXPROCS(0))

@@ -12,20 +12,20 @@ import (
 // smaller than the SM count, a grid far above the device's block slots and a
 // single-block launch: the shapes that exercise every branch of
 // blockSchedule.
-func irregularProgram(d *Device) {
-	data := d.NewArray(1<<15, 4)
-	d.Launch("skewed", 300, 128, func(c *Ctx) {
+func irregularProgram(g *GPU) {
+	data := g.NewArray(1<<15, 4)
+	g.Launch("skewed", 300, 128, func(c *Ctx) {
 		c.Load(data.At(c.TID()%(1<<15)), 4)
 		c.FP32Ops(1 + (c.Block*c.Block)%97)
 	})
-	d.Launch("tiny", 3, 64, func(c *Ctx) { c.IntOps(5 + c.Block) })
-	d.LaunchShared("wide", 2500, 256, 8192, func(c *Ctx) {
+	g.Launch("tiny", 3, 64, func(c *Ctx) { c.IntOps(5 + c.Block) })
+	g.LaunchShared("wide", 2500, 256, 8192, func(c *Ctx) {
 		c.IntOps(2 + c.Block%13)
 		c.SharedAccessRep(uint64(c.Thread*4), 1)
 		c.SyncThreads()
 	})
-	d.HostPause(0.001)
-	d.Launch("single", 1, 32, func(c *Ctx) { c.SFUOps(9) })
+	g.HostPause(0.001)
+	g.Launch("single", 1, 32, func(c *Ctx) { c.SFUOps(9) })
 }
 
 // sameSchedule reports whether two schedules agree bit for bit.
@@ -62,11 +62,11 @@ func checkStoredSchedules(t *testing.T, label string, tr *LaunchTrace, desc *kep
 // TestDerivedScheduleMatchesBlockCycles: the schedule a capture stores, and
 // the one DecodeTrace re-derives, equal blockSchedule over the BlockCycles
 // bitwise, and replaying either trace at every configuration of its device
-// matches a fresh simulation bitwise.
+// gives the same timeline bitwise.
 func TestDerivedScheduleMatchesBlockCycles(t *testing.T) {
 	programs := []struct {
 		name string
-		run  func(*Device)
+		run  func(*GPU)
 	}{
 		{"capture", captureProgram},
 		{"irregular", irregularProgram},
@@ -78,13 +78,7 @@ func TestDerivedScheduleMatchesBlockCycles(t *testing.T) {
 		}
 		for _, p := range programs {
 			label := fmt.Sprintf("%s/%s", desc.Name, p.name)
-			capDev := NewDevice(desc.DefaultConfig())
-			capDev.BeginCapture()
-			p.run(capDev)
-			tr := capDev.EndCapture()
-			if tr.ClockSensitive() {
-				t.Fatalf("%s: marked sensitive: %s", label, tr.SensitiveReason())
-			}
+			tr := captureOn(desc, p.run)
 			checkStoredSchedules(t, label+" capture", tr, desc)
 
 			data, err := EncodeTrace(tr)
@@ -98,19 +92,8 @@ func TestDerivedScheduleMatchesBlockCycles(t *testing.T) {
 			checkStoredSchedules(t, label+" decoded", decoded, desc)
 
 			for _, clk := range configs {
-				fresh := NewDevice(clk)
-				p.run(fresh)
-				for _, side := range []struct {
-					name string
-					tr   *LaunchTrace
-				}{{"capture", tr}, {"decoded", decoded}} {
-					replayed, err := side.tr.Replay(clk)
-					if err != nil {
-						t.Fatalf("%s %s at %s: %v", label, side.name, clk.Name, err)
-					}
-					if d := diffDevices(fresh, replayed); d != "" {
-						t.Errorf("%s %s at %s: replay diverged from fresh simulation: %s", label, side.name, clk.Name, d)
-					}
+				if d := diffDevices(mustReplay(t, tr, clk), mustReplay(t, decoded, clk)); d != "" {
+					t.Errorf("%s at %s: decoded replay diverged from the capture's: %s", label, clk.Name, d)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +11,9 @@ import (
 )
 
 func TestAllocAlignmentAndCapacity(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	a := d.Alloc(100)
-	b := d.Alloc(1)
+	g := NewGPU(kepler.K20cDevice())
+	a := g.Alloc(100)
+	b := g.Alloc(1)
 	if a%256 != 0 || b%256 != 0 {
 		t.Errorf("allocations not 256-aligned: %d %d", a, b)
 	}
@@ -21,20 +22,40 @@ func TestAllocAlignmentAndCapacity(t *testing.T) {
 	}
 }
 
+// TestAllocECCCapacitySmaller: ECC takes capacity off every device, and a
+// GPU checks allocations against the memory every configuration keeps, so a
+// footprint that fits with ECC off but not with ECC on is refused, on every device, whatever
+// configuration the run is later priced at.
 func TestAllocECCCapacitySmaller(t *testing.T) {
-	// Allocating just under the non-ECC capacity must panic under ECC.
-	d := NewDevice(kepler.ECCDefault)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected out-of-memory panic under ECC")
+	for _, desc := range kepler.Profiles() {
+		var eccOn, eccOff int64
+		for _, clk := range desc.Configurations() {
+			if clk.ECC {
+				eccOn = clk.UsableDRAM()
+			} else {
+				eccOff = clk.UsableDRAM()
+			}
 		}
-	}()
-	d.Alloc(int64(float64(kepler.K20cDevice().DRAMBytes) * 0.95))
+		if eccOn >= eccOff {
+			t.Fatalf("%s: ECC-on capacity %d not below ECC-off %d", desc.Name, eccOn, eccOff)
+		}
+		// The whole ECC-on capacity fits: the footprint starts at 4096,
+		// so ask for the rest.
+		NewGPU(desc).Alloc(eccOn - 4096)
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "out of device memory") {
+					t.Errorf("%s: allocation between the ECC-on and ECC-off capacity: recovered %v, want an out-of-device-memory panic", desc.Name, r)
+				}
+			}()
+			NewGPU(desc).Alloc((eccOn + eccOff) / 2)
+		}()
+	}
 }
 
 func TestArrayAt(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	a := d.NewArray(10, 8)
+	a := NewGPU(kepler.K20cDevice()).NewArray(10, 8)
 	if a.At(3) != a.Base+24 {
 		t.Errorf("At(3) = %d, want base+24", a.At(3))
 	}
@@ -45,9 +66,9 @@ func TestArrayAt(t *testing.T) {
 }
 
 func TestLaunchExecutesEveryThreadOnce(t *testing.T) {
-	d := NewDevice(kepler.Default)
+	g := NewGPU(kepler.K20cDevice())
 	seen := make([]int, 1000)
-	d.Launch("count", 10, 100, func(c *Ctx) {
+	g.Launch("count", 10, 100, func(c *Ctx) {
 		seen[c.TID()]++
 		c.IntOps(1)
 	})
@@ -59,14 +80,14 @@ func TestLaunchExecutesEveryThreadOnce(t *testing.T) {
 }
 
 // TestLaunchBlockOrderIndependentOfConfig: an ordered launch visits its
-// blocks in a scrambled permutation of (kernel, seq) alone, the same at
-// every clock configuration.
+// blocks in a scrambled permutation of (kernel, seq) alone, the same on
+// every GPU of every device profile.
 func TestLaunchBlockOrderIndependentOfConfig(t *testing.T) {
-	order := func(clk kepler.Clocks) []int {
-		d := NewDevice(clk)
+	order := func(desc *kepler.Device) []int {
+		g := NewGPU(desc)
 		var got []int
 		prev := -1
-		d.LaunchOrdered("order", 64, 32, func(c *Ctx) {
+		g.LaunchOrdered("order", 64, 32, func(c *Ctx) {
 			if c.Block != prev {
 				got = append(got, c.Block)
 				prev = c.Block
@@ -75,7 +96,7 @@ func TestLaunchBlockOrderIndependentOfConfig(t *testing.T) {
 		})
 		return got
 	}
-	want := order(kepler.Default)
+	want := order(kepler.K20cDevice())
 	if len(want) != 64 {
 		t.Fatalf("blocks seen: %d, want 64", len(want))
 	}
@@ -93,17 +114,19 @@ func TestLaunchBlockOrderIndependentOfConfig(t *testing.T) {
 	if identity {
 		t.Error("ordered launch ran its blocks in id order; want a scrambled permutation")
 	}
-	for _, clk := range kepler.Configs {
-		if got := order(clk); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: block order %v differs from %s's %v", clk.Name, got, kepler.Default.Name, want)
+	for _, desc := range kepler.Profiles() {
+		if got := order(desc); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: block order %v differs from the K20c's %v", desc.Name, got, want)
 		}
 	}
 }
 
 func TestTimelineAdvances(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	l1 := d.Launch("k1", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	l2 := d.Launch("k2", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+	d := simulate(t, kepler.Default, func(g *GPU) {
+		g.Launch("k1", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+		g.Launch("k2", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+	})
+	l1, l2 := d.Launches[0], d.Launches[1]
 	if l1.Duration <= 0 || l2.Duration <= 0 {
 		t.Fatal("zero duration")
 	}
@@ -119,10 +142,10 @@ func TestTimelineAdvances(t *testing.T) {
 }
 
 func TestRepeatExtendsClock(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	l := d.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	before := d.Now()
-	d.Repeat(l, 10)
+	k := func(g *GPU) LaunchID { return g.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) }) }
+	before := simulate(t, kepler.Default, func(g *GPU) { k(g) }).Now()
+	d := simulate(t, kepler.Default, func(g *GPU) { g.Repeat(k(g), 10) })
+	l := d.Launches[0]
 	if l.Repeat != 10 {
 		t.Errorf("repeat = %d", l.Repeat)
 	}
@@ -137,9 +160,9 @@ func TestRepeatExtendsClock(t *testing.T) {
 
 func TestComputeKernelScalesWithCoreClock(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		l := d.Launch("fma", 1024, 256, func(c *Ctx) { c.FP32Ops(500) })
-		return l.Duration
+		return simulate(t, clk, func(g *GPU) {
+			g.Launch("fma", 1024, 256, func(c *Ctx) { c.FP32Ops(500) })
+		}).Launches[0].Duration
 	}
 	tDef := run(kepler.Default)
 	t614 := run(kepler.F614)
@@ -152,12 +175,7 @@ func TestComputeKernelScalesWithCoreClock(t *testing.T) {
 
 func TestMemoryKernelInsensitiveToCoreClock(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		src := d.NewArray(1<<22, 4)
-		l := d.Launch("stream", 1<<14, 256, func(c *Ctx) {
-			c.LoadRep(src.At(c.TID()), 4, 32)
-		})
-		return l.Duration
+		return simulate(t, clk, streamProgram).Launches[0].Duration
 	}
 	tDef := run(kepler.Default)
 	t614 := run(kepler.F614)
@@ -175,28 +193,23 @@ func TestMemoryKernelInsensitiveToCoreClock(t *testing.T) {
 // Lonestar's outsized ECC cost.
 func TestECCSlowsMemoryBound(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		src := d.NewArray(1<<22, 4)
-		l := d.Launch("stream", 1<<14, 256, func(c *Ctx) {
-			c.LoadRep(src.At(c.TID()), 4, 32)
-		})
-		return l.Duration
+		return simulate(t, clk, streamProgram).Launches[0].Duration
 	}
 	slow := run(kepler.ECCDefault) / run(kepler.Default)
 	if slow < 1.05 || slow > 1.15 {
 		t.Errorf("ECC slowdown (coalesced) = %.3f, want ~1.125", slow)
 	}
 	gather := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		src := d.NewArray(1<<20, 4)
-		l := d.Launch("gather", 1<<12, 256, func(c *Ctx) {
-			h := uint64(c.TID()) * 2654435761 % (1 << 20)
-			for k := 0; k < 8; k++ {
-				c.Load(src.At(int(h)), 4)
-				h = (h*6364136223846793005 + 12345) % (1 << 20)
-			}
-		})
-		return l.Duration
+		return simulate(t, clk, func(g *GPU) {
+			src := g.NewArray(1<<20, 4)
+			g.Launch("gather", 1<<12, 256, func(c *Ctx) {
+				h := uint64(c.TID()) * 2654435761 % (1 << 20)
+				for k := 0; k < 8; k++ {
+					c.Load(src.At(int(h)), 4)
+					h = (h*6364136223846793005 + 12345) % (1 << 20)
+				}
+			})
+		}).Launches[0].Duration
 	}
 	scattered := gather(kepler.ECCDefault) / gather(kepler.Default)
 	t.Logf("ECC slowdown: coalesced %.3f, scattered %.3f", slow, scattered)
@@ -211,15 +224,15 @@ func TestECCSlowsMemoryBound(t *testing.T) {
 // charge.
 func TestRaggedLoopCostsLongestLane(t *testing.T) {
 	run := func(ragged bool) float64 {
-		d := NewDevice(kepler.Default)
-		l := d.Launch("loop", 512, 256, func(c *Ctx) {
-			n := 64
-			if ragged {
-				n = 2 + (c.TID()%32)*62/31
-			}
-			c.IntOps(n)
-		})
-		return l.Duration
+		return simulate(t, kepler.Default, func(g *GPU) {
+			g.Launch("loop", 512, 256, func(c *Ctx) {
+				n := 64
+				if ragged {
+					n = 2 + (c.TID()%32)*62/31
+				}
+				c.IntOps(n)
+			})
+		}).Launches[0].Duration
 	}
 	r := run(true) / run(false)
 	t.Logf("ragged/uniform launch duration = %.3f", r)
@@ -230,9 +243,9 @@ func TestRaggedLoopCostsLongestLane(t *testing.T) {
 
 func TestECCBarelyAffectsComputeBound(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		l := d.Launch("fma", 1024, 256, func(c *Ctx) { c.FP32Ops(500) })
-		return l.Duration
+		return simulate(t, clk, func(g *GPU) {
+			g.Launch("fma", 1024, 256, func(c *Ctx) { c.FP32Ops(500) })
+		}).Launches[0].Duration
 	}
 	slow := run(kepler.ECCDefault) / run(kepler.Default)
 	if slow > 1.01 {
@@ -241,18 +254,20 @@ func TestECCBarelyAffectsComputeBound(t *testing.T) {
 }
 
 func TestUncoalescedSlowerThanCoalesced(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	src := d.NewArray(1<<22, 4)
-	co := d.Launch("coalesced", 1<<12, 256, func(c *Ctx) {
-		c.LoadRep(src.At(c.TID()), 4, 16)
+	d := simulate(t, kepler.Default, func(g *GPU) {
+		src := g.NewArray(1<<22, 4)
+		g.Launch("coalesced", 1<<12, 256, func(c *Ctx) {
+			c.LoadRep(src.At(c.TID()), 4, 16)
+		})
+		g.Launch("scattered", 1<<12, 256, func(c *Ctx) {
+			h := uint64(c.TID()) * 2654435761 % (1 << 22)
+			for k := 0; k < 16; k++ {
+				c.Load(src.At(int(h)), 4)
+				h = (h*6364136223846793005 + 1442695040888963407) % (1 << 22)
+			}
+		})
 	})
-	un := d.Launch("scattered", 1<<12, 256, func(c *Ctx) {
-		h := uint64(c.TID()) * 2654435761 % (1 << 22)
-		for k := 0; k < 16; k++ {
-			c.Load(src.At(int(h)), 4)
-			h = (h*6364136223846793005 + 1442695040888963407) % (1 << 22)
-		}
-	})
+	co, un := d.Launches[0], d.Launches[1]
 	if un.Duration < 4*co.Duration {
 		t.Errorf("scattered %.3gs vs coalesced %.3gs: want >= 4x slower", un.Duration, co.Duration)
 	}
@@ -294,7 +309,7 @@ func TestScheduleParamsPermutation(t *testing.T) {
 }
 
 func TestLaunchPanicsOnBadShape(t *testing.T) {
-	d := NewDevice(kepler.Default)
+	g := NewGPU(kepler.K20cDevice())
 	for _, shape := range [][2]int{{0, 32}, {1, 0}, {1, 2048}} {
 		func() {
 			defer func() {
@@ -302,15 +317,15 @@ func TestLaunchPanicsOnBadShape(t *testing.T) {
 					t.Errorf("launch %v should panic", shape)
 				}
 			}()
-			d.Launch("bad", shape[0], shape[1], func(c *Ctx) {})
+			g.Launch("bad", shape[0], shape[1], func(c *Ctx) {})
 		}()
 	}
 }
 
 func TestCtxIdentifiers(t *testing.T) {
-	d := NewDevice(kepler.Default)
+	g := NewGPU(kepler.K20cDevice())
 	ok := true
-	d.Launch("ids", 2, 64, func(c *Ctx) {
+	g.Launch("ids", 2, 64, func(c *Ctx) {
 		if c.TID() != c.Block*64+c.Thread {
 			ok = false
 		}
@@ -326,9 +341,10 @@ func TestCtxIdentifiers(t *testing.T) {
 
 func TestTimeScale(t *testing.T) {
 	run := func(scale float64) *Launch {
-		d := NewDevice(kepler.Default)
-		d.SetTimeScale(scale)
-		return d.Launch("fma", 256, 256, func(c *Ctx) { c.FP32Ops(200) })
+		return simulate(t, kepler.Default, func(g *GPU) {
+			g.SetTimeScale(scale)
+			g.Launch("fma", 256, 256, func(c *Ctx) { c.FP32Ops(200) })
+		}).Launches[0]
 	}
 	l1 := run(1)
 	l50 := run(50)
@@ -345,10 +361,12 @@ func TestTimeScale(t *testing.T) {
 }
 
 func TestRepeatMidTimelineShiftsFollowers(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	l1 := d.Launch("a", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	l2 := d.Launch("b", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	d.Repeat(l1, 5)
+	d := simulate(t, kepler.Default, func(g *GPU) {
+		a := g.Launch("a", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+		g.Launch("b", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+		g.Repeat(a, 5)
+	})
+	l1, l2 := d.Launches[0], d.Launches[1]
 	if l2.Start < l1.Start+l1.TotalDuration() {
 		t.Errorf("follower start %g overlaps repeated launch ending %g",
 			l2.Start, l1.Start+l1.TotalDuration())
@@ -356,26 +374,28 @@ func TestRepeatMidTimelineShiftsFollowers(t *testing.T) {
 }
 
 func TestHostPause(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	d.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	before := d.Now()
-	d.HostPause(0.5)
+	k := func(g *GPU) { g.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) }) }
+	before := simulate(t, kepler.Default, k).Now()
+	d := simulate(t, kepler.Default, func(g *GPU) { k(g); g.HostPause(0.5) })
 	if math.Abs(d.Now()-before-0.5) > 1e-12 {
 		t.Errorf("clock after pause = %g, want %g", d.Now(), before+0.5)
 	}
 	if len(d.Gaps) == 0 {
 		t.Fatal("pause not recorded as a gap")
 	}
-	d.HostPause(-1) // ignored
+	// Non-positive pauses are ignored.
+	d = simulate(t, kepler.Default, func(g *GPU) { k(g); g.HostPause(0.5); g.HostPause(-1); g.HostPause(0) })
 	if math.Abs(d.Now()-before-0.5) > 1e-12 {
-		t.Error("negative pause changed the clock")
+		t.Error("non-positive pause changed the clock")
 	}
 }
 
 func TestSharedMemoryLimitsOccupancy(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	small := d.LaunchShared("s", 256, 256, 1024, func(c *Ctx) { c.FP32Ops(100) })
-	big := d.LaunchShared("b", 256, 256, 40*1024, func(c *Ctx) { c.FP32Ops(100) })
+	d := simulate(t, kepler.Default, func(g *GPU) {
+		g.LaunchShared("s", 256, 256, 1024, func(c *Ctx) { c.FP32Ops(100) })
+		g.LaunchShared("b", 256, 256, 40*1024, func(c *Ctx) { c.FP32Ops(100) })
+	})
+	small, big := d.Launches[0], d.Launches[1]
 	if big.Occ.BlocksPerSM >= small.Occ.BlocksPerSM {
 		t.Errorf("shared memory did not limit occupancy: %d vs %d",
 			big.Occ.BlocksPerSM, small.Occ.BlocksPerSM)
@@ -388,11 +408,13 @@ func TestSharedMemoryLimitsOccupancy(t *testing.T) {
 }
 
 func TestRepeatWithTimeScale(t *testing.T) {
-	d := NewDevice(kepler.Default)
-	d.SetTimeScale(10)
-	l := d.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
-	one := l.Duration
-	d.Repeat(l, 4)
+	k := func(g *GPU) LaunchID {
+		g.SetTimeScale(10)
+		return g.Launch("k", 64, 256, func(c *Ctx) { c.FP32Ops(100) })
+	}
+	one := simulate(t, kepler.Default, func(g *GPU) { k(g) }).Launches[0].Duration
+	d := simulate(t, kepler.Default, func(g *GPU) { g.Repeat(k(g), 4) })
+	l := d.Launches[0]
 	if math.Abs(l.TotalDuration()-4*one) > 1e-12 {
 		t.Errorf("total = %g, want %g", l.TotalDuration(), 4*one)
 	}
@@ -403,13 +425,73 @@ func TestRepeatWithTimeScale(t *testing.T) {
 
 func TestBiggerBoardIsFaster(t *testing.T) {
 	run := func(clk kepler.Clocks) float64 {
-		d := NewDevice(clk)
-		l := d.Launch("fma", 2048, 256, func(c *Ctx) { c.FP32Ops(400) })
-		return l.Duration
+		return simulate(t, clk, func(g *GPU) {
+			g.Launch("fma", 2048, 256, func(c *Ctx) { c.FP32Ops(400) })
+		}).Launches[0].Duration
 	}
 	k20c := run(kepler.Default)
 	k40 := run(kepler.Models[3].Configurations()[0])
 	if k40 >= k20c {
 		t.Errorf("K40 (%g s) not faster than K20c (%g s)", k40, k20c)
+	}
+}
+
+// simulate runs prog on a fresh GPU of clk's device and prices the run at
+// clk.
+func simulate(t testing.TB, clk kepler.Clocks, prog func(*GPU)) *Device {
+	t.Helper()
+	g := NewGPU(clk.Device())
+	prog(g)
+	return mustReplay(t, g.Trace(), clk)
+}
+
+// streamProgram is one coalesced, memory-bound streaming launch.
+func streamProgram(g *GPU) {
+	src := g.NewArray(1<<22, 4)
+	g.Launch("stream", 1<<14, 256, func(c *Ctx) {
+		c.LoadRep(src.At(c.TID()), 4, 32)
+	})
+}
+
+// TestRepeatOfUnknownLaunchPanics: Repeat takes only the ID of a launch the
+// run has made.
+func TestRepeatOfUnknownLaunchPanics(t *testing.T) {
+	g := NewGPU(kepler.K20cDevice())
+	id := g.Launch("k", 8, 32, func(c *Ctx) { c.IntOps(1) })
+	for _, bad := range []LaunchID{-1, id + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Repeat(%d, 2) after one launch did not panic", bad)
+				}
+			}()
+			g.Repeat(bad, 2)
+		}()
+	}
+}
+
+// TestProgramHandleIsClockFree: nothing a program can call on its GPU
+// returns simulated time, a clock configuration or a priced launch, so no
+// program can branch on the configuration its run is priced at.
+func TestProgramHandleIsClockFree(t *testing.T) {
+	forbidden := []reflect.Type{
+		reflect.TypeOf(float64(0)),
+		reflect.TypeOf(kepler.Clocks{}),
+		reflect.TypeOf((*Launch)(nil)),
+		reflect.TypeOf((*Device)(nil)),
+	}
+	gpu := reflect.TypeOf((*GPU)(nil))
+	if gpu.NumMethod() == 0 {
+		t.Fatal("GPU has no methods")
+	}
+	for i := 0; i < gpu.NumMethod(); i++ {
+		m := gpu.Method(i)
+		for o := 0; o < m.Type.NumOut(); o++ {
+			for _, f := range forbidden {
+				if m.Type.Out(o) == f {
+					t.Errorf("GPU.%s returns %s", m.Name, f)
+				}
+			}
+		}
 	}
 }

@@ -22,8 +22,20 @@ func Quantile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return math.NaN()
 	}
-	s := make([]float64, len(vals))
-	copy(s, vals)
+	return quantileInPlace(append([]float64(nil), vals...), q)
+}
+
+// MedianInPlace is Median for a caller that no longer needs vals: it sorts
+// vals in place instead of a copy.
+func MedianInPlace(vals []float64) float64 {
+	if len(vals) == 0 {
+		return math.NaN()
+	}
+	return quantileInPlace(vals, 0.5)
+}
+
+// quantileInPlace is Quantile over a non-empty s, which it sorts.
+func quantileInPlace(s []float64, q float64) float64 {
 	for _, v := range s {
 		if math.IsNaN(v) {
 			return math.NaN()
