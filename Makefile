@@ -48,7 +48,9 @@ SMOKE_TMP = set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT
 
 # Store round-trip smoke: the second run must serve every measurement from
 # the cache (hit counter > 0, zero misses, zero simulations) and print
-# byte-identical output. CI runs this target; needs jq.
+# byte-identical output. Then two selfchecks against one store must print
+# the same report: a loaded result is checked like a measured one. CI runs
+# this target; needs jq.
 smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchar-smoke ./cmd/gpuchar; \
@@ -57,7 +59,10 @@ smoke:
 	cmp $$tmp/gpuchar-smoke-1.txt $$tmp/gpuchar-smoke-2.txt; \
 	jq -e '.counters.measure_cache_hits > 0' $$tmp/gpuchar-smoke-2.json; \
 	jq -e '.counters.measure_cache_misses == 0' $$tmp/gpuchar-smoke-2.json; \
-	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-smoke-2.json
+	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-smoke-2.json; \
+	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store.json >$$tmp/selfcheck-1.txt; \
+	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store.json >$$tmp/selfcheck-2.txt; \
+	cmp $$tmp/selfcheck-1.txt $$tmp/selfcheck-2.txt
 
 # Dense-grid frontier golden-diff smoke: two runs of `gpuchar -exp frontier`
 # (cold, then warm from the same store) must print byte-identical frontier

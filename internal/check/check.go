@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -168,8 +169,8 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepl
 	}
 	configs := dev.Configurations()
 
-	r.KeepTraces = true
-	results, err := r.MeasureEach(ctx, core.EnumerateCombos(programs, configs, false))
+	combos := core.EnumerateCombos(programs, configs, false)
+	results, err := r.MeasureEach(ctx, combos)
 	if err != nil {
 		return nil, fmt.Errorf("check: sweep failed: %w", err)
 	}
@@ -178,16 +179,19 @@ func Run(ctx context.Context, r *core.Runner, programs []core.Program, dev *kepl
 	for pi, p := range programs {
 		byConfig := make(map[string]*core.Result, len(configs))
 		for ci, clk := range configs {
-			if res := results[pi*len(configs)+ci]; res != nil {
-				byConfig[clk.Name] = res
-				rep.Measured++
-			} else {
+			i := pi*len(configs) + ci
+			res := results[i]
+			if res == nil {
 				rep.Excluded++
+				continue
 			}
-		}
-
-		for _, res := range byConfig {
-			vs, n := checkEnergyConservation(res, &rep.Stats)
+			byConfig[clk.Name] = res
+			rep.Measured++
+			logs, err := repLogs(ctx, r, combos[i], res)
+			if err != nil {
+				return nil, err
+			}
+			vs, n := checkEnergyConservation(res, logs, &rep.Stats)
 			rep.add(vs, n)
 		}
 		vs, n := checkDVFSMonotonicity(byConfig, &rep.Stats)
@@ -250,9 +254,34 @@ func coreSensitivity(byConfig map[string]*core.Result, dev *kepler.Device) float
 	return core.CoreSensitivity(cfgs, def.ActiveTime, f614.ActiveTime)
 }
 
-// checkEnergyConservation evaluates the per-result energy invariants. It
-// returns the violations and the number of individual checks evaluated.
-func checkEnergyConservation(res *core.Result, st *Stats) ([]Violation, int) {
+// repLogs returns the sensor logs of res's repetitions, index-aligned with
+// res.Reps: the runner re-derives every repetition's log, and a log whose
+// analysis fails is a repetition the measurement dropped. The analyses of
+// the others must be res.Reps bit for bit, or the logs are not the ones
+// that produced the result.
+func repLogs(ctx context.Context, r *core.Runner, c core.Combo, res *core.Result) ([][]sensor.Sample, error) {
+	all, err := r.SensorLogs(ctx, c)
+	if err != nil {
+		return nil, fmt.Errorf("check: sensor logs: %w", err)
+	}
+	var logs [][]sensor.Sample
+	var reps []k20power.Measurement
+	for _, log := range all {
+		if m, err := k20power.Analyze(log, c.Clocks.Device()); err == nil {
+			logs, reps = append(logs, log), append(reps, m)
+		}
+	}
+	if !slices.Equal(reps, res.Reps) {
+		return nil, fmt.Errorf("check: %s/%s@%s: the sensor logs do not reproduce the repetitions", res.Program, res.Input, res.Config)
+	}
+	return logs, nil
+}
+
+// checkEnergyConservation evaluates the per-result energy invariants; logs
+// holds the sensor log of each repetition, index-aligned with res.Reps (nil
+// skips the trace integral). It returns the violations and the number of
+// individual checks evaluated.
+func checkEnergyConservation(res *core.Result, logs [][]sensor.Sample, st *Stats) ([]Violation, int) {
 	var vs []Violation
 	n := 0
 	bad := func(format string, args ...any) {
@@ -305,9 +334,9 @@ func checkEnergyConservation(res *core.Result, st *Stats) ([]Violation, int) {
 			bad("rep %d: AvgPower*ActiveTime = %.6g J but Energy = %.6g J (rel err %.2e)",
 				i, m.AvgPower*m.ActiveTime, m.Energy, idErr)
 		}
-		if i < len(res.Traces) {
+		if i < len(logs) {
 			n++
-			integral := trapezoidActive(res.Traces[i], m)
+			integral := trapezoidActive(logs[i], m)
 			if integral <= 0 {
 				bad("rep %d: sensor trace integrates to %.4g J", i, integral)
 				continue
@@ -469,7 +498,6 @@ func checkECCDirectionality(byConfig map[string]*core.Result, dev *kepler.Device
 func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, clk kepler.Clocks) ([]Violation, int, error) {
 	fresh := core.NewRunner()
 	fresh.Repetitions = r.Repetitions
-	fresh.KeepTraces = r.KeepTraces
 	combos := core.EnumerateCombos(programs, []kepler.Clocks{clk}, false)
 	want, err := r.MeasureEach(ctx, combos)
 	if err != nil {
@@ -503,8 +531,7 @@ func checkRerun(ctx context.Context, r *core.Runner, programs []core.Program, cl
 }
 
 // diffResults compares two Results bitwise, returning a description of the
-// first difference ("" when identical). Traces are compared only when both
-// runners retained them.
+// first difference ("" when identical).
 func diffResults(a, b *core.Result) string {
 	switch {
 	case a.Program != b.Program || a.Input != b.Input || a.Config != b.Config:
@@ -526,22 +553,6 @@ func diffResults(a, b *core.Result) string {
 	for i := range a.Reps {
 		if a.Reps[i] != b.Reps[i] {
 			return fmt.Sprintf("rep %d differs: %+v vs %+v", i, a.Reps[i], b.Reps[i])
-		}
-	}
-	if len(a.Traces) > 0 && len(b.Traces) > 0 {
-		if len(a.Traces) != len(b.Traces) {
-			return fmt.Sprintf("trace count %d != %d", len(a.Traces), len(b.Traces))
-		}
-		for i := range a.Traces {
-			if len(a.Traces[i]) != len(b.Traces[i]) {
-				return fmt.Sprintf("trace %d length %d != %d", i, len(a.Traces[i]), len(b.Traces[i]))
-			}
-			for j := range a.Traces[i] {
-				if a.Traces[i][j] != b.Traces[i][j] {
-					return fmt.Sprintf("trace %d sample %d differs: %+v vs %+v",
-						i, j, a.Traces[i][j], b.Traces[i][j])
-				}
-			}
 		}
 	}
 	return ""

@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -104,6 +105,46 @@ func TestSweepKeepsAccountingClamp(t *testing.T) {
 	}
 }
 
+// TestRunOnStoreWarmedRunner: a runner warmed from a saved store is checked
+// like the cold runner that measured it. Run re-derives the sensor logs of
+// loaded results, so the checks and the worst margins, the trace integral
+// among them, are the same.
+func TestRunOnStoreWarmedRunner(t *testing.T) {
+	var progs []core.Program
+	for _, name := range []string{"NB", "STEN"} {
+		p, err := suites.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	ctx := context.Background()
+	cold := core.NewRunner()
+	want, err := Run(ctx, cold, progs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := cold.SaveStore(path); err != nil {
+		t.Fatal(err)
+	}
+	warm := core.NewRunner()
+	if err := warm.LoadStore(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(ctx, warm, progs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Checks != want.Checks || got.Stats != want.Stats {
+		t.Errorf("store-warmed runner: %d checks, stats %+v; cold runner: %d checks, stats %+v",
+			got.Checks, got.Stats, want.Checks, want.Stats)
+	}
+	if got.Stats.MaxTraceErr == 0 {
+		t.Error("the trace-integral check never ran")
+	}
+}
+
 // --- negative controls: each checker must actually fire on corrupted data ---
 
 // fakeResult builds a self-consistent measured result for synthetic checks.
@@ -135,27 +176,27 @@ func TestEnergyConservationDetectsCorruption(t *testing.T) {
 	var st Stats
 
 	good := fakeResult("GOOD", "default", 2.0, 80)
-	if vs, n := checkEnergyConservation(good, &st); len(vs) != 0 || n == 0 {
+	if vs, n := checkEnergyConservation(good, nil, &st); len(vs) != 0 || n == 0 {
 		t.Fatalf("clean result flagged: %v (n=%d)", vs, n)
 	}
 
 	offTruth := fakeResult("BAD", "default", 2.0, 80)
 	offTruth.Energy *= 1 + 2*energyTruthTol
-	vs, _ := checkEnergyConservation(offTruth, &st)
+	vs, _ := checkEnergyConservation(offTruth, nil, &st)
 	if violationCount(vs, "off ground truth") == 0 {
 		t.Errorf("energy %.0f%% off truth not flagged: %v", 200*energyTruthTol, vs)
 	}
 
 	badIdentity := fakeResult("BAD", "default", 2.0, 80)
 	badIdentity.Reps[1].Energy *= 1.001 // breaks AvgPower*ActiveTime == Energy
-	vs, _ = checkEnergyConservation(badIdentity, &st)
+	vs, _ = checkEnergyConservation(badIdentity, nil, &st)
 	if violationCount(vs, "rep 1") == 0 {
 		t.Errorf("broken per-rep identity not flagged: %v", vs)
 	}
 
 	negative := fakeResult("BAD", "default", 2.0, 80)
 	negative.Energy = -1
-	vs, _ = checkEnergyConservation(negative, &st)
+	vs, _ = checkEnergyConservation(negative, nil, &st)
 	if violationCount(vs, "non-positive") == 0 {
 		t.Errorf("negative energy not flagged: %v", vs)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/kepler"
 	"repro/internal/power"
@@ -26,16 +24,9 @@ func (r *Runner) simulatedDevice(ctx context.Context, dst *sim.Device, p Program
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	st := &measureState{ctx: ctx, p: p, input: input, clk: clk, dev: dst}
-	m := r.metricsHandles()
-	start := time.Now()
-	err := r.stageSimulate(st)
-	m.stageHist[StageSimulate].Observe(time.Since(start))
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s@%s: %s: %w", p.Name(), input, clk.Name, StageSimulate, err)
+	if err := r.runStages(ctx, st, measureStages[:1]); err != nil { // simulate
+		return nil, err
 	}
 	return st.dev, nil
 }

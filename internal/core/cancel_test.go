@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kepler"
 	"repro/internal/sim"
@@ -150,5 +152,112 @@ func TestMeasureNilContext(t *testing.T) {
 	r := NewRunner()
 	if _, err := r.Measure(nil, computeBoundToy(4000), "default", kepler.Default); err != nil {
 		t.Fatalf("Measure(nil ctx) = %v", err)
+	}
+}
+
+// A Measure waiter waits on its own context: canceled, it returns at once,
+// while the measurement it waited on finishes and stays cached.
+func TestMeasureWaiterReturnsOnItsOwnCancel(t *testing.T) {
+	var runs atomic.Int32
+	started, proceed := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(proceed) })
+	defer release()
+	p := holdingToy("toy-waiter-cancel", &runs, started, proceed)
+
+	r := NewRunner()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	led := make(chan outcome, 1)
+	go func() {
+		res, err := r.Measure(context.Background(), p, "default", kepler.Default)
+		led <- outcome{res, err}
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waited := make(chan error, 1)
+	go func() {
+		_, err := r.Measure(ctx, p, "default", kepler.Default)
+		waited <- err
+	}()
+	waitForWaiter(t, "Measure")
+	cancel()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled waiter = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a canceled waiter stayed blocked on another caller's measurement")
+	}
+
+	release()
+	got := <-led
+	if got.err != nil {
+		t.Fatalf("leader: %v", got.err)
+	}
+	again, err := r.Measure(context.Background(), p, "default", kepler.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != got.res {
+		t.Error("the leader's result was not cached")
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("program ran %d times, want 1", n)
+	}
+}
+
+// A Measure waiter whose leader is canceled measures the combination
+// itself, bit-identical to a fresh runner, and caches the result.
+func TestMeasureWaiterReclaimsCanceledLeader(t *testing.T) {
+	var runs atomic.Int32
+	started, proceed := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(proceed) })
+	defer release()
+	p := holdingToy("toy-leader-cancel", &runs, started, proceed)
+
+	r := NewRunner()
+	ctx, cancel := context.WithCancel(context.Background())
+	led := make(chan error, 1)
+	go func() {
+		_, err := r.Measure(ctx, p, "default", kepler.Default)
+		led <- err
+	}()
+	<-started
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		res, err := r.Measure(context.Background(), p, "default", kepler.Default)
+		waited <- outcome{res, err}
+	}()
+	waitForWaiter(t, "Measure")
+	cancel()
+	release()
+	if err := <-led; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled leader = %v, want context.Canceled", err)
+	}
+	got := <-waited
+	if got.err != nil {
+		t.Fatalf("waiter: %v", got.err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("program ran %d times, want 2 (the canceled leader's and the waiter's)", n)
+	}
+	if again, err := r.Measure(context.Background(), p, "default", kepler.Default); err != nil || again != got.res {
+		t.Errorf("the waiter's result was not cached: %v", err)
+	}
+	want, err := NewRunner().Measure(context.Background(), p, "default", kepler.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.res, want) {
+		t.Errorf("waiter's result differs from a fresh runner's:\ngot  %+v\nwant %+v", got.res, want)
 	}
 }

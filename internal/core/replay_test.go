@@ -172,9 +172,9 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 	if _, err := r.Measure(ctx, p, "default", kepler.Default); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Measure = %v, want context.Canceled", err)
 	}
-	r.traceMu.Lock()
-	n := len(r.traces)
-	r.traceMu.Unlock()
+	r.traces.mu.Lock()
+	n := len(r.traces.entries)
+	r.traces.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("canceled capture left %d trace cache entries, want 0", n)
 	}
@@ -203,23 +203,7 @@ func TestTraceCacheHonorsCancellation(t *testing.T) {
 func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
 	var runs atomic.Int32
 	started, proceed := make(chan struct{}), make(chan struct{})
-	p := &toyProgram{
-		name:  "toy-reclaim",
-		suite: SuiteSDK,
-		run: func(dev *sim.GPU) error {
-			dev.SetTimeScale(100)
-			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
-			dev.Repeat(l, 4000)
-			if runs.Add(1) == 1 {
-				// The first run (the doomed capture) holds here.
-				close(started)
-				<-proceed
-			}
-			l2 := dev.Launch("k2", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
-			dev.Repeat(l2, 2000)
-			return nil
-		},
-	}
+	p := holdingToy("toy-reclaim", &runs, started, proceed)
 	waiterClk := kepler.Configs[1]
 
 	r := NewRunner()
@@ -240,7 +224,7 @@ func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
 		res, err := r.Measure(context.Background(), p, "default", waiterClk)
 		waited <- outcome{res, err}
 	}()
-	waitForTraceWaiter(t)
+	waitForWaiter(t, "trace")
 
 	cancel()
 	close(proceed)
@@ -268,22 +252,48 @@ func TestTraceCacheWaiterReclaimsCanceledCapture(t *testing.T) {
 	}
 }
 
-// waitForTraceWaiter blocks until some goroutine is parked in the trace
-// cache's wait for another measurement's capture.
-func waitForTraceWaiter(t *testing.T) {
+// holdingToy is a two-kernel toy whose first run closes started between
+// its kernels and holds there until proceed closes; later runs do not hold.
+// runs counts the runs.
+func holdingToy(name string, runs *atomic.Int32, started, proceed chan struct{}) *toyProgram {
+	return &toyProgram{
+		name:  name,
+		suite: SuiteSDK,
+		run: func(dev *sim.GPU) error {
+			dev.SetTimeScale(100)
+			l := dev.Launch("k1", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
+			dev.Repeat(l, 4000)
+			if runs.Add(1) == 1 {
+				close(started)
+				<-proceed
+			}
+			l2 := dev.Launch("k2", 512, 256, func(c *sim.Ctx) { c.FP32Ops(500) })
+			dev.Repeat(l2, 2000)
+			return nil
+		},
+	}
+}
+
+// waitForWaiter blocks until some goroutine is parked in a singleflight
+// wait called from the Runner method named caller: "trace" waits for another
+// measurement's capture, "Measure" for another caller's measurement.
+func waitForWaiter(t *testing.T, caller string) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			header, frames, _ := strings.Cut(g, "\n")
-			if strings.Contains(header, "[select") && strings.HasPrefix(frames, "repro/internal/core.(*Runner).trace(") {
+			// A frame is a function line and a file line.
+			lines := strings.Split(g, "\n")
+			if len(lines) > 3 && strings.Contains(lines[0], "[select") &&
+				strings.HasPrefix(lines[1], "repro/internal/core.(*flight[") &&
+				strings.HasPrefix(lines[3], "repro/internal/core.(*Runner)."+caller+"(") {
 				return
 			}
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("no measurement waited on the in-flight capture")
+	t.Fatalf("no %s call waited on an in-flight computation", caller)
 }
 
 // TestTraceCacheConcurrentConfigs: four configurations measured in parallel

@@ -13,33 +13,45 @@ import (
 	"repro/internal/k20power"
 	"repro/internal/kepler"
 	"repro/internal/power"
-	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
 // Result is the outcome of measuring one (program, input, configuration)
-// combination: the per-repetition measurements and their per-metric medians
-// (the paper reports the median of three runs for each metric).
+// combination on one board: the per-repetition measurements and their
+// per-metric medians (the paper reports the median of three runs for each
+// metric), or an insufficient-samples exclusion (the paper's "program
+// excluded at this configuration"), whose measurement fields are zero.
+//
+// It is also the one serialized form of a resolved measurement: the store
+// file, GET /v1/results, POST /v1/shard and a POST /v1/measure 200 body all
+// carry it in this shape and field order.
 type Result struct {
-	Program string
-	Input   string
-	Config  string
+	Program string `json:"program"`
+	Input   string `json:"input"`
+	Config  string `json:"config"`
+	Board   string `json:"board"`
 
-	// Reps holds the repetitions' measurements.
-	Reps []k20power.Measurement
 	// ActiveTime, Energy and AvgPower are the per-metric medians.
-	ActiveTime, Energy, AvgPower float64
+	ActiveTime float64 `json:"activeTime"`
+	Energy     float64 `json:"energy"`
+	AvgPower   float64 `json:"avgPower"`
 
 	// TrueActiveTime and TrueEnergy are the simulator's ground truth, kept
 	// for validating the measurement stack (not used by the experiments).
-	TrueActiveTime, TrueEnergy float64
+	TrueActiveTime float64 `json:"trueActiveTime"`
+	TrueEnergy     float64 `json:"trueEnergy"`
 
-	// Traces holds the raw sensor trace of each repetition, index-aligned
-	// with Reps. Populated only when the Runner's KeepTraces is set (the
-	// verification engine integrates them); never persisted to the store.
-	Traces [][]sensor.Sample
+	// Reps holds the repetitions' measurements: the analyses of the
+	// repetitions' sensor logs (Runner.SensorLogs) that yielded one, in
+	// repetition order.
+	Reps []k20power.Measurement `json:"reps"`
+
+	// Insufficient marks an exclusion; it is resolved too, so reruns skip
+	// the simulation. Measure never returns one: it reports an exclusion
+	// as an error IsInsufficient recognizes.
+	Insufficient bool `json:"insufficient,omitempty"`
 }
 
 // TimeSpread, EnergySpread return the (max-min)/min variability across the
@@ -76,9 +88,6 @@ func medianOf(scratch *[]float64, ms []k20power.Measurement, f func(k20power.Mea
 type Runner struct {
 	// Repetitions is the number of repeated measurements (the paper uses 3).
 	Repetitions int
-	// KeepTraces retains each repetition's raw sensor samples in
-	// Result.Traces, for trace-level verification (costs memory).
-	KeepTraces bool
 	// Workers bounds the runner's total simulation parallelism: concurrent
 	// measurements (MeasureAll fan-out) and the per-launch block sharding
 	// inside each device draw from one shared pool of this size, so the two
@@ -95,14 +104,12 @@ type Runner struct {
 	// for byte. Must be set before the first Measure call.
 	Broker TraceBroker
 
-	mu    sync.Mutex
-	cache map[resultKey]*cacheEntry
-
-	// traceMu guards traces, the per-(program, input, device) launch-trace
-	// cache the simulate stage consults: a program simulates once, at the
-	// first requested configuration, and every measurement replays.
-	traceMu sync.Mutex
-	traces  map[traceKey]*traceEntry
+	// results caches the measurements, and traces the per-(program,
+	// input, device) launch traces the simulate stage replays: a program
+	// simulates once, at the first requested configuration, and every
+	// measurement replays.
+	results flight[resultKey, *Result]
+	traces  flight[traceKey, *sim.LaunchTrace]
 
 	poolOnce sync.Once
 	pool     *sim.WorkerPool
@@ -154,32 +161,9 @@ func traceKeyOf(p Program, input string, clk kepler.Clocks) traceKey {
 	return traceKey{p.Name(), input, clk.Device().Name}
 }
 
-// traceEntry is one slot of the launch-trace cache. The first goroutine to
-// need a (program, input) pair claims the entry and captures the trace;
-// concurrent measurements of the same pair wait on done. A failed or
-// canceled capture publishes nothing and removes the entry, so nothing
-// partial is ever cached and the next measurement (a waiter included)
-// recaptures.
-type traceEntry struct {
-	done  chan struct{}    // closed when trace is published (or capture failed)
-	trace *sim.LaunchTrace // nil if the capture failed
-}
-
-type cacheEntry struct {
-	once sync.Once
-	res  *Result
-	err  error
-	// resolved is published after res/err are written inside once; readers
-	// outside the once (record) must observe it before touching them.
-	resolved atomic.Bool
-}
-
 // NewRunner returns a Runner with the paper's methodology defaults.
 func NewRunner() *Runner {
-	return &Runner{
-		Repetitions: 3,
-		cache:       make(map[resultKey]*cacheEntry),
-	}
+	return &Runner{Repetitions: 3}
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline error.
@@ -196,76 +180,40 @@ func isCtxErr(err error) bool {
 // error and the cache entry is evicted, so a later call with a live context
 // recomputes the combination (a canceled run is not a result). Entries that
 // completed before the cancel stay cached and valid. Concurrent callers of
-// the same combination share one computation; if the computing caller's
-// context is canceled, the waiters receive the cancellation too and the
-// next call retries.
+// the same combination share one computation, each waiting on its own
+// context; if the computing caller's context is canceled, a waiter measures
+// the combination itself.
 func (r *Runner) Measure(ctx context.Context, p Program, input string, clk kepler.Clocks) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	res, path, err := r.results.do(ctx, resultKeyOf(Combo{p, input, clk}), keepMeasurement, func() (*Result, error) {
+		return r.measure(ctx, p, input, clk)
+	})
 	m := r.metricsHandles()
-	key := resultKey{p.Name(), input, clk.Name, clk.Device().Name}
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[resultKey]*cacheEntry)
-	}
-	e, ok := r.cache[key]
-	switch {
-	case !ok:
-		e = &cacheEntry{}
-		r.cache[key] = e
-		m.cacheMisses.Inc()
-	case e.resolved.Load():
+	switch path {
+	case flightHit:
 		m.cacheHits.Inc()
+	case flightClaim:
+		m.cacheMisses.Inc()
 	default:
 		m.singleflightWaits.Inc()
 	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		e.res, e.err = r.measure(ctx, p, input, clk)
-		e.resolved.Store(true)
-	})
-	if e.err != nil && isCtxErr(e.err) {
-		// A canceled measurement is not a cachable outcome: evict the entry
-		// so an uncanceled rerun recomputes it (idempotent across the
-		// waiters that shared the canceled computation).
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
-	}
-	return e.res, e.err
+	return res, err
 }
 
-// Cached reports whether the (program, input, config) combination is
-// already resolved in the measurement cache — a hit means Measure returns
-// it without simulating.
-func (r *Runner) Cached(p Program, input string, clk kepler.Clocks) bool {
-	return r.resolvedEntry(Combo{p, input, clk}) != nil
-}
-
-// resolvedEntry returns the combination's resolved cache entry, or nil,
-// without counting a cache lookup.
-func (r *Runner) resolvedEntry(c Combo) *cacheEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.cache[resultKey{c.Program.Name(), c.Input, c.Clocks.Name, c.Clocks.Device().Name}]
-	if e == nil || !e.resolved.Load() {
-		return nil
-	}
-	return e
-}
+// keepMeasurement reports whether a measurement's outcome may stay cached:
+// a result, an exclusion and a hard failure do, a canceled run does not.
+func keepMeasurement(err error) bool { return !isCtxErr(err) }
 
 // measure drives the staged pipeline: simulate once (execution is
 // deterministic per configuration), then derive Repetitions independent
 // sensor recordings, mirroring repeated wall-clock runs. See stages.go for
 // the stage inventory.
 func (r *Runner) measure(ctx context.Context, p Program, input string, clk kepler.Clocks) (*Result, error) {
-	buf := repBufferPool.Get().(*repBuffers)
-	st := &measureState{ctx: ctx, p: p, input: input, clk: clk, buf: buf, dev: buf.dev}
+	st := borrowState(ctx, Combo{p, input, clk})
 	defer st.release()
-	if err := r.runStages(ctx, st); err != nil {
+	if err := r.runStages(ctx, st, measureStages); err != nil {
 		return nil, err
 	}
 	return st.res, nil
@@ -413,23 +361,18 @@ func (r *Runner) MeasureEach(ctx context.Context, combos []Combo) ([]*Result, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// MeasureList resolved every combination: Measure returns only once
+	// its combination's outcome is cached or its own context is done.
 	out := make([]*Result, len(combos))
 	for i, c := range combos {
-		var res *Result
-		var err error
-		if e := r.resolvedEntry(c); e != nil && !isCtxErr(e.err) {
-			res, err = e.res, e.err
-		} else {
-			// Evicted: the run was canceled by another caller that shared it.
-			res, err = r.Measure(ctx, c.Program, c.Input, c.Clocks)
-		}
+		e := r.results.get(resultKeyOf(c))
 		switch {
-		case err == nil:
-			out[i] = res
-		case IsInsufficient(err):
+		case e.err == nil:
+			out[i] = e.val
+		case IsInsufficient(e.err):
 			// excluded, like the paper's dashes
 		default:
-			return nil, err
+			return nil, e.err
 		}
 	}
 	return out, nil

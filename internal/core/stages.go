@@ -53,7 +53,7 @@ type measureState struct {
 	samples   [][]sensor.Sample
 	res       *Result
 
-	// buf lends the measurement's work buffers; Runner.measure borrows it
+	// buf lends the measurement's work buffers; borrowState borrows it
 	// from repBufferPool and release returns it. Nil on the SimulatedDevice
 	// path, whose callers keep the device.
 	buf *repBuffers
@@ -64,9 +64,8 @@ type measureState struct {
 // and the repetitions' metric values the medians sort. A measurement
 // borrows them from repBufferPool and returns them when it finishes, so a
 // grid of replays reuses a few sets instead of allocating every launch
-// record and every repetition's buffers afresh.
-// Sensor logs that Runner.KeepTraces hands out in Result.Traces never come
-// from here.
+// record and every repetition's buffers afresh. The sensor logs SensorLogs
+// hands out leave the pool with the caller.
 type repBuffers struct {
 	dev       *sim.Device
 	segs      []power.Segment
@@ -77,6 +76,13 @@ type repBuffers struct {
 }
 
 var repBufferPool = sync.Pool{New: func() any { return new(repBuffers) }}
+
+// borrowState returns the state of a measurement of c, with work buffers
+// borrowed from repBufferPool; release returns them.
+func borrowState(ctx context.Context, c Combo) *measureState {
+	buf := repBufferPool.Get().(*repBuffers)
+	return &measureState{ctx: ctx, p: c.Program, input: c.Input, clk: c.Clocks, buf: buf, dev: buf.dev}
+}
 
 // release returns the borrowed buffers, the measured device among them, to
 // the pool. The measurement's Result holds no reference into them.
@@ -114,13 +120,13 @@ var measureStages = []stage{
 	{StageAnalyze, (*Runner).stageAnalyze},
 }
 
-// runStages drives st through the pipeline: a context check before every
-// stage (so cancellation is honored between stages as well as inside the
-// simulate stage's block loops), a duration observation per stage, and
+// runStages drives st through the given stages: a context check before
+// every stage (so cancellation is honored between stages as well as inside
+// the simulate stage's block loops), a duration observation per stage, and
 // error attribution naming the stage that failed.
-func (r *Runner) runStages(ctx context.Context, st *measureState) error {
+func (r *Runner) runStages(ctx context.Context, st *measureState, stages []stage) error {
 	m := r.metricsHandles()
-	for _, sg := range measureStages {
+	for _, sg := range stages {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -132,6 +138,23 @@ func (r *Runner) runStages(ctx context.Context, st *measureState) error {
 		}
 	}
 	return nil
+}
+
+// SensorLogs returns the sensor log of each repetition of c's measurement,
+// in repetition order; Result.Reps holds the analyses of the logs that
+// yielded one. It runs the measurement's stages up to the record stage
+// again (capturing the launch trace if the runner holds none). They are
+// deterministic, so the logs are the ones Measure analyzed, bit for bit,
+// for a result loaded from a store too.
+func (r *Runner) SensorLogs(ctx context.Context, c Combo) ([][]sensor.Sample, error) {
+	st := borrowState(ctx, c)
+	defer st.release()
+	if err := r.runStages(ctx, st, measureStages[:len(measureStages)-1]); err != nil { // all but analyze
+		return nil, err
+	}
+	logs := st.samples
+	st.buf.samples = nil // the logs leave with the caller
+	return logs, nil
 }
 
 // stageSimulate produces the priced device for this (program, input,
@@ -155,51 +178,22 @@ func (r *Runner) stageSimulate(st *measureState) error {
 
 // trace returns the launch trace of st's (program, input, device) pair from
 // the runner's cache, waiting while another measurement captures it. The
-// first measurement of a pair claims its cache entry and fills it; a waiter
-// whose capturer failed (the entry is then evicted) claims the pair anew.
+// first measurement of a pair claims it and fills it; only a published trace
+// is kept, so a waiter whose capturer failed claims the pair anew.
 func (r *Runner) trace(st *measureState) (*sim.LaunchTrace, error) {
-	key := traceKeyOf(st.p, st.input, st.clk)
-	for {
-		r.traceMu.Lock()
-		if r.traces == nil {
-			r.traces = make(map[traceKey]*traceEntry)
-		}
-		e, ok := r.traces[key]
-		if !ok {
-			e = &traceEntry{done: make(chan struct{})}
-			r.traces[key] = e
-			r.traceMu.Unlock()
-			return r.fill(st, key, e)
-		}
-		r.traceMu.Unlock()
-		select {
-		case <-e.done:
-		case <-st.ctx.Done():
-			return nil, st.ctx.Err()
-		}
-		if e.trace != nil {
-			return e.trace, nil
-		}
-	}
+	tr, _, err := r.traces.do(st.ctx, traceKeyOf(st.p, st.input, st.clk), keepTrace, func() (*sim.LaunchTrace, error) {
+		return r.fill(st)
+	})
+	return tr, err
 }
 
-// fill obtains the trace for a claimed entry — the fleet broker's, if it
-// holds a replayable one, else a local capture — and publishes it to the
-// entry's waiters. A failed (or canceled, or panicking) capture publishes
-// nothing: the entry is evicted so the next measurement of the pair
-// recaptures.
-func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.LaunchTrace, err error) {
-	defer func() {
-		if tr == nil {
-			r.traceMu.Lock()
-			if r.traces[key] == e {
-				delete(r.traces, key)
-			}
-			r.traceMu.Unlock()
-		}
-		e.trace = tr
-		close(e.done)
-	}()
+// keepTrace reports whether a capture's outcome may stay cached: only a
+// published trace does.
+func keepTrace(err error) bool { return err == nil }
+
+// fill obtains the trace for a claimed pair: the fleet broker's, if it
+// holds a replayable one, else a local capture.
+func (r *Runner) fill(st *measureState) (*sim.LaunchTrace, error) {
 	m := r.metricsHandles()
 	device := st.clk.Device()
 	if r.Broker != nil {
@@ -218,7 +212,7 @@ func (r *Runner) fill(st *measureState, key traceKey, e *traceEntry) (tr *sim.La
 	if err := RunProgram(st.ctx, st.p, gpu, st.input); err != nil {
 		return nil, err
 	}
-	tr = gpu.Trace()
+	tr := gpu.Trace()
 	m.traceCaptures.Inc()
 	m.traceBytes.Add(tr.Bytes())
 	if r.Broker != nil {
@@ -238,6 +232,7 @@ func (r *Runner) stageTimeline(st *measureState) error {
 		Program:        st.p.Name(),
 		Input:          st.input,
 		Config:         st.clk.Name,
+		Board:          st.clk.Device().Name,
 		TrueActiveTime: st.dev.ActiveTime(),
 		TrueEnergy:     energy,
 	}
@@ -260,12 +255,7 @@ func (r *Runner) stagePerturb(st *measureState) error {
 // stageRecord samples every perturbed timeline through the sensor model.
 func (r *Runner) stageRecord(st *measureState) error {
 	dev := st.clk.Device()
-	if r.KeepTraces {
-		// The logs outlive the measurement in Result.Traces.
-		st.samples = make([][]sensor.Sample, len(st.perturbed))
-	} else {
-		st.samples = reps(&st.buf.samples, len(st.perturbed))
-	}
+	st.samples = reps(&st.buf.samples, len(st.perturbed))
 	for rep := range st.perturbed {
 		st.samples[rep] = sensor.AppendRecord(st.samples[rep][:0], st.perturbed[rep], dev.Sensor, st.seeds[rep])
 	}
@@ -288,9 +278,6 @@ func (r *Runner) stageAnalyze(st *measureState) error {
 			continue
 		}
 		st.res.Reps = append(st.res.Reps, m)
-		if r.KeepTraces {
-			st.res.Traces = append(st.res.Traces, st.samples[rep])
-		}
 	}
 	if len(st.res.Reps) == 0 {
 		return firstErr

@@ -11,7 +11,7 @@ import (
 type storeFile struct {
 	// Version guards against incompatible caches after model changes.
 	Version int      `json:"version"`
-	Results []Record `json:"results"`
+	Results []Result `json:"results"`
 }
 
 // storeVersion must be bumped whenever the simulator or power model changes

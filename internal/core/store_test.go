@@ -131,9 +131,9 @@ func TestKeyRoundTripHostileNames(t *testing.T) {
 		{`\`, `\\`, `\0`, "\x00\\\x00"},
 		{"", "", "", ""},
 	}
-	var want []Record
+	var want []Result
 	for i, c := range cases {
-		rec := Record{Program: c[0], Input: c[1], Config: c[2], Board: c[3]}
+		rec := Result{Program: c[0], Input: c[1], Config: c[2], Board: c[3]}
 		if i%2 == 0 {
 			rec.ActiveTime, rec.Energy, rec.AvgPower = 1+float64(i), 2, 3
 			rec.Reps = []k20power.Measurement{{ActiveTime: 1 + float64(i), Energy: 2, AvgPower: 3}}
@@ -232,8 +232,8 @@ func TestLoadStoreFailurePaths(t *testing.T) {
 			if err := r.LoadStore(c.path); err == nil {
 				t.Fatalf("LoadStore(%s) accepted", c.path)
 			}
-			if len(r.cache) != 0 {
-				t.Errorf("failed load left %d cache entries", len(r.cache))
+			if len(r.results.entries) != 0 {
+				t.Errorf("failed load left %d cache entries", len(r.results.entries))
 			}
 		})
 	}

@@ -79,9 +79,9 @@ func (b *HTTPTraceBroker) FetchTrace(device, program, input string) *sim.LaunchT
 	return tr
 }
 
-// StoreTrace publishes a locally captured trace. Only replayable captures
-// are published: a program that reads the simulated clock mid-run fails
-// its measurement instead.
+// StoreTrace publishes a locally captured trace. Every capture is
+// replayable: programs run on a clock-free sim.GPU, so none can read the
+// simulated clock mid-run.
 func (b *HTTPTraceBroker) StoreTrace(device, program, input string, tr *sim.LaunchTrace) {
 	data, err := sim.EncodeTrace(tr)
 	if err != nil {

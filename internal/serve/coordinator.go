@@ -404,7 +404,7 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 	byWorker := make(map[string]*shardState)
 	ringNow := newRing(f.currentMembers(ctx))
 	for _, cb := range combos {
-		if _, ok := f.runner.Lookup(cb.Program.Name(), cb.Input, cb.Clocks.Name, dev.Name); ok {
+		if _, ok := f.runner.Lookup(cb); ok {
 			preResolved++
 			continue
 		}
@@ -435,7 +435,7 @@ func (f *fleet) sweep(ctx context.Context, dev *kepler.Device, combos []core.Com
 	return f.shardJob(len(combos), preResolved, shards, func(resps []shardResponse) any {
 		// Import whatever completed even when some shards failed: a
 		// retried sweep then only re-dispatches the missing part.
-		var all []core.Record
+		var all []core.Result
 		for _, sr := range resps {
 			all = append(all, sr.Results...)
 		}
@@ -546,7 +546,7 @@ func (f *fleet) runShard(ctx context.Context, st *shardState) (shardResponse, er
 // A proxied response is relayed byte-for-byte, so a client cannot tell a
 // coordinator from a worker.
 func (f *fleet) measure(ctx context.Context, w http.ResponseWriter, cb core.Combo) {
-	if f.runner.Cached(cb.Program, cb.Input, cb.Clocks) {
+	if _, ok := f.runner.Lookup(cb); ok {
 		writeMeasure(ctx, w, f.runner, cb)
 		return
 	}
@@ -579,21 +579,21 @@ func (f *fleet) measure(ctx context.Context, w http.ResponseWriter, cb core.Comb
 }
 
 // importMeasure folds a proxied measure response into the merged cache: a
-// 200 carries the worker's core.Record, a 422 insufficient the exclusion.
+// 200 carries the worker's core.Result, a 422 insufficient the exclusion.
 func (f *fleet) importMeasure(program, input, config, board string, status int, body []byte) {
 	switch status {
 	case http.StatusOK:
-		var rec core.Record
+		var rec core.Result
 		if err := json.Unmarshal(body, &rec); err != nil {
 			return
 		}
-		f.runner.ImportResults([]core.Record{rec})
+		f.runner.ImportResults([]core.Result{rec})
 	case http.StatusUnprocessableEntity:
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || !er.Insufficient {
 			return
 		}
-		f.runner.ImportResults([]core.Record{{
+		f.runner.ImportResults([]core.Result{{
 			Program: program, Input: input, Config: config, Board: board, Insufficient: true,
 		}})
 	}

@@ -608,7 +608,8 @@ func TestFabricAttribProgressMonotoneAcrossRedispatch(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(60 * time.Second)
-	for v := pollJob(t, cts.URL, jv.ID); v.Done == 0; v = pollJob(t, cts.URL, jv.ID) {
+	v := pollJob(t, cts.URL, jv.ID)
+	for ; v.Done == 0; v = pollJob(t, cts.URL, jv.ID) {
 		if v.Status != jobQueued && v.Status != jobRunning {
 			t.Fatalf("job terminal before it reported progress: %+v", v)
 		}
@@ -617,16 +618,20 @@ func TestFabricAttribProgressMonotoneAcrossRedispatch(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The shard table names the worker running the attribution.
+	if len(v.Shards) != 1 || v.Shards[0].Redispatches > 0 {
+		t.Fatalf("want one shard, never re-dispatched, before the kill: %+v", v.Shards)
+	}
 	killed := 0
 	for _, w := range ws {
-		if w.runner.Metrics().Snapshot().Counters["attrib_rows"] > 0 {
+		if w.ts.URL == v.Shards[0].Worker {
 			w.ts.CloseClientConnections()
 			w.ts.Close()
 			killed++
 		}
 	}
 	if killed != 1 {
-		t.Fatalf("%d workers ran the attribution, want 1", killed)
+		t.Fatalf("the shard's worker %q is none of the fabric's workers", v.Shards[0].Worker)
 	}
 	release()
 	awaitMonotoneDone(t, c, cts.URL, jv.ID)

@@ -424,14 +424,14 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMeasure answers a measure request from runner.Measure with the
-// result's core.Record: a cache hit returns at once, a miss simulates.
+// core.Result: a cache hit returns at once, a miss simulates.
 func writeMeasure(ctx context.Context, w http.ResponseWriter, runner *core.Runner, cb core.Combo) {
 	res, err := runner.Measure(ctx, cb.Program, cb.Input, cb.Clocks)
 	if err != nil {
 		writeMeasureError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res.Record(cb.Clocks.Device().Name))
+	writeJSON(w, http.StatusOK, res)
 }
 
 // writeMeasureError maps a measurement failure to its status code:
@@ -666,7 +666,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 type resultsResponse struct {
 	Version int           `json:"version"`
 	Count   int           `json:"count"`
-	Results []core.Record `json:"results"`
+	Results []core.Result `json:"results"`
 }
 
 // handleResults dumps every resolved measurement (and exclusion) the

@@ -169,7 +169,7 @@ func TestMeasureCoalescing(t *testing.T) {
 			t.Errorf("request %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	var m core.Record
+	var m core.Result
 	if err := json.Unmarshal(bodies[0], &m); err != nil {
 		t.Fatalf("response not valid JSON: %v", err)
 	}
@@ -623,7 +623,7 @@ func TestPeriodicSnapshot(t *testing.T) {
 
 // TestOneRecordShape: a measured combination serializes byte for byte the
 // same as its POST /v1/measure body, its GET /v1/results entry and its
-// entry in the saved store (compacted) — one core.Record, one shape.
+// entry in the saved store (compacted) — one core.Result, one shape.
 func TestOneRecordShape(t *testing.T) {
 	s, runner := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
 	ts := httptest.NewServer(s.Handler())

@@ -50,7 +50,7 @@ type shardResponse struct {
 	// Results answers a sweep shard: one record per combo in deterministic
 	// result order — exclusions (insufficient samples) included, exactly as
 	// /v1/results would report them.
-	Results []core.Record `json:"results,omitempty"`
+	Results []core.Result `json:"results,omitempty"`
 	// Result answers a frontier or attribution shard: the job's result
 	// payload, which the coordinator re-serves byte for byte.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -127,9 +127,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	resp.Results = make([]core.Record, 0, len(combos))
+	resp.Results = make([]core.Result, 0, len(combos))
 	for _, c := range combos {
-		rec, ok := s.runner.Lookup(c.Program.Name(), c.Input, c.Clocks.Name, c.Clocks.Device().Name)
+		rec, ok := s.runner.Lookup(c)
 		if !ok {
 			// MeasureList returned nil yet a combo is unresolved: impossible
 			// unless the cache was mutated concurrently; fail loudly rather
