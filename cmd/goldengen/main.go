@@ -1,10 +1,13 @@
 // Command goldengen regenerates the golden measurement corpus under
 // internal/check/testdata/golden: one JSON snapshot per benchmark suite,
 // covering every program (default input) at every clock configuration,
-// stamped with the current physics version (core.StoreVersion).
+// stamped with the current physics version (core.StoreVersion), and the
+// trace digests (check.DigestFileName) of check.DigestCaptures, stamped
+// with the capture version (core.CaptureVersion).
 //
 // Regenerate ONLY after a deliberate physics change (simulator, power
-// model, sensor, or analyzer), together with a core.StoreVersion bump:
+// model, sensor, or analyzer), together with a core.StoreVersion bump, or
+// a deliberate capture change, together with a core.CaptureVersion bump:
 //
 //	go run ./cmd/goldengen            # writes internal/check/testdata/golden
 //	go run ./cmd/goldengen -out /tmp/golden -v
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"time"
 
 	"repro/internal/check"
@@ -55,6 +59,13 @@ func main() {
 	if err := check.WriteGoldenDir(*out, files); err != nil {
 		fail(err)
 	}
+	digests, err := check.TraceDigests(ctx, check.DigestCaptures(append(suites.All(), suites.Variants()...)))
+	if err == nil {
+		err = check.WriteTraceDigests(filepath.Join(*out, check.DigestFileName), digests)
+	}
+	if err != nil {
+		fail(err)
+	}
 
 	var entries, excluded int
 	for _, gf := range files {
@@ -68,6 +79,6 @@ func main() {
 			fmt.Printf(" %-12s %3d entries -> %s\n", gf.Suite, len(gf.Entries), check.SuiteFileName(core.Suite(gf.Suite)))
 		}
 	}
-	fmt.Printf("goldengen: wrote %d suites, %d entries (%d insufficient) at store version %d to %s in %v\n",
-		len(files), entries, excluded, core.StoreVersion, *out, time.Since(start).Round(time.Second))
+	fmt.Printf("goldengen: wrote %d suites, %d entries (%d insufficient) at store version %d and %d trace digests at capture version %d to %s in %v\n",
+		len(files), entries, excluded, core.StoreVersion, len(digests), core.CaptureVersion, *out, time.Since(start).Round(time.Second))
 }
