@@ -46,49 +46,51 @@ golden:
 # command, so its lines are joined with backslashes.
 SMOKE_TMP = set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT
 
-# Store round-trip smoke: the second run must serve every measurement from
-# the cache (hit counter > 0, zero misses, zero simulations) and print
-# byte-identical output. Then two selfchecks against one store must print
-# the same report: a loaded result is checked like a measured one. CI runs
-# this target; needs jq.
+# Trace-store smoke: a second run against the -store directory the first
+# filled must replay every launch trace from it (broker hits > 0, zero
+# simulations) and print byte-identical output. Then two selfchecks against
+# one store must print the same report: a replayed result is checked like a
+# captured one. CI runs this target; needs jq.
 smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchar-smoke ./cmd/gpuchar; \
-	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store.json -metrics >$$tmp/gpuchar-smoke-1.txt 2>$$tmp/gpuchar-smoke-1.json; \
-	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store.json -metrics >$$tmp/gpuchar-smoke-2.txt 2>$$tmp/gpuchar-smoke-2.json; \
+	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store -metrics >$$tmp/gpuchar-smoke-1.txt 2>$$tmp/gpuchar-smoke-1.json; \
+	$$tmp/gpuchar-smoke -exp table2 -store $$tmp/gpuchar-smoke-store -metrics >$$tmp/gpuchar-smoke-2.txt 2>$$tmp/gpuchar-smoke-2.json; \
 	cmp $$tmp/gpuchar-smoke-1.txt $$tmp/gpuchar-smoke-2.txt; \
-	jq -e '.counters.measure_cache_hits > 0' $$tmp/gpuchar-smoke-2.json; \
-	jq -e '.counters.measure_cache_misses == 0' $$tmp/gpuchar-smoke-2.json; \
-	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-smoke-2.json; \
-	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store.json >$$tmp/selfcheck-1.txt; \
-	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store.json >$$tmp/selfcheck-2.txt; \
+	jq -e '.counters.simulate_runs_device_K20c > 0' $$tmp/gpuchar-smoke-1.json; \
+	jq -e '(.counters.simulate_runs_device_K20c // 0) == 0' $$tmp/gpuchar-smoke-2.json; \
+	jq -e '.counters.trace_broker_fetch_hits > 0' $$tmp/gpuchar-smoke-2.json; \
+	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store >$$tmp/selfcheck-1.txt; \
+	$$tmp/gpuchar-smoke -selfcheck -programs NB,STEN -store $$tmp/selfcheck-store >$$tmp/selfcheck-2.txt; \
 	cmp $$tmp/selfcheck-1.txt $$tmp/selfcheck-2.txt
 
 # Dense-grid frontier golden-diff smoke: two runs of `gpuchar -exp frontier`
-# (cold, then warm from the same store) must print byte-identical frontier
-# tables. The cold run must simulate each program exactly once (one capture
-# per printed frontier, the whole grid replayed from it), and the warm run
-# must re-price the whole ~100-config grid without a single simulation. CI
-# runs this target; needs jq.
+# (cold, then warm from the same trace store) must print byte-identical
+# frontier tables. The cold run must simulate each program exactly once
+# (one capture per printed frontier, the whole grid replayed from it), and
+# the warm run must re-price the whole ~100-config grid from the stored
+# traces without a single simulation. CI runs this target; needs jq.
 frontier-smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchar-frontier ./cmd/gpuchar; \
-	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-1.txt 2>$$tmp/gpuchar-frontier-1.json; \
-	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store.json -metrics >$$tmp/gpuchar-frontier-2.txt 2>$$tmp/gpuchar-frontier-2.json; \
+	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store -metrics >$$tmp/gpuchar-frontier-1.txt 2>$$tmp/gpuchar-frontier-1.json; \
+	$$tmp/gpuchar-frontier -exp frontier -reps 1 -store $$tmp/gpuchar-frontier-store -metrics >$$tmp/gpuchar-frontier-2.txt 2>$$tmp/gpuchar-frontier-2.json; \
 	cmp $$tmp/gpuchar-frontier-1.txt $$tmp/gpuchar-frontier-2.txt; \
 	n=$$(grep -c '^Frontier for' $$tmp/gpuchar-frontier-1.txt); \
 	jq -e --argjson n "$$n" '$$n > 0 and .counters.simulate_runs_device_K20c == $$n' $$tmp/gpuchar-frontier-1.json; \
-	jq -e '.histograms.stage_simulate_seconds.count == 0' $$tmp/gpuchar-frontier-2.json; \
+	jq -e '(.counters.simulate_runs_device_K20c // 0) == 0' $$tmp/gpuchar-frontier-2.json; \
+	jq -e '.counters.trace_broker_fetch_hits > 0' $$tmp/gpuchar-frontier-2.json; \
 	jq -e '.counters.frontier_replays > 0' $$tmp/gpuchar-frontier-2.json
 
-# gpuchard coalescing + graceful-shutdown smoke: N concurrent identical
-# measure requests against the real server must cost exactly one simulation
-# and return byte-identical bodies; SIGTERM must save the store. CI runs
-# this target; needs curl and jq.
+# gpuchard coalescing + restart smoke: N concurrent identical measure
+# requests against the real server must cost exactly one simulation and
+# return byte-identical bodies; after SIGTERM, a server restarted on the
+# same -store directory must answer the same measure byte-identically with
+# zero captures. CI runs this target; needs curl and jq.
 serve-smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchard-smoke ./cmd/gpuchard; \
-	./scripts/serve_smoke.sh $$tmp/gpuchard-smoke $$tmp/gpuchard-smoke-store.json
+	./scripts/serve_smoke.sh $$tmp/gpuchard-smoke
 
 # Sweep-fabric smoke: a 1-coordinator + 3-worker fleet must merge the
 # byte-identical /v1/results a standalone server produces and return its
@@ -117,20 +119,20 @@ lint-launch:
 lint-device:
 	./scripts/lint_device.sh
 
-# Attribution smoke: two runs of `gpuchar -exp attrib` against one launch-
-# trace directory (cold capture, then warm replay from disk) must print
+# Attribution smoke: two runs of `gpuchar -exp attrib` against one -store
+# launch-trace directory (cold capture, then warm replay from disk) must print
 # byte-identical breakdowns, and the warm process must not simulate at all —
 # attribution is a post-processing pass over replayed traces. CI runs this
 # target; needs jq.
 attrib-smoke:
 	$(SMOKE_TMP); \
 	$(GO) build -o $$tmp/gpuchar-attrib ./cmd/gpuchar; \
-	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-1.txt 2>$$tmp/gpuchar-attrib-1.json; \
-	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-2.txt 2>$$tmp/gpuchar-attrib-2.json; \
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -store $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-1.txt 2>$$tmp/gpuchar-attrib-1.json; \
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -store $$tmp/gpuchar-attrib-traces -metrics >$$tmp/gpuchar-attrib-2.txt 2>$$tmp/gpuchar-attrib-2.json; \
 	cmp $$tmp/gpuchar-attrib-1.txt $$tmp/gpuchar-attrib-2.txt; \
 	jq -e '(.counters.simulate_runs_device_K20c // 0) == 0' $$tmp/gpuchar-attrib-2.json; \
 	jq -e '.counters.trace_broker_fetch_hits > 0' $$tmp/gpuchar-attrib-2.json; \
-	$$tmp/gpuchar-attrib -exp attrib -programs NB -traces $$tmp/gpuchar-attrib-traces -json | jq -e '.[0].program == "NB" and (.[0].attribution.classes | length) == 9' >/dev/null
+	$$tmp/gpuchar-attrib -exp attrib -programs NB -store $$tmp/gpuchar-attrib-traces -json | jq -e '.[0].program == "NB" and (.[0].attribution.classes | length) == 9' >/dev/null
 
 # Cross-device smoke: the three shipped profiles (K20c, GTX1080, JetsonTX2)
 # measure one n-body program and the comparison table must match the

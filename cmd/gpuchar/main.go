@@ -7,11 +7,11 @@
 //	gpuchar -exp all
 //	gpuchar -exp table1,table2,fig2,fig3,fig4,table3,table4,fig5,fig6
 //	gpuchar -exp fig2 -reps 3
-//	gpuchar -exp all -store sweep.json -timeout 10m -metrics
+//	gpuchar -exp all -store traces/ -timeout 10m -metrics
 //	gpuchar -exp frontier -reps 1    # dense DVFS grid: EDP/ED²P sweet spots, Pareto fronts
 //	gpuchar -exp devices  # same programs on every GPU profile, side by side
 //	gpuchar -exp attrib   # instruction-level energy attribution by op class x kernel
-//	gpuchar -exp attrib -traces traces/ -json    # replay-backed, machine-readable
+//	gpuchar -exp attrib -store traces/ -json    # replay-backed, machine-readable
 //	gpuchar -exp all,frontier -reps 1    # the battery, then the frontier
 //	gpuchar -device GTX1080 -exp table2,fig2    # the battery on another profile
 //	gpuchar -selfcheck    # physics-invariant verification sweep (internal/check)
@@ -31,9 +31,13 @@
 // the -workers budget; a combination another experiment already measured
 // is served from the runner's cache.
 //
+// -store names a launch-trace directory (core.DirBroker): each trace is
+// written there when it is captured, and later runs replay it with zero
+// simulations. A regular file there is refused (exit code 2).
+//
 // The sweep is cancelable: SIGINT (and -timeout) cancel the measurement
-// context, in-flight simulations abort at the next thread-block boundary,
-// and everything measured so far is still saved to -store before exit.
+// context, and in-flight simulations abort at the next thread-block
+// boundary; every trace captured before that is already in -store.
 // -metrics dumps the observability registry (per-stage durations, cache
 // hit/miss counts, worker-pool utilization, sweep progress) as JSON to
 // stderr at exit; stdout carries only the experiment output.
@@ -64,19 +68,24 @@ func main() {
 		device    = flag.String("device", "", "GPU profile the experiments run on (empty = the paper's K20c); see internal/kepler/devices for the known profiles")
 		progFlag  = flag.String("programs", "", "comma-separated program names to restrict the sweep to (empty = all 34)")
 		reps      = flag.Int("reps", 3, "measurement repetitions per configuration (the paper uses 3)")
-		store     = flag.String("store", "", "measurement cache file: loaded if present, saved on exit (also on failure, timeout and SIGINT)")
+		store     = flag.String("store", "", "launch-trace directory: each captured trace is written here and replayed on later runs, so a warm directory costs zero simulations (never affects measured values)")
 		selfcheck = flag.Bool("selfcheck", false, "run the physics-invariant verification sweep instead of the experiments; exit 1 on any violation")
 		workers   = flag.Int("workers", 0, "simulation worker budget shared by concurrent measurements and per-launch block sharding (0 = GOMAXPROCS); never affects measured values")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the run (e.g. 10m); 0 disables")
 		metrics   = flag.Bool("metrics", false, "dump pipeline metrics (stage timings, cache counters, pool utilization) as JSON to stderr at exit")
-		traces    = flag.String("traces", "", "launch-trace directory: captured traces are stored here and replayed on later runs, so a warm directory costs zero simulations (never affects measured values)")
 		jsonOut   = flag.Bool("json", false, "emit the attrib experiment as JSON instead of text (other experiments are unaffected)")
 	)
 	flag.Parse()
 
+	runner := core.NewRunner()
+	runner.Repetitions = *reps
+	runner.Workers = *workers
 	dev, err := kepler.DeviceByName(*device)
 	if err == nil {
 		_, err = selectExperiments(*expFlag)
+	}
+	if err == nil && *store != "" {
+		runner.Broker, err = core.NewDirBroker(*store)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpuchar:", err)
@@ -85,7 +94,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the sweep gracefully: queued jobs stop before
 	// starting, running simulations abort at the next block boundary, and
-	// the partial store and metrics dump below still happen.
+	// the metrics dump below still happens.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	if *timeout > 0 {
@@ -94,31 +103,7 @@ func main() {
 		defer cancel()
 	}
 
-	runner := core.NewRunner()
-	runner.Repetitions = *reps
-	runner.Workers = *workers
-	if *traces != "" {
-		runner.Broker = core.NewDirBroker(*traces)
-	}
-
-	if *store != "" {
-		if err := runner.LoadStore(*store); err != nil && !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "gpuchar: ignoring store %s: %v\n", *store, err)
-		}
-	}
-
 	err = run(ctx, runner, os.Stdout, *expFlag, *progFlag, *selfcheck, *jsonOut, dev)
-
-	// Save on every path — success, failure, timeout, interrupt — so no
-	// already-computed measurement is ever lost to an aborted sweep.
-	if *store != "" {
-		if serr := runner.SaveStore(*store); serr != nil {
-			fmt.Fprintln(os.Stderr, "gpuchar: saving store:", serr)
-			if err == nil {
-				err = serr
-			}
-		}
-	}
 	if *metrics {
 		if merr := runner.Metrics().WriteJSON(os.Stderr); merr != nil {
 			fmt.Fprintln(os.Stderr, "gpuchar: writing metrics:", merr)
@@ -128,10 +113,10 @@ func main() {
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
-		fmt.Fprintln(os.Stderr, "gpuchar: interrupted; partial results saved")
+		fmt.Fprintln(os.Stderr, "gpuchar: interrupted")
 		os.Exit(130)
 	case errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintln(os.Stderr, "gpuchar: timed out; partial results saved")
+		fmt.Fprintln(os.Stderr, "gpuchar: timed out")
 		os.Exit(1)
 	default:
 		fmt.Fprintln(os.Stderr, "gpuchar:", err)
@@ -145,7 +130,7 @@ var errViolations = errors.New("selfcheck found invariant violations")
 
 // run executes the requested experiments (or the selfcheck sweep) on the
 // given device profile and returns instead of exiting, so main can always
-// save the store and dump metrics afterwards.
+// dump metrics afterwards.
 func run(ctx context.Context, runner *core.Runner, out io.Writer, expFlag, progFlag string, selfcheck, jsonOut bool, dev *kepler.Device) error {
 	selected, err := selectExperiments(expFlag)
 	if err != nil {

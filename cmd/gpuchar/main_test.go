@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -82,5 +86,31 @@ func TestUsageListsTable(t *testing.T) {
 	}
 	if got, want := strings.Split(all, ","), experimentNames(true); !slices.Equal(got, want) {
 		t.Errorf("usage expands 'all' to %v, table's battery is %v", got, want)
+	}
+}
+
+// TestStoreFileRefused: -store naming a regular file, such as a results
+// file written before launch traces were the store, exits with code 2
+// before anything is measured or printed.
+func TestStoreFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "gpuchar")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	file := filepath.Join(dir, "sweep.json")
+	if err := os.WriteFile(file, []byte(`{"version":2,"results":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-exp", "table2", "-programs", "NN", "-store", file)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("gpuchar -store <file>: %v, want exit code 2 (stderr %q)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "not a directory") || stdout.Len() != 0 {
+		t.Errorf("stderr %q, stdout %q: want the refusal alone", stderr.String(), stdout.String())
 	}
 }

@@ -2,12 +2,12 @@
 // counterpart of gpuchar): an HTTP JSON API that measures the benchmark
 // programs through the full simulated measurement stack on demand, coalesces
 // concurrent identical requests onto one simulation, runs asynchronous
-// sweeps, and persists the measurement cache across restarts.
+// sweeps, and keeps its launch traces across restarts.
 //
 // Usage:
 //
-//	gpuchard -addr :8080 -store sweep.json
-//	gpuchard -addr :8080 -store sweep.json -snapshot 1m -timeout 5m -workers 4
+//	gpuchard -addr :8080 -store traces/
+//	gpuchard -addr :8080 -store traces/ -timeout 5m -workers 4
 //
 // The same binary is every role of the distributed sweep fabric:
 //
@@ -43,15 +43,21 @@
 // sub-job) and GET/PUT /v1/traces/{device}/{program}/{input} (coordinator:
 // the fleet's launch-trace store).
 //
+// -store names the launch-trace directory of a standalone server or a
+// worker without -peers (see gpuchar). A restarted server replays a
+// repeated request from it with zero captures; its /v1/results lists what
+// it has measured since it started. -store is refused (exit code 2) on a
+// regular file, on a coordinator and on a worker with -peers.
+//
 // SIGINT/SIGTERM drain gracefully: /readyz goes 503 (so a coordinator stops
-// routing to the worker), the listener closes, in-flight requests get -drain
-// to finish (then their simulations are aborted at the next thread-block
-// boundary), and the store is snapshotted before exit — so a restarted
-// server warm-starts from everything it had measured.
+// routing to the worker), the listener closes, and in-flight requests get
+// -drain to finish (then their simulations are aborted at the next
+// thread-block boundary).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -69,16 +75,15 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		role     = flag.String("role", "standalone", "process role: standalone, worker or coordinator")
-		peers    = flag.String("peers", "", "comma-separated peer base URLs: the coordinator's workers, or a worker's coordinator (for trace brokering)")
-		store    = flag.String("store", "", "measurement store: loaded at startup, snapshotted periodically and on shutdown")
-		snapshot = flag.Duration("snapshot", time.Minute, "periodic store snapshot interval (0 disables the timer; requires -store)")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "per-request measurement deadline (0 disables)")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-drain bound on shutdown before in-flight simulations are aborted (0 waits indefinitely)")
-		health   = flag.Duration("health", 5*time.Second, "coordinator membership staleness bound: ready-worker probes are refreshed at least this often")
-		reps     = flag.Int("reps", 3, "measurement repetitions per configuration (the paper uses 3)")
-		workers  = flag.Int("workers", 0, "simulation worker budget shared by concurrent requests, sweeps and block sharding (0 = GOMAXPROCS)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		role    = flag.String("role", "standalone", "process role: standalone, worker or coordinator")
+		peers   = flag.String("peers", "", "comma-separated peer base URLs: the coordinator's workers, or a worker's coordinator (for trace brokering)")
+		store   = flag.String("store", "", "launch-trace directory (standalone, or worker without -peers): each captured trace is written here and replayed after a restart")
+		timeout = flag.Duration("timeout", 10*time.Minute, "per-request measurement deadline (0 disables)")
+		drain   = flag.Duration("drain", 30*time.Second, "graceful-drain bound on shutdown before in-flight simulations are aborted (0 waits indefinitely)")
+		health  = flag.Duration("health", 5*time.Second, "coordinator membership staleness bound: ready-worker probes are refreshed at least this often")
+		reps    = flag.Int("reps", 3, "measurement repetitions per configuration (the paper uses 3)")
+		workers = flag.Int("workers", 0, "simulation worker budget shared by concurrent requests, sweeps and block sharding (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -94,12 +99,22 @@ func main() {
 	runner := core.NewRunner()
 	runner.Repetitions = *reps
 	runner.Workers = *workers
+	// A coordinator neither captures nor replays, and a brokered worker
+	// keeps its traces at its coordinator.
+	var misuse error
+	if *store != "" && (*role == "coordinator" || *role == "worker" && len(peerList) > 0) {
+		misuse = errors.New("-store: a coordinator, or a worker with -peers, keeps no traces")
+	} else if *store != "" {
+		runner.Broker, misuse = core.NewDirBroker(*store)
+	}
+	if misuse != nil {
+		fmt.Fprintln(os.Stderr, "gpuchard:", misuse)
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
 		Runner:         runner,
 		Programs:       suites.All(),
-		StorePath:      *store,
-		SnapshotEvery:  *snapshot,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
 		Log:            logger,
@@ -132,8 +147,7 @@ func main() {
 		logger.Fatal(err)
 	}
 
-	// SIGINT/SIGTERM start the graceful drain; Serve snapshots the store on
-	// every exit path before returning.
+	// SIGINT/SIGTERM start the graceful drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

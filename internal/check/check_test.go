@@ -3,7 +3,6 @@ package check
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -105,10 +104,10 @@ func TestSweepKeepsAccountingClamp(t *testing.T) {
 	}
 }
 
-// TestRunOnStoreWarmedRunner: a runner warmed from a saved store is checked
-// like the cold runner that measured it. Run re-derives the sensor logs of
-// loaded results, so the checks and the worst margins, the trace integral
-// among them, are the same.
+// TestRunOnStoreWarmedRunner: a runner warmed from a trace store is checked
+// like the cold runner that filled it. Run re-derives every result and its
+// sensor logs by replay, with zero captures, so the checks and the worst
+// margins, the trace integral among them, are the same.
 func TestRunOnStoreWarmedRunner(t *testing.T) {
 	var progs []core.Program
 	for _, name := range []string{"NB", "STEN"} {
@@ -119,19 +118,21 @@ func TestRunOnStoreWarmedRunner(t *testing.T) {
 		progs = append(progs, p)
 	}
 	ctx := context.Background()
-	cold := core.NewRunner()
-	want, err := Run(ctx, cold, progs, nil)
+	dir := t.TempDir()
+	storeRunner := func() *core.Runner {
+		r := core.NewRunner()
+		b, err := core.NewDirBroker(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Broker = b
+		return r
+	}
+	want, err := Run(ctx, storeRunner(), progs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := cold.SaveStore(path); err != nil {
-		t.Fatal(err)
-	}
-	warm := core.NewRunner()
-	if err := warm.LoadStore(path); err != nil {
-		t.Fatal(err)
-	}
+	warm := storeRunner()
 	got, err := Run(ctx, warm, progs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +143,9 @@ func TestRunOnStoreWarmedRunner(t *testing.T) {
 	}
 	if got.Stats.MaxTraceErr == 0 {
 		t.Error("the trace-integral check never ran")
+	}
+	if n := warm.Metrics().Snapshot().Counters["trace_cache_captures"]; n != 0 {
+		t.Errorf("store-warmed runner captured %d traces, want 0", n)
 	}
 }
 

@@ -2,19 +2,18 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/kepler"
 	"repro/internal/sim"
 )
 
-// Device keying of the measurement caches. A store warmed on the K20c must
-// keep serving K20c requests without simulating, but a request for the same
-// program on another profile must be a clean cold miss — fresh simulation,
-// device-correct numbers — never a corrupt hit of the K20c entry. The
-// launch-trace cache likewise must never replay one device's trace on
-// another device's timing model.
+// Device keying of the trace store and caches. A store warmed on the K20c
+// must keep serving K20c requests without simulating, but a request for the
+// same program on another profile must be a clean cold miss — fresh
+// simulation, device-correct numbers — never a corrupt hit of the K20c
+// trace. The launch-trace cache likewise must never replay one device's
+// trace on another device's timing model.
 
 func gtxDefault(t *testing.T) kepler.Clocks {
 	t.Helper()
@@ -26,17 +25,13 @@ func gtxDefault(t *testing.T) kepler.Clocks {
 }
 
 func TestStoreDeviceKeying(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.json")
+	dir := t.TempDir()
 	ctx := context.Background()
 	gtxDef := gtxDefault(t)
 
-	r := NewRunner()
 	base := computeBoundToy(4000)
-	k20, err := r.Measure(ctx, base, "default", kepler.Default)
+	k20, err := storeRunner(t, dir).Measure(ctx, base, "default", kepler.Default)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SaveStore(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,10 +46,7 @@ func TestStoreDeviceKeying(t *testing.T) {
 			return base.run(dev)
 		},
 	}
-	r2 := NewRunner()
-	if err := r2.LoadStore(path); err != nil {
-		t.Fatal(err)
-	}
+	r2 := storeRunner(t, dir)
 	got, err := r2.Measure(ctx, spy, "default", kepler.Default)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +63,7 @@ func TestStoreDeviceKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	if calls == 0 {
-		t.Fatal("Pascal request served from the K20c store entry (corrupt hit)")
+		t.Fatal("Pascal request served from the K20c trace (corrupt hit)")
 	}
 	if pascal.ActiveTime == k20.ActiveTime || pascal.Energy == k20.Energy {
 		t.Errorf("Pascal result equals the K20c result: %+v", pascal)
@@ -82,22 +74,16 @@ func TestStoreDeviceKeying(t *testing.T) {
 		t.Errorf("GTX1080 time %.3fs not below K20c %.3fs", pascal.ActiveTime, k20.ActiveTime)
 	}
 
-	// Round-trip the two-device store: both entries survive and keep their
-	// devices' numbers.
-	if err := r2.SaveStore(path); err != nil {
-		t.Fatal(err)
-	}
-	r3 := NewRunner()
-	if err := r3.LoadStore(path); err != nil {
-		t.Fatal(err)
-	}
+	// A third runner on the two-device store: both traces are kept and
+	// replay to their devices' numbers.
+	r3 := storeRunner(t, dir)
 	calls = 0
 	again, err := r3.Measure(ctx, spy, "default", gtxDef)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
-		t.Errorf("Pascal entry not stored (simulated %d times)", calls)
+		t.Errorf("Pascal trace not stored (simulated %d times)", calls)
 	}
 	if again.ActiveTime != pascal.ActiveTime || again.Energy != pascal.Energy {
 		t.Errorf("Pascal store round trip changed values: %+v vs %+v", again, pascal)

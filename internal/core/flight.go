@@ -99,19 +99,18 @@ func (f *flight[K, V]) lead(key K, e *flightEntry[V], keep func(error) bool, com
 }
 
 // put inserts an already-resolved entry for key unless a resolved one is
-// there, and reports whether it did. An in-flight computation of key
-// loses its slot; its callers still get its outcome.
-func (f *flight[K, V]) put(key K, v V, err error) bool {
+// there. An in-flight computation of key loses its slot; its callers still
+// get its outcome.
+func (f *flight[K, V]) put(key K, v V, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if e := f.entries[key]; e != nil && e.resolved {
-		return false
+		return
 	}
 	if f.entries == nil {
 		f.entries = make(map[K]*flightEntry[V])
 	}
 	f.entries[key] = &flightEntry[V]{val: v, err: err, resolved: true}
-	return true
 }
 
 // get returns key's resolved entry, or nil while the key is absent or in

@@ -13,7 +13,7 @@ type runnerMetrics struct {
 	reg *obs.Registry
 
 	// Cache traffic of Measure: a hit found a resolved entry (including
-	// store-loaded ones), a miss created the entry and computed it, a
+	// imported ones), a miss created the entry and computed it, a
 	// singleflight wait joined an entry another goroutine was computing.
 	cacheHits         *obs.Counter
 	cacheMisses       *obs.Counter

@@ -9,6 +9,11 @@ import (
 	"repro/internal/k20power"
 )
 
+// StoreVersion is the physics version of a measurement, carried by the
+// golden corpus and the GET /v1/results body: bump it with any change to
+// the simulator, power model, sensor or analyzer that moves a result.
+const StoreVersion = 2
+
 // resultKey keys the measurement cache: one (program, input, config) on
 // one board.
 type resultKey struct{ program, input, config, board string }
@@ -30,7 +35,7 @@ func entryResult(k resultKey, e *flightEntry[*Result]) (Result, bool) {
 }
 
 // Results lists the runner's resolved cache entries in deterministic
-// (program, input, board, config) order — exactly what SaveStore persists.
+// (program, input, board, config) order — the GET /v1/results body.
 // It is safe to call concurrently with Measure/MeasureAll; in-flight and
 // hard-failed entries are skipped.
 func (r *Runner) Results() []Result {
@@ -65,26 +70,21 @@ func (r *Runner) Lookup(c Combo) (Result, bool) {
 	return Result{}, false
 }
 
-// ImportResults seeds the cache from results measured elsewhere (a store
-// file, a worker's shard or measure response): completed results and
+// ImportResults seeds the cache from results measured elsewhere (a
+// worker's shard or measure response): completed results and
 // exclusions both become resolved entries. Existing resolved entries are
 // never overwritten — a local measurement and an imported one are
 // bit-identical anyway (simulation is deterministic per configuration), so
-// first-write-wins keeps pointers stable. Returns the number of entries
-// actually inserted.
-func (r *Runner) ImportResults(results []Result) int {
-	imported := 0
+// first-write-wins keeps pointers stable.
+func (r *Runner) ImportResults(results []Result) {
 	for _, res := range results {
 		val, err := &res, error(nil)
 		if res.Insufficient {
 			val, err = nil, fmt.Errorf("%s/%s@%s: %w (cached)", res.Program, res.Input, res.Config,
 				k20power.ErrInsufficientSamples)
 		}
-		if r.results.put(resultKey{res.Program, res.Input, res.Config, res.Board}, val, err) {
-			imported++
-		}
+		r.results.put(resultKey{res.Program, res.Input, res.Config, res.Board}, val, err)
 	}
-	return imported
 }
 
 // CacheCounts reports how many cache entries are resolved (measurements and

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/k20power"
@@ -11,23 +10,17 @@ import (
 
 // SensorLogs re-derives the logs Measure analyzed: at the four canonical
 // configurations, every repetition's log analyzes bitwise to the result's
-// repetition, on the runner that measured it and on one warmed from its
-// saved store, which holds no launch trace and captures one.
+// repetition, on the runner that measured it and on one warmed from the
+// trace store it filled, which replays with zero captures.
 func TestSensorLogsReproduceReps(t *testing.T) {
 	ctx := context.Background()
 	combos := EnumerateCombos([]Program{computeBoundToy(4000), memoryBoundToy(3000)}, kepler.Configs, false)
-	fresh := NewRunner()
+	dir := t.TempDir()
+	fresh := storeRunner(t, dir)
 	if err := fresh.MeasureList(ctx, combos); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := fresh.SaveStore(path); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewRunner()
-	if err := warm.LoadStore(path); err != nil {
-		t.Fatal(err)
-	}
+	warm := storeRunner(t, dir)
 	for _, run := range []struct {
 		name string
 		r    *Runner
@@ -58,7 +51,7 @@ func TestSensorLogsReproduceReps(t *testing.T) {
 			}
 		}
 	}
-	if misses := warm.Metrics().Snapshot().Counters["measure_cache_misses"]; misses != 0 {
-		t.Errorf("the store-warmed runner measured %d combinations, want 0", misses)
+	if captures := counter(warm, "trace_cache_captures"); captures != 0 {
+		t.Errorf("the store-warmed runner captured %d traces, want 0", captures)
 	}
 }

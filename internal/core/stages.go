@@ -145,7 +145,7 @@ func (r *Runner) runStages(ctx context.Context, st *measureState, stages []stage
 // yielded one. It runs the measurement's stages up to the record stage
 // again (capturing the launch trace if the runner holds none). They are
 // deterministic, so the logs are the ones Measure analyzed, bit for bit,
-// for a result loaded from a store too.
+// for an imported result too.
 func (r *Runner) SensorLogs(ctx context.Context, c Combo) ([][]sensor.Sample, error) {
 	st := borrowState(ctx, c)
 	defer st.release()

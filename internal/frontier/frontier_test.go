@@ -2,7 +2,6 @@ package frontier_test
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -241,47 +240,47 @@ func TestSweepObsCounters(t *testing.T) {
 	})
 }
 
-// TestSweepWarmStoreReplays: a store holding the canonical measurements
-// serves those points without capturing a trace. The sweep captures once,
-// for the first point the store lacks, replays the rest of the grid and
-// matches a cold sweep exactly.
+// TestSweepWarmStoreReplays: a trace store filled by measuring the
+// canonical configurations serves the whole grid without a capture, and
+// the sweep matches a cold sweep exactly.
 func TestSweepWarmStoreReplays(t *testing.T) {
 	ctx := context.Background()
 	p, err := suites.ByName("NN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRunner := func() *core.Runner {
+	dir := t.TempDir()
+	newRunner := func(store bool) *core.Runner {
 		r := core.NewRunner()
 		r.Repetitions = 1
+		if store {
+			b, err := core.NewDirBroker(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Broker = b
+		}
 		return r
 	}
 
-	cold, err := frontier.Sweep(ctx, newRunner(), p, frontier.Options{})
+	cold, err := frontier.Sweep(ctx, newRunner(false), p, frontier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	seed := newRunner()
+	seed := newRunner(true)
 	for _, clk := range kepler.Configs {
 		if _, err := seed.Measure(ctx, p, p.DefaultInput(), clk); err != nil && !core.IsInsufficient(err) {
 			t.Fatal(err)
 		}
 	}
-	store := filepath.Join(t.TempDir(), "store.json")
-	if err := seed.SaveStore(store); err != nil {
-		t.Fatal(err)
-	}
-	warm := newRunner()
-	if err := warm.LoadStore(store); err != nil {
-		t.Fatal(err)
-	}
+	warm := newRunner(true)
 	res, err := frontier.Sweep(ctx, warm, p, frontier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := warm.Metrics().Snapshot().Counters["trace_cache_captures"]; got != 1 {
-		t.Errorf("warm sweep: trace_cache_captures = %d, want 1", got)
+	if got := warm.Metrics().Snapshot().Counters["trace_cache_captures"]; got != 0 {
+		t.Errorf("warm sweep: trace_cache_captures = %d, want 0", got)
 	}
 	if !reflect.DeepEqual(res, cold) {
 		t.Error("warm-store sweep differs from a cold sweep")

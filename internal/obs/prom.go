@@ -37,9 +37,9 @@ var promHelp = map[string]string{
 	"trace_cache_captures":       "Launch traces captured by full simulation.",
 	"trace_cache_replays":        "Measured devices priced by replaying a launch trace (every measurement is one).",
 	"trace_cache_bytes":          "Bytes retained by the launch-trace cache.",
-	"trace_broker_fetch_hits":    "Launch traces fetched from the fleet trace broker instead of simulating.",
-	"trace_broker_fetch_misses":  "Trace broker fetches that found no fleet-wide capture.",
-	"trace_broker_puts":          "Launch traces published to the fleet trace broker.",
+	"trace_broker_fetch_hits":    "Launch traces fetched from the trace broker (the -store directory or the fleet's coordinator) instead of simulating.",
+	"trace_broker_fetch_misses":  "Trace broker fetches that found no stored capture.",
+	"trace_broker_puts":          "Launch traces published to the trace broker.",
 	"trace_broker_errors":        "Trace broker transport or decode failures (fell back to local capture).",
 	"simulate_runs":              "Full warp-level simulations, by device.",
 	"pool_workers_budget":        "Size of the shared simulation worker pool.",

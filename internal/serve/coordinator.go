@@ -24,7 +24,7 @@ import (
 // fleet is the coordinator's executor: it speaks the same public API as a
 // standalone Server but simulates nothing itself. Sweeps are consistent-
 // hashed into per-worker shards over the internal /v1/shard API and merged
-// in deterministic store order; a frontier or attribution job is one shard
+// in deterministic result order; a frontier or attribution job is one shard
 // on its ring owner; measures proxy to the combination's owning worker;
 // launch traces are brokered through an in-memory store so the fleet
 // captures each (device, program, input) exactly once; and /metrics

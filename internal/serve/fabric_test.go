@@ -200,35 +200,27 @@ func TestFabricWorkerDeathMidSweep(t *testing.T) {
 	}
 }
 
-// TestFabricWarmCoordinatorRestart: a coordinator restarted on its snapshot
-// answers a repeat sweep entirely from the merged cache — zero worker
+// TestFabricWarmCoordinatorRestart: a restarted coordinator keeps nothing,
+// yet answers a repeat sweep from its workers' caches — zero worker
 // simulations, identical bytes.
 func TestFabricWarmCoordinatorRestart(t *testing.T) {
-	store := t.TempDir() + "/store.json"
 	ws, urls := newFabricWorkers(t, 2, fabricProgs)
-	c1, cts1 := newTestCoordinator(t, urls, fabricProgs(), func(cfg *CoordinatorConfig) {
-		cfg.StorePath = store
-	})
+	_, cts1 := newTestCoordinator(t, urls, fabricProgs(), nil)
 	first := runSweep(t, cts1.URL, fabricSweepBody)
-	if err := c1.saveStore(); err != nil {
-		t.Fatal(err)
-	}
 
 	before := make([]int64, len(ws))
 	for i, w := range ws {
 		before[i] = w.runner.Metrics().Snapshot().Counters["simulate_runs_device_K20c"]
 	}
 
-	_, cts2 := newTestCoordinator(t, urls, fabricProgs(), func(cfg *CoordinatorConfig) {
-		cfg.StorePath = store
-	})
+	_, cts2 := newTestCoordinator(t, urls, fabricProgs(), nil)
 	second := runSweep(t, cts2.URL, fabricSweepBody)
 	if !bytes.Equal(first, second) {
-		t.Error("warm coordinator serves different bytes than the one that did the work")
+		t.Error("restarted coordinator serves different bytes than the one that did the work")
 	}
 	for i, w := range ws {
 		if after := w.runner.Metrics().Snapshot().Counters["simulate_runs_device_K20c"]; after != before[i] {
-			t.Errorf("worker %d simulated %d combos for a warm repeat sweep, want 0", i, after-before[i])
+			t.Errorf("worker %d simulated %d combos for a repeat sweep, want 0", i, after-before[i])
 		}
 	}
 }

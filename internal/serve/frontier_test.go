@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -145,15 +143,14 @@ func TestFrontierValidation(t *testing.T) {
 }
 
 // TestFrontierDrainMidJob: shutting down while a frontier job's capture
-// simulation is in flight cancels the job (not fails it) and still writes a
-// consistent store snapshot.
+// simulation is in flight cancels the job (not fails it), and the aborted
+// capture leaves no trace in the store.
 func TestFrontierDrainMidJob(t *testing.T) {
-	dir := t.TempDir()
-	storePath := filepath.Join(dir, "store.json")
+	runner, store := storeRunner(t, t.TempDir())
 
 	slow := newFakeProg("SLOW", 2e5)
 	slow.sleepPerBlock = 100 * time.Millisecond // ~6s wall-clock capture
-	s, runner := newTestServer(t, Config{StorePath: storePath, DrainTimeout: 50 * time.Millisecond}, slow)
+	s, _ := newTestServer(t, Config{Runner: runner, DrainTimeout: 50 * time.Millisecond}, slow)
 
 	url, cancel, errc := serveOn(t, s)
 
@@ -188,20 +185,20 @@ func TestFrontierDrainMidJob(t *testing.T) {
 	if v := j.view(); v.Status != jobCanceled {
 		t.Errorf("drained frontier job status %q (%s), want canceled", v.Status, v.Error)
 	}
-	if _, err := os.Stat(storePath); err != nil {
-		t.Fatalf("store not saved on shutdown: %v", err)
+	if store.FetchTrace("K20c", "SLOW", "small") != nil {
+		t.Error("the aborted capture left a trace in the store")
 	}
 }
 
-// TestFrontierWarmRestart: a completed frontier sweep persists through the
-// store; a warm-restarted server answers the same frontier job from cached
-// entries with zero simulations and a byte-identical summary.
+// TestFrontierWarmRestart: a completed frontier sweep leaves its trace in
+// the store; a restarted server answers the same frontier job by replaying
+// it, with zero simulations and a byte-identical summary.
 func TestFrontierWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	storePath := filepath.Join(dir, "store.json")
 	req := `{"program":"FAKE","spec":` + smallSpec + `}`
 
-	s, _ := newTestServer(t, Config{StorePath: storePath}, newFakeProg("FAKE", 2e5))
+	runner, _ := storeRunner(t, dir)
+	s, _ := newTestServer(t, Config{Runner: runner}, newFakeProg("FAKE", 2e5))
 	url, cancel, errc := serveOn(t, s)
 
 	code, body := postJSON(t, url+"/v1/frontier", req)
@@ -221,9 +218,10 @@ func TestFrontierWarmRestart(t *testing.T) {
 		t.Fatalf("Serve returned %v after drain", err)
 	}
 
-	// Warm restart: fresh runner, same store. The frontier re-prices the
-	// grid entirely from replayed cache entries — zero simulations.
-	s2, runner2 := newTestServer(t, Config{StorePath: storePath}, newFakeProg("FAKE", 2e5))
+	// Restart: fresh runner, same store. The frontier re-prices the grid
+	// entirely by replaying the stored trace — zero simulations.
+	runner2, _ := storeRunner(t, dir)
+	s2, _ := newTestServer(t, Config{Runner: runner2}, newFakeProg("FAKE", 2e5))
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
 	code, body = postJSON(t, ts.URL+"/v1/frontier", req)
@@ -240,14 +238,8 @@ func TestFrontierWarmRestart(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Errorf("warm-start frontier summary differs:\n%s\nvs\n%s", second.Result, first.Result)
 	}
-	snap := runner2.Metrics().Snapshot()
-	if got := snap.Histograms["stage_simulate_seconds"].Count; got != 0 {
-		t.Errorf("warm restart simulated %d times, want 0", got)
-	}
-	if got := snap.Counters["trace_cache_captures"]; got != 0 {
+	checkReplayedOnly(t, runner2)
+	if got := runner2.Metrics().Snapshot().Counters["trace_cache_captures"]; got != 0 {
 		t.Errorf("warm restart captured %d traces, want 0", got)
-	}
-	if resolved, _ := runner2.CacheCounts(); resolved == 0 {
-		t.Error("warm restart loaded no cached entries")
 	}
 }

@@ -62,7 +62,7 @@ func (l *local) frontier(fw frontierWork) jobSpec {
 
 // attrib prices each (program, config) of the matrix at the program's
 // default input with core.AttributionSweep. Attribution is a post-processing
-// pass over the launch-trace cache: on a warm store every combination
+// pass over the launch-trace cache: with the traces at hand every combination
 // replays instead of simulating. Progress is the attrib_rows
 // delta from the obs registry.
 func (l *local) attrib(aw attribWork) jobSpec {

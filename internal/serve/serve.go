@@ -13,10 +13,9 @@
 //     the Runner's shared sim.WorkerPool (like MeasureAll jobs do), so HTTP
 //     traffic, sweeps and per-launch block sharding never oversubscribe the
 //     machine.
-//   - Durability. The store is loaded at startup (warm cache), snapshotted
-//     atomically (tmp + rename) on a timer and on every shutdown path, and
-//     canceled measurements are evicted rather than cached, so a killed
-//     server never corrupts the store.
+//   - Durability is the Runner's: a core.DirBroker Broker keeps each launch
+//     trace, and a restarted server replays them with zero captures. Its
+//     cache starts empty, so GET /v1/results lists what it has measured.
 //   - Graceful drain. On shutdown the listener closes first, in-flight
 //     requests get DrainTimeout to finish, then the base context is
 //     canceled so the remaining simulations abort at the next thread-block
@@ -35,11 +34,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,13 +57,6 @@ type Config struct {
 	// Configs is the served clock-configuration set. Defaults to
 	// kepler.Configs.
 	Configs []kepler.Clocks
-	// StorePath persists the measurement cache: loaded by New for a warm
-	// start, snapshotted every SnapshotEvery and on every shutdown path.
-	// Empty disables persistence.
-	StorePath string
-	// SnapshotEvery is the periodic snapshot interval. 0 disables the
-	// timer (the shutdown snapshot still happens).
-	SnapshotEvery time.Duration
 	// RequestTimeout bounds each measure request's measurement context.
 	// 0 means no per-request deadline.
 	RequestTimeout time.Duration
@@ -108,15 +98,11 @@ type Server struct {
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
-	// ready is the /readyz verdict: true once the store is warmed and the
-	// worker pool sized, false again the moment a drain starts — before the
+	// ready is the /readyz verdict: true once the worker pool is sized,
+	// false again the moment a drain starts — before the
 	// HTTP shutdown — so a coordinator probing readiness drops the worker
 	// from membership and starts re-dispatching early.
 	ready atomic.Bool
-
-	// saveMu serializes store snapshots (each is atomic on its own; the
-	// mutex just prevents pointless concurrent rewrites).
-	saveMu sync.Mutex
 
 	m serviceMetrics
 }
@@ -126,25 +112,21 @@ type Server struct {
 // handles are created as the routes are instrumented, so each executor
 // exposes exactly the routes it serves.
 type serviceMetrics struct {
-	reg           *obs.Registry
-	inflight      *obs.Gauge
-	responses2xx  *obs.Counter
-	responses4xx  *obs.Counter
-	responses5xx  *obs.Counter
-	snapshots     *obs.Counter
-	snapshotFails *obs.Counter
+	reg          *obs.Registry
+	inflight     *obs.Gauge
+	responses2xx *obs.Counter
+	responses4xx *obs.Counter
+	responses5xx *obs.Counter
 }
 
 // newServiceMetrics resolves the HTTP-level handles.
 func newServiceMetrics(reg *obs.Registry) serviceMetrics {
 	return serviceMetrics{
-		reg:           reg,
-		inflight:      reg.Gauge("http_inflight_requests"),
-		responses2xx:  reg.Counter("http_responses_2xx_total"),
-		responses4xx:  reg.Counter("http_responses_4xx_total"),
-		responses5xx:  reg.Counter("http_responses_5xx_total"),
-		snapshots:     reg.Counter("store_snapshots_total"),
-		snapshotFails: reg.Counter("store_snapshot_errors_total"),
+		reg:          reg,
+		inflight:     reg.Gauge("http_inflight_requests"),
+		responses2xx: reg.Counter("http_responses_2xx_total"),
+		responses4xx: reg.Counter("http_responses_4xx_total"),
+		responses5xx: reg.Counter("http_responses_5xx_total"),
 	}
 }
 
@@ -166,10 +148,7 @@ type executor interface {
 	workers(ctx context.Context) int
 }
 
-// New builds the service and, when cfg.StorePath names an existing store,
-// warm-starts the runner cache from it. A missing store file is a cold
-// start, not an error; an incompatible one (version mismatch) is reported
-// and ignored, matching gpuchar. A non-empty cfg.Peers makes the Server a
+// New builds the service. A non-empty cfg.Peers makes the Server a
 // coordinator (the fleet executor); otherwise it simulates locally.
 func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
@@ -223,18 +202,6 @@ func New(cfg Config) (*Server, error) {
 		s.runner.WorkerPool()
 	}
 	s.handler = mux
-
-	if cfg.StorePath != "" {
-		switch err := s.runner.LoadStore(cfg.StorePath); {
-		case err == nil:
-			resolved, _ := s.runner.CacheCounts()
-			cfg.Log.Printf("serve: warm start: %d cached measurements from %s", resolved, cfg.StorePath)
-		case errors.Is(err, fs.ErrNotExist):
-			cfg.Log.Printf("serve: cold start: no store at %s", cfg.StorePath)
-		default:
-			cfg.Log.Printf("serve: ignoring store %s: %v", cfg.StorePath, err)
-		}
-	}
 	s.ready.Store(true)
 	return s, nil
 }
@@ -289,20 +256,10 @@ func (w *statusWriter) WriteHeader(code int) {
 // Serve runs the service on ln until ctx is canceled, then drains: /readyz
 // flips to 503 (a coordinator probing membership drops the worker and
 // starts re-dispatching its shards before the listener even closes), the
-// listener closes, in-flight requests get DrainTimeout to finish, remaining
-// work is aborted via the base context, and the store is snapshotted one
-// final time. It returns nil after a clean drain.
+// listener closes, in-flight requests get DrainTimeout to finish, and
+// remaining work is aborted via the base context. It returns nil after a
+// clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	stopSnapshots := make(chan struct{})
-	var snapWG sync.WaitGroup
-	if s.cfg.StorePath != "" && s.cfg.SnapshotEvery > 0 {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			snapshotLoop(s.cfg.SnapshotEvery, stopSnapshots, s.saveStore, s.cfg.Log)
-		}()
-	}
-
 	httpSrv := &http.Server{
 		Handler:     s.handler,
 		BaseContext: func(net.Listener) context.Context { return s.baseCtx },
@@ -314,7 +271,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	var err error
 	select {
 	case err = <-serveErr:
-		// Listener failure: not a drain, but the store is still snapshotted.
+		// Listener failure: not a drain.
 	case <-ctx.Done():
 		s.ready.Store(false)
 		drainCtx := context.Background()
@@ -334,50 +291,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}
 	}
 	s.cancelBase()
-
-	// Stop the snapshot timer and take the final snapshot. Store writes are
-	// atomic (tmp + rename), so even a snapshot racing a late handler can
-	// only publish a consistent store.
-	close(stopSnapshots)
-	snapWG.Wait()
-	if s.cfg.StorePath != "" {
-		if serr := s.saveStore(); serr != nil {
-			s.cfg.Log.Printf("serve: final store snapshot: %v", serr)
-			if err == nil {
-				err = serr
-			}
-		}
-	}
 	return err
-}
-
-// snapshotLoop persists the store every interval until stop closes.
-func snapshotLoop(interval time.Duration, stop <-chan struct{}, save func() error, logger *log.Logger) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := save(); err != nil {
-				logger.Printf("serve: store snapshot: %v", err)
-			}
-		case <-stop:
-			return
-		}
-	}
-}
-
-// saveStore writes one atomic store snapshot.
-func (s *Server) saveStore() error {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	err := s.runner.SaveStore(s.cfg.StorePath)
-	if err != nil {
-		s.m.snapshotFails.Inc()
-		return err
-	}
-	s.m.snapshots.Inc()
-	return nil
 }
 
 // measureRequest is the POST /v1/measure body.
@@ -661,8 +575,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.view())
 }
 
-// resultsResponse is the GET /v1/results body: the same content a store
-// snapshot would persist, straight from the cache.
+// resultsResponse is the GET /v1/results body: the runner's resolved
+// results, straight from the cache.
 type resultsResponse struct {
 	Version int           `json:"version"`
 	Count   int           `json:"count"`
@@ -717,8 +631,8 @@ type readyzResponse struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// handleReadyz reports readiness: the store is warmed and the worker pool
-// sized (both done by New), and no drain has started. Coordinators use it
+// handleReadyz reports readiness: the worker pool is sized (done by New),
+// and no drain has started. Coordinators use it
 // for membership, so a draining worker disappears from the ring before its
 // listener closes; a coordinator's own answer counts its ready workers.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

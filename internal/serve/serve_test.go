@@ -10,8 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,12 +93,15 @@ func (p *fakeProg) Run(ctx context.Context, dev *sim.GPU, input string) error {
 	return nil
 }
 
-// newTestServer builds a Server around fresh runner + programs.
+// newTestServer builds a Server around programs and cfg.Runner, a fresh
+// runner when nil.
 func newTestServer(t *testing.T, cfg Config, progs ...core.Program) (*Server, *core.Runner) {
 	t.Helper()
-	runner := core.NewRunner()
-	runner.Workers = 4
-	cfg.Runner = runner
+	if cfg.Runner == nil {
+		cfg.Runner = core.NewRunner()
+		cfg.Runner.Workers = 4
+	}
+	runner := cfg.Runner
 	cfg.Programs = progs
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
@@ -110,6 +111,31 @@ func newTestServer(t *testing.T, cfg Config, progs ...core.Program) (*Server, *c
 		t.Fatal(err)
 	}
 	return s, runner
+}
+
+// storeRunner returns a fresh runner whose trace store is dir, and the
+// store.
+func storeRunner(t *testing.T, dir string) (*core.Runner, *core.DirBroker) {
+	t.Helper()
+	b, err := core.NewDirBroker(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := core.NewRunner()
+	r.Workers = 4
+	r.Broker = b
+	return r, b
+}
+
+// checkReplayedOnly fails unless the runner simulated nothing and served
+// its traces from the store.
+func checkReplayedOnly(t *testing.T, r *core.Runner) {
+	t.Helper()
+	c := r.Metrics().Snapshot().Counters
+	if c["simulate_runs_device_K20c"] != 0 || c["trace_broker_fetch_hits"] == 0 {
+		t.Errorf("simulate_runs_device_K20c = %d, trace_broker_fetch_hits = %d; want 0 and > 0",
+			c["simulate_runs_device_K20c"], c["trace_broker_fetch_hits"])
+	}
 }
 
 func postJSON(t *testing.T, url, body string) (int, []byte) {
@@ -456,16 +482,16 @@ func serveOn(t *testing.T, srv *Server) (string, context.CancelFunc, chan error)
 }
 
 // TestGracefulDrainCompletesInFlight: a shutdown with a generous drain
-// budget lets the in-flight measurement finish (200) and snapshots the
-// store, which a second server warm-starts from with zero simulations and a
+// budget lets the in-flight measurement finish (200). Its trace is in the
+// store, from which a second server answers with zero simulations and a
 // byte-identical response.
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	dir := t.TempDir()
-	storePath := filepath.Join(dir, "store.json")
+	runner, store := storeRunner(t, dir)
 
 	slow := newFakeProg("SLOW", 2e5)
 	slow.sleepPerBlock = 20 * time.Millisecond // ~1.3s wall-clock simulation
-	s, runner := newTestServer(t, Config{StorePath: storePath, DrainTimeout: 30 * time.Second}, slow)
+	s, _ := newTestServer(t, Config{Runner: runner, DrainTimeout: 30 * time.Second}, slow)
 
 	url, cancel, errc := serveOn(t, s)
 
@@ -499,13 +525,14 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 		t.Fatalf("Serve returned %v after graceful drain", err)
 	}
 
-	if _, err := os.Stat(storePath); err != nil {
-		t.Fatalf("store not saved on shutdown: %v", err)
+	if store.FetchTrace("K20c", "SLOW", "small") == nil {
+		t.Fatal("the completed measurement's trace is not in the store")
 	}
 
-	// Warm restart: same store, fresh runner — the measurement must be
-	// served from the cache without simulating, byte-identical.
-	s2, runner2 := newTestServer(t, Config{StorePath: storePath}, newFakeProg("SLOW", 2e5))
+	// Restart: same store, fresh runner — the measurement must be replayed
+	// from the stored trace without simulating, byte-identical.
+	runner2, _ := storeRunner(t, dir)
+	s2, _ := newTestServer(t, Config{Runner: runner2}, newFakeProg("SLOW", 2e5))
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
 	code, body := postJSON(t, ts.URL+"/v1/measure", `{"program":"SLOW"}`)
@@ -515,21 +542,19 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	if !bytes.Equal(body, r.body) {
 		t.Errorf("warm-start response differs from original:\n%s\nvs\n%s", body, r.body)
 	}
-	if got := runner2.Metrics().Snapshot().Histograms["stage_simulate_seconds"].Count; got != 0 {
-		t.Errorf("warm-start simulated %d times, want 0", got)
-	}
+	checkReplayedOnly(t, runner2)
 }
 
 // TestDrainTimeoutAbortsInFlight: with a tiny drain budget the in-flight
 // simulation is aborted via the base context; the handler returns the
-// context error (503) and the store is still saved.
+// context error (503), and the aborted capture leaves neither a result nor
+// a trace behind.
 func TestDrainTimeoutAbortsInFlight(t *testing.T) {
-	dir := t.TempDir()
-	storePath := filepath.Join(dir, "store.json")
+	runner, store := storeRunner(t, t.TempDir())
 
 	slow := newFakeProg("SLOW", 2e5)
 	slow.sleepPerBlock = 100 * time.Millisecond // ~6s wall-clock simulation
-	s, runner := newTestServer(t, Config{StorePath: storePath, DrainTimeout: 50 * time.Millisecond}, slow)
+	s, _ := newTestServer(t, Config{Runner: runner, DrainTimeout: 50 * time.Millisecond}, slow)
 
 	url, cancel, errc := serveOn(t, s)
 
@@ -565,67 +590,71 @@ func TestDrainTimeoutAbortsInFlight(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("forced drain took %v; the abort should cut the 6s simulation short", took)
 	}
-	if _, err := os.Stat(storePath); err != nil {
-		t.Fatalf("store not saved on forced shutdown: %v", err)
+	// The canceled measurement must not have been cached as a result, nor
+	// its partial capture stored.
+	if n := len(runner.Results()); n != 0 {
+		t.Errorf("the cache holds %d results, want 0 (canceled measurements are evicted)", n)
 	}
-	// The canceled measurement must not have been cached as a result.
-	var sf struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	data, err := os.ReadFile(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &sf); err != nil {
-		t.Fatal(err)
-	}
-	if len(sf.Results) != 0 {
-		t.Errorf("store holds %d results, want 0 (canceled measurements are evicted)", len(sf.Results))
+	if store.FetchTrace("K20c", "SLOW", "small") != nil {
+		t.Error("the aborted capture left a trace in the store")
 	}
 }
 
-// TestPeriodicSnapshot checks the timer-driven store snapshots.
-func TestPeriodicSnapshot(t *testing.T) {
+// TestRestartedResultsListOnlyNewMeasurements: a server restarted on a
+// trace store keeps no list of what it measured. Its /v1/results starts
+// empty and lists what the new process measures, and a repeated measure is
+// a byte-identical replay with zero captures.
+func TestRestartedResultsListOnlyNewMeasurements(t *testing.T) {
 	dir := t.TempDir()
-	storePath := filepath.Join(dir, "store.json")
-	s, runner := newTestServer(t,
-		Config{StorePath: storePath, SnapshotEvery: 50 * time.Millisecond},
-		newFakeProg("FAKE", 2e5))
-
-	url, cancel, errc := serveOn(t, s)
-	defer func() { cancel(); <-errc }()
-
-	if code, body := postJSON(t, url+"/v1/measure", `{"program":"FAKE"}`); code != http.StatusOK {
-		t.Fatalf("measure: status %d, body %s", code, body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(storePath); err == nil {
-			break
+	runner, _ := storeRunner(t, dir)
+	s, _ := newTestServer(t, Config{Runner: runner}, newFakeProg("FAKE", 2e5))
+	ts := httptest.NewServer(s.Handler())
+	var small []byte
+	for _, input := range []string{"small", "big"} {
+		code, body := postJSON(t, ts.URL+"/v1/measure", `{"program":"FAKE","input":"`+input+`"}`)
+		if code != http.StatusOK {
+			t.Fatalf("measure %s: status %d, body %s", input, code, body)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic snapshot never appeared")
+		if input == "small" {
+			small = body
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	// The snapshot must be loadable and contain the measurement.
-	r2 := core.NewRunner()
-	if err := r2.LoadStore(storePath); err != nil {
-		t.Fatalf("periodic snapshot unreadable: %v", err)
+	ts.Close()
+
+	runner2, _ := storeRunner(t, dir)
+	s2, _ := newTestServer(t, Config{Runner: runner2}, newFakeProg("FAKE", 2e5))
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	listed := func() []core.Result {
+		t.Helper()
+		_, body := getJSON(t, ts2.URL+"/v1/results")
+		var rr resultsResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Count != len(rr.Results) {
+			t.Errorf("/v1/results count %d, lists %d", rr.Count, len(rr.Results))
+		}
+		return rr.Results
 	}
-	if got := len(r2.Results()); got != 1 {
-		t.Errorf("snapshot holds %d results, want 1", got)
+	if got := listed(); len(got) != 0 {
+		t.Errorf("restarted server lists %d results before measuring, want 0", len(got))
 	}
-	if got := runner.Metrics().Snapshot().Counters["store_snapshots_total"]; got < 1 {
-		t.Errorf("store_snapshots_total = %d, want >= 1", got)
+	code, body := postJSON(t, ts2.URL+"/v1/measure", `{"program":"FAKE","input":"small"}`)
+	if code != http.StatusOK || !bytes.Equal(body, small) {
+		t.Errorf("repeated measure: status %d, body %s; want 200 and the first server's %s", code, body, small)
 	}
+	if got := listed(); len(got) != 1 || got[0].Input != "small" {
+		t.Errorf("restarted server lists %+v, want only FAKE/small", got)
+	}
+	checkReplayedOnly(t, runner2)
 }
 
 // TestOneRecordShape: a measured combination serializes byte for byte the
 // same as its POST /v1/measure body, its GET /v1/results entry and its
-// entry in the saved store (compacted) — one core.Result, one shape.
+// entry in a /v1/shard response (compacted) — one core.Result, one shape.
 func TestOneRecordShape(t *testing.T) {
-	s, runner := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
+	s, _ := newTestServer(t, Config{}, newFakeProg("FAKE", 2e5))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -637,17 +666,13 @@ func TestOneRecordShape(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("results: status %d", code)
 	}
-	storePath := filepath.Join(t.TempDir(), "store.json")
-	if err := runner.SaveStore(storePath); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := os.ReadFile(storePath)
-	if err != nil {
-		t.Fatal(err)
+	code, shard := postJSON(t, ts.URL+"/v1/shard", `{"id":"j/shard-0","combos":[{"program":"FAKE","input":"big","config":"default"}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("shard: status %d, body %s", code, shard)
 	}
 
 	want := bytes.TrimSuffix(measured, []byte("\n"))
-	for name, doc := range map[string][]byte{"/v1/results": results, "store": stored} {
+	for name, doc := range map[string][]byte{"/v1/results": results, "/v1/shard": shard} {
 		var d struct {
 			Results []json.RawMessage `json:"results"`
 		}

@@ -4,15 +4,19 @@
 #   1. A standalone server runs a sweep — the baseline /v1/results bytes —
 #      then a small-grid frontier and an attribution of NB — the baseline
 #      job results.
-#   2. A 1-coordinator + 3-worker fabric runs the same sweep; its merged
+#   2. A 1-coordinator + 3-worker fabric, each worker on a -store trace
+#      directory of its own, runs the same sweep; its merged
 #      /v1/results must be byte-identical to the standalone baseline, and
 #      its frontier and attribution job results (each dispatched to a
 #      worker as one shard) must match the standalone results.
 #   3. The coordinator's federated /metrics must pass the promtool-style
 #      lint (cmd/promlint — pure Go, no network).
-#   4. One worker is killed; a fresh (cold-store) coordinator re-runs the
-#      sweep over the surviving pair and must still merge the exact
+#   4. One worker is killed; a fresh coordinator (it keeps nothing) re-runs
+#      the sweep over the surviving pair and must still merge the exact
 #      baseline bytes.
+#   5. The standalone server is restarted on its -store directory: it
+#      replays the same sweep from its stored traces, with zero
+#      simulations, and must merge the exact baseline bytes.
 #
 # Shared by `make fabric-smoke` and the CI fabric-smoke job. Requires curl
 # and jq; PROMLINT must point at a built cmd/promlint binary (defaults to
@@ -80,19 +84,20 @@ run_results() { # base outprefix — frontier and attribution job results
 }
 
 # 1. Standalone baseline.
-"$BIN" -addr "$SA" -snapshot 0 &
+"$BIN" -addr "$SA" -store "$OUT/sa-traces" &
+SA_PID_INDEX=${#PIDS[@]}
 PIDS+=($!)
 wait_up "$SA"
 run_sweep "$SA" "$OUT/baseline.json"
 run_results "$SA" "$OUT/baseline"
 
 # 2. The fabric: 3 workers + 1 coordinator, same sweep, identical bytes.
-"$BIN" -role worker -addr "$W1" -snapshot 0 & PIDS+=($!)
-"$BIN" -role worker -addr "$W2" -snapshot 0 & PIDS+=($!)
+"$BIN" -role worker -addr "$W1" -store "$OUT/w1-traces" & PIDS+=($!)
+"$BIN" -role worker -addr "$W2" -store "$OUT/w2-traces" & PIDS+=($!)
 W3_PID_INDEX=${#PIDS[@]}
-"$BIN" -role worker -addr "$W3" -snapshot 0 & PIDS+=($!)
+"$BIN" -role worker -addr "$W3" -store "$OUT/w3-traces" & PIDS+=($!)
 wait_up "$W1"; wait_up "$W2"; wait_up "$W3"
-"$BIN" -role coordinator -addr "$CO" -snapshot 0 -health 1s \
+"$BIN" -role coordinator -addr "$CO" -health 1s \
     -peers "http://$W1,http://$W2,http://$W3" &
 PIDS+=($!)
 wait_up "$CO"
@@ -112,11 +117,23 @@ grep -q 'worker="http://' "$OUT/metrics.prom"
 # 4. Kill one worker; a cold coordinator over the survivors must still
 # merge the exact baseline bytes.
 kill -9 "${PIDS[$W3_PID_INDEX]}" 2>/dev/null || true
-"$BIN" -role coordinator -addr "$CO2" -snapshot 0 -health 1s \
+"$BIN" -role coordinator -addr "$CO2" -health 1s \
     -peers "http://$W1,http://$W2,http://$W3" &
 PIDS+=($!)
 wait_up "$CO2"
 run_sweep "$CO2" "$OUT/fabric2.json"
 cmp "$OUT/baseline.json" "$OUT/fabric2.json"
+
+# 5. A standalone server restarted on its trace store replays the sweep.
+kill -TERM "${PIDS[$SA_PID_INDEX]}"
+wait "${PIDS[$SA_PID_INDEX]}" || true
+"$BIN" -addr "$SA" -store "$OUT/sa-traces" &
+PIDS+=($!)
+wait_up "$SA"
+run_sweep "$SA" "$OUT/restart.json"
+cmp "$OUT/baseline.json" "$OUT/restart.json"
+curl -fsS "http://$SA/metrics" >"$OUT/restart.prom"
+grep -qx 'gpuchard_trace_cache_captures_total 0' "$OUT/restart.prom"
+grep -Eq '^gpuchard_trace_broker_fetch_hits_total [1-9]' "$OUT/restart.prom"
 
 echo "fabric smoke: OK"
